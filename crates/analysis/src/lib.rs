@@ -30,7 +30,9 @@
 //! no issue-window effects.
 
 use lgen_cir::arena::{trip_count, AInst, Arena, BlockId};
-use lgen_cir::lower::{lower_arith, lower_load, lower_move, lower_store, LoweredOp, Slot};
+use lgen_cir::lower::{
+    lower_arith, lower_load, lower_move, lower_store, LoweredOp, Slot, MAX_LOWERED_OPS,
+};
 use lgen_cir::{Inst, Kernel, OverheadKind, VReg};
 use lgen_isa::cost::cost;
 use lgen_isa::energy::{op_energy_pj, static_energy_pj_per_cycle};
@@ -446,24 +448,23 @@ fn walk_block(
 /// accumulator, and the sequence's internal dataflow (through registers
 /// and sequence-local temporaries) extends the block's latency chains.
 fn charge_seq(seq: &[LoweredOp], arch: Microarch, weight: u64, acc: &mut Acc, flow: &mut Flow) {
-    let mut tmps: HashMap<u32, u64> = HashMap::new();
+    // Ready times of the sequence's temporaries (ids < MAX_LOWERED_OPS).
+    let mut tmps = [0u64; MAX_LOWERED_OPS];
     for op in seq {
         acc.charge(arch, op.op, weight);
         let start = op
-            .srcs
+            .srcs()
             .iter()
             .map(|s| match s {
                 Slot::Reg(r) => flow.read(*r),
-                Slot::Tmp(t) => tmps.get(t).copied().unwrap_or(0),
+                Slot::Tmp(t) => tmps[*t as usize],
             })
             .max()
             .unwrap_or(0);
         let finish = start + cost(arch, op.op).latency as u64;
         match op.dst {
             Some(Slot::Reg(r)) => flow.write(r, finish),
-            Some(Slot::Tmp(t)) => {
-                tmps.insert(t, finish);
-            }
+            Some(Slot::Tmp(t)) => tmps[t as usize] = finish,
             None => {}
         }
         flow.chain = flow.chain.max(finish);

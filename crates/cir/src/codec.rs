@@ -296,14 +296,11 @@ fn put_insts(out: &mut Vec<u8>, insts: &[Inst]) {
     }
 }
 
+/// Arith tags. Tag 1 is unused: it decodes to [`CodecError::BadTag`].
 fn put_varith(out: &mut Vec<u8>, op: VArith) {
     match op {
         VArith::Add(w) => {
             out.push(0);
-            put_width(out, w);
-        }
-        VArith::Sub(w) => {
-            out.push(1);
             put_width(out, w);
         }
         VArith::Mul(w) => {
@@ -478,7 +475,6 @@ impl Reader<'_> {
     fn varith(&mut self) -> Result<VArith, CodecError> {
         Ok(match self.u8()? {
             0 => VArith::Add(self.width()?),
-            1 => VArith::Sub(self.width()?),
             2 => VArith::Mul(self.width()?),
             3 => VArith::Hadd,
             4 => VArith::Fma(self.width()?),
@@ -641,6 +637,30 @@ mod tests {
             corrupt[i] ^= 0x5a;
             let _ = decode_kernel(&corrupt);
         }
+    }
+
+    #[test]
+    fn unused_arith_tag_is_rejected() {
+        // Two kernels differing only in their arith op encode to bytes
+        // differing only in the op's tag; tag 1 names no op.
+        let kernel = |op| {
+            let mut b = KernelBuilder::new("op");
+            let x = b.input("x", 4);
+            let y = b.output("y", 4);
+            let v = b.load(x, AffineExpr::constant(0), MemMap::horizontal(4));
+            let s = b.arith(op, v, v);
+            b.store(s, y, AffineExpr::constant(0), MemMap::horizontal(4));
+            encode_kernel(&b.finish(4))
+        };
+        let mut bytes = kernel(VArith::Add(VWidth::Q));
+        let mul = kernel(VArith::Mul(VWidth::Q));
+        let diff: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] != mul[i]).collect();
+        assert_eq!(diff.len(), 1);
+        bytes[diff[0]] = 1;
+        assert_eq!(
+            decode_kernel(&bytes),
+            Err(CodecError::BadTag("arith op", 1))
+        );
     }
 
     #[test]

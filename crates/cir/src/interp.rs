@@ -348,7 +348,7 @@ impl Exec<'_, '_> {
             self.sink.emit(&MachInst {
                 op: l.op,
                 dst: l.dst.as_ref().map(slot_id),
-                srcs: l.srcs.iter().map(slot_id).collect(),
+                srcs: l.srcs().iter().map(slot_id).collect(),
                 mem,
             });
         }
@@ -475,14 +475,6 @@ fn eval_arith(op: VArith, d: &mut [f32; 4], a: [f32; 4], b: [f32; 4]) {
                 .iter_mut()
                 .enumerate()
                 .for_each(|(i, x)| *x = a[i] + b[i]);
-            *d = r;
-        }
-        Sub(w) => {
-            let mut r = [0.0; 4];
-            r[..w.lanes()]
-                .iter_mut()
-                .enumerate()
-                .for_each(|(i, x)| *x = a[i] - b[i]);
             *d = r;
         }
         Mul(w) => {

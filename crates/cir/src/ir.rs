@@ -70,8 +70,6 @@ impl VWidth {
 pub enum VArith {
     /// Lane-wise addition.
     Add(VWidth),
-    /// Lane-wise subtraction.
-    Sub(VWidth),
     /// Lane-wise multiplication.
     Mul(VWidth),
     /// SSE3-style horizontal add of two vectors:

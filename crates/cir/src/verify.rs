@@ -531,7 +531,7 @@ impl Verifier<'_> {
                 Inst::Arith { op, dst, a, b } => {
                     let opcode = format!("{op:?}");
                     match *op {
-                        VArith::Add(w) | VArith::Sub(w) | VArith::Mul(w) => {
+                        VArith::Add(w) | VArith::Mul(w) => {
                             let need = low_lanes(w.lanes());
                             self.use_reg(here, &opcode, "a", *a, need);
                             self.use_reg(here, &opcode, "b", *b, need);
