@@ -1,17 +1,19 @@
 //! Hot-path compile benchmarks with allocation accounting.
 //!
-//! Two shapes the arena/memoization work targets: a single-kernel compile
-//! served from the warm kernel cache, and a 32-candidate tuning sweep
-//! against a warm cache (the cross-candidate subtree memo's steady
-//! state). A counting global allocator asserts the hot paths stay within
-//! an allocation budget — the point of the arena-backed C-IR is that a
-//! served compile does not rebuild the IR, and a memoized sweep allocates
-//! per *distinct* decision vector, not per candidate.
+//! Three shapes the arena/memoization and emission work targets: a
+//! single-kernel compile served from the warm kernel cache, a 32-candidate
+//! tuning sweep against a warm cache (the cross-candidate subtree memo's
+//! steady state), and C emission into a warm buffer. A counting global
+//! allocator asserts the hot paths stay within an allocation budget — the
+//! point of the arena-backed C-IR is that a served compile does not
+//! rebuild the IR, a memoized sweep allocates per *distinct* decision
+//! vector, not per candidate, and unparsing allocates nothing at all.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lgen_core::{Autotuner, CompileConfig, KernelCache, SearchStrategy};
+use lgen_cir::unparse::unparse_into;
+use lgen_core::{compile, compile_program, Autotuner, CompileConfig, KernelCache, SearchStrategy};
 use lgen_isa::Microarch;
-use lgen_ll::paper;
+use lgen_ll::{paper, parse_program};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,5 +121,57 @@ fn bench_sweep_32(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_compile_hot, bench_sweep_32);
+fn bench_unparse(c: &mut Criterion) {
+    let gemv = paper::gemv(4, 8);
+    let mut kernels: Vec<(&str, _, _)> = [
+        ("gemv-4x8-ssse3", Microarch::Atom),
+        ("gemv-4x8-neon", Microarch::CortexA8),
+        ("gemv-4x8-scalar", Microarch::Arm1176),
+    ]
+    .into_iter()
+    .map(|(label, arch)| {
+        let kernel = compile(&gemv, "sgemv_4x8", &CompileConfig::full(arch));
+        (label, kernel, arch.vector_isa())
+    })
+    .collect();
+    let kalman = parse_program(
+        "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
+         x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
+         P_next = matrix(4, 4)\n\
+         x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;",
+    )
+    .expect("kalman parses");
+    let atom = CompileConfig::full(Microarch::Atom);
+    let compiled = compile_program(&kalman, "kalman_predict_4", &atom);
+    kernels.push(("kalman-4-ssse3", compiled.kernel, atom.arch.vector_isa()));
+
+    // Warm one buffer to the largest render, then render everything
+    // again: lowering is inline and tokens are written in place, so a
+    // warm render makes no heap allocation at all.
+    let mut buf = String::new();
+    for (_, kernel, isa) in &kernels {
+        unparse_into(kernel, *isa, &mut buf);
+    }
+    let ((), allocs) = allocs_during(|| {
+        for (_, kernel, isa) in &kernels {
+            unparse_into(kernel, *isa, &mut buf);
+            black_box(&buf);
+        }
+    });
+    assert_eq!(allocs, 0, "warm unparse_into made {allocs} allocations");
+
+    let mut g = c.benchmark_group("compile-hot");
+    g.sample_size(20);
+    for (label, kernel, isa) in &kernels {
+        g.bench_function(format!("unparse/{label}"), |b| {
+            b.iter(|| {
+                unparse_into(kernel, *isa, &mut buf);
+                black_box(buf.len())
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_compile_hot, bench_sweep_32, bench_unparse);
 criterion_main!(benches);
