@@ -37,7 +37,7 @@ use crate::blac::{Blac, Dims, Expr, Operand, OperandId, SizeError, Structure};
 use crate::program::{Program, ProgramError, Statement};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from parsing a BLAC or program source text.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -270,6 +270,11 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     if statements.is_empty() {
         return Err(ParseError::MissingEquation);
     }
+    // Parsed programs are long-lived (cache keys, input pools): keep the
+    // tables at their exact size.
+    operands.shrink_to_fit();
+    temps.shrink_to_fit();
+    statements.shrink_to_fit();
     let program = Program {
         operands,
         temps,
@@ -501,6 +506,29 @@ fn tokenize(s: &str, line: usize, base_col: usize) -> Result<Vec<(Tok, usize)>, 
     Ok(out)
 }
 
+/// Wraps a subexpression for use as a child node.
+///
+/// An operand reference carries nothing but its index, so the references
+/// to the first [`SHARED_REFS`] operands are shared `Arc`s: a parsed
+/// expression allocates only its interior nodes.
+fn child(e: Expr) -> Arc<Expr> {
+    static REFS: OnceLock<Vec<Arc<Expr>>> = OnceLock::new();
+    if let Expr::Ref(id) = e {
+        let refs = REFS.get_or_init(|| {
+            (0..SHARED_REFS)
+                .map(|i| Arc::new(Expr::Ref(OperandId(i))))
+                .collect()
+        });
+        if let Some(shared) = refs.get(id.0) {
+            return Arc::clone(shared);
+        }
+    }
+    Arc::new(e)
+}
+
+/// Operand indices whose [`Expr::Ref`] leaves [`child`] shares.
+const SHARED_REFS: usize = 32;
+
 struct ExprParser<'a> {
     tokens: Vec<(Tok, usize)>,
     pos: usize,
@@ -544,7 +572,7 @@ impl ExprParser<'_> {
         while self.peek() == Some(&Tok::Plus) {
             self.bump();
             let rhs = self.product()?;
-            acc = Expr::Add(Arc::new(acc), Arc::new(rhs));
+            acc = Expr::Add(child(acc), child(rhs));
         }
         Ok(acc)
     }
@@ -555,7 +583,7 @@ impl ExprParser<'_> {
         while self.peek() == Some(&Tok::Star) {
             self.bump();
             let rhs = self.postfix()?;
-            acc = Expr::Mul(Arc::new(acc), Arc::new(rhs));
+            acc = Expr::Mul(child(acc), child(rhs));
         }
         Ok(acc)
     }
@@ -565,7 +593,7 @@ impl ExprParser<'_> {
         let mut acc = self.atom()?;
         while self.peek() == Some(&Tok::Tick) {
             self.bump();
-            acc = Expr::Trans(Arc::new(acc));
+            acc = Expr::Trans(child(acc));
         }
         Ok(acc)
     }
@@ -899,5 +927,20 @@ mod tests {
         let program = parse_program(src).unwrap();
         let reparsed = parse_program(&program.text()).unwrap();
         assert_eq!(program, reparsed);
+    }
+
+    #[test]
+    fn parsed_programs_are_compact() {
+        let src = "A = matrix(4, 4)\nx = vector(4)\ny = vector(4)\nt = A * x;\ny = A * t;";
+        let (a, b) = (parse_program(src).unwrap(), parse_program(src).unwrap());
+        assert_eq!(a.operands.capacity(), a.operands.len());
+        assert_eq!(a.statements.capacity(), a.statements.len());
+        // Operand references are shared leaves, within and across programs.
+        let lhs = |p: &Program, i: usize| match &p.statements[i].expr {
+            Expr::Mul(l, _) => Arc::clone(l),
+            other => panic!("expected a product, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&lhs(&a, 0), &lhs(&a, 1)));
+        assert!(Arc::ptr_eq(&lhs(&a, 0), &lhs(&b, 0)));
     }
 }
