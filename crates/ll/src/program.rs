@@ -314,6 +314,22 @@ impl Program {
     }
 }
 
+/// A BLAC as a one-statement program without temporaries: the same
+/// operand table (every operand a kernel parameter) and one statement
+/// `output = expr`. Compiling it yields the BLAC's kernel.
+impl From<&Blac> for Program {
+    fn from(blac: &Blac) -> Program {
+        Program {
+            operands: blac.operands.clone(),
+            temps: vec![false; blac.operands.len()],
+            statements: vec![Statement {
+                target: blac.output,
+                expr: blac.expr.clone(),
+            }],
+        }
+    }
+}
+
 fn collect_refs(e: &Expr, out: &mut Vec<OperandId>) {
     match e {
         Expr::Ref(id) => out.push(*id),

@@ -522,6 +522,54 @@ mod tests {
         );
     }
 
+    /// Every paper family at a micro-tile (4), a leftover (5/7/3), and a
+    /// panel (8/12/16) size.
+    fn paper_suite() -> Vec<lgen_ll::Blac> {
+        use lgen_ll::paper;
+        let mut v = Vec::new();
+        for (a, b, c) in [(4, 4, 4), (5, 7, 3), (8, 12, 16)] {
+            v.extend([
+                paper::mvm(a, b),
+                paper::mmm(a, b, c),
+                paper::axpy(b),
+                paper::gemv(a, b),
+                paper::gemm(a, b, c),
+                paper::two_gemv(a, b),
+                paper::bilinear(a, b),
+                paper::addt_gemm(a, b, c),
+                paper::madd(a, b),
+                paper::transpose(a, b),
+            ]);
+        }
+        v
+    }
+
+    #[test]
+    fn a_blac_lowers_like_its_one_statement_program() {
+        for blac in paper_suite() {
+            let program = Program::from(&blac);
+            for base in all_option_combos() {
+                for peel_offset in [None, Some(0), Some(1), Some(2), Some(3)] {
+                    let opts = CodegenOptions {
+                        peel_offset,
+                        ..base
+                    };
+                    let direct = crate::compile_blac(&blac, "k", &opts);
+                    let pk = compile_program(&program, "k", &opts);
+                    let ctx = format!("{blac} under {opts:?}");
+                    assert_eq!(pk.fusions, 0, "{ctx}");
+                    assert_eq!(pk.kernel.arrays, direct.arrays, "{ctx}");
+                    assert_eq!(pk.kernel.flops, direct.flops, "{ctx}");
+                    assert_eq!(
+                        lgen_cir::unparse::unparse(&pk.kernel, opts.isa),
+                        lgen_cir::unparse::unparse(&direct, opts.isa),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn builder_programs_compile_too() {
         let mut b = ProgramBuilder::new();
