@@ -38,7 +38,7 @@
 
 use crate::ir::{ArrayDecl, ArrayId, ArrayKind, Inst, OverheadKind, VArith, VMove, VReg};
 use crate::map::MemMap;
-use crate::passes::UnrollPolicy;
+use crate::passes::{UnrollDecision, UnrollPolicy};
 use lgen_absint::{
     loop_index_value, AbstractDomain, AffineExpr, IntervalCongruence, LoopSpec, VarId,
 };
@@ -664,7 +664,7 @@ fn fp_hash_debug<T: std::fmt::Debug>(v: &T) -> u64 {
 /// Number of iterations of a counted loop `for (v = start; v < end;
 /// v += step)`. Every C-IR loop is fixed-size, so trip counts are a
 /// *static* property — the basis of `lgen-analysis`'s loop-nest and
-/// cost extraction as well as of the unrolling pass below.
+/// cost extraction as well as of both unroll passes (tree and arena).
 pub fn trip_count(start: i64, end: i64, step: i64) -> usize {
     if end <= start {
         0
@@ -706,46 +706,30 @@ fn unroll_inst(
         return;
     };
     *changed |= unroll_block(a, body, policy);
-    let trips = trip_count(start, end, step);
-    let full = |a: &mut Arena, out: &mut Vec<InstId>| {
-        let mut k = start;
-        while k < end {
-            subst_block_into(a, body, var, k, out);
-            k += step;
-        }
-    };
-    match policy {
-        UnrollPolicy::None => out.push(id),
-        UnrollPolicy::Full { max_trip } => {
-            if trips <= max_trip {
-                full(a, out);
-                *changed = true;
-            } else {
-                out.push(id);
+    match policy.decide(trip_count(start, end, step)) {
+        UnrollDecision::Leave => out.push(id),
+        UnrollDecision::Full => {
+            let mut k = start;
+            while k < end {
+                subst_block_into(a, body, var, k, out);
+                k += step;
             }
+            *changed = true;
         }
-        UnrollPolicy::Factor { factor } => {
-            if trips <= factor {
-                full(a, out);
-                *changed = true;
-            } else if factor >= 2 && trips.is_multiple_of(factor) {
-                // Repeat the body `factor` times with offsets, widen the
-                // step.
-                let mut widened = Vec::new();
-                for u in 0..factor {
-                    shift_block_into(a, body, var, u as i64 * step, &mut widened);
-                }
-                let wb = BlockId(a.blocks.len() as u32);
-                a.blocks.push(widened);
-                if let AInst::Loop { step, body, .. } = &mut a.insts[id.0 as usize] {
-                    *step *= factor as i64;
-                    *body = wb;
-                }
-                out.push(id);
-                *changed = true;
-            } else {
-                out.push(id);
+        UnrollDecision::Widen(factor) => {
+            // Repeat the body `factor` times with offsets, widen the step.
+            let mut widened = Vec::new();
+            for u in 0..factor {
+                shift_block_into(a, body, var, u as i64 * step, &mut widened);
             }
+            let wb = BlockId(a.blocks.len() as u32);
+            a.blocks.push(widened);
+            if let AInst::Loop { step, body, .. } = &mut a.insts[id.0 as usize] {
+                *step *= factor as i64;
+                *body = wb;
+            }
+            out.push(id);
+            *changed = true;
         }
     }
 }

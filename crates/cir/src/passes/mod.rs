@@ -38,7 +38,7 @@ pub use manager::{
     PipelineSpecError, PipelineStep, PASSES,
 };
 pub use scalar_replacement::scalar_replacement;
-pub use unroll::{unroll, UnrollPolicy};
+pub use unroll::{unroll, UnrollDecision, UnrollPolicy};
 
 use crate::ir::Kernel;
 use crate::verify::{verify_stage, VerifyFailure, VerifyLevel};

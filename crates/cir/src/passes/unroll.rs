@@ -6,6 +6,7 @@
 //! trades instruction-cache pressure for instruction-level parallelism.
 //! The unroll decision is part of the autotuning search space.
 
+use crate::arena::trip_count;
 use crate::ir::Inst;
 use lgen_absint::{AffineExpr, VarId};
 
@@ -27,6 +28,37 @@ pub enum UnrollPolicy {
         /// Unroll factor (≥ 2).
         factor: usize,
     },
+}
+
+/// What the unroll pass does to one loop, decided solely from its trip
+/// count (the pass works bottom-up, so a loop's decision never depends
+/// on what happened to its body).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum UnrollDecision {
+    /// Loop kept as written.
+    Leave,
+    /// Loop fully unrolled.
+    Full,
+    /// Loop widened by the factor (body repeated, step multiplied).
+    Widen(usize),
+}
+
+impl UnrollPolicy {
+    /// The decision this policy takes on a loop of `trips` iterations —
+    /// the one rule behind the tree and arena unroll passes and the
+    /// compile memo's unroll signature.
+    pub fn decide(self, trips: usize) -> UnrollDecision {
+        match self {
+            UnrollPolicy::None => UnrollDecision::Leave,
+            UnrollPolicy::Full { max_trip } if trips <= max_trip => UnrollDecision::Full,
+            UnrollPolicy::Full { .. } => UnrollDecision::Leave,
+            UnrollPolicy::Factor { factor } if trips <= factor => UnrollDecision::Full,
+            UnrollPolicy::Factor { factor } if factor >= 2 && trips.is_multiple_of(factor) => {
+                UnrollDecision::Widen(factor)
+            }
+            UnrollPolicy::Factor { .. } => UnrollDecision::Leave,
+        }
+    }
 }
 
 /// Substitutes `var := value` in an affine expression.
@@ -104,14 +136,6 @@ pub fn unroll(insts: Vec<Inst>, policy: UnrollPolicy) -> Vec<Inst> {
         .collect()
 }
 
-fn trip_count(start: i64, end: i64, step: i64) -> usize {
-    if end <= start {
-        0
-    } else {
-        ((end - start + step - 1) / step) as usize
-    }
-}
-
 fn unroll_inst(inst: Inst, policy: UnrollPolicy) -> Vec<Inst> {
     let Inst::Loop {
         var,
@@ -125,72 +149,38 @@ fn unroll_inst(inst: Inst, policy: UnrollPolicy) -> Vec<Inst> {
         return vec![inst];
     };
     let body = unroll(body, policy);
-    let trips = trip_count(start, end, step);
-    let full = |body: &[Inst]| -> Vec<Inst> {
-        let mut out = Vec::new();
-        let mut k = start;
-        while k < end {
-            out.extend(subst_block(body, var, k));
-            k += step;
+    match policy.decide(trip_count(start, end, step)) {
+        UnrollDecision::Leave => vec![Inst::Loop {
+            var,
+            name,
+            start,
+            end,
+            step,
+            body,
+        }],
+        UnrollDecision::Full => {
+            let mut out = Vec::new();
+            let mut k = start;
+            while k < end {
+                out.extend(subst_block(&body, var, k));
+                k += step;
+            }
+            out
         }
-        out
-    };
-    match policy {
-        UnrollPolicy::None => {
+        UnrollDecision::Widen(factor) => {
+            // Repeat the body `factor` times with offsets, widen the step.
+            let mut widened = Vec::new();
+            for u in 0..factor {
+                widened.extend(body.iter().map(|i| shift_var(i, var, u as i64 * step)));
+            }
             vec![Inst::Loop {
                 var,
                 name,
                 start,
                 end,
-                step,
-                body,
+                step: step * factor as i64,
+                body: widened,
             }]
-        }
-        UnrollPolicy::Full { max_trip } => {
-            if trips <= max_trip {
-                full(&body)
-            } else {
-                vec![Inst::Loop {
-                    var,
-                    name,
-                    start,
-                    end,
-                    step,
-                    body,
-                }]
-            }
-        }
-        UnrollPolicy::Factor { factor } => {
-            if trips <= factor {
-                full(&body)
-            } else if factor >= 2 && trips.is_multiple_of(factor) {
-                // Repeat the body `factor` times with offsets, widen the step.
-                let mut widened = Vec::new();
-                for u in 0..factor {
-                    let shifted: Vec<Inst> = body
-                        .iter()
-                        .map(|i| shift_var(i, var, u as i64 * step))
-                        .collect();
-                    widened.extend(shifted);
-                }
-                vec![Inst::Loop {
-                    var,
-                    name,
-                    start,
-                    end,
-                    step: step * factor as i64,
-                    body: widened,
-                }]
-            } else {
-                vec![Inst::Loop {
-                    var,
-                    name,
-                    start,
-                    end,
-                    step,
-                    body,
-                }]
-            }
         }
     }
 }

@@ -43,7 +43,8 @@ pub use config::{CompileConfig, Variant};
 pub use exec::{check_kernel, measure_blac, run_blac_kernel};
 pub use fault::{parse_duration, FaultKind, FaultPlan};
 pub use lgen_cir::{PassPipeline, PassStats, PassTrace, VerifyFailure, VerifyLevel};
-pub use memo::{CompileMemo, UnrollDecision, UnrollSig};
+pub use lgen_cir::passes::UnrollDecision;
+pub use memo::{CompileMemo, UnrollSig};
 pub use persist::{stable_fingerprint, DiskCache, DiskStats, StableHasher};
 pub use pipeline::{
     compile, compile_many, compile_with_stats, try_compile, try_compile_traced,

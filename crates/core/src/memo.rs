@@ -48,7 +48,8 @@
 //! `lgenc --cache-stats`.
 
 use crate::config::CompileConfig;
-use lgen_cir::passes::{PassPipeline, PipelineStep, UnrollPolicy};
+use lgen_cir::arena::trip_count;
+use lgen_cir::passes::{PassPipeline, PipelineStep, UnrollDecision, UnrollPolicy};
 use lgen_cir::{Arena, Inst, Kernel, VerifyLevel};
 use lgen_isa::VectorIsa;
 use lgen_ll::{Blac, Program};
@@ -111,17 +112,6 @@ pub struct LoweredEntry {
     /// Structural fingerprint of the body: canonical pre-order FNV-1a over
     /// the arena form, mixed with name/array/metadata hashes.
     pub fp: u64,
-}
-
-/// What the unroll pass would do to one loop of the lowered body.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum UnrollDecision {
-    /// Loop kept as written.
-    Leave,
-    /// Loop fully unrolled.
-    Full,
-    /// Loop widened by the factor (body repeated, step multiplied).
-    Widen(usize),
 }
 
 /// The unroll axis of an [`OptKey`].
@@ -428,40 +418,8 @@ fn collect_decisions(body: &[Inst], policy: UnrollPolicy, out: &mut Vec<UnrollDe
         } = inst
         {
             collect_decisions(body, policy, out);
-            out.push(decide(trip_count(*start, *end, *step), policy));
+            out.push(policy.decide(trip_count(*start, *end, *step)));
         }
-    }
-}
-
-/// One loop's decision — must mirror `lgen_cir::passes::unroll` exactly.
-fn decide(trips: usize, policy: UnrollPolicy) -> UnrollDecision {
-    match policy {
-        UnrollPolicy::None => UnrollDecision::Leave,
-        UnrollPolicy::Full { max_trip } => {
-            if trips <= max_trip {
-                UnrollDecision::Full
-            } else {
-                UnrollDecision::Leave
-            }
-        }
-        UnrollPolicy::Factor { factor } => {
-            if trips <= factor {
-                UnrollDecision::Full
-            } else if factor >= 2 && trips.is_multiple_of(factor) {
-                UnrollDecision::Widen(factor)
-            } else {
-                UnrollDecision::Leave
-            }
-        }
-    }
-}
-
-/// Trip count of a counted loop — mirrors the unroll pass's formula.
-fn trip_count(start: i64, end: i64, step: i64) -> usize {
-    if end <= start {
-        0
-    } else {
-        ((end - start + step - 1) / step) as usize
     }
 }
 
