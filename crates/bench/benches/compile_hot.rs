@@ -48,19 +48,19 @@ fn bench_compile_hot(c: &mut Criterion) {
     let cfg = CompileConfig::full(Microarch::Atom);
     let cache = KernelCache::new();
     cache
-        .try_get_or_compile_tagged(&blac, "k", &cfg)
+        .try_get_or_compile(&blac, "k", &cfg)
         .expect("seed compile");
 
     // A served compile is a fingerprint + map probe: it must not rebuild
     // or re-walk the C-IR. The budget is ~2x the measured count so the
     // assert flags an accidental clone of the kernel body, not noise.
     let ((), hit_allocs) = allocs_during(|| {
-        let (kernel, hit) = cache
-            .try_get_or_compile_tagged(&blac, "k", &cfg)
+        let kernel = cache
+            .try_get_or_compile(&blac, "k", &cfg)
             .expect("warm compile");
-        assert!(hit, "second compile must be a cache hit");
         black_box(kernel);
     });
+    assert_eq!(cache.stats().hits, 1, "second compile must be a cache hit");
     assert!(
         hit_allocs <= 64,
         "cache-hit compile made {hit_allocs} allocations (budget 64)"
@@ -69,7 +69,7 @@ fn bench_compile_hot(c: &mut Criterion) {
     let mut g = c.benchmark_group("compile-hot");
     g.sample_size(20);
     g.bench_function("hit/gemv-4x8", |b| {
-        b.iter(|| black_box(cache.try_get_or_compile_tagged(&blac, "k", &cfg)))
+        b.iter(|| black_box(cache.try_get_or_compile(&blac, "k", &cfg)))
     });
     g.finish();
 }

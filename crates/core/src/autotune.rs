@@ -56,12 +56,12 @@ use crate::cache::KernelCache;
 use crate::config::CompileConfig;
 use crate::exec::{check_kernel, measure_blac, tolerance};
 use crate::fault::{corrupt_kernel, FaultKind, FaultPlan};
-use crate::pipeline::try_compile;
 use crate::pool::{run_outcomes, JobOutcome};
+use crate::program::try_compile_program;
 use lgen_analysis::{analyze_kernel, StaticCost};
 use lgen_cir::passes::{PassPipeline, UnrollPolicy};
 use lgen_cir::{verify_kernel, Kernel, VerifyFailure};
-use lgen_ll::Blac;
+use lgen_ll::{Blac, Program};
 use lgen_machine::Measurement;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -131,6 +131,22 @@ type Eval = (Arc<Kernel>, Measurement);
 /// the search runs), and value-neutral: a memo hit returns bit-identical
 /// results, keeping the tuner's any-thread-count determinism.
 type EvalMemo = Mutex<HashMap<(usize, u64), Eval>>;
+
+/// A BLAC under tuning with its one-statement program — the form every
+/// candidate compiles (and is cached) as, converted once per tune.
+struct Subject {
+    blac: Blac,
+    program: Program,
+}
+
+impl Subject {
+    fn new(blac: &Blac) -> Arc<Subject> {
+        Arc::new(Subject {
+            blac: blac.clone(),
+            program: Program::from(blac),
+        })
+    }
+}
 
 /// Time limits for a tuning run: both knobs are opt-in (`None` = no
 /// limit, the deterministic default).
@@ -626,7 +642,7 @@ impl Autotuner {
     /// [`crate::pool::run_outcomes`] when called from the tuner.
     fn evaluate(
         &self,
-        blac: &Blac,
+        subject: &Subject,
         name: &str,
         index: usize,
         candidate: &Candidate,
@@ -646,7 +662,7 @@ impl Autotuner {
         // Outcome tagging: `ok`/`rejected` on return; a panicking or
         // deadline-abandoned candidate unwinds through the guard, which
         // marks the span `panicked=true` on drop.
-        let result = self.evaluate_body(blac, name, index, candidate, deadline, memo, &mut span);
+        let result = self.evaluate_body(subject, name, index, candidate, deadline, memo, &mut span);
         if span.is_recording() {
             span.attr("outcome", if result.is_ok() { "ok" } else { "rejected" });
         }
@@ -658,7 +674,7 @@ impl Autotuner {
     #[allow(clippy::too_many_arguments)]
     fn evaluate_body(
         &self,
-        blac: &Blac,
+        subject: &Subject,
         name: &str,
         index: usize,
         candidate: &Candidate,
@@ -679,25 +695,34 @@ impl Autotuner {
             // before compiling (and caching) work nobody will collect.
             panic!("candidate {index} abandoned at its deadline");
         }
+        let (blac, program) = (&subject.blac, &subject.program);
         let isa = self.cfg.arch.vector_isa();
         let offsets = vec![0usize; blac.operands.len()];
         let cfg = self.candidate_cfg(candidate);
         let kernel = if corrupt {
             // Injected corrupt C-IR compiles *outside* the shared cache:
             // a corrupt kernel must never be able to poison it.
-            let mut k = try_compile(blac, name, &cfg)?;
+            let mut k = try_compile_program(program, name, &cfg)?.kernel;
             corrupt_kernel(&mut k);
             Arc::new(k)
         } else {
             match &self.cache {
                 Some(cache) => {
-                    let (kernel, hit) = cache.try_get_or_compile_tagged(blac, name, &cfg)?;
+                    let (kernel, outcome) =
+                        cache.try_get_or_compile_program_outcome(program, name, &cfg, None)?;
                     if span.is_recording() {
-                        span.attr("cache", if hit { "hit" } else { "miss" });
+                        span.attr(
+                            "cache",
+                            if outcome.is_cache_hit() {
+                                "hit"
+                            } else {
+                                "miss"
+                            },
+                        );
                     }
                     kernel
                 }
-                None => Arc::new(try_compile(blac, name, &cfg)?),
+                None => Arc::new(try_compile_program(program, name, &cfg)?.kernel),
             }
         };
         // A candidate whose compile collapsed to an already-evaluated
@@ -750,7 +775,7 @@ impl Autotuner {
     /// stopped once the budget (counted from `start`) is spent.
     fn eval_outcomes(
         &self,
-        blac: &Blac,
+        subject: &Arc<Subject>,
         name: &str,
         indexed: Vec<(usize, Candidate)>,
         start: Instant,
@@ -758,7 +783,7 @@ impl Autotuner {
     ) -> Vec<JobOutcome<Eval>> {
         let n = indexed.len();
         let ctx = Arc::new(self.clone());
-        let blac = Arc::new(blac.clone());
+        let subject = subject.clone();
         let name: Arc<str> = Arc::from(name);
         let indexed = Arc::new(indexed);
         let memo = memo.clone();
@@ -771,7 +796,7 @@ impl Autotuner {
             &stop,
             Arc::new(move |i, deadline| {
                 let (index, candidate) = &indexed[i];
-                ctx.evaluate(&blac, &name, *index, candidate, deadline, &memo)
+                ctx.evaluate(&subject, &name, *index, candidate, deadline, &memo)
             }),
         )
     }
@@ -901,15 +926,17 @@ impl Autotuner {
     /// `0` — the *best* score — so it is always measured and its real
     /// failure recorded by the normal evaluation path, keeping parity
     /// with the unpruned search.
-    fn static_scores(&self, blac: &Blac, name: &str, candidates: &[Candidate]) -> Vec<u128> {
+    fn static_scores(&self, program: &Program, name: &str, candidates: &[Candidate]) -> Vec<u128> {
         candidates
             .iter()
             .map(|candidate| {
                 let cfg = self.candidate_cfg(candidate);
                 catch_unwind(AssertUnwindSafe(|| {
                     let kernel = match &self.cache {
-                        Some(cache) => cache.try_get_or_compile_tagged(blac, name, &cfg).ok()?.0,
-                        None => Arc::new(try_compile(blac, name, &cfg).ok()?),
+                        Some(cache) => cache
+                            .try_get_or_compile_program(program, name, &cfg, None)
+                            .ok()?,
+                        None => Arc::new(try_compile_program(program, name, &cfg).ok()?.kernel),
                     };
                     Some(self.static_score(&analyze_kernel(&kernel, self.cfg.arch)))
                 }))
@@ -935,14 +962,14 @@ impl Autotuner {
     /// to the unpruned search.
     fn tune_pruned(
         &self,
-        blac: &Blac,
+        subject: &Arc<Subject>,
         name: &str,
         candidates: &[Candidate],
         start: Instant,
         memo: &Arc<EvalMemo>,
     ) -> Result<TunedKernel, TuneError> {
         let n = candidates.len();
-        let scores = self.static_scores(blac, name, candidates);
+        let scores = self.static_scores(&subject.program, name, candidates);
         // Stable static ranking: model score first, candidate index as the
         // deterministic tie-break.
         let mut ranked: Vec<usize> = (0..n).collect();
@@ -956,7 +983,7 @@ impl Autotuner {
             taken += batch.len();
             batch.sort_unstable();
             let outcomes = self.eval_outcomes(
-                blac,
+                subject,
                 name,
                 batch.iter().map(|&i| (i, candidates[i].clone())).collect(),
                 start,
@@ -1016,17 +1043,18 @@ impl Autotuner {
         if span.is_recording() {
             span.attr("kernel", name);
         }
+        let subject = Subject::new(blac);
         let result = if self.strategy == SearchStrategy::Guided {
-            self.tune_guided_over_pipelines(blac, name)
+            self.tune_guided_over_pipelines(&subject, name)
         } else {
             let candidates = self.candidates();
             let memo = Arc::new(EvalMemo::default());
             if self.prune.is_off() {
                 let indexed = candidates.iter().cloned().enumerate().collect();
-                let outcomes = self.eval_outcomes(blac, name, indexed, Instant::now(), &memo);
+                let outcomes = self.eval_outcomes(&subject, name, indexed, Instant::now(), &memo);
                 self.reduce(&candidates, outcomes)
             } else {
-                self.tune_pruned(blac, name, &candidates, Instant::now(), &memo)
+                self.tune_pruned(&subject, name, &candidates, Instant::now(), &memo)
             }
         };
         lgen_telemetry::metric_histogram!("lgen.tune.wall_us")
@@ -1078,7 +1106,11 @@ impl Autotuner {
         let per = candidates.len();
         let n = jobs.len() * per;
         let ctx = Arc::new(self.clone());
-        let jobs_arc = Arc::new(jobs.to_vec());
+        let subjects: Arc<Vec<(Arc<Subject>, String)>> = Arc::new(
+            jobs.iter()
+                .map(|(blac, name)| (Subject::new(blac), name.clone()))
+                .collect(),
+        );
         let cands = Arc::new(candidates.clone());
         let memo = Arc::new(EvalMemo::default());
         let total = self.budget.total;
@@ -1089,7 +1121,7 @@ impl Autotuner {
             self.budget.deadline,
             &stop,
             Arc::new(move |i, deadline| {
-                let job: &(Blac, String) = &jobs_arc[i / per];
+                let job: &(Arc<Subject>, String) = &subjects[i / per];
                 ctx.evaluate(&job.0, &job.1, i % per, &cands[i % per], deadline, &memo)
             }),
         );
@@ -1123,19 +1155,19 @@ impl Autotuner {
     /// winner aggregates the failures of every climb.
     fn tune_guided_over_pipelines(
         &self,
-        blac: &Blac,
+        subject: &Arc<Subject>,
         name: &str,
     ) -> Result<TunedKernel, TuneError> {
         let start = Instant::now();
         let memo = Arc::new(EvalMemo::default());
         if self.pipelines.is_empty() {
-            return self.tune_guided(blac, name, &Self::search_space(), None, start, &memo);
+            return self.tune_guided(subject, name, &Self::search_space(), None, start, &memo);
         }
         let mut best: Option<TunedKernel> = None;
         let mut all_failures = Vec::new();
         let mut attempted = 0;
         for p in &self.pipelines {
-            match self.tune_guided(blac, name, &Self::search_space(), Some(p), start, &memo) {
+            match self.tune_guided(subject, name, &Self::search_space(), Some(p), start, &memo) {
                 Ok(t) => {
                     all_failures.extend(t.failures.iter().cloned());
                     if best
@@ -1175,7 +1207,7 @@ impl Autotuner {
     /// indices address positions in `space`.
     fn tune_guided(
         &self,
-        blac: &Blac,
+        subject: &Arc<Subject>,
         name: &str,
         space: &[UnrollPolicy],
         pipeline: Option<&PassPipeline>,
@@ -1207,7 +1239,7 @@ impl Autotuner {
         }
         attempted += seeds.len();
         let probes = self.eval_outcomes(
-            blac,
+            subject,
             name,
             seeds.iter().map(|&si| (si, cand(space[si]))).collect(),
             start,
@@ -1247,7 +1279,7 @@ impl Autotuner {
                 evaluated[n] = true;
             }
             let evals = self.eval_outcomes(
-                blac,
+                subject,
                 name,
                 neighbours.iter().map(|&n| (n, cand(space[n]))).collect(),
                 start,

@@ -2,22 +2,23 @@
 //!
 //! The autotuning feedback loop (Fig. 2.1, §5.1.5) is dominated by
 //! redundant recompilation: every candidate re-runs the whole
-//! LL → Σ-LL → C-IR pipeline, and the same `(BLAC, config)` point is
+//! LL → Σ-LL → C-IR pipeline, and the same `(program, config)` point is
 //! compiled again whenever the tuner resamples it, a benchmark reruns, or
 //! alignment versioning builds near-identical bodies. This module
 //! memoizes finished kernels behind a sharded map so repeated compiles are
 //! served in O(key hash) instead of O(pipeline).
 //!
 //! **Key derivation.** A kernel is fully determined by the *structure* of
-//! its BLAC (operand table + expression tree — [`lgen_ll::Blac`] hashes
-//! structurally), the kernel name (baked into the emitted C), and the
-//! [`CompileConfig`] (every field changes generated code; the unrolling
-//! decision the autotuner varies is part of it, and so is the
-//! [`PassPipeline`](lgen_cir::PassPipeline) — its structural hash *and*
-//! its spec fingerprint enter the shard choice, so two schedules of the
-//! same BLAC are distinct entries). The map keys on that full triple, so a
-//! hit is exact by construction — [`Blac::fingerprint`] is used only to
-//! pick a shard and to label diagnostics.
+//! its program (operand table, structure annotations, temporaries and
+//! statement list — [`Program`] hashes structurally; a [`Blac`] is keyed
+//! as its one-statement program, so BLAC and program lookups of the same
+//! computation share one entry), the kernel name (baked into the emitted
+//! C), the [`CompileConfig`] (every field changes generated code; the
+//! unrolling decision the autotuner varies is part of it, and so is the
+//! [`PassPipeline`](lgen_cir::PassPipeline), so two schedules of the same
+//! program are distinct entries), and the optional joint per-statement
+//! unroll genome. The map keys on that full [`ProgramCacheKey`], so a hit
+//! is exact by construction.
 //!
 //! **Concurrency.** The map is split into [`SHARDS`] independently locked
 //! shards; the autotuner's worker pool hits disjoint shards with high
@@ -30,8 +31,7 @@
 use crate::config::CompileConfig;
 use crate::memo::CompileMemo;
 use crate::persist::{stable_fingerprint, DiskCache, DiskStats};
-use crate::pipeline::{try_compile_memoized, try_compile_with_stats};
-use crate::program::{try_compile_program_memoized, try_compile_program_with};
+use crate::pipeline::compile_with;
 use lgen_cir::passes::{PassStats, UnrollPolicy};
 use lgen_cir::{Kernel, VerifyFailure};
 use lgen_ll::{Blac, Program};
@@ -46,21 +46,10 @@ use std::sync::Arc;
 /// Number of independently locked shards (power of two).
 pub const SHARDS: usize = 16;
 
-/// The exact identity of a compiled kernel.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct CacheKey {
-    /// The computation, compared structurally.
-    pub blac: Blac,
-    /// Kernel (C function) name.
-    pub name: String,
-    /// The full compile configuration, unrolling decision included.
-    pub cfg: CompileConfig,
-}
-
-/// The exact identity of a compiled *program* kernel: the [`CacheKey`]
-/// analogue for multi-statement inputs, extended with the optional joint
-/// per-statement unroll genome (one policy per fused statement; `None`
-/// = `cfg.unroll` applied kernel-wide).
+/// The exact identity of a compiled kernel: the program (a BLAC enters as
+/// its one-statement form), the kernel name, the config, and the optional
+/// joint per-statement unroll genome (one policy per fused statement;
+/// `None` = `cfg.unroll` applied kernel-wide).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ProgramCacheKey {
     /// The program, compared structurally (operand table, structure
@@ -102,8 +91,7 @@ pub struct CacheStats {
     /// compiled (cheap, memoized) for the ranking itself.
     pub tune_pruned: u64,
     /// Compiles served by the cross-candidate subtree memo (the
-    /// `cir.memo_hits` counter): the exact `(BLAC, name, config)` key
-    /// missed, but an equivalent candidate had already lowered and
+    /// `cir.memo_hits` counter): the exact cache key missed, but an equivalent candidate had already lowered and
     /// optimized the same subtree.
     pub memo_hits: u64,
     /// Memo lookups that ran the pass pipeline for real
@@ -149,8 +137,8 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Which tier served a compile request; returned by the `_outcome`
-/// lookup variants so callers (the compile service's per-request spans and
+/// Which tier served a compile request; returned by
+/// [`KernelCache::try_get_or_compile_program_outcome`] so callers (the compile service's per-request spans and
 /// hit-rate accounting) can distinguish the three costs without racing on
 /// counter deltas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,10 +160,9 @@ impl CompileOutcome {
     }
 }
 
-/// A concurrent map from [`CacheKey`] to the compiled kernel.
+/// A concurrent map from [`ProgramCacheKey`] to the compiled kernel.
 pub struct KernelCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Arc<Kernel>>>>,
-    programs: Mutex<HashMap<ProgramCacheKey, Arc<Kernel>>>,
+    shards: Vec<Mutex<HashMap<ProgramCacheKey, Arc<Kernel>>>>,
     /// Optional persistent tier consulted on memory misses and filled on
     /// fresh compiles (see [`KernelCache::with_disk`]).
     disk: Option<Arc<DiskCache>>,
@@ -217,7 +204,6 @@ impl KernelCache {
         }
         KernelCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            programs: Mutex::new(HashMap::new()),
             disk: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -252,20 +238,14 @@ impl KernelCache {
         self.disk.as_ref().map(|d| d.stats())
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Arc<Kernel>>> {
-        // The BLAC fingerprint is stable and already well mixed; fold in
-        // the config/name via the std hasher, plus the pipeline's spec
-        // fingerprint explicitly, for shard spread.
+    fn shard(&self, key: &ProgramCacheKey) -> &Mutex<HashMap<ProgramCacheKey, Arc<Kernel>>> {
         let mut h = std::hash::DefaultHasher::new();
-        key.cfg.hash(&mut h);
-        key.name.hash(&mut h);
-        let idx = (key.blac.fingerprint() ^ h.finish() ^ key.cfg.pipeline.fingerprint()) as usize
-            & (SHARDS - 1);
-        &self.shards[idx]
+        key.hash(&mut h);
+        &self.shards[h.finish() as usize & (SHARDS - 1)]
     }
 
     /// Looks up a kernel without compiling. Counts a hit or a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Kernel>> {
+    pub fn get(&self, key: &ProgramCacheKey) -> Option<Arc<Kernel>> {
         let found = self.shard(key).lock().get(key).cloned();
         match &found {
             Some(_) => self.record_hit(),
@@ -298,117 +278,27 @@ impl KernelCache {
     }
 
     /// [`get_or_compile`](Self::get_or_compile) that reports verification
-    /// failures instead of panicking. A kernel that fails verification is
-    /// *not* inserted (the failure is not cached — every retry re-checks)
-    /// and is counted in [`CacheStats::verify_rejects`].
+    /// failures instead of panicking. The BLAC is looked up as its
+    /// one-statement program, so this shares entries with
+    /// [`try_get_or_compile_program`](Self::try_get_or_compile_program).
     pub fn try_get_or_compile(
         &self,
         blac: &Blac,
         name: &str,
         cfg: &CompileConfig,
     ) -> Result<Arc<Kernel>, VerifyFailure> {
-        self.try_get_or_compile_tagged(blac, name, cfg)
-            .map(|(k, _)| k)
-    }
-
-    /// [`try_get_or_compile`](Self::try_get_or_compile) that also reports
-    /// whether the kernel was served from cache (`true` on a hit). The
-    /// autotuner uses this to tag each candidate span with `cache=hit` or
-    /// `cache=miss` without racing on counter deltas.
-    pub fn try_get_or_compile_tagged(
-        &self,
-        blac: &Blac,
-        name: &str,
-        cfg: &CompileConfig,
-    ) -> Result<(Arc<Kernel>, bool), VerifyFailure> {
-        self.try_get_or_compile_outcome(blac, name, cfg)
-            .map(|(k, o)| (k, o.is_cache_hit()))
-    }
-
-    /// [`try_get_or_compile`](Self::try_get_or_compile) that reports which
-    /// tier served the kernel ([`CompileOutcome`]); the compile service's
-    /// hit-rate accounting is built on this.
-    pub fn try_get_or_compile_outcome(
-        &self,
-        blac: &Blac,
-        name: &str,
-        cfg: &CompileConfig,
-    ) -> Result<(Arc<Kernel>, CompileOutcome), VerifyFailure> {
-        let key = CacheKey {
-            blac: blac.clone(),
+        self.lookup(ProgramCacheKey {
+            program: Program::from(blac),
             name: name.to_string(),
             cfg: cfg.clone(),
-        };
-        if let Some(k) = self.shard(&key).lock().get(&key) {
-            self.record_hit();
-            return Ok((k.clone(), CompileOutcome::Memory));
-        }
-        self.record_miss();
-        // Consult the persistent tier before paying for the pipeline; a
-        // verified disk entry is promoted into the memory map.
-        let disk_id = self
-            .disk
-            .as_ref()
-            .map(|d| (d.clone(), stable_fingerprint(&key), format!("{key:?}")));
-        if let Some((disk, fp, desc)) = &disk_id {
-            if let Some(kernel) = disk.load(*fp, desc) {
-                let k = self.promote(key, Arc::new(kernel));
-                return Ok((k, CompileOutcome::Disk));
-            }
-        }
-        // Eligible configs compile through the cross-candidate memo: the
-        // exact key missed, but the lowering (and often the optimized
-        // kernel) may be shared with an equivalent candidate — the
-        // returned `Arc` is then the *same allocation* across all of them,
-        // which downstream consumers (the autotuner's evaluation dedup)
-        // rely on.
-        let kernel = if CompileMemo::eligible(cfg) {
-            match try_compile_memoized(blac, name, cfg, Some(&self.stages), &self.memo) {
-                Ok((k, _memo_hit)) => k,
-                Err(e) => {
-                    self.record_verify_reject();
-                    return Err(e);
-                }
-            }
-        } else {
-            match try_compile_with_stats(blac, name, cfg, Some(&self.stages)) {
-                Ok(k) => Arc::new(k),
-                Err(e) => {
-                    self.record_verify_reject();
-                    return Err(e);
-                }
-            }
-        };
-        if let Some((disk, fp, desc)) = &disk_id {
-            disk.store(*fp, desc, &kernel);
-        }
-        Ok((self.promote(key, kernel), CompileOutcome::Compiled))
-    }
-
-    /// Installs a kernel for `key`, deferring to a racing insert (both
-    /// kernels are identical; everyone shares the incumbent `Arc`).
-    fn promote(&self, key: CacheKey, kernel: Arc<Kernel>) -> Arc<Kernel> {
-        let mut shard = self.shard(&key).lock();
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                // Another thread compiled the same point concurrently;
-                // everyone shares its (identical) kernel.
-                self.races.fetch_add(1, Ordering::Relaxed);
-                metric_counter!("lgen.cache.races").inc();
-                e.get().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.inserts.fetch_add(1, Ordering::Relaxed);
-                metric_counter!("lgen.cache.inserts").inc();
-                e.insert(kernel).clone()
-            }
-        }
+            policies: None,
+        })
+        .map(|(k, _)| k)
     }
 
     /// Returns the cached kernel for a whole program, compiling and
-    /// inserting it on a miss — the [`get_or_compile`](Self::get_or_compile)
-    /// analogue for multi-statement inputs (`policies` is the optional
-    /// joint per-statement unroll genome).
+    /// inserting it on a miss (`policies` is the optional joint
+    /// per-statement unroll genome).
     ///
     /// # Panics
     ///
@@ -426,10 +316,10 @@ impl KernelCache {
     }
 
     /// [`get_or_compile_program`](Self::get_or_compile_program) that
-    /// reports verification failures instead of panicking. Eligible
-    /// configs route through the cross-candidate program memo, so a joint
-    /// tuning sweep fuses and lowers the program once and shares the
-    /// pass-pipeline output across genomes with equal effect.
+    /// reports verification failures instead of panicking. A kernel that
+    /// fails verification is *not* inserted (the failure is not cached —
+    /// every retry re-checks) and is counted in
+    /// [`CacheStats::verify_rejects`].
     pub fn try_get_or_compile_program(
         &self,
         program: &Program,
@@ -442,9 +332,9 @@ impl KernelCache {
     }
 
     /// [`try_get_or_compile_program`](Self::try_get_or_compile_program)
-    /// that reports which tier served the kernel — the program analogue of
-    /// [`try_get_or_compile_outcome`](Self::try_get_or_compile_outcome),
-    /// including the persistent-tier consult/spill.
+    /// that reports which tier served the kernel ([`CompileOutcome`]); the
+    /// autotuners' per-candidate `cache=hit|miss` tags and the compile
+    /// service's hit-rate accounting are built on this.
     pub fn try_get_or_compile_program_outcome(
         &self,
         program: &Program,
@@ -452,62 +342,68 @@ impl KernelCache {
         cfg: &CompileConfig,
         policies: Option<&[UnrollPolicy]>,
     ) -> Result<(Arc<Kernel>, CompileOutcome), VerifyFailure> {
-        let key = ProgramCacheKey {
+        self.lookup(ProgramCacheKey {
             program: program.clone(),
             name: name.to_string(),
             cfg: cfg.clone(),
             policies: policies.map(|p| p.to_vec()),
-        };
-        if let Some(k) = self.programs.lock().get(&key) {
+        })
+    }
+
+    /// The one lookup: memory, then the persistent tier, then a compile
+    /// through the cross-candidate memo (for [`CompileMemo::eligible`]
+    /// configs — the exact key missed, but the lowering and often the
+    /// optimized kernel may be shared with an equivalent candidate, and
+    /// the returned `Arc` is then the *same allocation* across all of
+    /// them, which the autotuner's evaluation dedup relies on).
+    fn lookup(&self, key: ProgramCacheKey) -> Result<(Arc<Kernel>, CompileOutcome), VerifyFailure> {
+        if let Some(k) = self.shard(&key).lock().get(&key) {
             self.record_hit();
             return Ok((k.clone(), CompileOutcome::Memory));
         }
         self.record_miss();
+        // Consult the persistent tier before paying for the pipeline; a
+        // verified disk entry is promoted into the memory map.
         let disk_id = self
             .disk
             .as_ref()
             .map(|d| (d.clone(), stable_fingerprint(&key), format!("{key:?}")));
         if let Some((disk, fp, desc)) = &disk_id {
             if let Some(kernel) = disk.load(*fp, desc) {
-                let k = self.promote_program(key, Arc::new(kernel));
+                let k = self.promote(key, Arc::new(kernel));
                 return Ok((k, CompileOutcome::Disk));
             }
         }
-        let kernel = if CompileMemo::eligible(cfg) {
-            match try_compile_program_memoized(
-                program,
-                name,
-                cfg,
-                policies,
-                Some(&self.stages),
-                &self.memo,
-            ) {
-                Ok(k) => k,
-                Err(e) => {
-                    self.record_verify_reject();
-                    return Err(e);
-                }
-            }
-        } else {
-            match try_compile_program_with(program, name, cfg, policies, Some(&self.stages)) {
-                Ok(c) => Arc::new(c.kernel),
-                Err(e) => {
-                    self.record_verify_reject();
-                    return Err(e);
-                }
+        let compiled = compile_with(
+            &key.program,
+            &key.name,
+            &key.cfg,
+            key.policies.as_deref(),
+            Some(&self.stages),
+            None,
+            Some(&self.memo),
+        );
+        let kernel = match compiled {
+            Ok(c) => c.kernel,
+            Err(e) => {
+                self.record_verify_reject();
+                return Err(e);
             }
         };
         if let Some((disk, fp, desc)) = &disk_id {
             disk.store(*fp, desc, &kernel);
         }
-        Ok((self.promote_program(key, kernel), CompileOutcome::Compiled))
+        Ok((self.promote(key, kernel), CompileOutcome::Compiled))
     }
 
-    /// [`promote`](Self::promote) for the program map.
-    fn promote_program(&self, key: ProgramCacheKey, kernel: Arc<Kernel>) -> Arc<Kernel> {
-        let mut map = self.programs.lock();
-        match map.entry(key) {
+    /// Installs a kernel for `key`, deferring to a racing insert (both
+    /// kernels are identical; everyone shares the incumbent `Arc`).
+    fn promote(&self, key: ProgramCacheKey, kernel: Arc<Kernel>) -> Arc<Kernel> {
+        let mut shard = self.shard(&key).lock();
+        match shard.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
+                // Another thread compiled the same point concurrently;
+                // everyone shares its (identical) kernel.
                 self.races.fetch_add(1, Ordering::Relaxed);
                 metric_counter!("lgen.cache.races").inc();
                 e.get().clone()
@@ -524,7 +420,7 @@ impl KernelCache {
     /// resident entry. Used to seed a cache with externally produced
     /// kernels (and, in tests, to plant corrupt candidates that exercise
     /// the autotuner's verification gate).
-    pub fn insert(&self, key: CacheKey, kernel: Arc<Kernel>) {
+    pub fn insert(&self, key: ProgramCacheKey, kernel: Arc<Kernel>) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         metric_counter!("lgen.cache.inserts").inc();
         self.shard(&key).lock().insert(key, kernel);
@@ -559,9 +455,9 @@ impl KernelCache {
         metric_counter!("lgen.tune.candidates_pruned").add(n);
     }
 
-    /// Number of resident kernels (single-BLAC and program entries).
+    /// Number of resident kernels.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum::<usize>() + self.programs.lock().len()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -574,7 +470,6 @@ impl KernelCache {
         for s in &self.shards {
             s.lock().clear();
         }
-        self.programs.lock().clear();
     }
 
     /// Snapshot of the behaviour counters.
@@ -747,13 +642,31 @@ mod tests {
     #[test]
     fn tagged_lookup_reports_hit_and_miss() {
         let cache = KernelCache::new();
-        let blac = paper::axpy(8);
+        let program = Program::from(&paper::axpy(8));
         let cfg = CompileConfig::full(Microarch::Atom);
-        let (cold, hit) = cache.try_get_or_compile_tagged(&blac, "k", &cfg).unwrap();
-        assert!(!hit);
-        let (warm, hit) = cache.try_get_or_compile_tagged(&blac, "k", &cfg).unwrap();
-        assert!(hit);
+        let (cold, o) = cache
+            .try_get_or_compile_program_outcome(&program, "k", &cfg, None)
+            .unwrap();
+        assert!(!o.is_cache_hit());
+        let (warm, o) = cache
+            .try_get_or_compile_program_outcome(&program, "k", &cfg, None)
+            .unwrap();
+        assert!(o.is_cache_hit());
         assert!(Arc::ptr_eq(&cold, &warm));
+    }
+
+    #[test]
+    fn a_blac_and_its_one_statement_program_share_an_entry() {
+        let cache = KernelCache::new();
+        let blac = paper::gemv(4, 8);
+        let cfg = CompileConfig::full(Microarch::Atom);
+        let via_blac = cache.try_get_or_compile(&blac, "k", &cfg).unwrap();
+        let via_program = cache
+            .try_get_or_compile_program(&Program::from(&blac), "k", &cfg, None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&via_blac, &via_program));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, 1, 1));
     }
 
     #[test]
@@ -792,7 +705,7 @@ mod tests {
     fn disk_tier_survives_a_cache_restart() {
         let dir = std::env::temp_dir().join(format!("lgen-cache-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let blac = paper::gemv(4, 8);
+        let gemv = Program::from(&paper::gemv(4, 8));
         let program =
             lgen_ll::parse_program("A = matrix(4, 8)\nx = vector(8)\ny = vector(4)\ny = A * x;")
                 .unwrap();
@@ -800,7 +713,9 @@ mod tests {
 
         let disk = Arc::new(DiskCache::open(&dir).unwrap());
         let cache = KernelCache::new().with_disk(disk.clone());
-        let (cold, o) = cache.try_get_or_compile_outcome(&blac, "k", &cfg).unwrap();
+        let (cold, o) = cache
+            .try_get_or_compile_program_outcome(&gemv, "k", &cfg, None)
+            .unwrap();
         assert_eq!(o, CompileOutcome::Compiled);
         assert!(!o.is_cache_hit());
         let (_, o) = cache
@@ -808,14 +723,18 @@ mod tests {
             .unwrap();
         assert_eq!(o, CompileOutcome::Compiled);
         assert_eq!(disk.stats().persisted, 2);
-        let (_, o) = cache.try_get_or_compile_outcome(&blac, "k", &cfg).unwrap();
+        let (_, o) = cache
+            .try_get_or_compile_program_outcome(&gemv, "k", &cfg, None)
+            .unwrap();
         assert_eq!(o, CompileOutcome::Memory, "second lookup stays in memory");
 
         // "Restart": a fresh in-memory cache over the same directory must
         // warm-start from disk, then keep the promoted entry in memory.
         let disk2 = Arc::new(DiskCache::open(&dir).unwrap());
         let cache2 = KernelCache::new().with_disk(disk2.clone());
-        let (warm, o) = cache2.try_get_or_compile_outcome(&blac, "k", &cfg).unwrap();
+        let (warm, o) = cache2
+            .try_get_or_compile_program_outcome(&gemv, "k", &cfg, None)
+            .unwrap();
         assert_eq!(o, CompileOutcome::Disk);
         assert!(o.is_cache_hit());
         assert_eq!(*cold, *warm, "disk round-trip must preserve the kernel");
@@ -823,7 +742,9 @@ mod tests {
             .try_get_or_compile_program_outcome(&program, "p", &cfg, None)
             .unwrap();
         assert_eq!(o, CompileOutcome::Disk);
-        let (_, o) = cache2.try_get_or_compile_outcome(&blac, "k", &cfg).unwrap();
+        let (_, o) = cache2
+            .try_get_or_compile_program_outcome(&gemv, "k", &cfg, None)
+            .unwrap();
         assert_eq!(o, CompileOutcome::Memory);
         assert_eq!(cache2.disk_stats().unwrap().hits, 2);
         assert_eq!(

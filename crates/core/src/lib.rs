@@ -2,8 +2,9 @@
 //!
 //! This crate ties the layers together exactly as Fig. 2.1 describes:
 //!
-//! 1. a BLAC (from `lgen-ll`) is tiled and lowered through the Σ-LL-style
-//!    code generator (`lgen-sigma`) into C-IR;
+//! 1. a program (from `lgen-ll`; a single BLAC is the one-statement
+//!    program) is fused, tiled and lowered through the Σ-LL-style code
+//!    generator (`lgen-sigma`) into C-IR — one compile path for both;
 //! 2. the code-level optimizations of `lgen-cir` run as a data-driven
 //!    [`PassPipeline`] (by default: loop unrolling, scalar replacement,
 //!    copy propagation, DCE, alignment detection — any other spec-string
@@ -35,21 +36,16 @@ pub use autotune::{
     spearman, Autotuner, CandidateFailure, FailReason, Objective, PrunePolicy, SearchStrategy,
     TuneBudget, TuneError, TunedKernel,
 };
-pub use cache::{
-    CacheKey, CacheSnapshot, CacheStats, CompileOutcome, KernelCache, ProgramCacheKey,
-};
+pub use cache::{CacheSnapshot, CacheStats, CompileOutcome, KernelCache, ProgramCacheKey};
 pub use coalesce::Coalescer;
 pub use config::{CompileConfig, Variant};
 pub use exec::{check_kernel, measure_blac, run_blac_kernel};
 pub use fault::{parse_duration, FaultKind, FaultPlan};
-pub use lgen_cir::{PassPipeline, PassStats, PassTrace, VerifyFailure, VerifyLevel};
 pub use lgen_cir::passes::UnrollDecision;
+pub use lgen_cir::{PassPipeline, PassStats, PassTrace, VerifyFailure, VerifyLevel};
 pub use memo::{CompileMemo, UnrollSig};
 pub use persist::{stable_fingerprint, DiskCache, DiskStats, StableHasher};
-pub use pipeline::{
-    compile, compile_many, compile_with_stats, try_compile, try_compile_traced,
-    try_compile_with_stats,
-};
+pub use pipeline::{compile, compile_many, try_compile};
 pub use pool::{effective_threads, JobOutcome};
 pub use program::{
     check_program, compile_program, measure_program, program_test_values, run_program_kernel,

@@ -1,20 +1,22 @@
 //! Cross-candidate subtree memoization for the compile pipeline.
 //!
 //! The [`KernelCache`](crate::cache::KernelCache) keys on the exact
-//! `(BLAC, name, config)` triple, so a tuning sweep over N unrolling
-//! policies is N distinct cache entries — yet most of the work behind
-//! those entries is shared: every candidate lowers the *same* BLAC through
-//! Σ-LL codegen, and many unrolling policies make the *same* per-loop
-//! decisions (e.g. `Full {{ max_trip: 48 }}` and `Full {{ max_trip: 64 }}`
-//! are indistinguishable on a kernel whose loops all trip ≤ 48). This
-//! module memoizes the two expensive stages underneath the exact cache:
+//! `(program, name, config, genome)` identity, so a tuning sweep over N
+//! unrolling policies is N distinct cache entries — yet most of the work
+//! behind those entries is shared: every candidate lowers the *same*
+//! program through fusion and Σ-LL codegen, and many unrolling policies
+//! make the *same* per-loop decisions (e.g. `Full {{ max_trip: 48 }}` and
+//! `Full {{ max_trip: 64 }}` are indistinguishable on a kernel whose loops
+//! all trip ≤ 48). This module memoizes the two expensive stages
+//! underneath the exact cache:
 //!
-//! 1. **Lowering** ([`CompileMemo::lowered_for`]): one Σ-LL codegen per
-//!    `(BLAC, name, isa, mvm, specialized leftovers)` point, shared by
-//!    every unroll policy and pass schedule. The lowered kernel's body is
-//!    fingerprinted through the C-IR [`Arena`] (a canonical pre-order walk
-//!    that resolves interned expressions and maps), giving the structural
-//!    half of the optimization key.
+//! 1. **Lowering** ([`CompileMemo::program_lowered_for`]): one fusion +
+//!    Σ-LL codegen per `(program, name, isa, mvm, specialized leftovers)`
+//!    point — a BLAC enters as its one-statement program — shared by
+//!    every unroll policy, genome and pass schedule. The lowered kernel's
+//!    body is fingerprinted through the C-IR [`Arena`] (a canonical
+//!    pre-order walk that resolves interned expressions and maps), giving
+//!    the structural half of the optimization key.
 //! 2. **Optimization** ([`OptKey`]): the pass pipeline's output is keyed
 //!    by *(structural fingerprint × pipeline fingerprint × unroll
 //!    signature)*. The unroll signature ([`unroll_signature`]) is the
@@ -23,7 +25,7 @@
 //!    distinct decision vector once.
 //!
 //! **Invalidation.** There is none, by construction: both memo levels key
-//! on complete, exact inputs (the BLAC is compared structurally, the
+//! on complete, exact inputs (the program is compared structurally, the
 //! schedule by its spec string, the unroll axis by its decision vector),
 //! and entries are never evicted for the cache's lifetime — identical keys
 //! always denote identical outputs because the pipeline is deterministic.
@@ -52,7 +54,7 @@ use lgen_cir::arena::trip_count;
 use lgen_cir::passes::{PassPipeline, PipelineStep, UnrollDecision, UnrollPolicy};
 use lgen_cir::{Arena, Inst, Kernel, VerifyLevel};
 use lgen_isa::VectorIsa;
-use lgen_ll::{Blac, Program};
+use lgen_ll::Program;
 use lgen_sigma::{MvmStrategy, ProgramKernel};
 use lgen_telemetry::metric_counter;
 use parking_lot::Mutex;
@@ -60,22 +62,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Everything Σ-LL codegen reads: the computation, the kernel name (baked
-/// into the emitted C), and the codegen-relevant config fields. The unroll
-/// policy and pass schedule deliberately do **not** appear — that is the
-/// sharing.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct LowerKey {
-    blac: Blac,
-    name: String,
-    isa: VectorIsa,
-    mvm: MvmStrategy,
-    specialized_leftovers: bool,
-}
-
-/// Everything whole-program codegen reads: the [`LowerKey`] analogue for
-/// [`Program`]s. Per-statement unroll genomes and the pass schedule do not
-/// appear — fusion and tiling are shared across the joint tuning sweep.
+/// Everything fusion and Σ-LL codegen read: the program (a BLAC enters as
+/// its one-statement form), the kernel name (baked into the emitted C),
+/// and the codegen-relevant config fields. The unroll policy, the
+/// per-statement genome and the pass schedule deliberately do **not**
+/// appear — that is the sharing.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct ProgramLowerKey {
     program: Program,
@@ -85,27 +76,14 @@ struct ProgramLowerKey {
     specialized_leftovers: bool,
 }
 
-/// A memoized program lowering: the fused, unoptimized [`ProgramKernel`]
-/// plus the same identity/fingerprint pair as [`LoweredEntry`]. Ids are
-/// drawn from the memo's shared counter, so an [`OptKey`] never aliases a
-/// BLAC lowering with a program lowering.
+/// A memoized lowering: the fused, unoptimized [`ProgramKernel`], its
+/// dense identity within this memo, and the structural fingerprint of its
+/// body.
 #[derive(Clone)]
 pub struct ProgramLoweredEntry {
     /// The lowered (unoptimized) program kernel, shared by every genome
     /// and schedule.
     pub pk: Arc<ProgramKernel>,
-    /// Dense id unique within the owning memo.
-    pub id: u64,
-    /// Structural fingerprint of the kernel body.
-    pub fp: u64,
-}
-
-/// A memoized lowering: the raw codegen kernel (pre-pipeline), its dense
-/// identity within this memo, and the structural fingerprint of its body.
-#[derive(Clone)]
-pub struct LoweredEntry {
-    /// The lowered (unoptimized) kernel, shared by every schedule.
-    pub kernel: Arc<Kernel>,
     /// Dense id unique within the owning memo (exactness anchor for
     /// [`OptKey`]; fingerprints alone could collide).
     pub id: u64,
@@ -143,22 +121,12 @@ pub struct OptKey {
 }
 
 impl OptKey {
-    /// The optimization key `cfg` induces on a memoized lowering.
-    pub fn for_config(entry: &LoweredEntry, cfg: &CompileConfig) -> OptKey {
-        OptKey {
-            lowered: entry.id,
-            kernel_fp: entry.fp,
-            pipeline_fp: cfg.pipeline.fingerprint(),
-            spec: cfg.pipeline.to_spec(),
-            unroll: unroll_signature(&cfg.pipeline, cfg.unroll, entry.kernel.body()),
-        }
-    }
-
-    /// The optimization key for a memoized *program* lowering: with a
-    /// joint per-statement genome the unroll axis is the exact policy
-    /// vector ([`UnrollSig::Genome`] — the statement-range split makes
-    /// per-loop collapsing across genomes unsound to infer here); without
-    /// one the whole-kernel signature applies as for BLACs.
+    /// The optimization key `cfg` (and the optional joint per-statement
+    /// genome) induces on a memoized lowering. With a genome the unroll
+    /// axis is the exact policy vector ([`UnrollSig::Genome`] — the
+    /// statement-range split makes per-loop collapsing across genomes
+    /// unsound to infer here); without one it is the whole-kernel
+    /// decision signature.
     pub fn for_program(
         entry: &ProgramLoweredEntry,
         cfg: &CompileConfig,
@@ -181,11 +149,9 @@ impl OptKey {
 /// (not process-global: per-pass accounting and tests rely on cache-scoped
 /// counters), shared by every compile routed through that cache.
 pub struct CompileMemo {
-    lowered: Mutex<HashMap<LowerKey, LoweredEntry>>,
-    program_lowered: Mutex<HashMap<ProgramLowerKey, ProgramLoweredEntry>>,
+    lowered: Mutex<HashMap<ProgramLowerKey, ProgramLoweredEntry>>,
     optimized: Mutex<HashMap<OptKey, Arc<Kernel>>>,
-    /// Shared id source for both lowering maps: [`OptKey::lowered`] must
-    /// be unique across BLAC and program entries.
+    /// Id source for lowerings ([`OptKey::lowered`]).
     next_id: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -205,7 +171,6 @@ impl CompileMemo {
         lgen_telemetry::counter("cir.memo_misses");
         CompileMemo {
             lowered: Mutex::new(HashMap::new()),
-            program_lowered: Mutex::new(HashMap::new()),
             optimized: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -221,40 +186,11 @@ impl CompileMemo {
         !cfg.peeling && !cfg.alignment_versioning && cfg.verify == VerifyLevel::Off
     }
 
-    /// The memoized lowering for `(blac, name, cfg)`, running `build`
-    /// (codegen) on a miss. Codegen happens outside the lock; when two
-    /// threads race on a cold key the first insert wins and both share it.
-    pub fn lowered_for(
-        &self,
-        blac: &Blac,
-        name: &str,
-        cfg: &CompileConfig,
-        build: impl FnOnce() -> Kernel,
-    ) -> LoweredEntry {
-        let key = LowerKey {
-            blac: blac.clone(),
-            name: name.to_string(),
-            isa: cfg.arch.vector_isa(),
-            mvm: cfg.mvm,
-            specialized_leftovers: cfg.specialized_leftovers,
-        };
-        if let Some(e) = self.lowered.lock().get(&key) {
-            return e.clone();
-        }
-        let kernel = Arc::new(build());
-        let fp = kernel_fingerprint(&kernel);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.lowered
-            .lock()
-            .entry(key)
-            .or_insert(LoweredEntry { kernel, id, fp })
-            .clone()
-    }
-
-    /// The memoized program lowering for `(program, name, cfg)`, running
-    /// `build` (fusion + Σ-LL codegen) on a miss — the program analogue of
-    /// [`lowered_for`](Self::lowered_for), shared by every per-statement
-    /// unroll genome of a joint tuning sweep.
+    /// The memoized lowering for `(program, name, cfg)`, running `build`
+    /// (fusion + Σ-LL codegen) on a miss; shared by every unroll policy,
+    /// per-statement genome and pass schedule. Codegen happens outside the
+    /// lock; when two threads race on a cold key the first insert wins and
+    /// both share it.
     pub fn program_lowered_for(
         &self,
         program: &Program,
@@ -269,13 +205,13 @@ impl CompileMemo {
             mvm: cfg.mvm,
             specialized_leftovers: cfg.specialized_leftovers,
         };
-        if let Some(e) = self.program_lowered.lock().get(&key) {
+        if let Some(e) = self.lowered.lock().get(&key) {
             return e.clone();
         }
         let pk = Arc::new(build());
         let fp = kernel_fingerprint(&pk.kernel);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.program_lowered
+        self.lowered
             .lock()
             .entry(key)
             .or_insert(ProgramLoweredEntry { pk, id, fp })
@@ -313,13 +249,9 @@ impl CompileMemo {
         )
     }
 
-    /// Distinct `(lowerings, optimized kernels)` resident (BLAC and
-    /// program lowerings counted together).
+    /// Distinct `(lowerings, optimized kernels)` resident.
     pub fn entries(&self) -> (usize, usize) {
-        (
-            self.lowered.lock().len() + self.program_lowered.lock().len(),
-            self.optimized.lock().len(),
-        )
+        (self.lowered.lock().len(), self.optimized.lock().len())
     }
 }
 
@@ -507,17 +439,18 @@ mod tests {
     #[test]
     fn lowering_is_shared_across_policies() {
         let memo = CompileMemo::new();
-        let blac = paper::axpy(16);
-        let a = memo.lowered_for(&blac, "k", &full_cfg(), || {
-            compile(&blac, "k", &full_cfg().with_passes(PassPipeline::empty()))
+        let program = Program::from(&paper::axpy(16));
+        let a = memo.program_lowered_for(&program, "k", &full_cfg(), || {
+            let opts = lgen_sigma::CodegenOptions::full(Microarch::Atom.vector_isa());
+            lgen_sigma::compile_program(&program, "k", &opts)
         });
-        let b = memo.lowered_for(
-            &blac,
+        let b = memo.program_lowered_for(
+            &program,
             "k",
             &full_cfg().with_unroll(UnrollPolicy::Full { max_trip: 4 }),
             || panic!("second lowering must be memoized"),
         );
-        assert!(Arc::ptr_eq(&a.kernel, &b.kernel));
+        assert!(Arc::ptr_eq(&a.pk, &b.pk));
         assert_eq!(a.id, b.id);
         assert_eq!(a.fp, b.fp);
     }

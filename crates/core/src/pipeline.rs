@@ -1,26 +1,41 @@
 //! The compilation pipeline: LL → Σ-LL-style codegen → C-IR pass pipeline
-//! → kernel.
+//! → kernel, one path for every input.
+//!
+//! A [`Program`] is the unit of work; a [`Blac`] compiles as the
+//! one-statement program without temporaries ([`Program::from`]), which
+//! lowers to the very kernel the BLAC does. One crate-internal body runs
+//! every compile — the public entry points here and in
+//! [`crate::program`], and the [`KernelCache`] — behind one telemetry
+//! shell (the `compile` span, `lgen.compile.count`,
+//! `lgen.compile.wall_us`, `program.statements`).
 //!
 //! The C-IR optimization schedule is *data*, not code: the config's
 //! [`PassPipeline`] (see `lgen_cir::passes::manager`) is run by the pass
 //! manager, which owns per-pass timing ([`PassStats`]), between-pass
 //! verification, fixpoint `repeat(...)` groups, and `--print-after-all`
-//! tracing ([`PassTrace`]). This module contributes only what sits outside
-//! the schedule: codegen in front of it, and the whole-kernel alignment
-//! versioning / loop-peeling transforms behind it.
+//! tracing ([`PassTrace`]). The body contributes only what sits outside
+//! the schedule: fusion and codegen in front of it, an optional joint
+//! per-statement unroll genome, the cross-candidate [`CompileMemo`], and —
+//! for a single BLAC (one statement, no temporaries) — the whole-kernel
+//! alignment versioning / loop-peeling transforms behind it.
 
 use crate::cache::KernelCache;
 use crate::config::CompileConfig;
 use crate::memo::{CompileMemo, OptKey};
 use crate::pool::run_indexed;
+use crate::program::try_compile_program;
 use lgen_cir::passes::{
-    detect_alignment_partial, version_for_alignment, PassCtx, PassPipeline, PassStats, PassTrace,
+    detect_alignment_partial, unroll, version_for_alignment, PassCtx, PassPipeline, PassStats,
+    PassTrace, UnrollPolicy,
 };
 use lgen_cir::{
     merge_kernel_versions, verify_stage, ArrayKind, Kernel, VerifyFailure, VerifyLevel,
 };
-use lgen_ll::Blac;
-use lgen_sigma::{compile_blac, CodegenOptions};
+use lgen_isa::VectorIsa;
+use lgen_ll::{Blac, Program};
+use lgen_sigma::{CodegenOptions, ProgramKernel};
+use lgen_telemetry::{metric_counter, metric_histogram};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,191 +62,15 @@ use std::time::Instant;
 /// assert!(c.contains("_mm_")); // vectorized
 /// ```
 pub fn compile(blac: &Blac, name: &str, cfg: &CompileConfig) -> Kernel {
-    compile_with_stats(blac, name, cfg, None)
+    try_compile(blac, name, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`compile`] that reports verification failures instead of panicking.
+/// Per `cfg.verify`, the kernel is checked at pipeline boundaries or
+/// between every pass, so the returned failure pinpoints the stage that
+/// broke an invariant.
 pub fn try_compile(blac: &Blac, name: &str, cfg: &CompileConfig) -> Result<Kernel, VerifyFailure> {
-    try_compile_with_stats(blac, name, cfg, None)
-}
-
-/// [`compile`] with optional per-pass accounting: when `stats` is given,
-/// every pass the pipeline runs (plus `codegen`) adds its wall-clock time
-/// to the shared dynamic counters (this is what [`KernelCache`] threads
-/// through so cache misses are attributed to passes).
-pub fn compile_with_stats(
-    blac: &Blac,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-) -> Kernel {
-    try_compile_with_stats(blac, name, cfg, stats).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`compile_with_stats`] that reports verification failures instead of
-/// panicking. Per `cfg.verify`, the kernel is checked at pipeline
-/// boundaries or between every pass, so the returned failure pinpoints the
-/// stage that broke an invariant.
-pub fn try_compile_with_stats(
-    blac: &Blac,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-) -> Result<Kernel, VerifyFailure> {
-    try_compile_traced(blac, name, cfg, stats, None)
-}
-
-/// [`try_compile_with_stats`] that additionally records a
-/// `--print-after-all` style IR snapshot after codegen and after every
-/// pass the pipeline runs.
-pub fn try_compile_traced(
-    blac: &Blac,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-    trace: Option<&PassTrace>,
-) -> Result<Kernel, VerifyFailure> {
-    let t = Instant::now();
-    let mut span = lgen_telemetry::span("compile");
-    if span.is_recording() {
-        span.attr("kernel", name);
-        span.attr("arch", format!("{:?}", cfg.arch));
-        span.attr("pipeline", cfg.pipeline.to_spec());
-    }
-    let result = compile_body(blac, name, cfg, stats, trace);
-    lgen_telemetry::counter("lgen.compile.count").inc();
-    lgen_telemetry::histogram("lgen.compile.wall_us").record(t.elapsed().as_micros() as u64);
-    if span.is_recording() {
-        span.attr("ok", result.is_ok());
-    }
-    result
-}
-
-/// The actual LL → Σ-LL → C-IR pipeline body behind the telemetry shell of
-/// [`try_compile_traced`].
-fn compile_body(
-    blac: &Blac,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-    trace: Option<&PassTrace>,
-) -> Result<Kernel, VerifyFailure> {
-    if let Some(s) = stats {
-        s.record_compile();
-    }
-    if cfg.peeling && cfg.arch.vector_isa() != lgen_isa::VectorIsa::Scalar {
-        let kernel = compile_peeled(blac, name, cfg, stats, trace)?;
-        verify_stage("peeling", &kernel, cfg.verify, true)?;
-        return Ok(kernel);
-    }
-    // Versioning replaces the in-pipeline `align` step with per-version
-    // detection, so the schedule runs without it.
-    let pipeline = if cfg.alignment_versioning {
-        cfg.pipeline.without("align")
-    } else {
-        cfg.pipeline.clone()
-    };
-    let mut kernel = compile_one(blac, name, cfg, None, &pipeline, stats, trace)?;
-
-    if cfg.alignment_versioning {
-        // Alignment versioning with runtime dispatch (§3.2.4).
-        let t = Instant::now();
-        let _span = lgen_telemetry::span("align-version");
-        kernel = version_for_alignment(&kernel);
-        if let Some(s) = stats {
-            s.record("align-version", t.elapsed().as_nanos() as u64);
-        }
-        verify_stage("alignment-versioning", &kernel, cfg.verify, true)?;
-    } else if cfg.verify != VerifyLevel::EveryPass || pipeline.is_empty() {
-        // Pipeline-exit boundary check; at EveryPass the manager already
-        // verified this exact kernel after its final pass.
-        verify_stage("pipeline", &kernel, cfg.verify, true)?;
-    }
-    Ok(kernel)
-}
-
-/// [`try_compile_with_stats`] routed through a [`CompileMemo`]: lowering
-/// and pipeline output are served from the memo when an earlier compile
-/// (any unroll policy, any schedule) already produced them. Returns the
-/// kernel and whether the *optimized* kernel was a memo hit. The caller
-/// must have checked [`CompileMemo::eligible`]; the telemetry shell is the
-/// same as [`try_compile_traced`]'s (the `compile` span gains a
-/// `memo=hit|miss` attribute and the `lgen.compile.wall_us` histogram is
-/// recorded on hits too, so tuning sweeps show their true per-candidate
-/// compile cost).
-pub(crate) fn try_compile_memoized(
-    blac: &Blac,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-    memo: &CompileMemo,
-) -> Result<(Arc<Kernel>, bool), VerifyFailure> {
-    debug_assert!(CompileMemo::eligible(cfg));
-    let t = Instant::now();
-    let mut span = lgen_telemetry::span("compile");
-    if span.is_recording() {
-        span.attr("kernel", name);
-        span.attr("arch", format!("{:?}", cfg.arch));
-        span.attr("pipeline", cfg.pipeline.to_spec());
-    }
-    let result = compile_memoized_body(blac, name, cfg, stats, memo);
-    lgen_telemetry::counter("lgen.compile.count").inc();
-    lgen_telemetry::histogram("lgen.compile.wall_us").record(t.elapsed().as_micros() as u64);
-    if span.is_recording() {
-        span.attr("ok", result.is_ok());
-        if let Ok((_, hit)) = &result {
-            span.attr("memo", if *hit { "hit" } else { "miss" });
-        }
-    }
-    result
-}
-
-/// The memoized LL → Σ-LL → C-IR body behind [`try_compile_memoized`]:
-/// lowering through the memo's codegen level, then either a memo hit on
-/// the (structural × pipeline × unroll-signature) key or one real pipeline
-/// run whose output is shared with every future equivalent candidate.
-fn compile_memoized_body(
-    blac: &Blac,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-    memo: &CompileMemo,
-) -> Result<(Arc<Kernel>, bool), VerifyFailure> {
-    if let Some(s) = stats {
-        s.record_compile();
-    }
-    let isa = cfg.arch.vector_isa();
-    let lowered = memo.lowered_for(blac, name, cfg, || {
-        let opts = CodegenOptions {
-            isa,
-            mvm: cfg.mvm,
-            specialized_leftovers: cfg.specialized_leftovers,
-            peel_offset: None,
-        };
-        let t = Instant::now();
-        let kernel = {
-            let _span = lgen_telemetry::span("codegen");
-            compile_blac(blac, name, &opts)
-        };
-        if let Some(s) = stats {
-            s.record("codegen", t.elapsed().as_nanos() as u64);
-        }
-        kernel
-    });
-    let key = OptKey::for_config(&lowered, cfg);
-    if let Some(kernel) = memo.optimized_for(&key) {
-        return Ok((kernel, true));
-    }
-    let mut kernel = (*lowered.kernel).clone();
-    let ctx = PassCtx {
-        unroll: cfg.unroll,
-        verify: cfg.verify,
-        isa,
-        stats,
-        trace: None,
-    };
-    cfg.pipeline.run(&mut kernel, &ctx)?;
-    Ok((memo.insert_optimized(key, kernel), false))
+    try_compile_program(&Program::from(blac), name, cfg).map(|c| c.kernel)
 }
 
 /// Compiles many `(BLAC, name, config)` jobs over one worker pool and one
@@ -249,88 +88,266 @@ pub fn compile_many(
     })
 }
 
-/// One body: codegen with an optional peel assumption, then the given
-/// C-IR pass schedule (§2.1.4, §3.1) under the pass manager.
-fn compile_one(
-    blac: &Blac,
+/// What one compile produces: the finished kernel (shared with the memo
+/// when one served the compile) and the fusion record.
+pub(crate) struct Compiled {
+    pub kernel: Arc<Kernel>,
+    /// The program after cross-statement fusion.
+    pub fused: Program,
+    /// Number of producer→consumer substitutions performed.
+    pub fusions: usize,
+}
+
+/// The one compile path behind every entry point and the kernel cache.
+///
+/// `genome`, when given, holds one [`UnrollPolicy`] per *fused* statement
+/// (see [`lgen_sigma::fuse_program`]): each statement's top-level
+/// instruction range is unrolled under its own policy and the schedule
+/// then runs without its `unroll` step. `stats` accumulates per-pass
+/// time, `trace` records a `--print-after-all` snapshot after codegen and
+/// after every pass, and lowering and optimization are shared through
+/// `memo` when [`CompileMemo::eligible`] holds and no trace is requested.
+///
+/// This shell records the `compile` span and the compile metrics; the
+/// work happens in [`compile_body`].
+pub(crate) fn compile_with(
+    program: &Program,
     name: &str,
     cfg: &CompileConfig,
-    peel: Option<usize>,
-    pipeline: &PassPipeline,
+    genome: Option<&[UnrollPolicy]>,
     stats: Option<&PassStats>,
     trace: Option<&PassTrace>,
-) -> Result<Kernel, VerifyFailure> {
-    let isa = cfg.arch.vector_isa();
-    let opts = CodegenOptions {
-        isa,
-        mvm: cfg.mvm,
-        specialized_leftovers: cfg.specialized_leftovers,
-        peel_offset: peel,
-    };
+    memo: Option<&CompileMemo>,
+) -> Result<Compiled, VerifyFailure> {
     let t = Instant::now();
-    let mut kernel = {
-        let _span = lgen_telemetry::span("codegen");
-        compile_blac(blac, name, &opts)
-    };
+    let mut span = lgen_telemetry::span("compile");
+    if span.is_recording() {
+        span.attr("kernel", name);
+        span.attr("arch", format!("{:?}", cfg.arch));
+        span.attr("pipeline", cfg.pipeline.to_spec());
+        span.attr("statements", program.statements.len());
+    }
+    metric_counter!("program.statements").add(program.statements.len() as u64);
+    let result = compile_body(program, name, cfg, genome, stats, trace, memo);
+    metric_counter!("lgen.compile.count").inc();
+    metric_histogram!("lgen.compile.wall_us").record(t.elapsed().as_micros() as u64);
+    if span.is_recording() {
+        span.attr("ok", result.is_ok());
+    }
+    result
+}
+
+/// The LL → Σ-LL → C-IR body behind the telemetry shell of
+/// [`compile_with`].
+fn compile_body(
+    program: &Program,
+    name: &str,
+    cfg: &CompileConfig,
+    genome: Option<&[UnrollPolicy]>,
+    stats: Option<&PassStats>,
+    trace: Option<&PassTrace>,
+    memo: Option<&CompileMemo>,
+) -> Result<Compiled, VerifyFailure> {
     if let Some(s) = stats {
-        s.record("codegen", t.elapsed().as_nanos() as u64);
+        s.record_compile();
     }
-    if let Some(tr) = trace {
-        tr.record("codegen", &kernel, isa);
+    // Peeling and versioning version the whole kernel on the parameter
+    // alignment classes of one BLAC; other programs compile without.
+    let single = program.statements.len() == 1 && !program.temps.contains(&true);
+    let peeling = single && cfg.peeling && cfg.arch.vector_isa() != VectorIsa::Scalar;
+    let versioning = single && !peeling && cfg.alignment_versioning;
+    // The schedule actually run: a genome replaces the `unroll` step, and
+    // per-version alignment detection replaces the all-aligned `align`.
+    let mut pipeline = Cow::Borrowed(&cfg.pipeline);
+    if genome.is_some() {
+        pipeline = Cow::Owned(pipeline.without("unroll"));
     }
-    verify_stage("codegen", &kernel, cfg.verify, true)?;
-    let ctx = PassCtx {
-        unroll: cfg.unroll,
-        verify: cfg.verify,
-        isa,
+    if peeling || versioning {
+        pipeline = Cow::Owned(pipeline.without("align"));
+    }
+    let lower = Lowering {
+        program,
+        name,
+        cfg,
+        pipeline: &pipeline,
+        genome,
         stats,
         trace,
     };
-    pipeline.run(&mut kernel, &ctx)?;
-    Ok(kernel)
+    if peeling {
+        let compiled = lower.peeled()?;
+        verify_stage("peeling", &compiled.kernel, cfg.verify, true)?;
+        return Ok(compiled);
+    }
+    let memo = memo.filter(|_| CompileMemo::eligible(cfg) && trace.is_none());
+    let mut compiled = lower.run(None, memo)?;
+    if versioning {
+        // Alignment versioning with runtime dispatch (§3.2.4).
+        let t = Instant::now();
+        let _span = lgen_telemetry::span("align-version");
+        compiled.kernel = Arc::new(version_for_alignment(&compiled.kernel));
+        if let Some(s) = stats {
+            s.record("align-version", t.elapsed().as_nanos() as u64);
+        }
+        verify_stage("alignment-versioning", &compiled.kernel, cfg.verify, true)?;
+    } else if cfg.verify != VerifyLevel::EveryPass || pipeline.is_empty() {
+        // Pipeline-exit boundary check; at EveryPass the manager already
+        // verified this exact kernel after its final pass.
+        verify_stage("pipeline", &compiled.kernel, cfg.verify, true)?;
+    }
+    Ok(compiled)
 }
 
-/// §6 future-work loop peeling: one version per shared base-offset class of
-/// the vector-sized parameter arrays (a common single-allocation pattern —
-/// exactly the Fig. 5.9 protocol), each analyzed under its own assumption,
-/// plus an unconditional unaligned fallback.
-fn compile_peeled(
-    blac: &Blac,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-    trace: Option<&PassTrace>,
-) -> Result<Kernel, VerifyFailure> {
-    let nu = 4usize;
-    // Per-version alignment detection below replaces the schedule's
-    // all-aligned `align` step.
-    let pipeline = cfg.pipeline.without("align");
-    let mut versions = Vec::with_capacity(nu + 1);
-    for off in 0..nu {
-        let mut k = compile_one(blac, name, cfg, Some(off), &pipeline, stats, trace)?;
-        let assumptions: Vec<Option<usize>> = k
-            .arrays
-            .iter()
-            .map(|a| match a.kind {
-                ArrayKind::Local => Some(0),
-                _ if a.len >= nu => Some(off),
-                _ => None,
-            })
-            .collect();
-        detect_alignment_partial(k.body_mut(), &assumptions);
-        let required: Vec<Option<usize>> = k
-            .arrays
-            .iter()
-            .filter(|a| a.kind.is_param())
-            .map(|a| if a.len >= nu { Some(off) } else { None })
-            .collect();
-        versions.push((Some(required), k));
+/// One compile request as the body has resolved it: the input, the
+/// schedule actually run, and the instrumentation to thread through.
+struct Lowering<'a> {
+    program: &'a Program,
+    name: &'a str,
+    cfg: &'a CompileConfig,
+    pipeline: &'a PassPipeline,
+    genome: Option<&'a [UnrollPolicy]>,
+    stats: Option<&'a PassStats>,
+    trace: Option<&'a PassTrace>,
+}
+
+impl Lowering<'_> {
+    /// Fusion and Σ-LL codegen, with an optional peel assumption.
+    fn codegen(&self, peel: Option<usize>) -> ProgramKernel {
+        let opts = CodegenOptions {
+            isa: self.cfg.arch.vector_isa(),
+            mvm: self.cfg.mvm,
+            specialized_leftovers: self.cfg.specialized_leftovers,
+            peel_offset: peel,
+        };
+        let t = Instant::now();
+        let pk = {
+            let _span = lgen_telemetry::span("codegen");
+            lgen_sigma::compile_program(self.program, self.name, &opts)
+        };
+        if let Some(s) = self.stats {
+            s.record("codegen", t.elapsed().as_nanos() as u64);
+        }
+        pk
     }
-    versions.push((
-        None,
-        compile_one(blac, name, cfg, None, &pipeline, stats, trace)?,
-    ));
-    Ok(merge_kernel_versions(versions))
+
+    /// One body: codegen (through `memo` when given), then the genome and
+    /// the C-IR pass schedule (§2.1.4, §3.1) under the pass manager. A
+    /// memo hit on the (lowering × schedule × unroll) key skips both.
+    fn run(
+        &self,
+        peel: Option<usize>,
+        memo: Option<&CompileMemo>,
+    ) -> Result<Compiled, VerifyFailure> {
+        let isa = self.cfg.arch.vector_isa();
+        let (lowered, memo_key) = match memo {
+            Some(memo) => {
+                let entry = memo
+                    .program_lowered_for(self.program, self.name, self.cfg, || self.codegen(peel));
+                let key = OptKey::for_program(&entry, self.cfg, self.genome);
+                if let Some(kernel) = memo.optimized_for(&key) {
+                    return Ok(Compiled {
+                        kernel,
+                        fused: entry.pk.fused.clone(),
+                        fusions: entry.pk.fusions,
+                    });
+                }
+                (entry.pk, Some((memo, key)))
+            }
+            None => (Arc::new(self.codegen(peel)), None),
+        };
+        if let Some(tr) = self.trace {
+            tr.record("codegen", &lowered.kernel, isa);
+        }
+        verify_stage("codegen", &lowered.kernel, self.cfg.verify, true)?;
+        // Unshared (no memo) lowerings move their kernel; memoized ones
+        // are copied, since the passes rewrite it in place.
+        let ProgramKernel {
+            mut kernel,
+            stmt_ranges,
+            fused,
+            fusions,
+        } = Arc::unwrap_or_clone(lowered);
+        if let Some(genome) = self.genome {
+            unroll_per_statement(&mut kernel, &stmt_ranges, genome);
+        }
+        let ctx = PassCtx {
+            unroll: self.cfg.unroll,
+            verify: self.cfg.verify,
+            isa,
+            stats: self.stats,
+            trace: self.trace,
+        };
+        self.pipeline.run(&mut kernel, &ctx)?;
+        let kernel = match memo_key {
+            Some((memo, key)) => memo.insert_optimized(key, kernel),
+            None => Arc::new(kernel),
+        };
+        Ok(Compiled {
+            kernel,
+            fused,
+            fusions,
+        })
+    }
+
+    /// §6 future-work loop peeling: one version per shared base-offset
+    /// class of the vector-sized parameter arrays (a common
+    /// single-allocation pattern — exactly the Fig. 5.9 protocol), each
+    /// analyzed under its own assumption, plus an unconditional unaligned
+    /// fallback.
+    fn peeled(&self) -> Result<Compiled, VerifyFailure> {
+        let nu = 4usize;
+        let mut versions = Vec::with_capacity(nu + 1);
+        for off in 0..nu {
+            let mut k = Arc::unwrap_or_clone(self.run(Some(off), None)?.kernel);
+            let assumptions: Vec<Option<usize>> = k
+                .arrays
+                .iter()
+                .map(|a| match a.kind {
+                    ArrayKind::Local => Some(0),
+                    _ if a.len >= nu => Some(off),
+                    _ => None,
+                })
+                .collect();
+            detect_alignment_partial(k.body_mut(), &assumptions);
+            let required: Vec<Option<usize>> = k
+                .arrays
+                .iter()
+                .filter(|a| a.kind.is_param())
+                .map(|a| if a.len >= nu { Some(off) } else { None })
+                .collect();
+            versions.push((Some(required), k));
+        }
+        let fallback = self.run(None, None)?;
+        versions.push((None, Arc::unwrap_or_clone(fallback.kernel)));
+        Ok(Compiled {
+            kernel: Arc::new(merge_kernel_versions(versions)),
+            ..fallback
+        })
+    }
+}
+
+/// Applies a per-statement unroll genome: each fused statement's top-level
+/// instruction range is unrolled under its own policy (the statement
+/// ranges partition the lowered body, so this is exactly the in-pipeline
+/// `unroll` pass with per-range policies).
+fn unroll_per_statement(
+    kernel: &mut Kernel,
+    stmt_ranges: &[std::ops::Range<usize>],
+    genome: &[UnrollPolicy],
+) {
+    assert_eq!(
+        genome.len(),
+        stmt_ranges.len(),
+        "one unroll policy per fused statement"
+    );
+    let mut insts = std::mem::take(kernel.body_mut()).into_iter();
+    let mut body = Vec::new();
+    for (range, &policy) in stmt_ranges.iter().zip(genome) {
+        let chunk: Vec<_> = insts.by_ref().take(range.len()).collect();
+        body.extend(unroll(chunk, policy));
+    }
+    body.extend(insts);
+    *kernel.body_mut() = body;
 }
 
 #[cfg(test)]
@@ -433,7 +450,8 @@ mod tests {
         let blac = paper::gemv(4, 8);
         let cfg = CompileConfig::full(Microarch::Atom);
         let trace = PassTrace::new();
-        try_compile_traced(&blac, "k", &cfg, None, Some(&trace)).unwrap();
+        let program = Program::from(&blac);
+        crate::try_compile_program_with(&program, "k", &cfg, None, None, Some(&trace)).unwrap();
         let stages: Vec<String> = trace.snapshots().iter().map(|(s, _)| s.clone()).collect();
         assert_eq!(
             stages,
@@ -445,14 +463,17 @@ mod tests {
 
     #[test]
     fn pass_stats_have_one_row_per_pass_actually_run() {
-        let blac = paper::gemv(4, 8);
+        let program = Program::from(&paper::gemv(4, 8));
         let stats = PassStats::new();
-        compile_with_stats(
-            &blac,
+        crate::try_compile_program_with(
+            &program,
             "k",
             &CompileConfig::full(Microarch::Atom),
+            None,
             Some(&stats),
-        );
+            None,
+        )
+        .unwrap();
         let names: Vec<String> = stats.rows().iter().map(|(n, _, _)| n.clone()).collect();
         assert_eq!(
             names,
@@ -461,12 +482,15 @@ mod tests {
         assert_eq!(stats.compiles(), 1);
         // The base schedule runs fewer passes: no align row appears.
         let base_stats = PassStats::new();
-        compile_with_stats(
-            &blac,
+        crate::try_compile_program_with(
+            &program,
             "k",
             &CompileConfig::base(Microarch::Atom),
+            None,
             Some(&base_stats),
-        );
+            None,
+        )
+        .unwrap();
         let names: Vec<String> = base_stats
             .rows()
             .iter()

@@ -1,33 +1,30 @@
 //! Whole-program compilation, execution, and joint autotuning.
 //!
-//! The program pipeline mirrors the single-BLAC one (LL → Σ-LL codegen →
-//! C-IR pass schedule) with the unit of work widened to a
-//! [`Program`]: cross-statement fusion happens in `lgen-sigma`
-//! ([`lgen_sigma::compile_program`]), the pass manager then optimizes the
-//! single fused kernel, and the autotuner searches per-statement unroll
-//! policies *jointly* — one genome assigns each fused statement its own
-//! policy, applied to that statement's instruction range before the rest
-//! of the schedule runs.
+//! Every compile runs the one path in [`crate::pipeline`]; this module
+//! holds its program-level entry points — cross-statement fusion happens
+//! in `lgen-sigma` ([`lgen_sigma::compile_program`]) and the pass manager
+//! then optimizes the single fused kernel — plus program execution and
+//! the joint autotuner, which searches per-statement unroll policies: one
+//! genome assigns each fused statement its own policy, applied to that
+//! statement's instruction range before the rest of the schedule runs.
 //!
-//! Peeling and alignment versioning are single-BLAC transforms (they
-//! version the whole kernel on parameter alignment classes); a program
-//! config requesting them compiles without — the flags are ignored here.
+//! Peeling and alignment versioning version the whole kernel on one
+//! BLAC's parameter alignment classes, so they apply only to a program
+//! that is a single BLAC (one statement, no temporaries); other programs
+//! compile without them.
 
 use crate::cache::KernelCache;
 use crate::config::CompileConfig;
 use crate::exec::tolerance;
-use crate::memo::{CompileMemo, OptKey};
+use crate::pipeline::compile_with;
 use lgen_analysis::analyze_kernel;
-use lgen_cir::passes::{unroll, PassCtx, PassStats, UnrollPolicy};
-use lgen_cir::{
-    run_kernel, verify_stage, ExecError, Kernel, MemLayout, VerifyFailure, VerifyLevel,
-};
+use lgen_cir::passes::{PassStats, PassTrace, UnrollPolicy};
+use lgen_cir::{run_kernel, ExecError, Kernel, MemLayout, VerifyFailure};
 use lgen_isa::inst::NullSink;
 use lgen_isa::Microarch;
 use lgen_ll::reference::{max_abs_diff, test_data_for, MatrixValue};
 use lgen_ll::{eval_program_reference, Program};
 use lgen_machine::{measure_protocol, Measurement};
-use lgen_sigma::{CodegenOptions, ProgramKernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -80,177 +77,35 @@ pub fn try_compile_program(
     name: &str,
     cfg: &CompileConfig,
 ) -> Result<CompiledProgram, VerifyFailure> {
-    try_compile_program_with(program, name, cfg, None, None)
+    try_compile_program_with(program, name, cfg, None, None, None)
 }
 
-/// [`try_compile_program`] with a joint per-statement unroll genome and
-/// per-pass accounting.
+/// [`try_compile_program`] with a joint per-statement unroll genome,
+/// per-pass accounting, and a `--print-after-all` trace.
 ///
 /// When `policies` is given it must hold one [`UnrollPolicy`] per *fused*
 /// statement (see [`lgen_sigma::fuse_program`]); each statement's
 /// top-level instruction range is unrolled under its own policy and the
 /// rest of the schedule then runs without its `unroll` step. Without a
-/// genome, `cfg.unroll` applies kernel-wide as for a single BLAC.
+/// genome, `cfg.unroll` applies kernel-wide. When `stats` is given, every
+/// pass the pipeline runs (plus `codegen`) adds its wall-clock time to the
+/// shared counters; when `trace` is given, it records an IR snapshot after
+/// codegen and after every pass.
 pub fn try_compile_program_with(
     program: &Program,
     name: &str,
     cfg: &CompileConfig,
     policies: Option<&[UnrollPolicy]>,
     stats: Option<&PassStats>,
+    trace: Option<&PassTrace>,
 ) -> Result<CompiledProgram, VerifyFailure> {
-    let t = Instant::now();
-    let mut span = lgen_telemetry::span("compile_program");
-    if span.is_recording() {
-        span.attr("kernel", name);
-        span.attr("arch", format!("{:?}", cfg.arch));
-        span.attr("statements", program.statements.len());
-    }
-    lgen_telemetry::counter("program.statements").add(program.statements.len() as u64);
-    let result = compile_program_body(program, name, cfg, policies, stats);
-    lgen_telemetry::counter("lgen.compile.count").inc();
-    lgen_telemetry::histogram("lgen.compile.wall_us").record(t.elapsed().as_micros() as u64);
-    if span.is_recording() {
-        span.attr("ok", result.is_ok());
-    }
-    result
-}
-
-fn codegen_program(
-    program: &Program,
-    name: &str,
-    cfg: &CompileConfig,
-    stats: Option<&PassStats>,
-) -> ProgramKernel {
-    let opts = CodegenOptions {
-        isa: cfg.arch.vector_isa(),
-        mvm: cfg.mvm,
-        specialized_leftovers: cfg.specialized_leftovers,
-        peel_offset: None,
-    };
-    let t = Instant::now();
-    let pk = {
-        let _span = lgen_telemetry::span("codegen");
-        lgen_sigma::compile_program(program, name, &opts)
-    };
-    if let Some(s) = stats {
-        s.record("codegen", t.elapsed().as_nanos() as u64);
-    }
-    pk
-}
-
-/// Applies a per-statement unroll genome: each fused statement's top-level
-/// instruction range is unrolled under its own policy (the statement
-/// ranges partition the lowered body, so this is exactly the in-pipeline
-/// `unroll` pass with per-range policies).
-fn unroll_per_statement(pk: &ProgramKernel, policies: &[UnrollPolicy]) -> Kernel {
-    assert_eq!(
-        policies.len(),
-        pk.stmt_ranges.len(),
-        "one unroll policy per fused statement"
-    );
-    let mut kernel = pk.kernel.clone();
-    let body = std::mem::take(kernel.body_mut());
-    let mut insts = body.into_iter();
-    let mut new_body = Vec::new();
-    for (range, &policy) in pk.stmt_ranges.iter().zip(policies) {
-        let chunk: Vec<_> = insts.by_ref().take(range.end - range.start).collect();
-        new_body.extend(unroll(chunk, policy));
-    }
-    new_body.extend(insts);
-    *kernel.body_mut() = new_body;
-    kernel
-}
-
-fn compile_program_body(
-    program: &Program,
-    name: &str,
-    cfg: &CompileConfig,
-    policies: Option<&[UnrollPolicy]>,
-    stats: Option<&PassStats>,
-) -> Result<CompiledProgram, VerifyFailure> {
-    if let Some(s) = stats {
-        s.record_compile();
-    }
-    let pk = codegen_program(program, name, cfg, stats);
-    verify_stage("codegen", &pk.kernel, cfg.verify, true)?;
-    let (mut kernel, pipeline) = match policies {
-        Some(p) => (unroll_per_statement(&pk, p), cfg.pipeline.without("unroll")),
-        None => (pk.kernel.clone(), cfg.pipeline.clone()),
-    };
-    let ctx = PassCtx {
-        unroll: cfg.unroll,
-        verify: cfg.verify,
-        isa: cfg.arch.vector_isa(),
-        stats,
-        trace: None,
-    };
-    pipeline.run(&mut kernel, &ctx)?;
-    if cfg.verify != VerifyLevel::EveryPass || pipeline.is_empty() {
-        verify_stage("pipeline", &kernel, cfg.verify, true)?;
-    }
+    let c = compile_with(program, name, cfg, policies, stats, trace, None)?;
     Ok(CompiledProgram {
-        kernel,
-        fused: pk.fused,
-        fusions: pk.fusions,
+        // Nothing else holds the kernel without a memo: no copy.
+        kernel: Arc::unwrap_or_clone(c.kernel),
+        fused: c.fused,
+        fusions: c.fusions,
     })
-}
-
-/// The memoized program compile behind
-/// [`KernelCache::try_get_or_compile_program`]: one fusion + Σ-LL codegen
-/// per `(program, name, isa, mvm, specialized leftovers)` point, shared
-/// by every genome and schedule; the optimized kernel is keyed by
-/// `(lowering × pipeline × genome)`.
-pub(crate) fn try_compile_program_memoized(
-    program: &Program,
-    name: &str,
-    cfg: &CompileConfig,
-    policies: Option<&[UnrollPolicy]>,
-    stats: Option<&PassStats>,
-    memo: &CompileMemo,
-) -> Result<Arc<Kernel>, VerifyFailure> {
-    debug_assert!(CompileMemo::eligible(cfg));
-    let t = Instant::now();
-    let mut span = lgen_telemetry::span("compile_program");
-    if span.is_recording() {
-        span.attr("kernel", name);
-        span.attr("arch", format!("{:?}", cfg.arch));
-        span.attr("statements", program.statements.len());
-    }
-    lgen_telemetry::counter("program.statements").add(program.statements.len() as u64);
-    if let Some(s) = stats {
-        s.record_compile();
-    }
-    let entry = memo.program_lowered_for(program, name, cfg, || {
-        codegen_program(program, name, cfg, stats)
-    });
-    let key = OptKey::for_program(&entry, cfg, policies);
-    let result = if let Some(kernel) = memo.optimized_for(&key) {
-        Ok(kernel)
-    } else {
-        let (mut kernel, pipeline) = match policies {
-            Some(p) => (
-                unroll_per_statement(&entry.pk, p),
-                cfg.pipeline.without("unroll"),
-            ),
-            None => (entry.pk.kernel.clone(), cfg.pipeline.clone()),
-        };
-        let ctx = PassCtx {
-            unroll: cfg.unroll,
-            verify: cfg.verify,
-            isa: cfg.arch.vector_isa(),
-            stats,
-            trace: None,
-        };
-        pipeline
-            .run(&mut kernel, &ctx)
-            .map(|_| memo.insert_optimized(key, kernel))
-    };
-    lgen_telemetry::counter("lgen.compile.count").inc();
-    lgen_telemetry::histogram("lgen.compile.wall_us").record(t.elapsed().as_micros() as u64);
-    if span.is_recording() {
-        span.attr("ok", result.is_ok());
-    }
-    result
 }
 
 /// Deterministic structured test data for every operand of a program
@@ -478,8 +333,8 @@ impl ProgramTuner {
     ) -> Result<Arc<Kernel>, VerifyFailure> {
         match &self.cache {
             Some(cache) => cache.try_get_or_compile_program(program, name, &self.cfg, Some(genome)),
-            None => try_compile_program_with(program, name, &self.cfg, Some(genome), None)
-                .map(|c| Arc::new(c.kernel)),
+            None => compile_with(program, name, &self.cfg, Some(genome), None, None, None)
+                .map(|c| c.kernel),
         }
     }
 
@@ -635,7 +490,7 @@ mod tests {
         let genome: Vec<UnrollPolicy> = (0..fused.statements.len())
             .map(|i| space[i % space.len()])
             .collect();
-        let c = try_compile_program_with(&program, "kp", &cfg, Some(&genome), None).unwrap();
+        let c = try_compile_program_with(&program, "kp", &cfg, Some(&genome), None, None).unwrap();
         let diff = check_program(&program, &c.kernel, cfg.arch.vector_isa(), 9).unwrap();
         assert!(diff < tolerance(program.flops()), "{diff}");
     }

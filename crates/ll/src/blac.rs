@@ -240,42 +240,7 @@ impl Blac {
     ///
     /// Returns a [`SizeError`] if operator shapes are inconsistent.
     pub fn infer(&self, e: &Expr) -> Result<Dims, SizeError> {
-        match e {
-            Expr::Ref(id) => Ok(self.dims(*id)),
-            Expr::Add(a, b) => {
-                let (da, db) = (self.infer(a)?, self.infer(b)?);
-                if da == db {
-                    Ok(da)
-                } else {
-                    Err(SizeError::AddMismatch(da, db))
-                }
-            }
-            Expr::Mul(a, b) => {
-                let (da, db) = (self.infer(a)?, self.infer(b)?);
-                if da.is_scalar() {
-                    Ok(db)
-                } else if db.is_scalar() {
-                    Ok(da)
-                } else if da.cols == db.rows {
-                    Ok(Dims::new(da.rows, db.cols))
-                } else {
-                    Err(SizeError::MulMismatch(da, db))
-                }
-            }
-            Expr::Trans(a) => Ok(self.infer(a)?.t()),
-            Expr::Mvh(a, x) => {
-                let (da, dx) = (self.infer(a)?, self.infer(x)?);
-                if dx.rows == da.cols && dx.cols == 1 {
-                    Ok(da)
-                } else {
-                    Err(SizeError::MvhMismatch(da, dx))
-                }
-            }
-            Expr::Rr(a) => {
-                let da = self.infer(a)?;
-                Ok(Dims::new(da.rows, 1))
-            }
-        }
+        infer_dims(&self.operands, e)
     }
 
     /// Validates the whole BLAC (expression shapes and output size).
@@ -284,54 +249,14 @@ impl Blac {
     ///
     /// Returns a [`SizeError`] on any inconsistency.
     pub fn validate(&self) -> Result<(), SizeError> {
-        let rhs = self.infer(&self.expr)?;
-        let lhs = self.dims(self.output);
-        if rhs == lhs {
-            Ok(())
-        } else {
-            Err(SizeError::OutputMismatch { lhs, rhs })
-        }
+        validate_statement(&self.operands, self.output, &self.expr)
     }
 
     /// Useful floating-point operations of the computation, deduced from
     /// the BLAC and the operand sizes (§5.1.4) — the numerator of every
     /// performance plot in the paper.
     pub fn flops(&self) -> u64 {
-        fn go(b: &Blac, e: &Expr) -> u64 {
-            match e {
-                Expr::Ref(_) => 0,
-                Expr::Add(a, x) => {
-                    let d = b.infer(e).expect("validated");
-                    go(b, a) + go(b, x) + d.len() as u64
-                }
-                Expr::Mul(a, x) => {
-                    let (da, dx) = (
-                        b.infer(a).expect("validated"),
-                        b.infer(x).expect("validated"),
-                    );
-                    let own = if da.is_scalar() {
-                        dx.len() as u64
-                    } else if dx.is_scalar() {
-                        da.len() as u64
-                    } else {
-                        // m×k by k×n: mn(2k−1) multiply-adds, counted as 2mnk
-                        // following the paper's convention for gemm-like flops.
-                        2 * (da.rows * da.cols * dx.cols) as u64
-                    };
-                    go(b, a) + go(b, x) + own
-                }
-                Expr::Trans(a) => go(b, a),
-                Expr::Mvh(a, x) => {
-                    let da = b.infer(a).expect("validated");
-                    go(b, a) + go(b, x) + da.len() as u64
-                }
-                Expr::Rr(a) => {
-                    let da = b.infer(a).expect("validated");
-                    go(b, a) + (da.rows * (da.cols - 1)) as u64
-                }
-            }
-        }
-        go(self, &self.expr)
+        expr_flops(&self.operands, &self.expr)
     }
 
     /// A stable 64-bit structural digest of the BLAC: FNV-1a over a
@@ -413,6 +338,108 @@ impl Blac {
             }
         }
         uses(&self.expr, self.output)
+    }
+}
+
+/// Infers the size of `e` over an operand table: [`Blac::infer`] for any
+/// statement sharing that table (a program statement is checked and
+/// lowered in place, without building a [`Blac`]).
+///
+/// # Errors
+///
+/// Returns a [`SizeError`] if operator shapes are inconsistent.
+pub fn infer_dims(operands: &[Operand], e: &Expr) -> Result<Dims, SizeError> {
+    match e {
+        Expr::Ref(id) => Ok(operands[id.0].dims),
+        Expr::Add(a, b) => {
+            let (da, db) = (infer_dims(operands, a)?, infer_dims(operands, b)?);
+            if da == db {
+                Ok(da)
+            } else {
+                Err(SizeError::AddMismatch(da, db))
+            }
+        }
+        Expr::Mul(a, b) => {
+            let (da, db) = (infer_dims(operands, a)?, infer_dims(operands, b)?);
+            if da.is_scalar() {
+                Ok(db)
+            } else if db.is_scalar() {
+                Ok(da)
+            } else if da.cols == db.rows {
+                Ok(Dims::new(da.rows, db.cols))
+            } else {
+                Err(SizeError::MulMismatch(da, db))
+            }
+        }
+        Expr::Trans(a) => Ok(infer_dims(operands, a)?.t()),
+        Expr::Mvh(a, x) => {
+            let (da, dx) = (infer_dims(operands, a)?, infer_dims(operands, x)?);
+            if dx.rows == da.cols && dx.cols == 1 {
+                Ok(da)
+            } else {
+                Err(SizeError::MvhMismatch(da, dx))
+            }
+        }
+        Expr::Rr(a) => {
+            let da = infer_dims(operands, a)?;
+            Ok(Dims::new(da.rows, 1))
+        }
+    }
+}
+
+/// Checks the statement `output = expr` over an operand table
+/// ([`Blac::validate`]).
+///
+/// # Errors
+///
+/// Returns a [`SizeError`] on any inconsistency.
+pub fn validate_statement(
+    operands: &[Operand],
+    output: OperandId,
+    expr: &Expr,
+) -> Result<(), SizeError> {
+    let rhs = infer_dims(operands, expr)?;
+    let lhs = operands[output.0].dims;
+    if rhs == lhs {
+        Ok(())
+    } else {
+        Err(SizeError::OutputMismatch { lhs, rhs })
+    }
+}
+
+/// Useful flops of `e` over an operand table ([`Blac::flops`], §5.1.4).
+pub fn expr_flops(operands: &[Operand], e: &Expr) -> u64 {
+    match e {
+        Expr::Ref(_) => 0,
+        Expr::Add(a, x) => {
+            let d = infer_dims(operands, e).expect("validated");
+            expr_flops(operands, a) + expr_flops(operands, x) + d.len() as u64
+        }
+        Expr::Mul(a, x) => {
+            let (da, dx) = (
+                infer_dims(operands, a).expect("validated"),
+                infer_dims(operands, x).expect("validated"),
+            );
+            let own = if da.is_scalar() {
+                dx.len() as u64
+            } else if dx.is_scalar() {
+                da.len() as u64
+            } else {
+                // m×k by k×n: mn(2k−1) multiply-adds, counted as 2mnk
+                // following the paper's convention for gemm-like flops.
+                2 * (da.rows * da.cols * dx.cols) as u64
+            };
+            expr_flops(operands, a) + expr_flops(operands, x) + own
+        }
+        Expr::Trans(a) => expr_flops(operands, a),
+        Expr::Mvh(a, x) => {
+            let da = infer_dims(operands, a).expect("validated");
+            expr_flops(operands, a) + expr_flops(operands, x) + da.len() as u64
+        }
+        Expr::Rr(a) => {
+            let da = infer_dims(operands, a).expect("validated");
+            expr_flops(operands, a) + (da.rows * (da.cols - 1)) as u64
+        }
     }
 }
 

@@ -13,7 +13,10 @@
 
 use std::fmt;
 
-use crate::blac::{Blac, Dims, Expr, ExprHandle, Operand, OperandId, SizeError, Structure};
+use crate::blac::{
+    expr_flops, validate_statement, Blac, Dims, Expr, ExprHandle, Operand, OperandId, SizeError,
+    Structure,
+};
 use crate::reference::{eval_reference, MatrixValue};
 
 /// One `target = expr` statement of a [`Program`].
@@ -187,12 +190,12 @@ impl Program {
                     });
                 }
             }
-            self.view(i)
-                .validate()
-                .map_err(|source| ProgramError::Sizes {
+            validate_statement(&self.operands, stmt.target, &stmt.expr).map_err(|source| {
+                ProgramError::Sizes {
                     statement: i,
                     source,
-                })?;
+                }
+            })?;
             defined[stmt.target.0] = true;
         }
         Ok(())
@@ -200,8 +203,9 @@ impl Program {
 
     /// Total useful flops: the sum over statements (§5.1.4 convention).
     pub fn flops(&self) -> u64 {
-        (0..self.statements.len())
-            .map(|i| self.view(i).flops())
+        self.statements
+            .iter()
+            .map(|stmt| expr_flops(&self.operands, &stmt.expr))
             .sum()
     }
 

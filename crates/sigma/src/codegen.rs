@@ -18,7 +18,7 @@
 use lgen_absint::AffineExpr;
 use lgen_cir::{ArrayId, Inst, Kernel, KernelBuilder, MemMap, VArith, VMove, VReg, VWidth};
 use lgen_isa::VectorIsa;
-use lgen_ll::blac::{Blac, Dims, Expr, OperandId, Structure};
+use lgen_ll::blac::{infer_dims, Blac, Dims, Expr, Operand, OperandId, Structure};
 use lgen_ll::TileGrid;
 use std::collections::HashMap;
 
@@ -162,7 +162,7 @@ struct TileCtx {
 }
 
 struct Cg<'a> {
-    blac: &'a Blac,
+    operands: &'a [Operand],
     opts: CodegenOptions,
     nu: usize,
     b: KernelBuilder,
@@ -209,25 +209,35 @@ pub fn compile_blac(blac: &Blac, name: &str, opts: &CodegenOptions) -> Kernel {
         };
         operand_arrays.push(arr);
     }
-    let (b, _) = lower_statement(blac, opts, b, operand_arrays, 0);
+    let (b, _) = lower_statement(
+        &blac.operands,
+        blac.output,
+        &blac.expr,
+        opts,
+        b,
+        operand_arrays,
+        0,
+    );
     b.finish(blac.flops())
 }
 
-/// Tiles and drives one statement (a [`Blac`] over a shared operand
-/// table) into an existing builder — the building block of the program
+/// Tiles and drives one statement `output = expr` over a shared operand
+/// table into an existing builder — the building block of the program
 /// lowering in [`crate::program`]. `operand_arrays` maps every operand id
 /// to its array; `ntmp` is the running local-temporary counter (threaded
 /// across statements so names stay unique). Returns the builder and the
 /// updated counter.
 pub(crate) fn lower_statement(
-    blac: &Blac,
+    operands: &[Operand],
+    output: OperandId,
+    expr: &Expr,
     opts: &CodegenOptions,
     b: KernelBuilder,
     operand_arrays: Vec<ArrayId>,
     ntmp: usize,
 ) -> (KernelBuilder, usize) {
     let mut cg = Cg {
-        blac,
+        operands,
         opts: *opts,
         nu: opts.isa.nu(),
         b,
@@ -237,9 +247,9 @@ pub(crate) fn lower_statement(
     };
     let node = {
         let _span = lgen_telemetry::span("ll_tiling");
-        cg.lower(&blac.expr)
+        cg.lower(expr)
     };
-    let out = LocInfo::plain(cg.operand_arrays[blac.output.0], blac.dims(blac.output));
+    let out = LocInfo::plain(cg.operand_arrays[output.0], operands[output.0].dims);
     {
         let _span = lgen_telemetry::span("sigma_ll_rewrite");
         cg.drive(&node, out);
@@ -251,15 +261,15 @@ impl Cg<'_> {
     // ----- lowering of the expression tree -----
 
     fn dims(&self, e: &Expr) -> Dims {
-        self.blac.infer(e).expect("validated")
+        infer_dims(self.operands, e).expect("validated")
     }
 
     fn lower(&mut self, e: &Expr) -> Node {
         match e {
             Expr::Ref(id) => Node::Loc(LocInfo::structured(
                 self.operand_arrays[id.0],
-                self.blac.dims(*id),
-                self.blac.operands[id.0].structure,
+                self.operands[id.0].dims,
+                self.operands[id.0].structure,
             )),
             Expr::Trans(inner) => {
                 let di = self.dims(inner);
@@ -316,8 +326,8 @@ impl Cg<'_> {
         match e {
             Expr::Ref(id) => LocInfo::structured(
                 self.operand_arrays[id.0],
-                self.blac.dims(*id),
-                self.blac.operands[id.0].structure,
+                self.operands[id.0].dims,
+                self.operands[id.0].structure,
             ),
             Expr::Trans(inner) => self.loc_of(inner).flip(),
             _ => {

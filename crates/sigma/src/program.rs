@@ -86,6 +86,10 @@ fn substitute(e: &Expr, temp: OperandId, replacement: &Expr) -> Expr {
 /// while reading inputs).
 pub fn fuse_program(program: &Program) -> (Program, usize) {
     let mut fused = program.clone();
+    if !program.temps.contains(&true) {
+        // Only temporaries fuse: a program without any (a BLAC) is final.
+        return (fused, 0);
+    }
     let mut fusions = 0usize;
     loop {
         let mut applied = false;
@@ -214,8 +218,16 @@ pub fn compile_program(program: &Program, name: &str, opts: &CodegenOptions) -> 
         span.attr("index", i);
         span.attr("target", &fused.operands[fused.statements[i].target.0].name);
         let start = b.top_level_len();
-        let blac = fused.view(i);
-        let (bb, n) = lower_statement(&blac, opts, b, operand_arrays.clone(), ntmp);
+        let stmt = &fused.statements[i];
+        let (bb, n) = lower_statement(
+            &fused.operands,
+            stmt.target,
+            &stmt.expr,
+            opts,
+            b,
+            operand_arrays.clone(),
+            ntmp,
+        );
         b = bb;
         ntmp = n;
         stmt_ranges.push(start..b.top_level_len());

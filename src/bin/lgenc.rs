@@ -24,8 +24,10 @@
 //! `--metrics` dumps the process metrics registry to stderr at exit;
 //! `LGEN_TRACE=1` records spans and prints the tree summary to stderr.
 
+use lgen::cir::passes::UnrollPolicy;
 use lgen::core::{
-    parse_duration, KernelCache, PassTrace, PrunePolicy, SearchStrategy, VerifyLevel,
+    parse_duration, try_compile_program_with, KernelCache, PassStats, PassTrace, PrunePolicy,
+    SearchStrategy, VerifyFailure, VerifyLevel,
 };
 use lgen::prelude::*;
 use std::sync::Arc;
@@ -380,50 +382,22 @@ fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
             );
         }
         if o.print_after_all {
-            // Replay the winning compile with tracing on (served from the
-            // cache-independent path so snapshots reflect every pass).
+            // Replay the winning compile with tracing on (outside the
+            // cache, so snapshots reflect every pass).
             let winner_cfg = cfg
                 .clone()
                 .with_unroll(tuned.unroll)
                 .with_passes(tuned.pipeline.clone());
-            let trace = PassTrace::new();
-            if let Err(failure) =
-                lgen::core::try_compile_traced(blac, "kernel", &winner_cfg, None, Some(&trace))
-            {
-                eprintln!("lgenc: verification failed after pass `{}`:", failure.pass);
-                eprint!("{}", lgen::cir::render(&failure.diagnostics));
-                std::process::exit(1);
-            }
-            dump_trace(&trace);
+            compile_traced(&Program::from(blac), &winner_cfg, None, None);
         }
         tuned.kernel
     } else if o.print_after_all {
-        let trace = PassTrace::new();
-        match lgen::core::try_compile_traced(
-            blac,
-            "kernel",
-            cfg,
-            Some(cache.pass_stats()),
-            Some(&trace),
-        ) {
-            Ok(kernel) => {
-                dump_trace(&trace);
-                kernel
-            }
-            Err(failure) => {
-                eprintln!("lgenc: verification failed after pass `{}`:", failure.pass);
-                eprint!("{}", lgen::cir::render(&failure.diagnostics));
-                std::process::exit(1);
-            }
-        }
+        let program = Program::from(blac);
+        compile_traced(&program, cfg, None, Some(cache.pass_stats())).kernel
     } else {
         match cache.try_get_or_compile(blac, "kernel", cfg) {
             Ok(kernel) => (*kernel).clone(),
-            Err(failure) => {
-                eprintln!("lgenc: verification failed after pass `{}`:", failure.pass);
-                eprint!("{}", lgen::cir::render(&failure.diagnostics));
-                std::process::exit(1);
-            }
+            Err(failure) => verification_failed(&failure),
         }
     };
 
@@ -474,9 +448,6 @@ fn run_program(program: &Program, mut cfg: CompileConfig, o: &Opts) -> lgen::cir
     if o.tune_passes {
         eprintln!("lgenc: --tune-passes is not supported for programs; tuning unroll genomes only");
     }
-    if o.print_after_all {
-        eprintln!("lgenc: --print-after-all is not supported for programs; ignored");
-    }
     eprintln!(
         "lgenc: program of {} statement(s) ({} flops) for {target}, passes \"{}\"",
         program.statements.len(),
@@ -512,15 +483,18 @@ fn run_program(program: &Program, mut cfg: CompileConfig, o: &Opts) -> lgen::cir
                     .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
             );
         }
+        if o.print_after_all {
+            // Replay the winning genome with tracing on.
+            compile_traced(program, &cfg, Some(&tuned.policies), None);
+        }
         (tuned.kernel, tuned.fusions)
+    } else if o.print_after_all {
+        let compiled = compile_traced(program, &cfg, None, Some(cache.pass_stats()));
+        (compiled.kernel, compiled.fusions)
     } else {
         let kernel = match cache.try_get_or_compile_program(program, "kernel", &cfg, None) {
             Ok(kernel) => (*kernel).clone(),
-            Err(failure) => {
-                eprintln!("lgenc: verification failed after pass `{}`:", failure.pass);
-                eprint!("{}", lgen::cir::render(&failure.diagnostics));
-                std::process::exit(1);
-            }
+            Err(failure) => verification_failed(&failure),
         };
         let (_, fusions) = lgen::sigma::fuse_program(program);
         (kernel, fusions)
@@ -557,10 +531,27 @@ fn run_program(program: &Program, mut cfg: CompileConfig, o: &Opts) -> lgen::cir
     kernel
 }
 
-/// Prints every recorded IR snapshot (`--print-after-all`) to stderr.
-fn dump_trace(trace: &PassTrace) {
+/// Compiles outside the cache with `--print-after-all` tracing on and
+/// prints every recorded IR snapshot to stderr.
+fn compile_traced(
+    program: &Program,
+    cfg: &CompileConfig,
+    genome: Option<&[UnrollPolicy]>,
+    stats: Option<&PassStats>,
+) -> CompiledProgram {
+    let trace = PassTrace::new();
+    let result = try_compile_program_with(program, "kernel", cfg, genome, stats, Some(&trace));
+    let compiled = result.unwrap_or_else(|failure| verification_failed(&failure));
     for (stage, ir) in trace.snapshots() {
         eprintln!("== IR after {stage} ==");
         eprint!("{ir}");
     }
+    compiled
+}
+
+/// Reports a kernel that failed static verification and exits.
+fn verification_failed(failure: &VerifyFailure) -> ! {
+    eprintln!("lgenc: verification failed after pass `{}`:", failure.pass);
+    eprint!("{}", lgen::cir::render(&failure.diagnostics));
+    std::process::exit(1);
 }

@@ -190,7 +190,7 @@ fn a_real_compile_emits_one_span_per_stage() {
     lgen::telemetry::set_enabled(true);
     let blac = paper::gemv(4, 8);
     let cfg = CompileConfig::full(Microarch::Atom);
-    lgen::core::try_compile_with_stats(&blac, "telemetry_e2e_compile", &cfg, None).unwrap();
+    lgen::core::try_compile(&blac, "telemetry_e2e_compile", &cfg).unwrap();
     let spans = lgen::telemetry::global().snapshot();
     let root = spans
         .iter()

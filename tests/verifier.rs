@@ -15,7 +15,7 @@ use lgen::cir::passes::UnrollPolicy;
 use lgen::cir::{
     verify_kernel, ArrayKind, Check, Inst, Kernel, KernelBuilder, MemMap, VArith, VWidth,
 };
-use lgen::core::{CacheKey, KernelCache, SearchStrategy};
+use lgen::core::{KernelCache, ProgramCacheKey, SearchStrategy};
 use lgen::ll::paper;
 use lgen::prelude::*;
 use lgen::sigma::CodegenOptions;
@@ -192,10 +192,11 @@ fn autotuner_rejects_corrupt_cached_candidate() {
     let mut corrupt: Kernel = (*cache.get_or_compile(&blac, "k", &poisoned)).clone();
     assert!(bump_first_load(corrupt.body_mut(), 1000));
     cache.insert(
-        CacheKey {
-            blac: blac.clone(),
+        ProgramCacheKey {
+            program: Program::from(&blac),
             name: "k".to_string(),
             cfg: poisoned,
+            policies: None,
         },
         Arc::new(corrupt),
     );
