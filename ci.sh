@@ -238,6 +238,27 @@ if ! grep -q "cross-statement fusion" <<<"$tri_out"; then
     echo "$tri_out" >&2
     exit 1
 fi
+
+echo "==> lgenc on a two-statement program (paranoid verify, --print-after-all)"
+# Programs compile on the same path as single BLACs, so between-pass
+# verification and the per-pass IR trace must cover them too.
+twofile=$(mktemp --suffix=.blac)
+trap 'rm -f "$blacfile" "$tracefile" "$prunefile" "$trifile" "$twofile"' EXIT
+cat > "$twofile" <<'EOF'
+A = matrix(4, 4)
+x = vector(4)
+y = vector(4)
+z = vector(4)
+y = A * x;
+z = A * y;
+EOF
+two_out=$(./target/release/lgenc "$twofile" --verify=paranoid --print-after-all 2>&1 >/dev/null)
+blocks=$(sed -n 's/^== IR after \(.*\) ==$/\1/p' <<<"$two_out" | paste -sd, -)
+if [ "$blocks" != "codegen,unroll,scalrep,copyprop,dce,align" ]; then
+    echo "error: two-statement program traced passes '$blocks'" >&2
+    echo "$two_out" >&2
+    exit 1
+fi
 python3 - <<EOF > BENCH_programs.json
 import json, re, sys
 

@@ -138,9 +138,10 @@ impl fmt::Display for CacheStats {
 }
 
 /// Which tier served a compile request; returned by
-/// [`KernelCache::try_get_or_compile_program_outcome`] so callers (the compile service's per-request spans and
-/// hit-rate accounting) can distinguish the three costs without racing on
-/// counter deltas.
+/// [`KernelCache::try_get_or_compile_program_outcome`] so callers (the
+/// autotuners' candidate spans, the compile service's per-request spans
+/// and hit-rate accounting) can distinguish the three costs without
+/// racing on counter deltas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompileOutcome {
     /// Served from the in-memory map (O(hash)).

@@ -393,7 +393,7 @@ pub fn infer_dims(operands: &[Operand], e: &Expr) -> Result<Dims, SizeError> {
 /// # Errors
 ///
 /// Returns a [`SizeError`] on any inconsistency.
-pub fn validate_statement(
+pub(crate) fn validate_statement(
     operands: &[Operand],
     output: OperandId,
     expr: &Expr,
@@ -408,7 +408,7 @@ pub fn validate_statement(
 }
 
 /// Useful flops of `e` over an operand table ([`Blac::flops`], §5.1.4).
-pub fn expr_flops(operands: &[Operand], e: &Expr) -> u64 {
+pub(crate) fn expr_flops(operands: &[Operand], e: &Expr) -> u64 {
     match e {
         Expr::Ref(_) => 0,
         Expr::Add(a, x) => {

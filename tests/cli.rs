@@ -286,3 +286,30 @@ fn faulted_tune_prints_failure_summary_and_survives() {
         "a winner emerged: {stderr}"
     );
 }
+
+#[test]
+fn print_after_all_traces_every_pass_of_a_program() {
+    let path = std::env::temp_dir().join(format!("lgenc_cli_{}_kalman.ll", std::process::id()));
+    std::fs::write(
+        &path,
+        "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
+         x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
+         P_next = matrix(4, 4)\n\
+         x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;\n",
+    )
+    .unwrap();
+    let out = lgenc(&[path.to_str().unwrap(), "--print-after-all"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let blocks: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("== IR after ")?.strip_suffix(" =="))
+        .collect();
+    assert_eq!(
+        blocks,
+        ["codegen", "unroll", "scalrep", "copyprop", "dce", "align"],
+        "{stderr}"
+    );
+    assert!(!stderr.contains("not supported"), "{stderr}");
+    let _ = std::fs::remove_file(path);
+}
