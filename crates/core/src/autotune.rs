@@ -711,14 +711,8 @@ impl Autotuner {
                     let (kernel, outcome) =
                         cache.try_get_or_compile_program_outcome(program, name, &cfg, None)?;
                     if span.is_recording() {
-                        span.attr(
-                            "cache",
-                            if outcome.is_cache_hit() {
-                                "hit"
-                            } else {
-                                "miss"
-                            },
-                        );
+                        let hit = outcome.is_cache_hit();
+                        span.attr("cache", if hit { "hit" } else { "miss" });
                     }
                     kernel
                 }

@@ -91,8 +91,9 @@ pub struct CacheStats {
     /// compiled (cheap, memoized) for the ranking itself.
     pub tune_pruned: u64,
     /// Compiles served by the cross-candidate subtree memo (the
-    /// `cir.memo_hits` counter): the exact cache key missed, but an equivalent candidate had already lowered and
-    /// optimized the same subtree.
+    /// `cir.memo_hits` counter): the exact cache key missed, but an
+    /// equivalent candidate had already lowered and optimized the same
+    /// subtree.
     pub memo_hits: u64,
     /// Memo lookups that ran the pass pipeline for real
     /// (`cir.memo_misses`).
