@@ -1,19 +1,25 @@
 //! Hot-path compile benchmarks with allocation accounting.
 //!
-//! Three shapes the arena/memoization and emission work targets: a
+//! The shapes the arena/memoization and emission work targets: a
 //! single-kernel compile served from the warm kernel cache, a 32-candidate
 //! tuning sweep against a warm cache (the cross-candidate subtree memo's
-//! steady state), and C emission into a warm buffer. A counting global
-//! allocator asserts the hot paths stay within an allocation budget — the
-//! point of the arena-backed C-IR is that a served compile does not
-//! rebuild the IR, a memoized sweep allocates per *distinct* decision
-//! vector, not per candidate, and unparsing allocates nothing at all.
+//! steady state), cold compiles of the slowest kinds of input, and C
+//! emission into a warm buffer. A counting global allocator asserts the
+//! hot paths stay within an allocation budget — the point of the
+//! arena-backed C-IR is that a served compile does not rebuild the IR, a
+//! memoized sweep allocates per *distinct* decision vector, not per
+//! candidate, dead-code elimination allocates its tables once rather than
+//! per round, and unparsing allocates nothing at all.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use lgen_cir::arena::{dce_block, Arena};
 use lgen_cir::unparse::unparse_into;
-use lgen_core::{compile, compile_program, Autotuner, CompileConfig, KernelCache, SearchStrategy};
+use lgen_core::{
+    compile, compile_program, try_compile, try_compile_program, Autotuner, CompileConfig,
+    KernelCache, SearchStrategy,
+};
 use lgen_isa::Microarch;
-use lgen_ll::{paper, parse_program};
+use lgen_ll::{paper, parse_program, Program};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,6 +47,18 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
     (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// Kalman predict of size `n` (SLinGen's running example).
+fn kalman(n: usize) -> Program {
+    let m = (n / 2).max(1);
+    parse_program(&format!(
+        "F = matrix({n}, {n})\nB = matrix({n}, {m})\nu = vector({m})\nx = vector({n})\n\
+         x_next = vector({n})\nP = matrix({n}, {n}) symmetric\n\
+         Q = matrix({n}, {n}) symmetric\nP_next = matrix({n}, {n})\n\
+         x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;"
+    ))
+    .expect("kalman parses")
 }
 
 fn bench_compile_hot(c: &mut Criterion) {
@@ -121,6 +139,36 @@ fn bench_sweep_32(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_cold_compile(c: &mut Criterion) {
+    let kalman8 = kalman(8);
+    let arm1176 = CompileConfig::full(Microarch::Arm1176);
+    let compiled =
+        try_compile_program(&kalman8, "kalman_predict_8", &arm1176).expect("kalman compiles");
+
+    // One-pass DCE sizes its tables from the body up front and compacts
+    // blocks in place, so its allocations do not grow with the number of
+    // rounds a fixpoint would take.
+    let (mut arena, root) = Arena::from_body(compiled.kernel.body());
+    let budget = arena.blocks.len() as u64 + 8;
+    let (_, dce_allocs) = allocs_during(|| dce_block(&mut arena, root, &compiled.kernel.arrays));
+    assert!(
+        dce_allocs <= budget,
+        "dce_block on kalman-8-arm1176 made {dce_allocs} allocations (budget {budget})"
+    );
+
+    let gemv = paper::gemv(30, 71);
+    let a9_peel = CompileConfig::full(Microarch::CortexA9).with_peeling();
+    let mut g = c.benchmark_group("compile-hot");
+    g.sample_size(20);
+    g.bench_function("cold/kalman-8-arm1176", |b| {
+        b.iter(|| black_box(try_compile_program(&kalman8, "k", &arm1176)))
+    });
+    g.bench_function("cold/gemv-30x71-peel-a9", |b| {
+        b.iter(|| black_box(try_compile(&gemv, "k", &a9_peel)))
+    });
+    g.finish();
+}
+
 fn bench_unparse(c: &mut Criterion) {
     let gemv = paper::gemv(4, 8);
     let mut kernels: Vec<(&str, _, _)> = [
@@ -134,15 +182,8 @@ fn bench_unparse(c: &mut Criterion) {
         (label, kernel, arch.vector_isa())
     })
     .collect();
-    let kalman = parse_program(
-        "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
-         x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
-         P_next = matrix(4, 4)\n\
-         x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;",
-    )
-    .expect("kalman parses");
     let atom = CompileConfig::full(Microarch::Atom);
-    let compiled = compile_program(&kalman, "kalman_predict_4", &atom);
+    let compiled = compile_program(&kalman(4), "kalman_predict_4", &atom);
     kernels.push(("kalman-4-ssse3", compiled.kernel, atom.arch.vector_isa()));
 
     // Warm one buffer to the largest render, then render everything
@@ -173,5 +214,11 @@ fn bench_unparse(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_compile_hot, bench_sweep_32, bench_unparse);
+criterion_group!(
+    benches,
+    bench_compile_hot,
+    bench_sweep_32,
+    bench_cold_compile,
+    bench_unparse
+);
 criterion_main!(benches);
