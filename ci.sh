@@ -10,6 +10,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> benchmark self-tests (release; staged and one-shot compiles emit the same C)"
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline \
+    --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
