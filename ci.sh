@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> allocation guards (compile_hot: warm unparse, one-pass DCE, candidate evaluation)"
+cargo bench -q --offline -p lgen-bench --bench compile_hot
+
 echo "==> benchmark self-tests (release; staged and one-shot compiles emit the same C)"
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline \
     --manifest-path benchmark/Cargo.toml

@@ -24,6 +24,7 @@ pub mod autotune;
 pub mod cache;
 pub mod coalesce;
 pub mod config;
+pub mod evaluate;
 pub mod exec;
 pub mod fault;
 pub mod memo;
@@ -39,6 +40,7 @@ pub use autotune::{
 pub use cache::{CacheSnapshot, CacheStats, CompileOutcome, KernelCache, ProgramCacheKey};
 pub use coalesce::Coalescer;
 pub use config::{CompileConfig, Variant};
+pub use evaluate::{Evaluator, Validated};
 pub use exec::{check_kernel, measure_blac, run_blac_kernel};
 pub use fault::{parse_duration, FaultKind, FaultPlan};
 pub use lgen_cir::passes::UnrollDecision;

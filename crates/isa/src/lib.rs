@@ -24,7 +24,7 @@ pub mod ops;
 pub mod uarch;
 
 pub use cost::{haswell_family_add_vs_hadd, InstCost, PortReq};
-pub use inst::{MachInst, MemRef, TraceSink};
+pub use inst::{MachInst, MemRef, Srcs, TraceSink, MAX_SRCS};
 pub use ops::{MOp, OpClass};
 pub use uarch::{Microarch, UarchParams};
 

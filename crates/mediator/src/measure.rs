@@ -112,7 +112,7 @@ mod tests {
         m.init();
         m.start(&sim);
         for i in 0..4 {
-            sim.emit(&MachInst::reg(MOp::MmAddPs, Some(10 + i), vec![0, 1]));
+            sim.emit(&MachInst::reg(MOp::MmAddPs, Some(10 + i), &[0, 1]));
         }
         let elapsed = m.stop(&sim);
         assert!(elapsed > 0);

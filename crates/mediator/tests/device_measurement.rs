@@ -32,7 +32,7 @@ fn measurement_module_wraps_simulated_counters() {
         module.init();
         module.start(&sim);
         for i in 0..8u32 {
-            sim.emit(&MachInst::reg(MOp::FMul, Some(20 + i), vec![0, 1]));
+            sim.emit(&MachInst::reg(MOp::FMul, Some(20 + i), &[0, 1]));
         }
         let first = module.stop(&sim);
         module.start(&sim);
