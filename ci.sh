@@ -229,7 +229,7 @@ if ! grep -q "BENCH program=kalman_predict" <<<"$prog_out"; then
 fi
 # Triangular apply as a two-statement program (y = LᵀLx, L lower
 # triangular): exercises structured operands, cross-statement fusion, and
-# the joint program tuner through the lgenc front end.
+# program tuning through the lgenc front end.
 trifile=$(mktemp --suffix=.blac)
 trap 'rm -f "$blacfile" "$tracefile" "$prunefile" "$trifile"' EXIT
 cat > "$trifile" <<'EOF'
@@ -323,13 +323,13 @@ m = re.search(r"autotuned to .*\((\d+) cycles over (\d+) candidates\)", """$tri_
 assert m, "no autotuned line from the triangular-apply tune"
 tri = tune_record(
     "atom", m.group(1), int(m.group(2)),
-    metrics.get("lgen.tune.program.wall_us.sum"))
+    metrics.get("lgen.tune.wall_us.sum"))
 assert tri["tune_candidates_per_sec"], "no program tune throughput"
 print(json.dumps({
     "kalman_predict": program_record("kalman_predict", tuned, per_arch=per_arch),
     "triangular_apply": program_record(
         "triangular_apply", tri,
-        genome_candidates=metrics.get("lgen.tune.program.candidates")),
+        genome_candidates=metrics.get("lgen.tune.candidates")),
 }, indent=2))
 EOF
 echo "    $(python3 -c "

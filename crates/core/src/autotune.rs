@@ -1,64 +1,52 @@
-//! The autotuning feedback loop (Fig. 2.1, §5.1.5).
+//! The autotuning feedback loop (Fig. 2.1, §5.1.5): the one tuner for
+//! single BLACs and whole programs.
 //!
 //! LGen generates several code versions per BLAC, executes them on the
-//! target device, and keeps the fastest. Here the "device" is the
-//! `lgen-machine` simulator; the search space is the unrolling/outer-tiling
-//! decision (§2.1.2 — outer tile sizes must divide the full-tile count, the
-//! "leftovers in at most one level" restriction, which the `Factor`
-//! unrolling policy enforces by skipping non-dividing trip counts).
-//! The paper uses "random search over the search space with sample size
-//! 10"; the sample size is configurable.
+//! target device (here the `lgen-machine` simulator), and keeps the
+//! fastest. A candidate is an unrolling decision ([`UnrollChoice`]) plus
+//! the C-IR schedule it compiles under. [`Autotuner::try_tune`] searches
+//! one policy for a whole BLAC kernel: the unrolling/outer-tiling decision
+//! of §2.1.2, whose `Factor` policy skips non-dividing trip counts (the
+//! "leftovers in at most one level" restriction).
+//! [`Autotuner::try_tune_program`] searches *genomes*, one policy per fused
+//! statement (SLinGen's programs on top of the BLAC layer): the diagonal of
+//! the BLAC space, then seeded mixed genomes. Everything after the
+//! candidate list is shared. The paper's "random search over the search
+//! space with sample size 10" is the default strategy, and
+//! [`Autotuner::with_pipeline_search`] crosses the decisions with legal
+//! [`PassPipeline`] variants.
 //!
-//! Because the C-IR schedule is first-class data ([`PassPipeline`]), the
-//! search space can optionally extend beyond tile sizes to *pass order*:
-//! [`Autotuner::with_pipeline_search`] crosses the unrolling space with a
-//! small set of legal schedule variants (fixpoint cleanup, extra
-//! copy-propagation rounds, pass-dropped schedules), and the winner records
-//! which schedule produced it.
+//! Candidates (compile → validate → measure, through one [`Evaluator`]
+//! per tune) fan out over a scoped worker pool ([`crate::pool`]). Every
+//! stage is deterministic, results are collected in candidate order, and
+//! the reduction keeps the *first* best under a strict `<` — so the winner
+//! is byte-identical for any thread count. A shared [`KernelCache`]
+//! dedups compilation across candidates, tunes, and batch jobs.
 //!
-//! Candidate evaluation (compile → validate → measure) is embarrassingly
-//! parallel, so it fans out over a scoped worker pool ([`crate::pool`]).
-//! Every stage of evaluation is deterministic (the simulator is exact and
-//! validation uses fixed seeds), results are collected index-addressed in
-//! candidate order, and the reduction keeps the *first* best under a strict
-//! `<` comparison — so the winning kernel is byte-identical no matter how
-//! many threads ran the search. A shared [`KernelCache`] (optional) dedups
-//! compilation across candidates, repeated tunes, and batch jobs.
-//!
-//! **Fault tolerance.** A search is only as good as its ability to survive
-//! bad candidates. Every candidate evaluation is isolated
-//! ([`crate::pool::run_outcomes`]): a panicking candidate is contained by
-//! `catch_unwind`, a hanging one is abandoned at its per-candidate
-//! deadline, and a verifier-rejected one is skipped — each failure is
-//! recorded ([`CandidateFailure`], surfaced through [`TunedKernel`] and
-//! the cache's `--cache-stats` counters) and the search continues with
-//! the survivors. Only an all-candidates-failed search is an error
-//! ([`TuneError`]); [`tune`](Autotuner::tune) panics on it,
-//! [`try_tune`](Autotuner::try_tune) reports it. Deadlines and the
-//! whole-search [`TuneBudget`] are opt-in; without them (the default) the
-//! search remains byte-deterministic for every thread count. The
-//! env-gated [`FaultPlan`] harness (`LGEN_FAULTS`) injects failures
-//! deterministically to keep this degradation path tested end to end.
+//! **Fault tolerance.** Every evaluation is isolated
+//! ([`crate::pool::run_outcomes`]): a panicking candidate is contained, a
+//! hanging one is abandoned at its deadline, a verifier-rejected one is
+//! skipped. Each failure is recorded ([`CandidateFailure`], the cache's
+//! `--cache-stats` counters) and the search goes on; only an
+//! all-candidates-failed search is an error ([`TuneError`]). Deadlines
+//! and the whole-search [`TuneBudget`] are opt-in; without them the
+//! search stays deterministic. The env-gated [`FaultPlan`]
+//! (`LGEN_FAULTS`) injects failures to keep this path tested.
 //!
 //! **Model-guided pruning.** With a [`PrunePolicy`] other than `Off`, the
-//! tuner first *ranks* every candidate with the static cost predictor
-//! (`lgen-analysis` — compile is cheap and memoized; no execution, no
-//! trace scheduling) and only simulates the statically best few
-//! (successive halving, §6's "heuristics to prune the search space").
-//! The model is continuously *audited*: the Spearman rank correlation
-//! between predicted and measured scores over the measured set is
-//! recorded ([`TunedKernel::rank_correlation`], telemetry), and when it
-//! drops below the audit threshold the search widens back toward full
-//! measurement — a bad model degrades tuning throughput, never answer
-//! quality.
+//! tuner ranks every candidate with the static cost predictor
+//! (`lgen-analysis`; no execution) and simulates only the best few (§6's
+//! "heuristics to prune the search space"). The Spearman correlation
+//! between predicted and measured scores audits the model; below the
+//! audit threshold the search widens toward full measurement.
 
-use crate::cache::KernelCache;
+use crate::cache::{CompileOutcome, KernelCache};
 use crate::config::CompileConfig;
 use crate::evaluate::Evaluator;
 use crate::exec::tolerance;
 use crate::fault::{corrupt_kernel, FaultKind, FaultPlan};
+use crate::pipeline::compile_with;
 use crate::pool::{run_outcomes, JobOutcome};
-use crate::program::try_compile_program;
 use lgen_analysis::{analyze_kernel, StaticCost};
 use lgen_cir::passes::{PassPipeline, UnrollPolicy};
 use lgen_cir::{verify_kernel, Kernel, VerifyFailure};
@@ -67,7 +55,7 @@ use lgen_machine::Measurement;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,43 +98,82 @@ pub enum SearchStrategy {
     /// Greedy hill climbing from the default decision: evaluates the
     /// current point's neighbours in the ordered space and moves while it
     /// improves — fewer evaluations than exhaustive, better coverage than
-    /// a small random sample.
+    /// a small random sample. A program climbs its diagonal genomes.
     Guided,
+}
+
+/// A candidate's unrolling decision.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum UnrollChoice {
+    /// One policy for the whole kernel (a BLAC tune).
+    Kernel(UnrollPolicy),
+    /// One policy per fused statement (a program tune's genome).
+    Statements(Vec<UnrollPolicy>),
+}
+
+impl UnrollChoice {
+    /// The policy of a BLAC tune's decision.
+    fn policy(self) -> UnrollPolicy {
+        let UnrollChoice::Kernel(u) = self else {
+            unreachable!("a BLAC tune has kernel-wide decisions")
+        };
+        u
+    }
+
+    /// The genome of a program tune's decision.
+    fn genome(self) -> Vec<UnrollPolicy> {
+        let UnrollChoice::Statements(g) = self else {
+            unreachable!("a program tune has per-statement decisions")
+        };
+        g
+    }
+}
+
+impl fmt::Display for UnrollChoice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UnrollChoice::Kernel(u) => write!(f, "{u:?}"),
+            UnrollChoice::Statements(g) => write!(f, "{g:?}"),
+        }
+    }
 }
 
 /// One point of the (possibly pipeline-extended) search space: an
 /// unrolling decision plus the schedule to run it under (`None` = the
 /// tuner config's own pipeline).
-type Candidate = (UnrollPolicy, Option<PassPipeline>);
+type Candidate = (UnrollChoice, Option<PassPipeline>);
 
 /// One evaluated candidate: its kernel and measurement.
 type Eval = (Arc<Kernel>, Measurement);
 
 /// Per-search evaluation memo: validated-and-measured results keyed by the
-/// kernel's allocation identity plus the BLAC's fingerprint. The shared
+/// kernel's allocation identity plus the program's fingerprint. The shared
 /// [`KernelCache`]'s compile memo returns the *same* `Arc` for candidates
 /// whose unroll decisions collapse to one kernel, so a sweep over N
-/// policies with K distinct kernels validates and measures K times, not N.
-/// Sound because every evaluation stage is deterministic (the map pins its
-/// `Arc`s, so a key can never be reused by a different allocation while
-/// the search runs), and value-neutral: a memo hit returns bit-identical
-/// results, keeping the tuner's any-thread-count determinism.
+/// decisions with K distinct kernels validates and measures K times, not
+/// N. Sound because every evaluation stage is deterministic (the map pins
+/// its `Arc`s, so a key can never be reused by a different allocation
+/// while the search runs), and value-neutral: a memo hit returns
+/// bit-identical results, keeping the tuner's any-thread-count
+/// determinism.
 type EvalMemo = Mutex<HashMap<(usize, u64), Eval>>;
 
-/// A BLAC under tuning with its one-statement program — the form every
-/// candidate compiles (and is cached) as — and the evaluator holding its
-/// validation data and reference result, all built once per tune.
+/// The program under tuning (a BLAC as its one-statement program — the
+/// form every candidate compiles and is cached as), its kernel name and
+/// fingerprint, and the evaluator holding its validation data and
+/// reference result, all built once per tune.
 struct Subject {
-    blac: Blac,
     program: Program,
+    name: String,
+    fingerprint: u64,
     evaluator: Evaluator,
 }
 
 impl Subject {
-    fn new(blac: &Blac) -> Arc<Subject> {
-        let program = Program::from(blac);
+    fn new(program: Program, name: &str) -> Arc<Subject> {
         Arc::new(Subject {
-            blac: blac.clone(),
+            name: name.to_string(),
+            fingerprint: program.fingerprint(),
             evaluator: Evaluator::new(&program),
             program,
         })
@@ -269,7 +296,7 @@ impl fmt::Display for FailReason {
 #[derive(Clone, Debug)]
 pub struct CandidateFailure {
     /// The candidate's unrolling decision.
-    pub unroll: UnrollPolicy,
+    pub unroll: UnrollChoice,
     /// Its schedule, when pass-order search assigned one.
     pub pipeline: Option<PassPipeline>,
     /// What went wrong.
@@ -278,7 +305,7 @@ pub struct CandidateFailure {
 
 impl fmt::Display for CandidateFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "candidate {:?} {}", self.unroll, self.reason)
+        write!(f, "candidate {} {}", self.unroll, self.reason)
     }
 }
 
@@ -337,6 +364,18 @@ fn count_reasons(failures: &[CandidateFailure]) -> (usize, usize, usize) {
     counts
 }
 
+/// A one-line degradation summary, or `None` if nothing failed.
+fn failure_summary(failures: &[CandidateFailure]) -> Option<String> {
+    if failures.is_empty() {
+        return None;
+    }
+    let (r, p, t) = count_reasons(failures);
+    Some(format!(
+        "{} candidate(s) failed: {r} verify-rejected, {p} panicked, {t} timed out",
+        failures.len()
+    ))
+}
+
 /// Result of an autotuning run.
 #[derive(Clone, Debug)]
 pub struct TunedKernel {
@@ -365,9 +404,9 @@ pub struct TunedKernel {
     pub pruned: usize,
     /// Spearman rank correlation between the static model's scores and
     /// the measured objective over the candidates that *were* measured.
-    /// `None` when fewer than two candidates were measured or either
-    /// ranking is constant — the model-audit signal behind
-    /// graceful widening.
+    /// `None` for an unpruned search, when fewer than two candidates were
+    /// measured, or when either ranking is constant — the model-audit
+    /// signal behind graceful widening.
     pub rank_correlation: Option<f64>,
 }
 
@@ -384,19 +423,79 @@ impl TunedKernel {
 
     /// A one-line degradation summary, or `None` if nothing failed.
     pub fn failure_summary(&self) -> Option<String> {
-        if self.failures.is_empty() {
-            return None;
-        }
-        let (r, p, t) = count_reasons(&self.failures);
-        Some(format!(
-            "{} candidate(s) failed: {r} verify-rejected, {p} panicked, {t} timed out",
-            self.failures.len()
-        ))
+        failure_summary(&self.failures)
     }
 }
 
-/// Autotuner over the tiling/unrolling space, optionally crossed with
-/// pass-order variants.
+/// Result of a program tuning run. The fields shared with [`TunedKernel`]
+/// mean the same.
+#[derive(Clone, Debug)]
+pub struct TunedProgram {
+    /// The fastest validated kernel.
+    pub kernel: Kernel,
+    /// The program after cross-statement fusion.
+    pub fused: Program,
+    /// Number of producer→consumer substitutions performed.
+    pub fusions: usize,
+    /// Its measurement.
+    pub measurement: Measurement,
+    /// The winning genome: one unroll policy per fused statement.
+    pub policies: Vec<UnrollPolicy>,
+    /// The schedule that produced the winner.
+    pub pipeline: PassPipeline,
+    /// `(genome, median cycles)` for every measured candidate.
+    pub samples: Vec<(Vec<UnrollPolicy>, u64)>,
+    /// Every candidate the search survived, with its reason.
+    pub failures: Vec<CandidateFailure>,
+    /// Candidates the static cost model pruned from the measured set.
+    pub pruned: usize,
+    /// The pruning audit's rank correlation (`None` when unpruned).
+    pub rank_correlation: Option<f64>,
+}
+
+impl TunedProgram {
+    /// A one-line degradation summary, or `None` if nothing failed.
+    pub fn failure_summary(&self) -> Option<String> {
+        failure_summary(&self.failures)
+    }
+}
+
+/// What one search found, before [`Autotuner::try_tune`] or
+/// [`Autotuner::try_tune_program`] shapes it into its result.
+struct Search {
+    kernel: Arc<Kernel>,
+    measurement: Measurement,
+    unroll: UnrollChoice,
+    pipeline: PassPipeline,
+    samples: Vec<(UnrollChoice, u64)>,
+    failures: Vec<CandidateFailure>,
+    pruned: usize,
+    rank_correlation: Option<f64>,
+}
+
+impl From<Search> for TunedKernel {
+    fn from(s: Search) -> TunedKernel {
+        TunedKernel {
+            kernel: Arc::unwrap_or_clone(s.kernel),
+            measurement: s.measurement,
+            unroll: s.unroll.policy(),
+            pipeline: s.pipeline,
+            samples: s
+                .samples
+                .into_iter()
+                .map(|(u, c)| (u.policy(), c))
+                .collect(),
+            rejected: count_reasons(&s.failures).0,
+            failures: s.failures,
+            pruned: s.pruned,
+            rank_correlation: s.rank_correlation,
+        }
+    }
+}
+
+/// The autotuner: searches unrolling decisions (kernel-wide for a BLAC,
+/// per fused statement for a program), optionally crossed with pass-order
+/// variants.
 #[derive(Clone, Debug)]
 pub struct Autotuner {
     cfg: CompileConfig,
@@ -408,6 +507,8 @@ pub struct Autotuner {
     /// Pass schedules to search over; empty = unrolling-only search under
     /// the config's own pipeline.
     pipelines: Vec<PassPipeline>,
+    /// Mixed genomes a program tune samples beyond the diagonal.
+    mixed_samples: usize,
     budget: TuneBudget,
     faults: FaultPlan,
     prune: PrunePolicy,
@@ -418,7 +519,8 @@ pub struct Autotuner {
 
 impl Autotuner {
     /// Autotuner with the paper's defaults: random search, sample size 10,
-    /// minimizing cycles. Runs single-threaded and uncached; see
+    /// minimizing cycles; a program tune adds 16 mixed genomes to the
+    /// diagonal. Runs single-threaded and uncached; see
     /// [`Self::with_threads`] and [`Self::with_cache`]. Fault injection is
     /// read from `LGEN_FAULTS` (none when unset), like `LGEN_VERIFY`.
     pub fn new(cfg: CompileConfig) -> Self {
@@ -430,6 +532,7 @@ impl Autotuner {
             threads: 1,
             cache: None,
             pipelines: Vec::new(),
+            mixed_samples: 16,
             budget: TuneBudget::default(),
             faults: FaultPlan::from_env(),
             prune: PrunePolicy::Off,
@@ -502,6 +605,14 @@ impl Autotuner {
         self
     }
 
+    /// Overrides how many mixed (non-diagonal) genomes a program tune
+    /// samples (default 16).
+    #[must_use]
+    pub fn with_mixed_samples(mut self, n: usize) -> Self {
+        self.mixed_samples = n;
+        self
+    }
+
     /// Sets a per-candidate deadline: a candidate still compiling,
     /// validating, or measuring when it expires is abandoned and counted
     /// as timed out instead of stalling the search.
@@ -519,13 +630,6 @@ impl Autotuner {
         self
     }
 
-    /// Sets both time limits at once.
-    #[must_use]
-    pub fn with_tune_budget(mut self, budget: TuneBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Overrides the fault-injection plan (normally read from
     /// `LGEN_FAULTS`). Fault indices address the candidate list the
     /// strategy evaluates: for `Exhaustive`/`Random` the sampled list in
@@ -538,20 +642,12 @@ impl Autotuner {
         self
     }
 
-    /// Enables pass-order search: the unrolling space is crossed with
-    /// [`Self::pipeline_space`] built from the config's own schedule, and
-    /// each candidate compiles under its own [`PassPipeline`].
+    /// Enables pass-order search: the unrolling decisions are crossed
+    /// with [`Self::pipeline_space`] built from the config's own schedule,
+    /// and each candidate compiles under its own [`PassPipeline`].
     #[must_use]
     pub fn with_pipeline_search(mut self) -> Self {
         self.pipelines = Self::pipeline_space(&self.cfg.pipeline);
-        self
-    }
-
-    /// Pass-order search over an explicit list of schedules (each must
-    /// already have been validated by [`PassPipeline::parse`]).
-    #[must_use]
-    pub fn with_pipelines(mut self, pipelines: Vec<PassPipeline>) -> Self {
-        self.pipelines = pipelines;
         self
     }
 
@@ -593,18 +689,43 @@ impl Autotuner {
         space
     }
 
-    /// The candidate list the configured strategy will evaluate (the whole
-    /// space for `Exhaustive`, a seeded shuffle prefix for `Random`). With
-    /// pass-order search on, the unrolling space is crossed with the
-    /// schedule space.
-    fn candidates(&self) -> Vec<Candidate> {
-        let unrolls = Self::search_space();
+    /// A program tune's decisions for a fused form of `statements`
+    /// statements: the diagonal of [`Self::search_space`] (every statement
+    /// under one policy), then seeded mixed genomes, deduplicated. A
+    /// one-statement program gets exactly the diagonal.
+    fn genomes(&self, statements: usize) -> Vec<UnrollChoice> {
+        let space = Self::search_space();
+        let mut genomes: Vec<Vec<UnrollPolicy>> =
+            space.iter().map(|&p| vec![p; statements]).collect();
+        if statements > 1 {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            for _ in 0..self.mixed_samples {
+                let g: Vec<UnrollPolicy> = (0..statements)
+                    .map(|_| space[rng.gen_range(0..space.len())])
+                    .collect();
+                if !genomes.contains(&g) {
+                    genomes.push(g);
+                }
+            }
+        }
+        genomes.into_iter().map(UnrollChoice::Statements).collect()
+    }
+
+    /// The candidate list the configured strategy will evaluate: the
+    /// decisions (crossed with the schedule space when pass-order search
+    /// is on), whole for `Exhaustive`, a seeded shuffle prefix for
+    /// `Random`.
+    fn candidates(&self, unrolls: Vec<UnrollChoice>) -> Vec<Candidate> {
         let mut space: Vec<Candidate> = if self.pipelines.is_empty() {
             unrolls.into_iter().map(|u| (u, None)).collect()
         } else {
             unrolls
                 .into_iter()
-                .flat_map(|u| self.pipelines.iter().map(move |p| (u, Some(p.clone()))))
+                .flat_map(|u| {
+                    self.pipelines
+                        .iter()
+                        .map(move |p| (u.clone(), Some(p.clone())))
+                })
                 .collect()
         };
         match self.strategy {
@@ -618,19 +739,43 @@ impl Autotuner {
         }
     }
 
-    /// The config a candidate compiles under.
-    fn candidate_cfg(&self, candidate: &Candidate) -> CompileConfig {
-        let cfg = self.cfg.clone().with_unroll(candidate.0);
-        match &candidate.1 {
-            Some(p) => cfg.with_passes(p.clone()),
-            None => cfg,
+    /// Compiles a candidate under its schedule, with a kernel-wide
+    /// decision as the config's unroll policy and a genome passed on:
+    /// through `cache` when given (reporting which tier served it), else
+    /// directly.
+    fn compile(
+        &self,
+        subject: &Subject,
+        candidate: &Candidate,
+        cache: Option<&KernelCache>,
+    ) -> Result<(Arc<Kernel>, Option<CompileOutcome>), VerifyFailure> {
+        let (program, name) = (&subject.program, subject.name.as_str());
+        let mut cfg = self.cfg.clone();
+        if let Some(p) = &candidate.1 {
+            cfg.pipeline = p.clone();
+        }
+        let genome = match &candidate.0 {
+            UnrollChoice::Kernel(u) => {
+                cfg.unroll = *u;
+                None
+            }
+            UnrollChoice::Statements(g) => Some(g.as_slice()),
+        };
+        match cache {
+            Some(cache) => cache
+                .try_get_or_compile_program_outcome(program, name, &cfg, genome)
+                .map(|(k, outcome)| (k, Some(outcome))),
+            None => Ok((
+                compile_with(program, name, &cfg, genome, None, None, None)?.kernel,
+                None,
+            )),
         }
     }
 
     /// Evaluates one candidate: compile (through the shared cache when one
     /// is attached), statically verify when `cfg.verify` is enabled,
-    /// validate against the naive reference (§5.1.4) in a run that also
-    /// warms the simulated cache, measure once on that cache. Fully
+    /// validate against the reference (§5.1.4) in a run that also warms
+    /// the simulated cache, measure once on that cache. Fully
     /// deterministic: safe to run from any worker thread. Returns `Err`
     /// when the candidate fails verification — the tuner skips it instead
     /// of measuring garbage.
@@ -647,7 +792,6 @@ impl Autotuner {
     fn evaluate(
         &self,
         subject: &Subject,
-        name: &str,
         index: usize,
         candidate: &Candidate,
         deadline: Option<Instant>,
@@ -655,9 +799,9 @@ impl Autotuner {
     ) -> Result<Eval, VerifyFailure> {
         let mut span = lgen_telemetry::span("candidate");
         if span.is_recording() {
-            span.attr("kernel", name);
+            span.attr("kernel", subject.name.as_str());
             span.attr("index", index);
-            span.attr("unroll", format!("{:?}", candidate.0));
+            span.attr("unroll", candidate.0.to_string());
             if let Some(p) = &candidate.1 {
                 span.attr("pipeline", p.to_spec());
             }
@@ -666,7 +810,7 @@ impl Autotuner {
         // Outcome tagging: `ok`/`rejected` on return; a panicking or
         // deadline-abandoned candidate unwinds through the guard, which
         // marks the span `panicked=true` on drop.
-        let result = self.evaluate_body(subject, name, index, candidate, deadline, memo, &mut span);
+        let result = self.evaluate_body(subject, index, candidate, deadline, memo, &mut span);
         if span.is_recording() {
             span.attr("outcome", if result.is_ok() { "ok" } else { "rejected" });
         }
@@ -675,11 +819,9 @@ impl Autotuner {
 
     /// The compile → verify → validate → measure chain behind the
     /// telemetry shell of [`evaluate`](Self::evaluate).
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_body(
         &self,
         subject: &Subject,
-        name: &str,
         index: usize,
         candidate: &Candidate,
         deadline: Option<Instant>,
@@ -699,34 +841,26 @@ impl Autotuner {
             // before compiling (and caching) work nobody will collect.
             panic!("candidate {index} abandoned at its deadline");
         }
-        let (blac, program) = (&subject.blac, &subject.program);
-        let cfg = self.candidate_cfg(candidate);
         let kernel = if corrupt {
             // Injected corrupt C-IR compiles *outside* the shared cache:
             // a corrupt kernel must never be able to poison it.
-            let mut k = try_compile_program(program, name, &cfg)?.kernel;
+            let mut k = Arc::unwrap_or_clone(self.compile(subject, candidate, None)?.0);
             corrupt_kernel(&mut k);
             Arc::new(k)
         } else {
-            match &self.cache {
-                Some(cache) => {
-                    let (kernel, outcome) =
-                        cache.try_get_or_compile_program_outcome(program, name, &cfg, None)?;
-                    if span.is_recording() {
-                        let hit = outcome.is_cache_hit();
-                        span.attr("cache", if hit { "hit" } else { "miss" });
-                    }
-                    kernel
-                }
-                None => Arc::new(try_compile_program(program, name, &cfg)?.kernel),
+            let (kernel, outcome) = self.compile(subject, candidate, self.cache.as_deref())?;
+            if let (true, Some(outcome)) = (span.is_recording(), outcome) {
+                let hit = outcome.is_cache_hit();
+                span.attr("cache", if hit { "hit" } else { "miss" });
             }
+            kernel
         };
         // A candidate whose compile collapsed to an already-evaluated
         // kernel (same `Arc` via the cache's compile memo) reuses that
         // evaluation wholesale — verify, numeric validation, and
-        // measurement are all deterministic functions of (BLAC, kernel),
-        // and only fully successful evaluations are memoized.
-        let memo_key = (Arc::as_ptr(&kernel) as usize, blac.fingerprint());
+        // measurement are all deterministic functions of (program,
+        // kernel), and only fully successful evaluations are memoized.
+        let memo_key = (Arc::as_ptr(&kernel) as usize, subject.fingerprint);
         if let Some(eval) = memo.lock().get(&memo_key).cloned() {
             if span.is_recording() {
                 span.attr("eval", "memo");
@@ -736,7 +870,7 @@ impl Autotuner {
         // Re-check cache-served kernels too: a seeded/stale entry must not
         // slip past the verification gate just because it skipped the
         // pipeline's boundary checks.
-        if cfg.verify.is_enabled() || corrupt {
+        if self.cfg.verify.is_enabled() || corrupt {
             let diagnostics = verify_kernel(&kernel);
             if !diagnostics.is_empty() {
                 if let Some(cache) = &self.cache {
@@ -754,8 +888,8 @@ impl Autotuner {
             .unwrap_or_else(|e| panic!("candidate failed to execute: {e}"));
         let diff = run.diff();
         assert!(
-            diff < tolerance(blac.flops()),
-            "candidate {:?} numerically wrong: {diff}",
+            diff < tolerance(subject.program.flops()),
+            "candidate {} numerically wrong: {diff}",
             candidate.0
         );
         if expired() {
@@ -768,22 +902,19 @@ impl Autotuner {
         Ok((kernel, m))
     }
 
-    /// Evaluates `(fault index, candidate)` pairs on the isolating worker
-    /// pool: panics contained, per-candidate deadline enforced, claims
-    /// stopped once the budget (counted from `start`) is spent.
+    /// Evaluates `(subject, fault index, candidate)` jobs on the isolating
+    /// worker pool: panics contained, per-candidate deadline enforced,
+    /// claims stopped once the budget (counted from `start`) is spent.
+    /// Outcomes are in job order.
     fn eval_outcomes(
         &self,
-        subject: &Arc<Subject>,
-        name: &str,
-        indexed: Vec<(usize, Candidate)>,
+        jobs: Vec<(Arc<Subject>, usize, Candidate)>,
         start: Instant,
         memo: &Arc<EvalMemo>,
     ) -> Vec<JobOutcome<Eval>> {
-        let n = indexed.len();
+        let n = jobs.len();
         let ctx = Arc::new(self.clone());
-        let subject = subject.clone();
-        let name: Arc<str> = Arc::from(name);
-        let indexed = Arc::new(indexed);
+        let jobs = Arc::new(jobs);
         let memo = memo.clone();
         let total = self.budget.total;
         let stop = move || total.is_some_and(|b| start.elapsed() >= b);
@@ -792,9 +923,9 @@ impl Autotuner {
             self.threads,
             self.budget.deadline,
             &stop,
-            Arc::new(move |i, deadline| {
-                let (index, candidate) = &indexed[i];
-                ctx.evaluate(&subject, &name, *index, candidate, deadline, &memo)
+            Arc::new(move |i: usize, deadline| {
+                let (subject, index, candidate) = &jobs[i];
+                ctx.evaluate(subject, *index, candidate, deadline, &memo)
             }),
         )
     }
@@ -808,23 +939,20 @@ impl Autotuner {
         candidate: &Candidate,
         reason: FailReason,
     ) {
-        match &self.cache {
-            // The cache's counters mirror into the metrics registry.
-            Some(cache) => match reason {
-                FailReason::Panicked(_) => cache.record_tune_panic(),
-                FailReason::TimedOut => cache.record_tune_timeout(),
-                FailReason::Rejected(_) => {}
-            },
-            None => match reason {
-                FailReason::Panicked(_) => {
-                    lgen_telemetry::metric_counter!("lgen.tune.panics").inc()
-                }
-                FailReason::TimedOut => lgen_telemetry::metric_counter!("lgen.tune.timeouts").inc(),
-                FailReason::Rejected(_) => {}
-            },
+        // The cache's counters mirror into the metrics registry.
+        match (&reason, &self.cache) {
+            (FailReason::Panicked(_), Some(cache)) => cache.record_tune_panic(),
+            (FailReason::Panicked(_), None) => {
+                lgen_telemetry::metric_counter!("lgen.tune.panics").inc()
+            }
+            (FailReason::TimedOut, Some(cache)) => cache.record_tune_timeout(),
+            (FailReason::TimedOut, None) => {
+                lgen_telemetry::metric_counter!("lgen.tune.timeouts").inc()
+            }
+            (FailReason::Rejected(_), _) => {}
         }
         failures.push(CandidateFailure {
-            unroll: candidate.0,
+            unroll: candidate.0.clone(),
             pipeline: candidate.1.clone(),
             reason,
         });
@@ -833,7 +961,9 @@ impl Autotuner {
     /// Reduces evaluated candidates to the winner, scanning in candidate
     /// order with a strict `<`: the first best wins, independent of which
     /// worker finished when. Failed candidates are recorded and excluded
-    /// from `samples`.
+    /// from `samples`; a `None` slot is a candidate the static model
+    /// pruned away — never measured, not a failure, and never eligible to
+    /// win.
     ///
     /// # Errors
     ///
@@ -841,20 +971,9 @@ impl Autotuner {
     fn reduce(
         &self,
         candidates: &[Candidate],
-        outcomes: Vec<JobOutcome<Eval>>,
-    ) -> Result<TunedKernel, TuneError> {
-        self.reduce_slots(candidates, outcomes.into_iter().map(Some).collect(), None)
-    }
-
-    /// [`reduce`](Self::reduce) over a sparse outcome list: a `None` slot
-    /// is a candidate the static model pruned away — never measured, not
-    /// a failure, and never eligible to win.
-    fn reduce_slots(
-        &self,
-        candidates: &[Candidate],
-        slots: Vec<Option<JobOutcome<Eval>>>,
+        slots: impl IntoIterator<Item = Option<JobOutcome<Eval>>>,
         rank_correlation: Option<f64>,
-    ) -> Result<TunedKernel, TuneError> {
+    ) -> Result<Search, TuneError> {
         let mut evaluated: Vec<(&Candidate, Arc<Kernel>, Measurement)> = Vec::new();
         let mut failures = Vec::new();
         let mut pruned = 0usize;
@@ -865,15 +984,9 @@ impl Autotuner {
                 continue;
             };
             attempted += 1;
-            match outcome {
-                JobOutcome::Ok((k, m)) => evaluated.push((c, k, m)),
-                JobOutcome::Rejected(v) => {
-                    self.record_failure(&mut failures, c, FailReason::Rejected(v))
-                }
-                JobOutcome::Panicked(msg) => {
-                    self.record_failure(&mut failures, c, FailReason::Panicked(msg))
-                }
-                JobOutcome::TimedOut => self.record_failure(&mut failures, c, FailReason::TimedOut),
+            match outcome_to_result(outcome) {
+                Ok((k, m)) => evaluated.push((c, k, m)),
+                Err(reason) => self.record_failure(&mut failures, c, reason),
             }
         }
         if evaluated.is_empty() {
@@ -882,25 +995,26 @@ impl Autotuner {
                 failures,
             });
         }
-        let samples: Vec<(UnrollPolicy, u64)> =
-            evaluated.iter().map(|(c, _, m)| (c.0, m.cycles)).collect();
+        let samples = evaluated
+            .iter()
+            .map(|(c, _, m)| (c.0.clone(), m.cycles))
+            .collect();
         let mut best = 0;
         for i in 1..evaluated.len() {
             if self.objective.score(&evaluated[i].2) < self.objective.score(&evaluated[best].2) {
                 best = i;
             }
         }
-        let (candidate, kernel, measurement) = &evaluated[best];
-        Ok(TunedKernel {
-            kernel: (**kernel).clone(),
-            measurement: *measurement,
-            unroll: candidate.0,
+        let (candidate, kernel, measurement) = evaluated.swap_remove(best);
+        Ok(Search {
+            kernel,
+            measurement,
+            unroll: candidate.0.clone(),
             pipeline: candidate
                 .1
                 .clone()
                 .unwrap_or_else(|| self.cfg.pipeline.clone()),
             samples,
-            rejected: count_reasons(&failures).0,
             failures,
             pruned,
             rank_correlation,
@@ -924,18 +1038,13 @@ impl Autotuner {
     /// `0` — the *best* score — so it is always measured and its real
     /// failure recorded by the normal evaluation path, keeping parity
     /// with the unpruned search.
-    fn static_scores(&self, program: &Program, name: &str, candidates: &[Candidate]) -> Vec<u128> {
+    fn static_scores(&self, subject: &Subject, candidates: &[Candidate]) -> Vec<u128> {
         candidates
             .iter()
             .map(|candidate| {
-                let cfg = self.candidate_cfg(candidate);
                 catch_unwind(AssertUnwindSafe(|| {
-                    let kernel = match &self.cache {
-                        Some(cache) => cache
-                            .try_get_or_compile_program(program, name, &cfg, None)
-                            .ok()?,
-                        None => Arc::new(try_compile_program(program, name, &cfg).ok()?.kernel),
-                    };
+                    let cache = self.cache.as_deref();
+                    let (kernel, _) = self.compile(subject, candidate, cache).ok()?;
                     Some(self.static_score(&analyze_kernel(&kernel, self.cfg.arch)))
                 }))
                 .ok()
@@ -961,13 +1070,12 @@ impl Autotuner {
     fn tune_pruned(
         &self,
         subject: &Arc<Subject>,
-        name: &str,
         candidates: &[Candidate],
         start: Instant,
         memo: &Arc<EvalMemo>,
-    ) -> Result<TunedKernel, TuneError> {
+    ) -> Result<Search, TuneError> {
         let n = candidates.len();
-        let scores = self.static_scores(&subject.program, name, candidates);
+        let scores = self.static_scores(subject, candidates);
         // Stable static ranking: model score first, candidate index as the
         // deterministic tie-break.
         let mut ranked: Vec<usize> = (0..n).collect();
@@ -980,13 +1088,10 @@ impl Autotuner {
             let mut batch: Vec<usize> = ranked[taken..(taken + tranche).min(n)].to_vec();
             taken += batch.len();
             batch.sort_unstable();
-            let outcomes = self.eval_outcomes(
-                subject,
-                name,
-                batch.iter().map(|&i| (i, candidates[i].clone())).collect(),
-                start,
-                memo,
-            );
+            let jobs = batch
+                .iter()
+                .map(|&i| (subject.clone(), i, candidates[i].clone()));
+            let outcomes = self.eval_outcomes(jobs.collect(), start, memo);
             for (&i, outcome) in batch.iter().zip(outcomes) {
                 slots[i] = Some(outcome);
             }
@@ -1023,7 +1128,48 @@ impl Autotuner {
             // Gauges are integral; store the audit in milli-units (ρ·1000).
             lgen_telemetry::gauge("lgen.tune.rank_correlation_milli").set((rho * 1000.0) as i64);
         }
-        self.reduce_slots(candidates, slots, correlation)
+        self.reduce(candidates, slots, correlation)
+    }
+
+    /// Searches `unrolls` for `program` per the configured strategy,
+    /// objective and pruning: `Guided` climbs the first
+    /// [`search_space`](Self::search_space) positions, the other
+    /// strategies evaluate [`candidates`](Self::candidates) on the
+    /// isolating worker pool. Records the `tune` span and
+    /// `lgen.tune.wall_us`.
+    fn search(
+        &self,
+        program: Program,
+        name: &str,
+        unrolls: Vec<UnrollChoice>,
+    ) -> Result<Search, TuneError> {
+        let t = Instant::now();
+        let mut span = lgen_telemetry::span("tune");
+        if span.is_recording() {
+            span.attr("kernel", name);
+        }
+        let subject = Subject::new(program, name);
+        let result = if self.strategy == SearchStrategy::Guided {
+            let climbed = &unrolls[..Self::search_space().len()];
+            self.tune_guided_over_pipelines(&subject, climbed)
+        } else {
+            let candidates = self.candidates(unrolls);
+            let memo = Arc::new(EvalMemo::default());
+            if self.prune.is_off() {
+                let jobs = candidates.iter().enumerate();
+                let jobs = jobs.map(|(i, c)| (subject.clone(), i, c.clone())).collect();
+                let outcomes = self.eval_outcomes(jobs, Instant::now(), &memo);
+                self.reduce(&candidates, outcomes.into_iter().map(Some), None)
+            } else {
+                self.tune_pruned(&subject, &candidates, Instant::now(), &memo)
+            }
+        };
+        lgen_telemetry::metric_histogram!("lgen.tune.wall_us")
+            .record(t.elapsed().as_micros() as u64);
+        if span.is_recording() {
+            span.attr("ok", result.is_ok());
+        }
+        result
     }
 
     /// Tunes `blac` per the configured strategy and objective, returning
@@ -1036,31 +1182,9 @@ impl Autotuner {
     /// [`TuneError::AllCandidatesFailed`] if every candidate panicked,
     /// timed out, or was verify-rejected.
     pub fn try_tune(&self, blac: &Blac, name: &str) -> Result<TunedKernel, TuneError> {
-        let t = Instant::now();
-        let mut span = lgen_telemetry::span("tune");
-        if span.is_recording() {
-            span.attr("kernel", name);
-        }
-        let subject = Subject::new(blac);
-        let result = if self.strategy == SearchStrategy::Guided {
-            self.tune_guided_over_pipelines(&subject, name)
-        } else {
-            let candidates = self.candidates();
-            let memo = Arc::new(EvalMemo::default());
-            if self.prune.is_off() {
-                let indexed = candidates.iter().cloned().enumerate().collect();
-                let outcomes = self.eval_outcomes(&subject, name, indexed, Instant::now(), &memo);
-                self.reduce(&candidates, outcomes)
-            } else {
-                self.tune_pruned(&subject, name, &candidates, Instant::now(), &memo)
-            }
-        };
-        lgen_telemetry::metric_histogram!("lgen.tune.wall_us")
-            .record(t.elapsed().as_micros() as u64);
-        if span.is_recording() {
-            span.attr("ok", result.is_ok());
-        }
-        result
+        let unrolls = Self::search_space().into_iter().map(UnrollChoice::Kernel);
+        self.search(Program::from(blac), name, unrolls.collect())
+            .map(TunedKernel::from)
     }
 
     /// [`try_tune`](Self::try_tune) that panics when every candidate
@@ -1071,6 +1195,47 @@ impl Autotuner {
     /// Panics on [`TuneError`].
     pub fn tune(&self, blac: &Blac, name: &str) -> TunedKernel {
         self.try_tune(blac, name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Tunes `program` jointly: §5.1.5's feedback loop with the candidate
+    /// widened from one unroll decision to one per fused statement (see
+    /// [`lgen_sigma::fuse_program`]). Everything else — strategy,
+    /// objective, pruning, isolation, deadlines, faults — is
+    /// [`try_tune`](Self::try_tune)'s; a one-statement program searches
+    /// the same policies as its BLAC, each as a one-policy genome.
+    ///
+    /// # Errors
+    ///
+    /// [`TuneError::AllCandidatesFailed`] if every candidate panicked,
+    /// timed out, or was verify-rejected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program does not validate.
+    pub fn try_tune_program(
+        &self,
+        program: &Program,
+        name: &str,
+    ) -> Result<TunedProgram, TuneError> {
+        let (fused, fusions) = lgen_sigma::fuse_program(program);
+        let genomes = self.genomes(fused.statements.len());
+        let s = self.search(program.clone(), name, genomes)?;
+        Ok(TunedProgram {
+            kernel: Arc::unwrap_or_clone(s.kernel),
+            fused,
+            fusions,
+            measurement: s.measurement,
+            policies: s.unroll.genome(),
+            pipeline: s.pipeline,
+            samples: s
+                .samples
+                .into_iter()
+                .map(|(u, c)| (u.genome(), c))
+                .collect(),
+            failures: s.failures,
+            pruned: s.pruned,
+            rank_correlation: s.rank_correlation,
+        })
     }
 
     /// Tunes a batch of BLACs over one worker pool (and one cache, when
@@ -1100,33 +1265,24 @@ impl Autotuner {
         if span.is_recording() {
             span.attr("jobs", jobs.len());
         }
-        let candidates = self.candidates();
+        let unrolls = Self::search_space().into_iter().map(UnrollChoice::Kernel);
+        let candidates = self.candidates(unrolls.collect());
         let per = candidates.len();
-        let n = jobs.len() * per;
-        let ctx = Arc::new(self.clone());
-        let subjects: Arc<Vec<(Arc<Subject>, String)>> = Arc::new(
-            jobs.iter()
-                .map(|(blac, name)| (Subject::new(blac), name.clone()))
-                .collect(),
-        );
-        let cands = Arc::new(candidates.clone());
+        let mut grid = Vec::with_capacity(jobs.len() * per);
+        for (blac, name) in jobs {
+            let subject = Subject::new(Program::from(blac), name);
+            for (i, c) in candidates.iter().enumerate() {
+                grid.push((subject.clone(), i, c.clone()));
+            }
+        }
         let memo = Arc::new(EvalMemo::default());
-        let total = self.budget.total;
-        let stop = move || total.is_some_and(|b| start.elapsed() >= b);
-        let outcomes = run_outcomes(
-            n,
-            self.threads,
-            self.budget.deadline,
-            &stop,
-            Arc::new(move |i, deadline| {
-                let job: &(Arc<Subject>, String) = &subjects[i / per];
-                ctx.evaluate(&job.0, &job.1, i % per, &cands[i % per], deadline, &memo)
-            }),
-        );
-        let mut outcomes = outcomes.into_iter();
+        let mut outcomes = self.eval_outcomes(grid, start, &memo).into_iter();
         let results: Vec<Result<TunedKernel, TuneError>> = jobs
             .iter()
-            .map(|_| self.reduce(&candidates, outcomes.by_ref().take(per).collect()))
+            .map(|_| {
+                let slots = outcomes.by_ref().take(per).map(Some);
+                self.reduce(&candidates, slots, None).map(TunedKernel::from)
+            })
             .collect();
         lgen_telemetry::metric_histogram!("lgen.tune.wall_us")
             .record(start.elapsed().as_micros() as u64);
@@ -1147,25 +1303,27 @@ impl Autotuner {
             .collect()
     }
 
-    /// Guided search across schedules: one hill climb over the unrolling
-    /// space per candidate pipeline (just the config's own when pass-order
-    /// search is off), keeping the first best under a strict `<`. The
-    /// winner aggregates the failures of every climb.
+    /// Guided search across schedules: one hill climb over `space` per
+    /// candidate pipeline (just the config's own when pass-order search
+    /// is off), keeping the first best under a strict `<`. The winner
+    /// aggregates the failures of every climb.
     fn tune_guided_over_pipelines(
         &self,
         subject: &Arc<Subject>,
-        name: &str,
-    ) -> Result<TunedKernel, TuneError> {
+        space: &[UnrollChoice],
+    ) -> Result<Search, TuneError> {
         let start = Instant::now();
         let memo = Arc::new(EvalMemo::default());
-        if self.pipelines.is_empty() {
-            return self.tune_guided(subject, name, &Self::search_space(), None, start, &memo);
-        }
-        let mut best: Option<TunedKernel> = None;
+        let pipelines: Vec<Option<&PassPipeline>> = if self.pipelines.is_empty() {
+            vec![None]
+        } else {
+            self.pipelines.iter().map(Some).collect()
+        };
+        let mut best: Option<Search> = None;
         let mut all_failures = Vec::new();
         let mut attempted = 0;
-        for p in &self.pipelines {
-            match self.tune_guided(subject, name, &Self::search_space(), Some(p), start, &memo) {
+        for p in pipelines {
+            match self.tune_guided(subject, space, p, start, &memo) {
                 Ok(t) => {
                     all_failures.extend(t.failures.iter().cloned());
                     if best
@@ -1187,7 +1345,6 @@ impl Autotuner {
         match best {
             Some(mut t) => {
                 t.failures = all_failures;
-                t.rejected = count_reasons(&t.failures).0;
                 Ok(t)
             }
             None => Err(TuneError::AllCandidatesFailed {
@@ -1199,61 +1356,59 @@ impl Autotuner {
 
     /// Guided search: probe a few structurally diverse seeds (no unrolling,
     /// a mid-size full unroll, the maximal full unroll, the maximal factor
-    /// unroll), then hill-climb from the best seed. The seed probes run on
+    /// unroll), then hill-climb from the best seed. `space` runs parallel
+    /// to [`search_space`](Self::search_space). The seed probes run on
     /// the worker pool; the climb itself is inherently sequential but
     /// evaluates both neighbours of the current point in parallel. Fault
     /// indices address positions in `space`.
     fn tune_guided(
         &self,
         subject: &Arc<Subject>,
-        name: &str,
-        space: &[UnrollPolicy],
+        space: &[UnrollChoice],
         pipeline: Option<&PassPipeline>,
         start: Instant,
         memo: &Arc<EvalMemo>,
-    ) -> Result<TunedKernel, TuneError> {
-        let cand = |u: UnrollPolicy| (u, pipeline.cloned());
+    ) -> Result<Search, TuneError> {
+        let cand = |i: usize| (space[i].clone(), pipeline.cloned());
+        let eval = |indices: &[usize]| {
+            let jobs = indices.iter().map(|&i| (subject.clone(), i, cand(i)));
+            self.eval_outcomes(jobs.collect(), start, memo)
+        };
         let mut samples = Vec::new();
         let mut failures = Vec::new();
         let mut attempted = 0usize;
         let mut evaluated = vec![false; space.len()];
         // Seed indices are derived from the space's structure so the probe
         // set stays meaningful if the space grows.
-        let full_at = |pick: fn(&[usize]) -> usize| {
-            let fulls: Vec<usize> = (0..space.len())
-                .filter(|&i| matches!(space[i], UnrollPolicy::Full { .. }))
-                .collect();
-            pick(&fulls)
-        };
+        let fulls: Vec<usize> = Self::search_space()
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| matches!(u, UnrollPolicy::Full { .. }))
+            .map(|(i, _)| i)
+            .collect();
         let mut seeds = vec![
-            0,                               // UnrollPolicy::None
-            full_at(|f| f[f.len() / 2]),     // a mid-size full unroll
-            full_at(|f| *f.last().unwrap()), // the largest full unroll
-            space.len() - 1,                 // the largest factor unroll
+            0,                      // UnrollPolicy::None
+            fulls[fulls.len() / 2], // a mid-size full unroll
+            *fulls.last().unwrap(), // the largest full unroll
+            space.len() - 1,        // the largest factor unroll
         ];
         seeds.dedup();
         for &si in &seeds {
             evaluated[si] = true;
         }
         attempted += seeds.len();
-        let probes = self.eval_outcomes(
-            subject,
-            name,
-            seeds.iter().map(|&si| (si, cand(space[si]))).collect(),
-            start,
-            memo,
-        );
+        let probes = eval(&seeds);
         let mut idx = seeds[0];
         let mut best: Option<Eval> = None;
         for (&si, probe) in seeds.iter().zip(probes) {
             let (k, m) = match outcome_to_result(probe) {
                 Ok(r) => r,
                 Err(reason) => {
-                    self.record_failure(&mut failures, &cand(space[si]), reason);
+                    self.record_failure(&mut failures, &cand(si), reason);
                     continue;
                 }
             };
-            samples.push((space[si], m.cycles));
+            samples.push((space[si].clone(), m.cycles));
             if best
                 .as_ref()
                 .is_none_or(|(_, bm)| self.objective.score(&m) < self.objective.score(bm))
@@ -1276,23 +1431,17 @@ impl Autotuner {
             for &n in &neighbours {
                 evaluated[n] = true;
             }
-            let evals = self.eval_outcomes(
-                subject,
-                name,
-                neighbours.iter().map(|&n| (n, cand(space[n]))).collect(),
-                start,
-                memo,
-            );
+            let evals = eval(&neighbours);
             let mut improved = false;
             for (&next, eval) in neighbours.iter().zip(evals) {
                 let (k, m) = match outcome_to_result(eval) {
                     Ok(r) => r,
                     Err(reason) => {
-                        self.record_failure(&mut failures, &cand(space[next]), reason);
+                        self.record_failure(&mut failures, &cand(next), reason);
                         continue;
                     }
                 };
-                samples.push((space[next], m.cycles));
+                samples.push((space[next].clone(), m.cycles));
                 if self.objective.score(&m) < self.objective.score(&best_m) {
                     best_k = k;
                     best_m = m;
@@ -1307,17 +1456,16 @@ impl Autotuner {
         let unroll = samples
             .iter()
             .find(|(_, c)| *c == best_m.cycles)
-            .map(|(u, _)| *u)
+            .map(|(u, _)| u.clone())
             .expect("best was sampled");
-        Ok(TunedKernel {
-            kernel: (*best_k).clone(),
+        Ok(Search {
+            kernel: best_k,
             measurement: best_m,
             unroll,
             pipeline: pipeline
                 .cloned()
                 .unwrap_or_else(|| self.cfg.pipeline.clone()),
             samples,
-            rejected: count_reasons(&failures).0,
             failures,
             pruned: 0,
             rank_correlation: None,
@@ -1388,7 +1536,17 @@ mod tests {
     use crate::pipeline::compile;
     use lgen_cir::VerifyLevel;
     use lgen_isa::Microarch;
-    use lgen_ll::paper;
+    use lgen_ll::{paper, parse_program};
+
+    fn kalman_predict() -> Program {
+        parse_program(
+            "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
+             x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
+             P_next = matrix(4, 4)\n\
+             x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;",
+        )
+        .unwrap()
+    }
 
     #[test]
     fn exhaustive_search_is_at_least_as_good_as_random() {
@@ -1491,22 +1649,32 @@ mod tests {
     #[test]
     fn winner_is_identical_for_any_thread_count() {
         // The determinism guarantee: 1 thread and 8 threads pick
-        // byte-identical winners over a GEMV/GEMM suite, samples included.
+        // byte-identical winners over a GEMV/GEMM suite, samples included,
+        // and 1, 2 and 8 threads over the Kalman program's genomes.
         let suite = [paper::gemv(4, 32), paper::gemm(4, 8, 8), paper::mvm(4, 48)];
         let cfg = CompileConfig::full(Microarch::Atom);
+        let tuner = |threads| {
+            Autotuner::new(cfg.clone())
+                .with_sample_size(16)
+                .with_threads(threads)
+        };
         for blac in &suite {
-            let seq = Autotuner::new(cfg.clone())
-                .with_sample_size(16)
-                .with_threads(1)
-                .tune(blac, "k");
-            let par = Autotuner::new(cfg.clone())
-                .with_sample_size(16)
-                .with_threads(8)
-                .tune(blac, "k");
+            let seq = tuner(1).tune(blac, "k");
+            let par = tuner(8).tune(blac, "k");
             assert_eq!(seq.unroll, par.unroll);
             assert_eq!(seq.samples, par.samples);
             assert_eq!(seq.measurement, par.measurement);
             assert_eq!(seq.kernel, par.kernel, "winning kernels must be identical");
+        }
+        let program = kalman_predict();
+        let seq = tuner(1).try_tune_program(&program, "kp").unwrap();
+        assert_eq!(seq.samples.len(), 16);
+        for threads in [2, 8] {
+            let par = tuner(threads).try_tune_program(&program, "kp").unwrap();
+            assert_eq!(seq.policies, par.policies, "{threads} threads");
+            assert_eq!(seq.samples, par.samples, "{threads} threads");
+            assert_eq!(seq.measurement, par.measurement, "{threads} threads");
+            assert_eq!(seq.kernel, par.kernel, "{threads} threads");
         }
     }
 
@@ -1733,6 +1901,7 @@ mod tests {
             .with_threads(4);
         let off = base.clone().tune(&blac, "k");
         let inf = base
+            .clone()
             .with_prune(PrunePolicy::TopK(usize::MAX))
             .tune(&blac, "k");
         assert_eq!(off.unroll, inf.unroll);
@@ -1740,6 +1909,21 @@ mod tests {
         assert_eq!(off.measurement, inf.measurement);
         assert_eq!(off.kernel, inf.kernel);
         assert_eq!(inf.pruned, 0);
+        assert!(inf.rank_correlation.is_some());
+
+        // The same parity for a program's genomes.
+        let program = kalman_predict();
+        let off = base.clone().try_tune_program(&program, "kp").unwrap();
+        let inf = base
+            .with_prune(PrunePolicy::TopK(usize::MAX))
+            .try_tune_program(&program, "kp")
+            .unwrap();
+        assert_eq!(off.policies, inf.policies);
+        assert_eq!(off.samples, inf.samples);
+        assert_eq!(off.measurement, inf.measurement);
+        assert_eq!(off.kernel, inf.kernel);
+        assert_eq!(inf.pruned, 0);
+        assert!(off.rank_correlation.is_none(), "no audit without pruning");
         assert!(inf.rank_correlation.is_some());
     }
 
@@ -1794,11 +1978,30 @@ mod tests {
         let base = Autotuner::new(cfg).with_strategy(SearchStrategy::Exhaustive);
         let full = base.clone().tune(&blac, "k");
         let widened = base
+            .clone()
             .with_prune(PrunePolicy::TopK(10))
             .with_audit_threshold(2.0)
             .tune(&blac, "k");
         assert_eq!(widened.pruned, 0);
         assert_eq!(widened.samples, full.samples);
         assert_eq!(widened.unroll, full.unroll);
+
+        // A pruned program tune widens the same way: the default
+        // threshold trusts the model and skips genomes, the hostile one
+        // ends at full measurement. (Kalman on Atom: the statically best
+        // genomes measure one cycle count up to the 24th, so ρ is defined
+        // only from a tranche of 24 on.)
+        let program = kalman_predict();
+        let full = base.clone().try_tune_program(&program, "kp").unwrap();
+        let pruned = base.clone().with_prune(PrunePolicy::TopK(24));
+        let trusted = pruned.clone().try_tune_program(&program, "kp").unwrap();
+        assert!(trusted.pruned > 0);
+        let widened = pruned
+            .with_audit_threshold(2.0)
+            .try_tune_program(&program, "kp")
+            .unwrap();
+        assert_eq!(widened.pruned, 0);
+        assert_eq!(widened.samples, full.samples);
+        assert_eq!(widened.policies, full.policies);
     }
 }

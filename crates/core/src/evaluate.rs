@@ -1,4 +1,4 @@
-//! Candidate evaluation for the autotuners: validate, then measure.
+//! Candidate evaluation for the autotuner: validate, then measure.
 //!
 //! An [`Evaluator`] is built once per tune from the program under tuning
 //! (a BLAC through `Program::from`). It holds the seeded test data and the
@@ -16,10 +16,10 @@
 //! the data (see `lgen_machine::measure`), so the measurement equals
 //! [`measure_blac`](crate::measure_blac) with all-zero offsets and
 //! [`measure_program`](crate::measure_program), and the difference equals
-//! [`check_kernel`](crate::check_kernel)'s and
-//! [`check_program`](crate::check_program)'s for the validation seed
-//! (11, the seed the tuners have always validated on). `check_program`
-//! is this evaluator's validation run without a trace consumer.
+//! [`check_program`]'s (and so [`check_kernel`](crate::check_kernel)'s)
+//! for the validation seed (11, the seed the tuners have always
+//! validated on). `check_program` is this evaluator's validation run
+//! without a trace consumer.
 
 use crate::program::program_test_values;
 use lgen_cir::{run_kernel, ExecError, Kernel, MemLayout};
@@ -52,7 +52,7 @@ impl Evaluator {
 
     /// [`new`](Self::new) on the test data of `seed` (as
     /// [`program_test_values`] builds it).
-    pub(crate) fn seeded(program: &Program, seed: u64) -> Self {
+    fn seeded(program: &Program, seed: u64) -> Self {
         let values = program_test_values(program, seed);
         let expected = eval_program_reference(program, &values);
         let params = |(i, _): &(usize, _)| !program.temps[*i];
@@ -92,13 +92,6 @@ impl Evaluator {
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f32::max);
         Ok((bufs, diff))
-    }
-
-    /// The largest absolute difference from the reference of `kernel`
-    /// lowered to `isa`, with no trace consumer.
-    pub(crate) fn check(&self, kernel: &Kernel, isa: VectorIsa) -> Result<f32, ExecError> {
-        let layout = MemLayout::aligned(kernel);
-        Ok(self.run(kernel, &layout, isa, &mut NullSink)?.1)
     }
 
     /// The validation run: executes `kernel` on the test data, warming a
@@ -141,6 +134,26 @@ impl Evaluator {
         let diff = run.diff();
         Ok((diff, run.measure()?))
     }
+}
+
+/// Validates a program kernel against the statement-by-statement reference
+/// composition ([`eval_program_reference`]) on deterministic structured
+/// data: an [`Evaluator`]'s validation run on the data of `seed`, without
+/// a trace consumer. Returns the maximum absolute difference over the
+/// non-temporary operands.
+///
+/// # Errors
+///
+/// Propagates [`ExecError`] from the interpreter.
+pub fn check_program(
+    program: &Program,
+    kernel: &Kernel,
+    isa: VectorIsa,
+    seed: u64,
+) -> Result<f32, ExecError> {
+    let layout = MemLayout::aligned(kernel);
+    let run = Evaluator::seeded(program, seed).run(kernel, &layout, isa, &mut NullSink);
+    Ok(run?.1)
 }
 
 /// A kernel after its validation run, holding the simulator whose cache
@@ -186,7 +199,7 @@ mod tests {
     use crate::config::{CompileConfig, Variant};
     use crate::exec::{check_kernel, measure_blac, tolerance};
     use crate::pipeline::compile;
-    use crate::program::{check_program, compile_program, measure_program};
+    use crate::program::{compile_program, measure_program};
     use lgen_ll::{paper, parse_program, Blac};
 
     /// The paper's BLAC families at a micro and a leftover size.

@@ -1,11 +1,12 @@
 //! Execution and measurement helpers shared by tests, examples, and the
 //! experiment drivers.
 
+use crate::evaluate::check_program;
 use lgen_cir::{run_kernel, ExecError, Kernel, MemLayout};
 use lgen_isa::inst::NullSink;
 use lgen_isa::Microarch;
-use lgen_ll::reference::{eval_reference, max_abs_diff, test_data_for, MatrixValue};
-use lgen_ll::Blac;
+use lgen_ll::reference::{test_data_for, MatrixValue};
+use lgen_ll::{Blac, Program};
 use lgen_machine::{measure_protocol, Measurement};
 
 /// Runs a compiled kernel on explicit operand values and returns the output
@@ -38,8 +39,9 @@ pub fn run_blac_kernel(
 }
 
 /// Validates a kernel against the naive reference on deterministic
-/// pseudo-random data (the §5.1.4 correctness check). Returns the maximum
-/// absolute difference.
+/// pseudo-random data (the §5.1.4 correctness check): [`check_program`]
+/// on the BLAC's one-statement program. Returns the maximum absolute
+/// difference.
 ///
 /// # Errors
 ///
@@ -50,15 +52,7 @@ pub fn check_kernel(
     isa: lgen_isa::VectorIsa,
     seed: u64,
 ) -> Result<f32, ExecError> {
-    let values: Vec<MatrixValue> = blac
-        .operands
-        .iter()
-        .enumerate()
-        .map(|(i, op)| test_data_for(op, seed + i as u64))
-        .collect();
-    let expected = eval_reference(blac, &values);
-    let got = run_blac_kernel(blac, kernel, isa, &values)?;
-    Ok(max_abs_diff(&got, &expected))
+    check_program(&Program::from(blac), kernel, isa, seed)
 }
 
 /// Acceptable numeric tolerance for a BLAC of the given flop count

@@ -35,12 +35,12 @@ pub mod program;
 
 pub use autotune::{
     spearman, Autotuner, CandidateFailure, FailReason, Objective, PrunePolicy, SearchStrategy,
-    TuneBudget, TuneError, TunedKernel,
+    TuneBudget, TuneError, TunedKernel, TunedProgram, UnrollChoice,
 };
 pub use cache::{CacheSnapshot, CacheStats, CompileOutcome, KernelCache, ProgramCacheKey};
 pub use coalesce::Coalescer;
 pub use config::{CompileConfig, Variant};
-pub use evaluate::{Evaluator, Validated};
+pub use evaluate::{check_program, Evaluator, Validated};
 pub use exec::{check_kernel, measure_blac, run_blac_kernel};
 pub use fault::{parse_duration, FaultKind, FaultPlan};
 pub use lgen_cir::passes::UnrollDecision;
@@ -50,6 +50,6 @@ pub use persist::{stable_fingerprint, DiskCache, DiskStats, StableHasher};
 pub use pipeline::{compile, compile_many, try_compile};
 pub use pool::{effective_threads, JobOutcome};
 pub use program::{
-    check_program, compile_program, measure_program, program_test_values, run_program_kernel,
-    try_compile_program, try_compile_program_with, CompiledProgram, ProgramTuner, TunedProgram,
+    compile_program, measure_program, program_test_values, run_program_kernel, try_compile_program,
+    try_compile_program_with, CompiledProgram, ProgramTuner,
 };

@@ -1,24 +1,24 @@
-//! Whole-program compilation, execution, and joint autotuning.
+//! Whole-program compilation and execution.
 //!
 //! Every compile runs the one path in [`crate::pipeline`]; this module
 //! holds its program-level entry points — cross-statement fusion happens
 //! in `lgen-sigma` ([`lgen_sigma::compile_program`]) and the pass manager
 //! then optimizes the single fused kernel — plus program execution and
-//! the joint autotuner, which searches per-statement unroll policies: one
-//! genome assigns each fused statement its own policy, applied to that
-//! statement's instruction range before the rest of the schedule runs.
+//! measurement. A compile may carry a per-statement unroll genome: one
+//! policy per fused statement, applied to that statement's instruction
+//! range before the rest of the schedule runs. Programs tune on the one
+//! tuner, [`Autotuner::try_tune_program`]; [`ProgramTuner`] is its old
+//! builder.
 //!
 //! Peeling and alignment versioning version the whole kernel on one
 //! BLAC's parameter alignment classes, so they apply only to a program
 //! that is a single BLAC (one statement, no temporaries); other programs
 //! compile without them.
 
+use crate::autotune::{Autotuner, PrunePolicy, SearchStrategy, TunedProgram};
 use crate::cache::KernelCache;
 use crate::config::CompileConfig;
-use crate::evaluate::Evaluator;
-use crate::exec::tolerance;
 use crate::pipeline::compile_with;
-use lgen_analysis::analyze_kernel;
 use lgen_cir::passes::{PassStats, PassTrace, UnrollPolicy};
 use lgen_cir::{run_kernel, ExecError, Kernel, MemLayout, VerifyFailure};
 use lgen_isa::inst::NullSink;
@@ -26,10 +26,7 @@ use lgen_isa::Microarch;
 use lgen_ll::reference::{test_data_for, MatrixValue};
 use lgen_ll::Program;
 use lgen_machine::{measure_protocol, Measurement};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A compiled program: the optimized fused kernel plus the fusion record.
 #[derive(Clone, Debug)]
@@ -165,24 +162,6 @@ pub fn run_program_kernel(
     Ok(out)
 }
 
-/// Validates a program kernel against the statement-by-statement reference
-/// composition ([`eval_program_reference`](lgen_ll::eval_program_reference))
-/// on deterministic structured data: an [`Evaluator`]'s validation run on
-/// the data of `seed`. Returns the maximum absolute difference over the
-/// non-temporary operands.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from the interpreter.
-pub fn check_program(
-    program: &Program,
-    kernel: &Kernel,
-    isa: lgen_isa::VectorIsa,
-    seed: u64,
-) -> Result<f32, ExecError> {
-    Evaluator::seeded(program, seed).check(kernel, isa)
-}
-
 /// Measures a compiled program kernel on `arch` with deterministic
 /// structured test data (aligned layout, one buffer per non-temporary
 /// operand).
@@ -208,223 +187,58 @@ pub fn measure_program(
     measure_protocol(kernel, &mut refs, &layout, arch, reps)
 }
 
-/// Result of a joint program tuning run.
-#[derive(Clone, Debug)]
-pub struct TunedProgram {
-    /// The fastest validated kernel.
-    pub kernel: Kernel,
-    /// The program after cross-statement fusion.
-    pub fused: Program,
-    /// Number of producer→consumer substitutions performed.
-    pub fusions: usize,
-    /// Its measurement.
-    pub measurement: Measurement,
-    /// The winning genome: one unroll policy per fused statement.
-    pub policies: Vec<UnrollPolicy>,
-    /// `(genome, median cycles)` for every measured candidate.
-    pub samples: Vec<(Vec<UnrollPolicy>, u64)>,
-    /// Candidates the static cost model pruned from the measured set.
-    pub pruned: usize,
-    /// Spearman rank correlation between predicted and measured cycles
-    /// over the measured set (`None` below two measured candidates or for
-    /// constant rankings).
-    pub rank_correlation: Option<f64>,
-}
-
-/// The joint program autotuner: searches per-statement unroll genomes for
-/// one fused kernel (§5.1.5's feedback loop with the candidate widened
-/// from a single unroll decision to a decision *vector*).
+/// The historical builder of program tunes: an [`Autotuner`] preset to
+/// exhaustive search (on one worker, 16 mixed genomes, seed `0x5EED`,
+/// cycles, as every `Autotuner` starts), whose [`tune`](Self::tune) is
+/// [`Autotuner::try_tune_program`].
 ///
-/// The genome space is the diagonal of [`crate::Autotuner::search_space`]
-/// (every statement under the same policy — exactly the single-BLAC space
-/// when the fused program has one statement) plus a seeded sample of mixed
-/// genomes. Evaluation is compile (through the shared cache's program
-/// memo when attached) → validate and measure through one
-/// [`Evaluator`] per tune, the one the [`crate::Autotuner`] uses; the
-/// reduction keeps the first best under a strict `<`, so the result is
-/// deterministic per seed.
+/// It holds no logic of its own. It stays only because the benchmark calls
+/// this API, and goes the next time the benchmark changes; other callers
+/// use [`Autotuner::try_tune_program`].
 #[derive(Clone, Debug)]
-pub struct ProgramTuner {
-    cfg: CompileConfig,
-    mixed_samples: usize,
-    seed: u64,
-    prune: crate::autotune::PrunePolicy,
-    cache: Option<Arc<KernelCache>>,
-}
+pub struct ProgramTuner(Autotuner);
 
 impl ProgramTuner {
-    /// A tuner with the paper's defaults: the diagonal genome space plus
-    /// 16 mixed samples, minimizing cycles.
+    /// A tuner with the defaults above.
     pub fn new(cfg: CompileConfig) -> Self {
-        ProgramTuner {
-            cfg,
-            mixed_samples: 16,
-            seed: 0x5EED,
-            prune: crate::autotune::PrunePolicy::Off,
-            cache: None,
-        }
+        ProgramTuner(Autotuner::new(cfg).with_strategy(SearchStrategy::Exhaustive))
     }
 
-    /// Overrides how many mixed (non-diagonal) genomes are sampled.
+    /// [`Autotuner::with_mixed_samples`].
     #[must_use]
-    pub fn with_mixed_samples(mut self, n: usize) -> Self {
-        self.mixed_samples = n;
-        self
+    pub fn with_mixed_samples(self, n: usize) -> Self {
+        ProgramTuner(self.0.with_mixed_samples(n))
     }
 
-    /// Overrides the RNG seed for mixed-genome sampling.
+    /// [`Autotuner::with_cache`].
     #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn with_cache(self, cache: Arc<KernelCache>) -> Self {
+        ProgramTuner(self.0.with_cache(cache))
     }
 
-    /// Shares a kernel cache: genomes recompiling the same fused kernel
-    /// (and repeated tunes) skip fusion, codegen, and the pass pipeline.
+    /// [`Autotuner::with_prune`].
     #[must_use]
-    pub fn with_cache(mut self, cache: Arc<KernelCache>) -> Self {
-        self.cache = Some(cache);
-        self
+    pub fn with_prune(self, prune: PrunePolicy) -> Self {
+        ProgramTuner(self.0.with_prune(prune))
     }
 
-    /// Sets model-guided pruning: rank every genome with the static cost
-    /// predictor and simulate only the best
-    /// [`survivors`](crate::autotune::PrunePolicy::survivors).
-    #[must_use]
-    pub fn with_prune(mut self, prune: crate::autotune::PrunePolicy) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// The genome list for a program whose fused form has `nstmt`
-    /// statements: the diagonal of the single-BLAC space, then seeded
-    /// mixed genomes (deduplicated; a one-statement program gets exactly
-    /// the single-BLAC space).
-    fn genomes(&self, nstmt: usize) -> Vec<Vec<UnrollPolicy>> {
-        let space = crate::autotune::Autotuner::search_space();
-        let mut genomes: Vec<Vec<UnrollPolicy>> = space.iter().map(|&p| vec![p; nstmt]).collect();
-        if nstmt > 1 {
-            let mut rng = StdRng::seed_from_u64(self.seed);
-            for _ in 0..self.mixed_samples {
-                let g: Vec<UnrollPolicy> = (0..nstmt)
-                    .map(|_| space[rng.gen_range(0..space.len())])
-                    .collect();
-                if !genomes.contains(&g) {
-                    genomes.push(g);
-                }
-            }
-        }
-        genomes
-    }
-
-    fn compile_genome(
-        &self,
-        program: &Program,
-        name: &str,
-        genome: &[UnrollPolicy],
-    ) -> Result<Arc<Kernel>, VerifyFailure> {
-        match &self.cache {
-            Some(cache) => cache.try_get_or_compile_program(program, name, &self.cfg, Some(genome)),
-            None => compile_with(program, name, &self.cfg, Some(genome), None, None, None)
-                .map(|c| c.kernel),
-        }
-    }
-
-    /// Tunes `program`, returning the best validated genome's kernel.
+    /// [`Autotuner::try_tune_program`].
     ///
     /// # Panics
     ///
-    /// Panics if the program does not validate, a candidate fails numeric
-    /// validation, or every candidate fails to compile.
+    /// Panics if the program does not validate or every candidate fails.
     pub fn tune(&self, program: &Program, name: &str) -> TunedProgram {
-        let t = Instant::now();
-        let mut span = lgen_telemetry::span("tune");
-        if span.is_recording() {
-            span.attr("kernel", name);
-            span.attr("statements", program.statements.len());
-        }
-        let (fused, fusions) = lgen_sigma::fuse_program(program);
-        let genomes = self.genomes(fused.statements.len());
-        lgen_telemetry::counter("lgen.tune.program.candidates").add(genomes.len() as u64);
-
-        // Static ranking (model-guided pruning): compile everything (cheap
-        // and memoized), predict, keep the best K for simulation.
-        let survivors = self.prune.survivors(genomes.len());
-        let measured_idx: Vec<usize> = if survivors >= genomes.len() {
-            (0..genomes.len()).collect()
-        } else {
-            let scores: Vec<u128> = genomes
-                .iter()
-                .map(|g| match self.compile_genome(program, name, g) {
-                    Ok(k) => analyze_kernel(&k, self.cfg.arch).predicted_cycles() as u128,
-                    Err(_) => 0, // always measured; real failure surfaces there
-                })
-                .collect();
-            let mut ranked: Vec<usize> = (0..genomes.len()).collect();
-            ranked.sort_by_key(|&i| (scores[i], i));
-            let mut keep: Vec<usize> = ranked.into_iter().take(survivors).collect();
-            keep.sort_unstable();
-            keep
-        };
-        let pruned = genomes.len() - measured_idx.len();
-        if let Some(cache) = &self.cache {
-            cache.record_tune_pruned(pruned as u64);
-        }
-
-        let evaluator = Evaluator::new(program);
-        let mut samples = Vec::new();
-        let mut evaluated: Vec<(usize, Arc<Kernel>, Measurement)> = Vec::new();
-        let mut predicted: Vec<u128> = Vec::new();
-        for &i in &measured_idx {
-            let kernel = match self.compile_genome(program, name, &genomes[i]) {
-                Ok(k) => k,
-                Err(e) => panic!("program candidate {:?} rejected: {e}", genomes[i]),
-            };
-            let (diff, m) = evaluator
-                .evaluate(&kernel, self.cfg.arch)
-                .unwrap_or_else(|e| panic!("program candidate failed to execute: {e}"));
-            assert!(
-                diff < tolerance(program.flops()),
-                "program candidate {:?} numerically wrong: {diff}",
-                genomes[i]
-            );
-            samples.push((genomes[i].clone(), m.cycles));
-            predicted.push(analyze_kernel(&kernel, self.cfg.arch).predicted_cycles() as u128);
-            evaluated.push((i, kernel, m));
-        }
-        assert!(!evaluated.is_empty(), "no program candidate survived");
-        let measured_cycles: Vec<u128> = evaluated.iter().map(|e| e.2.cycles as u128).collect();
-        let rank_correlation = crate::autotune::spearman(&predicted, &measured_cycles);
-
-        let mut best = 0;
-        for i in 1..evaluated.len() {
-            if evaluated[i].2.cycles < evaluated[best].2.cycles {
-                best = i;
-            }
-        }
-        let (gi, kernel, measurement) = &evaluated[best];
-        lgen_telemetry::histogram("lgen.tune.program.wall_us")
-            .record(t.elapsed().as_micros() as u64);
-        if span.is_recording() {
-            span.attr("ok", true);
-        }
-        TunedProgram {
-            kernel: (**kernel).clone(),
-            fused,
-            fusions,
-            measurement: *measurement,
-            policies: genomes[*gi].clone(),
-            samples,
-            pruned,
-            rank_correlation,
-        }
+        self.0
+            .try_tune_program(program, name)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autotune::PrunePolicy;
+    use crate::evaluate::check_program;
+    use crate::exec::tolerance;
     use crate::pipeline::compile;
     use lgen_ll::parse_program;
 

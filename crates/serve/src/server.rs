@@ -38,8 +38,8 @@ use crate::proto::{read_frame, write_frame, ErrorKind, ProtoError, Request, Resp
 use crate::recorder::{CacheTier, CoalesceRole, FlightRecord, FlightRecorder};
 use crate::trace::SlowTraceLog;
 use lgen_core::{
-    stable_fingerprint, Coalescer, CompileConfig, CompileOutcome, DiskCache, FaultPlan,
-    KernelCache, ProgramTuner, PrunePolicy, Variant,
+    stable_fingerprint, Autotuner, Coalescer, CompileConfig, CompileOutcome, DiskCache, FaultPlan,
+    KernelCache, PrunePolicy, SearchStrategy, Variant,
 };
 use lgen_mediator::{AdmissionError, FairQueue};
 use lgen_telemetry::{
@@ -676,12 +676,16 @@ fn handle_compile(engine: &Arc<Engine>, req: &Request, seq: u64) -> Response {
         if tune {
             // Bounded joint genome tune (deterministic seed); the winner's
             // kernel is cached under its genome so the follow-up compile
-            // below is a memory hit.
-            let tuned = ProgramTuner::new(cfg2.clone())
+            // below is a memory hit. No candidate faults: the daemon's
+            // `LGEN_FAULTS` addresses requests, not candidates.
+            let tuned = Autotuner::new(cfg2.clone())
+                .with_strategy(SearchStrategy::Exhaustive)
                 .with_cache(cache.clone())
                 .with_mixed_samples(4)
                 .with_prune(PrunePolicy::TopK(4))
-                .tune(&program2, &name2);
+                .with_faults(FaultPlan::none())
+                .try_tune_program(&program2, &name2)
+                .map_err(|e| e.to_string())?;
             cache
                 .try_get_or_compile_program_outcome(&program2, &name2, &cfg2, Some(&tuned.policies))
                 .map_err(|e| e.to_string())

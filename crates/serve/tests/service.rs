@@ -1,12 +1,15 @@
 //! End-to-end tests for the `lgend` compile service: coalescing under
 //! concurrent identical requests, warm restarts from the persistent
-//! cache, corrupt-entry quarantine, and protocol-error containment.
+//! cache, corrupt-entry quarantine, protocol-error containment, and the
+//! `tune` verb.
 //!
 //! Each test runs its own in-process daemon on a private socket. The
 //! metrics registry is process-global, so assertions go through
 //! response headers (`outcome: ...`) and per-instance cache/disk stats,
 //! never through global counters.
 
+use lgen_core::{Autotuner, CompileConfig, FaultPlan, KernelCache, PrunePolicy, SearchStrategy};
+use lgen_isa::Microarch;
 use lgen_serve::{Client, ErrorKind, Lgend, Request, ServeConfig, Verb};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -188,6 +191,40 @@ fn protocol_and_compile_errors_do_not_wedge_the_daemon() {
     let resp = c.compile("t", "fine", MVM).unwrap();
     assert!(resp.is_ok(), "daemon wedged after errors: {:?}", resp.error);
 
+    daemon.request_shutdown();
+    daemon.join();
+}
+
+#[test]
+fn tune_returns_the_in_process_winner() {
+    // The daemon's tune verb is the one tuner at its fixed settings
+    // (exhaustive, 4 mixed genomes, top-4 pruning, Atom `full`): its reply
+    // is the C of the winner an in-process tune picks, for a program and
+    // for a single BLAC.
+    const KALMAN: &str = "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
+         x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
+         P_next = matrix(4, 4)\n\
+         x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;\n";
+    let sock = socket("tune");
+    let daemon = Lgend::start(ServeConfig::new(&sock)).unwrap();
+    let mut c = connect(&sock);
+    let cfg = CompileConfig::full(Microarch::Atom);
+    for (name, src) in [("kalman", KALMAN), ("mvm", MVM)] {
+        let resp = c
+            .request(&Request::new(Verb::Tune).with("name", name).with_body(src))
+            .unwrap();
+        assert!(resp.is_ok(), "{name}: {:?} {}", resp.error, resp.body);
+        let tuned = Autotuner::new(cfg.clone())
+            .with_strategy(SearchStrategy::Exhaustive)
+            .with_cache(std::sync::Arc::new(KernelCache::new()))
+            .with_mixed_samples(4)
+            .with_prune(PrunePolicy::TopK(4))
+            .with_faults(FaultPlan::none())
+            .try_tune_program(&lgen_ll::parse_program(src).unwrap(), name)
+            .unwrap();
+        let c_source = lgen_cir::unparse::unparse(&tuned.kernel, cfg.arch.vector_isa());
+        assert_eq!(resp.body, c_source, "{name}");
+    }
     daemon.request_shutdown();
     daemon.join();
 }

@@ -117,9 +117,11 @@ fn main() {
     // a single genome.
     println!("\njoint tuning on Intel Atom (per-statement unroll genome):");
     let t = Instant::now();
-    let tuned = ProgramTuner::new(CompileConfig::full(Microarch::Atom))
+    let tuned = Autotuner::new(CompileConfig::full(Microarch::Atom))
+        .with_strategy(lgen::core::SearchStrategy::Exhaustive)
         .with_mixed_samples(8)
-        .tune(&program, "kalman_predict");
+        .try_tune_program(&program, "kalman_predict")
+        .expect("some genome survives");
     let tune_ms = t.elapsed().as_millis();
     println!(
         "  best genome {:?}: {} cycles over {} candidates in {} ms",

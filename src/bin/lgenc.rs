@@ -27,7 +27,7 @@
 use lgen::cir::passes::UnrollPolicy;
 use lgen::core::{
     parse_duration, try_compile_program_with, KernelCache, PassStats, PassTrace, PrunePolicy,
-    SearchStrategy, VerifyFailure, VerifyLevel,
+    SearchStrategy, TuneError, VerifyFailure, VerifyLevel,
 };
 use lgen::prelude::*;
 use std::sync::Arc;
@@ -49,9 +49,7 @@ fn usage() -> ! {
          \x20 --print-after-all   dump the IR after codegen and after every pass (stderr)\n\
          \x20 --tune              autotune the unrolling decision (for programs: jointly\n\
          \x20                     search one unroll policy per statement)\n\
-         \x20 --tune-passes       also search over pass schedules (implies --tune;\n\
-         \x20                     single-kernel only — ignored with a warning for\n\
-         \x20                     multi-statement programs)\n\
+         \x20 --tune-passes       also search over pass schedules (implies --tune)\n\
          \x20 --peel              peel to an aligned loop body with scalar head/tail\n\
          \x20                     (single-kernel transform; warned about and ignored\n\
          \x20                     when the input is a multi-statement program)\n\
@@ -315,6 +313,45 @@ fn main() {
     }
 }
 
+/// The one tuner both paths run, configured from the tuning flags; extra
+/// `--tune-sweeps` re-run it against the same, now warm, kernel cache.
+fn tuner(cfg: &CompileConfig, o: &Opts, cache: &Arc<KernelCache>) -> Autotuner {
+    let mut tuner = Autotuner::new(cfg.clone())
+        .with_strategy(SearchStrategy::Exhaustive)
+        .with_threads(o.threads)
+        .with_cache(cache.clone());
+    if o.tune_passes {
+        tuner = tuner.with_pipeline_search();
+    }
+    if let Some(d) = o.tune_deadline {
+        tuner = tuner.with_deadline(d);
+    }
+    if let Some(b) = o.tune_budget {
+        tuner = tuner.with_budget(b);
+    }
+    if !o.prune.is_off() {
+        tuner = tuner.with_prune(o.prune);
+    }
+    tuner
+}
+
+/// Prints the pruning line of a pruned tune.
+fn report_pruning(o: &Opts, pruned: usize, rank_correlation: Option<f64>) {
+    if !o.prune.is_off() {
+        eprintln!(
+            "lgenc: pruning ({}): {pruned} candidate(s) skipped, rank correlation {}",
+            o.prune,
+            rank_correlation.map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
+        );
+    }
+}
+
+/// Reports an all-candidates-failed tune and exits.
+fn tuning_failed(e: &TuneError) -> ! {
+    eprintln!("lgenc: tuning failed: {e}");
+    std::process::exit(1);
+}
+
 /// The original single-BLAC path: compile or autotune one kernel,
 /// validate it, measure it, return it.
 fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
@@ -336,28 +373,9 @@ fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
         // (memoized) tuning throughput, not just the cold first pass.
         let mut last = None;
         for _ in 0..o.tune_sweeps {
-            let mut tuner = Autotuner::new(cfg.clone())
-                .with_strategy(SearchStrategy::Exhaustive)
-                .with_threads(o.threads)
-                .with_cache(cache.clone());
-            if o.tune_passes {
-                tuner = tuner.with_pipeline_search();
-            }
-            if let Some(d) = o.tune_deadline {
-                tuner = tuner.with_deadline(d);
-            }
-            if let Some(b) = o.tune_budget {
-                tuner = tuner.with_budget(b);
-            }
-            if !o.prune.is_off() {
-                tuner = tuner.with_prune(o.prune);
-            }
-            match tuner.try_tune(blac, "kernel") {
+            match tuner(cfg, o, &cache).try_tune(blac, "kernel") {
                 Ok(tuned) => last = Some(tuned),
-                Err(e) => {
-                    eprintln!("lgenc: tuning failed: {e}");
-                    std::process::exit(1);
-                }
+                Err(e) => tuning_failed(&e),
             }
         }
         let tuned = last.expect("at least one tuning sweep");
@@ -371,16 +389,7 @@ fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
         if let Some(summary) = tuned.failure_summary() {
             eprintln!("lgenc: {summary}");
         }
-        if !o.prune.is_off() {
-            eprintln!(
-                "lgenc: pruning ({}): {} candidate(s) skipped, rank correlation {}",
-                o.prune,
-                tuned.pruned,
-                tuned
-                    .rank_correlation
-                    .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
-            );
-        }
+        report_pruning(o, tuned.pruned, tuned.rank_correlation);
         if o.print_after_all {
             // Replay the winning compile with tracing on (outside the
             // cache, so snapshots reflect every pass).
@@ -445,9 +454,6 @@ fn run_program(program: &Program, mut cfg: CompileConfig, o: &Opts) -> lgen::cir
         cfg.peeling = false;
         cfg.alignment_versioning = false;
     }
-    if o.tune_passes {
-        eprintln!("lgenc: --tune-passes is not supported for programs; tuning unroll genomes only");
-    }
     eprintln!(
         "lgenc: program of {} statement(s) ({} flops) for {target}, passes \"{}\"",
         program.statements.len(),
@@ -456,36 +462,29 @@ fn run_program(program: &Program, mut cfg: CompileConfig, o: &Opts) -> lgen::cir
     );
     let cache = Arc::new(KernelCache::new());
     let (kernel, fusions) = if o.tune {
-        // Sweeps re-run the identical joint search against the warm
-        // program cache, mirroring the single-BLAC path.
         let mut last = None;
         for _ in 0..o.tune_sweeps {
-            let mut tuner = ProgramTuner::new(cfg.clone()).with_cache(cache.clone());
-            if !o.prune.is_off() {
-                tuner = tuner.with_prune(o.prune);
+            match tuner(&cfg, o, &cache).try_tune_program(program, "kernel") {
+                Ok(tuned) => last = Some(tuned),
+                Err(e) => tuning_failed(&e),
             }
-            last = Some(tuner.tune(program, "kernel"));
         }
         let tuned = last.expect("at least one tuning sweep");
         eprintln!(
-            "lgenc: autotuned to {:?} ({} cycles over {} candidates)",
+            "lgenc: autotuned to {:?} under \"{}\" ({} cycles over {} candidates)",
             tuned.policies,
+            tuned.pipeline,
             tuned.measurement.cycles,
             tuned.samples.len()
         );
-        if !o.prune.is_off() {
-            eprintln!(
-                "lgenc: pruning ({}): {} candidate(s) skipped, rank correlation {}",
-                o.prune,
-                tuned.pruned,
-                tuned
-                    .rank_correlation
-                    .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
-            );
+        if let Some(summary) = tuned.failure_summary() {
+            eprintln!("lgenc: {summary}");
         }
+        report_pruning(o, tuned.pruned, tuned.rank_correlation);
         if o.print_after_all {
-            // Replay the winning genome with tracing on.
-            compile_traced(program, &cfg, Some(&tuned.policies), None);
+            // Replay the winning genome and schedule with tracing on.
+            let winner_cfg = cfg.clone().with_passes(tuned.pipeline.clone());
+            compile_traced(program, &winner_cfg, Some(&tuned.policies), None);
         }
         (tuned.kernel, tuned.fusions)
     } else if o.print_after_all {

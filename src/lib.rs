@@ -68,8 +68,8 @@ pub mod prelude {
     pub use lgen_core::{
         check_kernel, check_program, compile, compile_program, measure_blac, measure_program,
         run_program_kernel, try_compile, try_compile_program, Autotuner, CompileConfig,
-        CompiledProgram, FaultPlan, PassPipeline, ProgramTuner, PrunePolicy, TuneBudget, TuneError,
-        TunedProgram, Variant, VerifyLevel,
+        CompiledProgram, FaultPlan, PassPipeline, PrunePolicy, TuneBudget, TuneError, TunedProgram,
+        Variant, VerifyLevel,
     };
     pub use lgen_isa::{Microarch, VectorIsa};
     pub use lgen_ll::{parse_program, Blac, BlacBuilder, Program, ProgramBuilder, Structure};

@@ -287,9 +287,9 @@ fn faulted_tune_prints_failure_summary_and_survives() {
     );
 }
 
-#[test]
-fn print_after_all_traces_every_pass_of_a_program() {
-    let path = std::env::temp_dir().join(format!("lgenc_cli_{}_kalman.ll", std::process::id()));
+/// Writes the Kalman predict program to a unique temp file.
+fn kalman_file(tag: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("lgenc_cli_{}_{tag}.ll", std::process::id()));
     std::fs::write(
         &path,
         "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
@@ -298,6 +298,40 @@ fn print_after_all_traces_every_pass_of_a_program() {
          x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;\n",
     )
     .unwrap();
+    path
+}
+
+#[test]
+fn program_tune_takes_the_tuning_flags() {
+    // Programs tune on the same tuner as single BLACs: the winner is the
+    // same at any worker count, and --tune-passes searches schedules.
+    let path = kalman_file("tune");
+    let file = path.to_str().unwrap();
+    let winner_line = |args: &[&str]| {
+        let out = lgenc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+        assert!(!stderr.contains("not supported"), "{stderr}");
+        stderr
+            .lines()
+            .find(|l| l.contains("autotuned to"))
+            .expect("winner line")
+            .to_string()
+    };
+    let one = winner_line(&[file, "--tune", "--threads", "1"]);
+    assert_eq!(one, winner_line(&[file, "--tune", "--threads", "2"]));
+    let passes = winner_line(&[file, "--tune-passes", "--threads", "2"]);
+    let cycles = |l: &str| -> u64 {
+        let tail = l.rsplit('(').next().unwrap();
+        tail.split(' ').next().unwrap().parse().unwrap()
+    };
+    assert!(cycles(&passes) <= cycles(&one), "{passes} vs {one}");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn print_after_all_traces_every_pass_of_a_program() {
+    let path = kalman_file("kalman");
     let out = lgenc(&[path.to_str().unwrap(), "--print-after-all"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");

@@ -5,7 +5,9 @@
 //! the winner under faults equals the failure-free winner restricted to
 //! the surviving candidates, for any thread count.
 
-use lgen::core::{Autotuner, FailReason, FaultPlan, KernelCache, SearchStrategy, TuneError};
+use lgen::core::{
+    Autotuner, FailReason, FaultPlan, KernelCache, SearchStrategy, TuneError, UnrollChoice,
+};
 use lgen::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -151,6 +153,88 @@ fn all_failed_is_a_typed_error_not_a_panic() {
     assert_eq!(failures.len(), *attempted);
     let msg = err.to_string();
     assert!(msg.contains("panicked"), "{msg}");
+}
+
+/// The Kalman predict step: two fused statements, so its candidates are
+/// per-statement genomes.
+fn kalman_predict() -> Program {
+    parse_program(
+        "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
+         x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
+         P_next = matrix(4, 4)\n\
+         x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;",
+    )
+    .unwrap()
+}
+
+#[test]
+fn program_tunes_contain_faulted_genomes() {
+    // A panic on a diagonal genome and corrupt C-IR on a mixed one are
+    // recorded against their genomes; the survivors still pick the clean
+    // winner restricted to them.
+    let program = kalman_predict();
+    let cfg = CompileConfig::full(Microarch::Atom);
+    let cache = Arc::new(KernelCache::new());
+    let clean = exhaustive(cfg.clone())
+        .try_tune_program(&program, "kp")
+        .unwrap();
+    let (panicked, corrupt) = (1usize, Autotuner::search_space().len() + 2);
+    assert!(corrupt < clean.samples.len(), "a mixed genome is faulted");
+    let tuned = exhaustive(cfg)
+        .with_cache(cache.clone())
+        .with_threads(2)
+        .with_faults(FaultPlan::none().panic_at(panicked).corrupt_at(corrupt))
+        .try_tune_program(&program, "kp")
+        .expect("the survivors win");
+    assert_eq!(tuned.failures.len(), 2);
+    assert!(matches!(tuned.failures[0].reason, FailReason::Panicked(_)));
+    assert!(matches!(tuned.failures[1].reason, FailReason::Rejected(_)));
+    for (failure, i) in tuned.failures.iter().zip([panicked, corrupt]) {
+        let genome = UnrollChoice::Statements(clean.samples[i].0.clone());
+        assert_eq!(failure.unroll, genome);
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.tune_panics, stats.verify_rejects), (1, 1));
+    let survivors: Vec<_> = clean
+        .samples
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| ![panicked, corrupt].contains(i))
+        .map(|(_, s)| s.clone())
+        .collect();
+    assert_eq!(tuned.samples, survivors);
+    let expected = survivors.iter().min_by_key(|(_, cycles)| *cycles).unwrap();
+    assert_eq!(
+        (&tuned.policies, tuned.measurement.cycles),
+        (&expected.0, expected.1)
+    );
+    assert!(tuned.failure_summary().unwrap().contains("1 panicked"));
+}
+
+#[test]
+fn program_tune_losing_every_genome_is_a_typed_error() {
+    let program = kalman_predict();
+    let cfg = CompileConfig::full(Microarch::Atom);
+    let genomes = exhaustive(cfg.clone())
+        .try_tune_program(&program, "kp")
+        .unwrap()
+        .samples
+        .len();
+    let mut plan = FaultPlan::none();
+    for i in 0..genomes {
+        plan = plan.panic_at(i);
+    }
+    let err = exhaustive(cfg)
+        .with_threads(2)
+        .with_faults(plan)
+        .try_tune_program(&program, "kp")
+        .expect_err("every genome panicked");
+    let TuneError::AllCandidatesFailed {
+        attempted,
+        failures,
+    } = &err;
+    assert_eq!((*attempted, failures.len()), (genomes, genomes));
+    assert!(err.to_string().contains("panicked"), "{err}");
 }
 
 #[test]

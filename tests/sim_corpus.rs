@@ -13,6 +13,7 @@ mod common;
 
 use common::{arch_name, check_digest, fnv1a, paper_families, versioning_is_small, PROGRAMS};
 use lgen::cir::{run_kernel, Kernel, MemLayout};
+use lgen::core::ProgramTuner;
 use lgen::ll::reference::test_data_for;
 use lgen::machine::Measurement;
 use lgen::prelude::*;
