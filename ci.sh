@@ -10,8 +10,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> allocation guards (compile_hot: warm unparse, one-pass DCE, candidate evaluation)"
+echo "==> allocation guards (compile_hot: warm unparse, one-pass DCE, candidate evaluation, per-kernel program tune)"
 cargo bench -q --offline -p lgen-bench --bench compile_hot
+
+echo "==> pruning economics (static_cost: analysis >=50x cheaper than one evaluation)"
+cargo bench -q --offline -p lgen-bench --bench static_cost
 
 echo "==> benchmark self-tests (release; staged and one-shot compiles emit the same C)"
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline \

@@ -1,4 +1,4 @@
-//! Static analyses over the arena C-IR: instruction mixes and cost
+//! Static analyses over the C-IR: instruction mixes and cost
 //! prediction **without executing or trace-scheduling anything**.
 //!
 //! The autotuner's per-candidate price is dominated by dynamic work —
@@ -9,7 +9,7 @@
 //! the interpreter's trace ([`lgen_cir::lower`]), and `lgen-isa` carries
 //! per-op latency/throughput ([`lgen_isa::cost`]) and energy
 //! ([`lgen_isa::energy`]) tables. This crate folds those together in one
-//! linear sweep over the arena:
+//! linear sweep over the kernel body:
 //!
 //! * [`loop_nests`] — loop-nest / static trip-count extraction;
 //! * [`MixHistogram`] — the weighted per-[`MOp`] instruction mix a kernel
@@ -29,7 +29,7 @@
 //! stays deliberately simple: warm caches, perfectly predicted branches,
 //! no issue-window effects.
 
-use lgen_cir::arena::{trip_count, AInst, Arena, BlockId};
+use lgen_cir::arena::trip_count;
 use lgen_cir::lower::{
     lower_arith, lower_load, lower_move, lower_store, LoweredOp, Slot, MAX_LOWERED_OPS,
 };
@@ -38,6 +38,40 @@ use lgen_isa::cost::cost;
 use lgen_isa::energy::{op_energy_pj, static_energy_pj_per_cycle};
 use lgen_isa::{MOp, Microarch, OpClass, VectorIsa};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hasher for the small integer keys the analysis maps by
+/// (register ids, opcode discriminants): one multiply per key instead of
+/// SipHash, which the analysis would otherwise spend most of its time in.
+#[derive(Clone, Copy, Debug, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// One loop of a kernel's (statically known) loop forest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,7 +124,7 @@ pub fn loop_nests(kernel: &Kernel) -> Vec<LoopInfo> {
 /// [`MOp`] one kernel invocation executes, predicted statically.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MixHistogram {
-    counts: HashMap<MOp, u64>,
+    counts: IntMap<MOp, u64>,
 }
 
 impl MixHistogram {
@@ -195,18 +229,16 @@ pub fn analyze_kernel(kernel: &Kernel, arch: Microarch) -> StaticCost {
     let isa = arch.vector_isa();
     let params = arch.params();
     let (version, dispatch_iaddr, dispatch_branch) = dispatched_version(kernel);
-    let (arena, root) = Arena::from_body(&kernel.versions[version].body);
 
-    let mut acc = Acc::new(params.num_ports);
-    acc.charge(arch, MOp::IAddr, dispatch_iaddr);
-    acc.charge(arch, MOp::Branch, dispatch_branch);
-    let flow = walk_block(&arena, root, isa, arch, 1, &mut acc);
+    let mut mix = MixHistogram::default();
+    charge(&mut mix, MOp::IAddr, dispatch_iaddr);
+    charge(&mut mix, MOp::Branch, dispatch_branch);
+    let flow = walk_block(&kernel.versions[version].body, isa, arch, 1, &mut mix);
 
-    let throughput = acc.throughput_bound(params.issue_width);
+    let throughput = throughput_bound(&mix, arch, params.num_ports, params.issue_width);
     let latency = flow.chain;
     let cycles = throughput.max(latency);
-    let dyn_energy: u64 = acc
-        .mix
+    let dyn_energy: u64 = mix
         .counts
         .iter()
         .map(|(op, n)| op_energy_pj(arch, *op).saturating_mul(*n))
@@ -216,7 +248,7 @@ pub fn analyze_kernel(kernel: &Kernel, arch: Microarch) -> StaticCost {
         cycles_latency_bound: latency,
         energy_pj: dyn_energy + cycles * static_energy_pj_per_cycle(arch),
         flops: kernel.flops,
-        mix: acc.mix,
+        mix,
     }
 }
 
@@ -242,66 +274,43 @@ fn dispatched_version(kernel: &Kernel) -> (usize, u64, u64) {
     (kernel.versions.len() - 1, iaddr, branch)
 }
 
-/// Weighted issue-resource accumulator for the throughput bound.
-struct Acc {
-    mix: MixHistogram,
-    /// Busy cycles per admissible-port bitmask.
-    port_work: HashMap<u8, u64>,
-    /// Busy cycles of port-blocking ops (stall every port).
-    all_work: u64,
-    /// Total predicted dynamic instructions (issue-slot bound).
-    slots: u64,
-    num_ports: u32,
+/// Charges `n` dynamic instances of `op` to the mix (a zero count adds
+/// no row).
+fn charge(mix: &mut MixHistogram, op: MOp, n: u64) {
+    if n != 0 {
+        mix.add(op, n);
+    }
 }
 
-impl Acc {
-    fn new(num_ports: u32) -> Self {
-        Acc {
-            mix: MixHistogram::default(),
-            port_work: HashMap::new(),
-            all_work: 0,
-            slots: 0,
-            num_ports,
-        }
-    }
-
-    /// Charges `n` instances of `op` to the mix and the port model.
-    fn charge(&mut self, arch: Microarch, op: MOp, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.mix.add(op, n);
-        self.slots += n;
+/// The port-contention lower bound of a predicted mix: over every
+/// non-empty port subset `S`, the work confined to `S` cannot finish
+/// faster than `⌈work(S) / |S|⌉`, and port-blocking ops serialize on
+/// top; the machine also never issues more than `issue_width` per cycle.
+fn throughput_bound(mix: &MixHistogram, arch: Microarch, num_ports: u32, issue_width: u32) -> u64 {
+    // Busy cycles per admissible-port bitmask, and of port-blocking ops
+    // (which stall every port).
+    let mut port_work: IntMap<u8, u64> = IntMap::default();
+    let mut all_work = 0u64;
+    for (&op, &n) in &mix.counts {
         let ic = cost(arch, op);
         let busy = ic.issue as u64 * n;
         if ic.ports.blocks_all() {
-            self.all_work += busy;
+            all_work += busy;
         } else {
-            *self
-                .port_work
-                .entry(ic.ports.mask(self.num_ports))
-                .or_insert(0) += busy;
+            *port_work.entry(ic.ports.mask(num_ports)).or_insert(0) += busy;
         }
     }
-
-    /// The port-contention lower bound: over every non-empty port subset
-    /// `S`, the work confined to `S` cannot finish faster than
-    /// `⌈work(S) / |S|⌉`, and port-blocking ops serialize on top; the
-    /// machine also never issues more than `issue_width` per cycle.
-    fn throughput_bound(&self, issue_width: u32) -> u64 {
-        let mut bound = div_ceil(self.slots, issue_width as u64);
-        for subset in 1u32..(1u32 << self.num_ports) {
-            let width = subset.count_ones() as u64;
-            let work: u64 = self
-                .port_work
-                .iter()
-                .filter(|(mask, _)| (**mask as u32) & !subset == 0)
-                .map(|(_, w)| *w)
-                .sum();
-            bound = bound.max(div_ceil(work, width) + self.all_work);
-        }
-        bound
+    let mut bound = div_ceil(mix.total(), issue_width as u64);
+    for subset in 1u32..(1u32 << num_ports) {
+        let width = subset.count_ones() as u64;
+        let work: u64 = port_work
+            .iter()
+            .filter(|(mask, _)| (**mask as u32) & !subset == 0)
+            .map(|(_, w)| *w)
+            .sum();
+        bound = bound.max(div_ceil(work, width) + all_work);
     }
+    bound
 }
 
 fn div_ceil(a: u64, b: u64) -> u64 {
@@ -316,10 +325,10 @@ fn div_ceil(a: u64, b: u64) -> u64 {
 struct Flow {
     /// Final result-ready times of registers written in the block,
     /// relative to block entry with all live-ins ready at 0.
-    ready: HashMap<VReg, u64>,
+    ready: IntMap<VReg, u64>,
     /// Registers read before any write in the block (loop-carried when
     /// the block is a loop body that also writes them).
-    live_in: HashSet<VReg>,
+    live_in: IntSet<VReg>,
     /// Critical-path length: the latest finish time in the block.
     chain: u64,
 }
@@ -327,8 +336,8 @@ struct Flow {
 impl Flow {
     fn new() -> Self {
         Flow {
-            ready: HashMap::new(),
-            live_in: HashSet::new(),
+            ready: IntMap::default(),
+            live_in: IntSet::default(),
             chain: 0,
         }
     }
@@ -348,73 +357,64 @@ impl Flow {
     }
 }
 
-/// Walks one arena block with a dynamic-execution `weight` (the trip
-/// product of enclosing loops), charging the mix/port accumulator and
-/// returning the block's dataflow summary.
+/// Walks one block with a dynamic-execution `weight` (the trip product
+/// of enclosing loops), charging the mix and returning the block's
+/// dataflow summary.
 fn walk_block(
-    arena: &Arena,
-    block: BlockId,
+    block: &[Inst],
     isa: VectorIsa,
     arch: Microarch,
     weight: u64,
-    acc: &mut Acc,
+    mix: &mut MixHistogram,
 ) -> Flow {
     let mut flow = Flow::new();
-    for &id in arena.block(block) {
-        match *arena.inst(id) {
-            AInst::GLoad {
-                dst,
-                addr: _,
-                arr: _,
-                map,
-                aligned,
+    for inst in block {
+        match inst {
+            Inst::GLoad {
+                dst, map, aligned, ..
             } => {
-                let seq = lower_load(isa, dst, arena.maps.get(map), aligned);
-                charge_seq(&seq, arch, weight, acc, &mut flow);
+                let seq = lower_load(isa, *dst, map, *aligned);
+                charge_seq(&seq, arch, weight, mix, &mut flow);
             }
-            AInst::GStore {
-                src,
-                addr: _,
-                arr: _,
-                map,
-                aligned,
+            Inst::GStore {
+                src, map, aligned, ..
             } => {
-                let seq = lower_store(isa, src, arena.maps.get(map), aligned);
-                charge_seq(&seq, arch, weight, acc, &mut flow);
+                let seq = lower_store(isa, *src, map, *aligned);
+                charge_seq(&seq, arch, weight, mix, &mut flow);
             }
-            AInst::Arith { op, dst, a, b } => {
+            &Inst::Arith { op, dst, a, b } => {
                 let seq = lower_arith(isa, op, dst, a, b);
-                charge_seq(&seq, arch, weight, acc, &mut flow);
+                charge_seq(&seq, arch, weight, mix, &mut flow);
             }
-            AInst::Move { op, dst, a, b } => {
+            &Inst::Move { op, dst, a, b } => {
                 let seq = lower_move(isa, op, dst, a, b);
-                charge_seq(&seq, arch, weight, acc, &mut flow);
+                charge_seq(&seq, arch, weight, mix, &mut flow);
             }
-            AInst::Overhead { kind, count } => {
+            &Inst::Overhead { kind, count } => {
                 let op = match kind {
                     OverheadKind::Addr => MOp::IAddr,
                     OverheadKind::Branch => MOp::Branch,
                     OverheadKind::Call => MOp::CallOverhead,
                 };
-                acc.charge(arch, op, weight * count as u64);
+                charge(mix, op, weight * count as u64);
             }
-            AInst::Loop {
+            Inst::Loop {
                 start,
                 end,
                 step,
                 body,
                 ..
             } => {
-                let trips = trip_count(start, end, step) as u64;
+                let trips = trip_count(*start, *end, *step) as u64;
                 if trips == 0 {
                     continue;
                 }
-                let inner = walk_block(arena, body, isa, arch, weight * trips, acc);
+                let inner = walk_block(body, isa, arch, weight * trips, mix);
                 // Loop bookkeeping, exactly as the interpreter emits it:
                 // one counter increment and one compare-and-branch per
                 // iteration.
-                acc.charge(arch, MOp::IAddr, weight * trips);
-                acc.charge(arch, MOp::Branch, weight * trips);
+                charge(mix, MOp::IAddr, weight * trips);
+                charge(mix, MOp::Branch, weight * trips);
                 // Macro-op dataflow: iterations overlap freely except
                 // along loop-carried registers (read before written in
                 // the body, e.g. accumulators), whose per-iteration
@@ -444,14 +444,19 @@ fn walk_block(
     flow
 }
 
-/// Charges one lowered sequence: every machine op goes to the mix/port
-/// accumulator, and the sequence's internal dataflow (through registers
+/// Charges one lowered sequence: every machine op goes to the mix, and the sequence's internal dataflow (through registers
 /// and sequence-local temporaries) extends the block's latency chains.
-fn charge_seq(seq: &[LoweredOp], arch: Microarch, weight: u64, acc: &mut Acc, flow: &mut Flow) {
+fn charge_seq(
+    seq: &[LoweredOp],
+    arch: Microarch,
+    weight: u64,
+    mix: &mut MixHistogram,
+    flow: &mut Flow,
+) {
     // Ready times of the sequence's temporaries (ids < MAX_LOWERED_OPS).
     let mut tmps = [0u64; MAX_LOWERED_OPS];
     for op in seq {
-        acc.charge(arch, op.op, weight);
+        charge(mix, op.op, weight);
         let start = op
             .srcs()
             .iter()

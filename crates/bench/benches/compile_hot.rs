@@ -11,11 +11,13 @@
 //! candidate, dead-code elimination allocates its tables once rather than
 //! per round, and unparsing allocates nothing at all. Evaluating a tuning
 //! candidate (validate, then measure) allocates per run, never per
-//! dynamic instruction.
+//! dynamic instruction, and a program tune runs the pass pipeline once
+//! per distinct kernel, not once per genome.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lgen_cir::arena::{dce_block, Arena};
 use lgen_cir::unparse::unparse_into;
+use lgen_cir::Kernel;
 use lgen_core::{
     compile, compile_program, try_compile, try_compile_program, Autotuner, CompileConfig,
     Evaluator, KernelCache, SearchStrategy,
@@ -258,12 +260,54 @@ fn bench_evaluate(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_program_tune(c: &mut Criterion) {
+    // An unpruned one-worker tune of Kalman predict from a fresh cache:
+    // genomes whose per-statement unroll decisions agree share one
+    // memoized kernel, so the pass pipeline (and, behind it, validation
+    // and simulation) runs once per distinct kernel, not once per genome.
+    let kalman4 = kalman(4);
+    let a9 = CompileConfig::full(Microarch::CortexA9);
+    let tune = |cache: &Arc<KernelCache>| {
+        Autotuner::new(a9.clone())
+            .with_strategy(SearchStrategy::Exhaustive)
+            .with_threads(1)
+            .with_cache(Arc::clone(cache))
+            .try_tune_program(&kalman4, "k")
+            .expect("kalman tunes")
+    };
+    let cache = Arc::new(KernelCache::new());
+    let tuned = tune(&cache);
+    let mut distinct: Vec<Arc<Kernel>> = Vec::new();
+    for (genome, _) in &tuned.samples {
+        let kernel = cache.get_or_compile_program(&kalman4, "k", &a9, Some(genome));
+        if !distinct.contains(&kernel) {
+            distinct.push(kernel);
+        }
+    }
+    let misses = cache.stats().memo_misses;
+    assert!(
+        misses <= distinct.len() as u64,
+        "tuning kalman-4-a9 over {} genomes made {misses} memo misses \
+         for {} distinct kernels",
+        tuned.samples.len(),
+        distinct.len()
+    );
+
+    let mut g = c.benchmark_group("compile-hot");
+    g.sample_size(20);
+    g.bench_function("tune/kalman-4-a9", |b| {
+        b.iter(|| black_box(tune(&Arc::new(KernelCache::new()))))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_compile_hot,
     bench_sweep_32,
     bench_cold_compile,
     bench_unparse,
-    bench_evaluate
+    bench_evaluate,
+    bench_program_tune
 );
 criterion_main!(benches);

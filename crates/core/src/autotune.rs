@@ -149,13 +149,13 @@ type Eval = (Arc<Kernel>, Measurement);
 /// Per-search evaluation memo: validated-and-measured results keyed by the
 /// kernel's allocation identity plus the program's fingerprint. The shared
 /// [`KernelCache`]'s compile memo returns the *same* `Arc` for candidates
-/// whose unroll decisions collapse to one kernel, so a sweep over N
-/// decisions with K distinct kernels validates and measures K times, not
-/// N. Sound because every evaluation stage is deterministic (the map pins
-/// its `Arc`s, so a key can never be reused by a different allocation
-/// while the search runs), and value-neutral: a memo hit returns
-/// bit-identical results, keeping the tuner's any-thread-count
-/// determinism.
+/// whose unroll decisions collapse to one kernel — kernel-wide policies
+/// and per-statement genomes alike — so a sweep over N decisions with K
+/// distinct kernels validates and measures K times, not N. Sound because
+/// every evaluation stage is deterministic (the map pins its `Arc`s, so a
+/// key can never be reused by a different allocation while the search
+/// runs), and value-neutral: a memo hit returns bit-identical results,
+/// keeping the tuner's any-thread-count determinism.
 type EvalMemo = Mutex<HashMap<(usize, u64), Eval>>;
 
 /// The program under tuning (a BLAC as its one-statement program — the
@@ -1033,19 +1033,29 @@ impl Autotuner {
 
     /// Statically scores every candidate: compile (through the shared
     /// cache when one is attached — the measurement pass then rides the
-    /// same memoized kernels) and run the `lgen-analysis` predictor.
-    /// A candidate whose compile fails or whose analysis panics scores
-    /// `0` — the *best* score — so it is always measured and its real
-    /// failure recorded by the normal evaluation path, keeping parity
-    /// with the unpruned search.
+    /// same memoized kernels) and run the `lgen-analysis` predictor once
+    /// per distinct kernel. Candidates whose compiles collapse to one
+    /// kernel (the same `Arc`, via the compile memo) share its score; the
+    /// map pins its `Arc`s, as [`EvalMemo`] does, so an address is never
+    /// reused while it is a key. A candidate whose compile fails or whose
+    /// analysis panics scores `0` — the *best* score — so it is always
+    /// measured and its real failure recorded by the normal evaluation
+    /// path, keeping parity with the unpruned search.
     fn static_scores(&self, subject: &Subject, candidates: &[Candidate]) -> Vec<u128> {
+        let mut scored: HashMap<usize, (Arc<Kernel>, u128)> = HashMap::new();
         candidates
             .iter()
             .map(|candidate| {
                 catch_unwind(AssertUnwindSafe(|| {
                     let cache = self.cache.as_deref();
                     let (kernel, _) = self.compile(subject, candidate, cache).ok()?;
-                    Some(self.static_score(&analyze_kernel(&kernel, self.cfg.arch)))
+                    let key = Arc::as_ptr(&kernel) as usize;
+                    if let Some(&(_, score)) = scored.get(&key) {
+                        return Some(score);
+                    }
+                    let score = self.static_score(&analyze_kernel(&kernel, self.cfg.arch));
+                    scored.insert(key, (kernel, score));
+                    Some(score)
                 }))
                 .ok()
                 .flatten()
@@ -1944,6 +1954,40 @@ mod tests {
                 "a healthy model should have skipped candidates"
             );
             assert!(pruned.samples.len() < full.samples.len());
+        }
+    }
+
+    #[test]
+    fn static_scores_match_each_candidates_own_analysis() {
+        // Scoring analyzes each distinct kernel once, through the shared
+        // cache; every candidate must still score what its own uncached
+        // compile scores, for BLAC policies and program genomes alike.
+        let cfg = CompileConfig::full(Microarch::CortexA9);
+        let tuner = Autotuner::new(cfg)
+            .with_strategy(SearchStrategy::Exhaustive)
+            .with_prune(PrunePolicy::TopK(4))
+            .with_cache(Arc::new(KernelCache::new()));
+        let kalman = kalman_predict();
+        let statements = lgen_sigma::fuse_program(&kalman).0.statements.len();
+        let policies = Autotuner::search_space()
+            .into_iter()
+            .map(UnrollChoice::Kernel);
+        let subjects = [
+            (
+                Subject::new(Program::from(&paper::gemv(4, 32)), "gemv"),
+                policies.collect(),
+            ),
+            (Subject::new(kalman, "kalman"), tuner.genomes(statements)),
+        ];
+        for (subject, unrolls) in subjects {
+            let candidates = tuner.candidates(unrolls);
+            let scores = tuner.static_scores(&subject, &candidates);
+            assert_eq!(scores.len(), candidates.len());
+            for (candidate, &score) in candidates.iter().zip(&scores) {
+                let (kernel, _) = tuner.compile(&subject, candidate, None).unwrap();
+                let own = tuner.static_score(&analyze_kernel(&kernel, Microarch::CortexA9));
+                assert_eq!(score, own, "{}: {}", subject.name, candidate.0);
+            }
         }
     }
 

@@ -19,10 +19,12 @@
 //!    the structural half of the optimization key.
 //! 2. **Optimization** ([`OptKey`]): the pass pipeline's output is keyed
 //!    by *(structural fingerprint × pipeline fingerprint × unroll
-//!    signature)*. The unroll signature ([`unroll_signature`]) is the
-//!    per-loop decision vector the policy would take on the lowered body —
-//!    the collapsing step that lets a sweep over 18 policies optimize each
-//!    distinct decision vector once.
+//!    signature)*. The unroll signature ([`UnrollSig`]) is the per-loop
+//!    decision vector the policy — or, for a per-statement genome, each
+//!    statement's policy on its own range — would take on the lowered
+//!    body: the collapsing step that lets a sweep over 18 policies, or
+//!    over a program's genomes, optimize each distinct decision vector
+//!    once.
 //!
 //! **Invalidation.** There is none, by construction: both memo levels key
 //! on complete, exact inputs (the program is compared structurally, the
@@ -41,6 +43,19 @@
 //! level — under `repeat(...)` (or listed twice) a later run sees loops
 //! the lowered body does not have, so the signature degrades to the exact
 //! policy (still memoizing, just without cross-policy sharing).
+//!
+//! **Soundness for genomes.** A per-statement genome is the same argument
+//! applied range by range. The memoized lowering carries the statement
+//! ranges, which partition its top-level body, and a genome compile runs
+//! the ordinary bottom-up unroll on each range under that range's policy
+//! before the rest of the schedule — which has every `unroll` step
+//! removed, so no later run sees the unrolled body. Each range's decision
+//! vector therefore determines that range's unrolled instructions, and the
+//! concatenation over the ranges (which splits back uniquely, since every
+//! range of one lowering has a fixed loop count) determines the kernel
+//! the schedule starts from. Genomes with equal concatenations share one
+//! entry whatever the schedule; they never share one with a kernel-wide
+//! policy, whose unroll runs at its place in the schedule.
 //!
 //! Eligibility ([`CompileMemo::eligible`]) excludes peeling and alignment
 //! versioning (multi-body compiles around the schedule) and any enabled
@@ -103,8 +118,12 @@ pub enum UnrollSig {
     /// body does not have, so per-loop collapsing would be unsound.
     Policy(UnrollPolicy),
     /// A joint per-statement unroll genome (whole-program tuning): the
-    /// exact policy vector, one entry per fused statement.
-    Genome(Vec<UnrollPolicy>),
+    /// post-order decision vector of each statement range under that
+    /// statement's policy, concatenated in range order — collapses genomes
+    /// that act identically on this body. A variant of its own, because a
+    /// genome unrolls before the schedule and a kernel-wide policy at its
+    /// place in it, so equal decisions need not mean equal kernels.
+    Genome(Vec<UnrollDecision>),
 }
 
 /// Identity of one optimized kernel: which lowering, which schedule, and
@@ -123,10 +142,14 @@ pub struct OptKey {
 impl OptKey {
     /// The optimization key `cfg` (and the optional joint per-statement
     /// genome) induces on a memoized lowering. With a genome the unroll
-    /// axis is the exact policy vector ([`UnrollSig::Genome`] — the
-    /// statement-range split makes per-loop collapsing across genomes
-    /// unsound to infer here); without one it is the whole-kernel
-    /// decision signature.
+    /// axis is the per-range decision vector ([`UnrollSig::Genome`]: the
+    /// decisions each statement's policy takes on its own range of the
+    /// lowered body, which the genome compile unrolls independently);
+    /// without one it is the whole-kernel decision signature.
+    ///
+    /// # Panics
+    ///
+    /// If the genome does not hold one policy per statement range.
     pub fn for_program(
         entry: &ProgramLoweredEntry,
         cfg: &CompileConfig,
@@ -138,7 +161,7 @@ impl OptKey {
             pipeline_fp: cfg.pipeline.fingerprint(),
             spec: cfg.pipeline.to_spec(),
             unroll: match policies {
-                Some(p) => UnrollSig::Genome(p.to_vec()),
+                Some(genome) => genome_signature(&entry.pk, genome),
                 None => unroll_signature(&cfg.pipeline, cfg.unroll, entry.pk.kernel.body()),
             },
         }
@@ -308,6 +331,22 @@ pub fn unroll_signature(pipeline: &PassPipeline, policy: UnrollPolicy, body: &[I
     let mut decisions = Vec::new();
     collect_decisions(body, policy, &mut decisions);
     UnrollSig::Decisions(decisions)
+}
+
+/// The unroll axis of a per-statement genome: each statement range's
+/// decisions under its own policy, concatenated (see [`UnrollSig::Genome`]).
+fn genome_signature(pk: &ProgramKernel, genome: &[UnrollPolicy]) -> UnrollSig {
+    assert_eq!(
+        genome.len(),
+        pk.stmt_ranges.len(),
+        "one unroll policy per statement range"
+    );
+    let body = pk.kernel.body();
+    let mut decisions = Vec::new();
+    for (range, &policy) in pk.stmt_ranges.iter().zip(genome) {
+        collect_decisions(&body[range.clone()], policy, &mut decisions);
+    }
+    UnrollSig::Genome(decisions)
 }
 
 /// Whether `unroll` appears at most once, directly at the top level (the

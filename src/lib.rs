@@ -14,7 +14,7 @@
 //! | [`absint`] | `lgen-absint` | abstract interpretation: Interval × Congruence reduced product |
 //! | [`isa`] | `lgen-isa` | vector ISAs, machine opcodes, per-core cost tables |
 //! | [`cir`] | `lgen-cir` | C-IR, generic loads/stores, passes, interpreter, C unparser |
-//! | [`analysis`] | `lgen-analysis` | static instruction-mix and cost prediction over the arena C-IR |
+//! | [`analysis`] | `lgen-analysis` | static instruction-mix and cost prediction over the C-IR |
 //! | [`sigma`] | `lgen-sigma` | Σ-LL, the 18 ν-BLACs, the code generator |
 //! | [`machine`] | `lgen-machine` | the microarchitecture simulator and measurement protocol |
 //! | [`core`] | `lgen-core` | compile pipeline, variants, autotuner |

@@ -1,6 +1,7 @@
 //! Integration tests for the content-addressed kernel cache and the
 //! structural BLAC identity it keys on.
 
+use lgen::cir::Kernel;
 use lgen::core::{Autotuner, KernelCache};
 use lgen::ll::blac::{Blac, Dims, Expr, OperandId};
 use lgen::prelude::*;
@@ -231,4 +232,89 @@ fn tuned_winner_survives_a_cache_round_trip() {
     assert_eq!(cached.samples, uncached.samples);
     assert_eq!(cached.kernel, uncached.kernel);
     assert!(cache.stats().misses > 0);
+}
+
+/// The Kalman predict, triangular apply and chain programs of size `n`.
+fn programs(n: usize) -> [(String, Program); 3] {
+    let m = (n / 2).max(1);
+    let sources = [
+        (
+            format!("kalman_{n}"),
+            format!(
+                "F = matrix({n}, {n})\nB = matrix({n}, {m})\nu = vector({m})\n\
+                 x = vector({n})\nx_next = vector({n})\nP = matrix({n}, {n}) symmetric\n\
+                 Q = matrix({n}, {n}) symmetric\nP_next = matrix({n}, {n})\n\
+                 x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;"
+            ),
+        ),
+        (
+            format!("triangular_{n}"),
+            format!(
+                "L = matrix({n}, {n}) triangular(lower)\nx = vector({n})\ny = vector({n})\n\
+                 t = L * x;\ny = L' * t;"
+            ),
+        ),
+        (
+            format!("chain_{n}"),
+            format!(
+                "A = matrix({n}, {n})\nx = vector({n})\ny = vector({n})\n\
+                 t = A * x;\ny = A * t;"
+            ),
+        ),
+    ];
+    sources.map(|(name, src)| (name, parse_program(&src).expect("program parses")))
+}
+
+/// Every genome of an unpruned tune of `program` (the diagonal plus the
+/// mixed samples), looked up through the tune's own cache: genomes whose
+/// per-statement decisions agree share one memoized kernel
+/// (completeness), and the shared kernel is the one that genome compiles
+/// to alone (soundness).
+fn check_genome_collapse(name: &str, program: &Program, arch: Microarch, variant: Variant) {
+    let at = format!("{name} on {arch:?} {variant:?}");
+    let cfg = &CompileConfig::variant(arch, variant);
+    let cache = Arc::new(KernelCache::new());
+    let tuned = Autotuner::new(cfg.clone())
+        .with_strategy(lgen::core::SearchStrategy::Exhaustive)
+        .with_cache(cache.clone())
+        .try_tune_program(program, name)
+        .expect("program tunes");
+    assert!(tuned.failures.is_empty(), "{at}: {:?}", tuned.failures);
+    let mut arcs: Vec<Arc<Kernel>> = Vec::new();
+    let mut kernels: Vec<Arc<Kernel>> = Vec::new();
+    for (genome, _) in &tuned.samples {
+        let served = cache.get_or_compile_program(program, name, cfg, Some(genome));
+        let alone = KernelCache::new().get_or_compile_program(program, name, cfg, Some(genome));
+        assert_eq!(
+            *served, *alone,
+            "{at}: genome {genome:?} served another kernel"
+        );
+        if !arcs.iter().any(|a| Arc::ptr_eq(a, &served)) {
+            arcs.push(served.clone());
+        }
+        if !kernels.contains(&served) {
+            kernels.push(served);
+        }
+    }
+    assert_eq!(
+        arcs.len(),
+        kernels.len(),
+        "{at}: {} genomes made {} kernels but {} memo entries",
+        tuned.samples.len(),
+        kernels.len(),
+        arcs.len()
+    );
+}
+
+#[test]
+fn program_genomes_collapse_to_their_distinct_kernels() {
+    for n in 2..=4 {
+        for (name, program) in programs(n) {
+            for arch in Microarch::EVALUATED {
+                for variant in [Variant::Base, Variant::Full] {
+                    check_genome_collapse(&name, &program, arch, variant);
+                }
+            }
+        }
+    }
 }

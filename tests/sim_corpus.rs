@@ -3,10 +3,12 @@
 //! hit/miss counts after a warm and a timed run, and the samples and
 //! winners of exhaustive tunes. The simulator is a cost model, so these
 //! numbers are part of what `lgen` reports; a change that moves one must
-//! be deliberate.
+//! be deliberate. The static predictor's output over the same kernels
+//! (`analyze_kernel`, which ranks pruned tunes) is pinned alongside.
 //!
-//! One FNV-1a line per kernel in `tests/golden/sim_corpus.digest`, so a
-//! mismatch names the kernel. To regenerate after an intentional change:
+//! One FNV-1a line per kernel in `tests/golden/sim_corpus.digest` and
+//! `tests/golden/static_cost.digest`, so a mismatch names the kernel. To
+//! regenerate after an intentional change:
 //! `LGEN_BLESS=1 cargo test --test sim_corpus`.
 
 mod common;
@@ -63,62 +65,84 @@ fn program_line(name: &str, program: &Program, kernel: &Kernel, arch: Microarch)
     line(name, m, cache_stats(kernel, arch, bufs))
 }
 
-/// The corpus: the paper BLACs at micro and leftover sizes under the base
-/// and full variants, their peeled and versioned forms, the programs, one
-/// kernel whose working set exceeds L1, and exhaustive tunes — on every
-/// evaluated core.
-fn sim_corpus() -> String {
+/// What a corpus kernel computes: the reference its measurement runs.
+enum Source<'a> {
+    Blac(&'a Blac),
+    Program(&'a Program),
+}
+
+/// Calls `visit` on every compiled kernel of the corpus on `arch`: the
+/// paper BLACs at micro and leftover sizes under the base and full
+/// variants, the programs, the peeled and versioned forms, and one kernel
+/// whose working set exceeds L1 (named `*_over_l1`).
+fn for_each_kernel(arch: Microarch, mut visit: impl FnMut(&str, Source, &Kernel)) {
     let families = paper_families();
+    for variant in [Variant::Base, Variant::Full] {
+        let tag = format!("{}_{variant:?}", arch_name(arch)).to_lowercase();
+        let cfg = CompileConfig::variant(arch, variant);
+        for (label, blac) in families.iter().flat_map(|f| &f[..2]) {
+            let name = format!("{label}_{tag}");
+            visit(&name, Source::Blac(blac), &compile(blac, &name, &cfg));
+        }
+        for (label, src) in &PROGRAMS {
+            let name = format!("{label}_{tag}");
+            let program = parse_program(src).unwrap();
+            let kernel = compile_program(&program, &name, &cfg).kernel;
+            visit(&name, Source::Program(&program), &kernel);
+        }
+    }
+    let full = CompileConfig::full(arch);
+    for (label, blac) in families.iter().map(|f| &f[1]) {
+        let name = format!("{label}_{}_peel", arch_name(arch));
+        let kernel = compile(blac, &name, &full.clone().with_peeling());
+        visit(&name, Source::Blac(blac), &kernel);
+        if versioning_is_small(blac) {
+            let name = format!("{label}_{}_valign", arch_name(arch));
+            let kernel = compile(blac, &name, &full.clone().with_versioning());
+            visit(&name, Source::Blac(blac), &kernel);
+        }
+    }
     // 40 KiB of matrix: larger than every modelled L1 (16–32 KiB), so
     // the timed run evicts.
     let over_l1 = lgen::ll::paper::gemv(64, 160);
+    let name = format!("gemv_64x160_{}_over_l1", arch_name(arch));
+    visit(
+        &name,
+        Source::Blac(&over_l1),
+        &compile(&over_l1, &name, &full),
+    );
+}
+
+/// The corpus: every kernel of [`for_each_kernel`] and exhaustive tunes —
+/// on every evaluated core.
+fn sim_corpus() -> String {
     let tuned_blacs = [
         ("gemv_5x7", lgen::ll::paper::gemv(5, 7)),
         ("mmm_3x3x3", lgen::ll::paper::mmm(3, 3, 3)),
     ];
     let mut out = String::new();
     for arch in Microarch::EVALUATED {
-        for variant in [Variant::Base, Variant::Full] {
-            let tag = format!("{}_{variant:?}", arch_name(arch)).to_lowercase();
-            let cfg = CompileConfig::variant(arch, variant);
-            for (label, blac) in families.iter().flat_map(|f| &f[..2]) {
-                let name = format!("{label}_{tag}");
-                out += &blac_line(&name, blac, &compile(blac, &name, &cfg), arch);
+        for_each_kernel(arch, |name, source, kernel| match source {
+            Source::Blac(blac) => {
+                out += &blac_line(name, blac, kernel, arch);
+                if name.ends_with("_over_l1") {
+                    let bufs = blac
+                        .operands
+                        .iter()
+                        .map(|op| test_data_for(op, 1).data)
+                        .collect();
+                    let (hits, misses) = cache_stats(kernel, arch, bufs)[1];
+                    assert!(
+                        misses > 0 && hits > 0,
+                        "{name}: the timed run must both hit and evict \
+                         ({hits} hits, {misses} misses)"
+                    );
+                }
             }
-            for (label, src) in &PROGRAMS {
-                let name = format!("{label}_{tag}");
-                let program = parse_program(src).unwrap();
-                let kernel = compile_program(&program, &name, &cfg).kernel;
-                out += &program_line(&name, &program, &kernel, arch);
-            }
-        }
-        let full = CompileConfig::full(arch);
-        for (label, blac) in families.iter().map(|f| &f[1]) {
-            let name = format!("{label}_{}_peel", arch_name(arch));
-            let kernel = compile(blac, &name, &full.clone().with_peeling());
-            out += &blac_line(&name, blac, &kernel, arch);
-            if versioning_is_small(blac) {
-                let name = format!("{label}_{}_valign", arch_name(arch));
-                let kernel = compile(blac, &name, &full.clone().with_versioning());
-                out += &blac_line(&name, blac, &kernel, arch);
-            }
-        }
-        let name = format!("gemv_64x160_{}_over_l1", arch_name(arch));
-        let (hits, misses) = {
-            let kernel = compile(&over_l1, &name, &full);
-            out += &blac_line(&name, &over_l1, &kernel, arch);
-            let bufs = over_l1
-                .operands
-                .iter()
-                .map(|op| test_data_for(op, 1).data)
-                .collect();
-            cache_stats(&kernel, arch, bufs)[1]
-        };
-        assert!(
-            misses > 0 && hits > 0,
-            "{name}: the timed run must both hit and evict ({hits} hits, {misses} misses)"
-        );
+            Source::Program(program) => out += &program_line(name, program, kernel, arch),
+        });
 
+        let full = CompileConfig::full(arch);
         for (label, blac) in &tuned_blacs {
             let tuned = Autotuner::new(full.clone())
                 .with_strategy(lgen::core::SearchStrategy::Exhaustive)
@@ -138,7 +162,33 @@ fn sim_corpus() -> String {
     out
 }
 
+/// The static prediction of every corpus kernel: both cycle bounds, the
+/// energy estimate, the flops and the sorted instruction mix.
+fn static_cost_corpus() -> String {
+    let mut out = String::new();
+    for arch in Microarch::EVALUATED {
+        for_each_kernel(arch, |name, _, kernel| {
+            let c = analyze_kernel(kernel, arch);
+            let record = format!(
+                "{} {} {} {} {:?}",
+                c.cycles_throughput_bound,
+                c.cycles_latency_bound,
+                c.energy_pj,
+                c.flops,
+                c.mix.sorted()
+            );
+            out += &format!("{name} {:016x}\n", fnv1a(record.as_bytes()));
+        });
+    }
+    out
+}
+
 #[test]
 fn golden_sim_corpus() {
     check_digest("sim_corpus.digest", &sim_corpus());
+}
+
+#[test]
+fn golden_static_cost_corpus() {
+    check_digest("static_cost.digest", &static_cost_corpus());
 }
