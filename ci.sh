@@ -56,6 +56,19 @@ if ! grep -q "memo: .* hits / .* misses" <<<"$paranoid_out"; then
     echo "$paranoid_out" >&2
     exit 1
 fi
+# The same schedule observed: the between-pass verifier and the IR trace
+# see the arena after every pass, `repeat` rounds included.
+if ! paranoid_trace=$(./target/release/lgenc "$blacfile" --verify=paranoid \
+    --passes "unroll,scalrep,repeat(copyprop,dce),align" --print-after-all 2>&1 >/dev/null); then
+    echo "error: observed paranoid lgenc run failed" >&2
+    echo "$paranoid_trace" >&2
+    exit 1
+fi
+stages=$(sed -n 's/^== IR after \(.*\) ==$/\1/p' <<<"$paranoid_trace" | paste -sd, -)
+if ! grep -Eq '^codegen,unroll,scalrep,(copyprop,dce,)+align$' <<<"$stages"; then
+    echo "error: --print-after-all stages \"$stages\" are not codegen..align with repeat rounds" >&2
+    exit 1
+fi
 
 echo "==> fault-injection suite under LGEN_VERIFY=paranoid"
 LGEN_VERIFY=paranoid cargo test -q --release --test fault_tolerance

@@ -14,9 +14,9 @@
 //! * the IR itself ([`ir`], [`map`]) and a builder API ([`builder`]),
 //! * code-level optimizations ([`passes`]): loop unrolling, scalar
 //!   replacement, copy propagation, dead-code elimination, and alignment
-//!   detection with alignment versioning (§3.2) — each registered as a
-//!   first-class [`Pass`](passes::Pass) schedulable by a spec-string
-//!   [`PassPipeline`] with per-pass timing, between-pass verification,
+//!   detection with alignment versioning (§3.2) — each schedulable by
+//!   name in a spec-string [`PassPipeline`] that runs them as arena
+//!   sweeps ([`arena`]) with per-pass timing, between-pass verification,
 //!   fixpoint `repeat(...)` groups, and IR tracing,
 //! * lowering of C-IR to machine opcodes per ISA ([`lower`]),
 //! * a reference interpreter that executes kernels numerically while

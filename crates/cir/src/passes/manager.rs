@@ -1,9 +1,8 @@
-//! The pass manager: C-IR optimization passes as first-class data.
+//! The pass manager: the C-IR optimization schedule as data.
 //!
-//! The code-level optimizations of §2.1.4/§3.1/§3.2 used to be a frozen
-//! call sequence wired into the driver. Here each of them is wrapped as a
-//! registered [`Pass`] object, and a whole optimization schedule is a
-//! [`PassPipeline`] *value*: buildable from a spec string such as
+//! The code-level optimizations of §2.1.4/§3.1/§3.2 make up one schedule,
+//! and that schedule is a [`PassPipeline`] *value*: buildable from a spec
+//! string such as
 //!
 //! ```text
 //! unroll,scalrep,repeat(copyprop,dce),align
@@ -11,26 +10,29 @@
 //!
 //! serializable back to that string ([`PassPipeline::to_spec`]), stably
 //! fingerprintable for cache keys ([`PassPipeline::fingerprint`]), and
-//! runnable ([`PassPipeline::run`]). The manager owns the cross-cutting
-//! machinery the driver used to hand-thread around every call:
+//! runnable ([`PassPipeline::run`]). A run converts the kernel body to the
+//! arena representation ([`crate::arena`]) once, applies every pass as a
+//! linear index sweep, and converts back once. One step loop owns the
+//! machinery around each pass:
 //!
-//! * **per-pass wall-clock accounting** into a dynamic [`PassStats`] table
-//!   (one row per pass actually run, in first-run order);
-//! * **between-pass verification** at [`VerifyLevel::EveryPass`] — interior
-//!   checks only; pipeline *boundary* checks remain the caller's
-//!   responsibility so failure attribution matches the driver's stages;
+//! * **per-pass wall-clock accounting** into a telemetry span and a
+//!   dynamic [`PassStats`] table (one row per pass actually run, in
+//!   first-run order);
 //! * **fixpoint combinators** — [`PipelineStep::Repeat`] reruns its body
 //!   until no pass reports a change (capped at [`MAX_FIXPOINT_ITERS`]);
-//! * **`--print-after-all` IR snapshots** into a [`PassTrace`].
+//! * **observers** — when a [`PassTrace`] sink (`--print-after-all`) or
+//!   [`VerifyLevel::EveryPass`] is set, the arena is written back into the
+//!   kernel after every pass, snapshotted, and verified under the pass's
+//!   name. Pipeline *boundary* checks remain the caller's, so failure
+//!   attribution matches the driver's stages.
 //!
-//! Passes declare which analysis results ([`Analysis`]) they
-//! [`preserve`](Pass::preserves), [`invalidate`](Pass::invalidates), or
-//! [`provide`](Pass::provides); the manager folds these over the run and
-//! reports which facts are still valid at exit ([`PipelineReport::valid`]).
+//! [`PassPipeline::run_reference`] drives the same loop with the
+//! tree-walking functions of [`super`]. It is the oracle the differential
+//! tests pin the arena sweeps to, and nothing in production calls it.
 
 use super::{copy_prop, dce, detect_alignment, scalar_replacement, unroll, UnrollPolicy};
 use crate::arena::{self, Arena, BlockId};
-use crate::ir::{ArrayDecl, Kernel};
+use crate::ir::Kernel;
 use crate::unparse::unparse;
 use crate::verify::{verify_stage, VerifyFailure, VerifyLevel};
 use lgen_isa::VectorIsa;
@@ -44,18 +46,6 @@ use std::time::Instant;
 /// reached a fixpoint after this many rounds stops anyway (every pass is a
 /// semantics preserver, so stopping early is always sound).
 pub const MAX_FIXPOINT_ITERS: usize = 8;
-
-/// Analysis results that live *in* the IR and that passes may keep valid
-/// or silently stale.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum Analysis {
-    /// Alignment facts: the `aligned` marks the `align` pass proves onto
-    /// generic memory accesses (§3.2).
-    Alignment,
-}
-
-/// Every analysis the manager tracks.
-pub const ALL_ANALYSES: &[Analysis] = &[Analysis::Alignment];
 
 /// Shared context a pipeline run threads through every pass.
 ///
@@ -91,159 +81,56 @@ impl PassCtx<'_> {
             trace: None,
         }
     }
-}
 
-/// A code-level optimization, wrapped as a first-class unit the manager
-/// can schedule, time, verify, and repeat.
-pub trait Pass: Sync {
-    /// Canonical spec-string name (`unroll`, `scalrep`, `copyprop`, `dce`,
-    /// `align`).
-    fn name(&self) -> &'static str;
-
-    /// Runs the pass on an unversioned kernel; returns whether the kernel
-    /// changed (drives [`PipelineStep::Repeat`] fixpoints).
-    fn run(&self, kernel: &mut Kernel, ctx: &PassCtx) -> bool;
-
-    /// Analyses whose in-IR results remain valid across this pass.
-    fn preserves(&self) -> &'static [Analysis] {
-        &[]
+    /// Runs `apply` as stage `name` under a telemetry span and adds its
+    /// time to `stats`; returns `apply`'s verdict on whether the IR changed.
+    pub fn timed(&self, name: &str, apply: impl FnOnce() -> bool) -> bool {
+        let mut span = lgen_telemetry::span(name);
+        let t = Instant::now();
+        let changed = apply();
+        let ns = t.elapsed().as_nanos() as u64;
+        if span.is_recording() {
+            span.attr("pass_ns", ns);
+            span.attr("changed", changed);
+        }
+        drop(span);
+        if let Some(stats) = self.stats {
+            stats.record(name, ns);
+        }
+        changed
     }
 
-    /// Analyses this pass establishes.
-    fn provides(&self) -> &'static [Analysis] {
-        &[]
-    }
-
-    /// Analyses this pass leaves stale: everything it neither
-    /// [`preserves`](Self::preserves) nor [`provides`](Self::provides).
-    fn invalidates(&self) -> Vec<Analysis> {
-        ALL_ANALYSES
-            .iter()
-            .copied()
-            .filter(|a| !self.preserves().contains(a) && !self.provides().contains(a))
-            .collect()
+    /// Hands `kernel`, as it stands after stage `name`, to the observers:
+    /// the trace sink records it, and [`VerifyLevel::EveryPass`] verifies
+    /// it with failures naming `name`.
+    pub fn observe(&self, name: &'static str, kernel: &Kernel) -> Result<(), VerifyFailure> {
+        if let Some(trace) = self.trace {
+            trace.record(name, kernel, self.isa);
+        }
+        verify_stage(name, kernel, self.verify, false)
     }
 }
 
-/// Takes the single body out of `kernel`, maps it through `f`, puts the
-/// result back, and reports whether it changed.
-fn rewrite_body(
-    kernel: &mut Kernel,
-    f: impl FnOnce(Vec<crate::ir::Inst>) -> Vec<crate::ir::Inst>,
-) -> bool {
-    let body = std::mem::take(kernel.body_mut());
-    let out = f(body.clone());
-    let changed = out != body;
-    *kernel.body_mut() = out;
-    changed
-}
+/// Every schedulable pass by canonical spec-string name, in canonical
+/// order.
+pub const PASS_NAMES: [&str; 5] = ["unroll", "scalrep", "copyprop", "dce", "align"];
 
-/// Loop unrolling (§2.1.2) under the context's [`UnrollPolicy`].
-pub struct UnrollPass;
-
-impl Pass for UnrollPass {
-    fn name(&self) -> &'static str {
-        "unroll"
-    }
-    fn run(&self, kernel: &mut Kernel, ctx: &PassCtx) -> bool {
-        rewrite_body(kernel, |b| unroll(b, ctx.unroll))
-    }
-}
-
-/// Scalar replacement over generic load/store footprints (§3.1).
-pub struct ScalarReplacementPass;
-
-impl Pass for ScalarReplacementPass {
-    fn name(&self) -> &'static str {
-        "scalrep"
-    }
-    fn run(&self, kernel: &mut Kernel, _ctx: &PassCtx) -> bool {
-        let arrays = kernel.arrays.clone();
-        rewrite_body(kernel, |b| scalar_replacement(b, &arrays))
-    }
-    fn preserves(&self) -> &'static [Analysis] {
-        // Surviving accesses keep their addresses, hence their marks.
-        &[Analysis::Alignment]
-    }
-}
-
-/// Copy propagation of the register moves scalar replacement introduces.
-pub struct CopyPropPass;
-
-impl Pass for CopyPropPass {
-    fn name(&self) -> &'static str {
-        "copyprop"
-    }
-    fn run(&self, kernel: &mut Kernel, _ctx: &PassCtx) -> bool {
-        rewrite_body(kernel, copy_prop)
-    }
-    fn preserves(&self) -> &'static [Analysis] {
-        // Rewrites register operands only; addresses are untouched.
-        &[Analysis::Alignment]
-    }
-}
-
-/// Dead-code elimination of dead local stores and value chains.
-pub struct DcePass;
-
-impl Pass for DcePass {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-    fn run(&self, kernel: &mut Kernel, _ctx: &PassCtx) -> bool {
-        let arrays = kernel.arrays.clone();
-        rewrite_body(kernel, |b| dce(b, &arrays))
-    }
-    fn preserves(&self) -> &'static [Analysis] {
-        // Only removes instructions; survivors keep their marks.
-        &[Analysis::Alignment]
-    }
-}
-
-/// Alignment detection (§3.2) under the all-aligned assumption.
-pub struct AlignPass;
-
-impl Pass for AlignPass {
-    fn name(&self) -> &'static str {
-        "align"
-    }
-    fn run(&self, kernel: &mut Kernel, _ctx: &PassCtx) -> bool {
-        let zeros = vec![0usize; kernel.arrays.len()];
-        let before = kernel.body().to_vec();
-        detect_alignment(kernel.body_mut(), &zeros);
-        *kernel.body() != before[..]
-    }
-    fn provides(&self) -> &'static [Analysis] {
-        &[Analysis::Alignment]
-    }
-}
-
-/// The pass registry: every schedulable pass, in canonical order.
-pub static PASSES: &[&dyn Pass] = &[
-    &UnrollPass,
-    &ScalarReplacementPass,
-    &CopyPropPass,
-    &DcePass,
-    &AlignPass,
-];
-
-/// Resolves a spec-string name (canonical or alias) to its registered
-/// pass. Aliases accept the hyphenated long names the verifier stages use.
-pub fn pass_by_name(name: &str) -> Option<&'static dyn Pass> {
+/// Resolves a spec-string name (canonical or alias) to its canonical name.
+/// Aliases accept the hyphenated long names the verifier stages use.
+pub fn pass_by_name(name: &str) -> Option<&'static str> {
     let canonical = match name {
         "scalar-replacement" => "scalrep",
         "copy-prop" => "copyprop",
         "alignment" => "align",
         other => other,
     };
-    PASSES.iter().copied().find(|p| p.name() == canonical)
+    PASS_NAMES.into_iter().find(|&p| p == canonical)
 }
 
 /// One step of a [`PassPipeline`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum PipelineStep {
-    /// Run a registered pass once (canonical name, always resolvable via
-    /// [`pass_by_name`]).
+    /// Run a pass once (a canonical name from [`PASS_NAMES`]).
     Pass(&'static str),
     /// Run the inner steps repeatedly until none of them changes the
     /// kernel (capped at [`MAX_FIXPOINT_ITERS`] rounds).
@@ -264,19 +151,6 @@ impl fmt::Display for PipelineSpecError {
 }
 
 impl std::error::Error for PipelineSpecError {}
-
-/// What a pipeline run did.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct PipelineReport {
-    /// Individual pass executions (repeat rounds counted each time).
-    pub passes_run: usize,
-    /// Whether any pass changed the kernel.
-    pub changed: bool,
-    /// Analyses whose in-IR results are valid at pipeline exit, per the
-    /// passes' [`preserves`](Pass::preserves)/[`provides`](Pass::provides)
-    /// declarations.
-    pub valid: Vec<Analysis>,
-}
 
 /// An optimization schedule as a value: an ordered list of
 /// [`PipelineStep`]s.
@@ -299,13 +173,7 @@ impl PassPipeline {
     /// The standard LGen schedule: `unroll,scalrep,copyprop,dce,align`.
     pub fn standard() -> Self {
         PassPipeline {
-            steps: vec![
-                PipelineStep::Pass("unroll"),
-                PipelineStep::Pass("scalrep"),
-                PipelineStep::Pass("copyprop"),
-                PipelineStep::Pass("dce"),
-                PipelineStep::Pass("align"),
-            ],
+            steps: PASS_NAMES.map(PipelineStep::Pass).into(),
         }
     }
 
@@ -377,21 +245,20 @@ impl PassPipeline {
     /// Whether the pipeline schedules `name` anywhere (aliases accepted,
     /// repeat groups included).
     pub fn contains(&self, name: &str) -> bool {
-        let canonical = pass_by_name(name).map(|p| p.name());
         fn search(steps: &[PipelineStep], name: &str) -> bool {
             steps.iter().any(|s| match s {
                 PipelineStep::Pass(n) => *n == name,
                 PipelineStep::Repeat(inner) => search(inner, name),
             })
         }
-        canonical.is_some_and(|n| search(&self.steps, n))
+        pass_by_name(name).is_some_and(|n| search(&self.steps, n))
     }
 
     /// A copy with every occurrence of `name` removed (repeat groups that
     /// become empty are dropped). Unknown names remove nothing.
     #[must_use]
     pub fn without(&self, name: &str) -> Self {
-        let Some(canonical) = pass_by_name(name).map(|p| p.name()) else {
+        let Some(canonical) = pass_by_name(name) else {
             return self.clone();
         };
         fn filter(steps: &[PipelineStep], name: &str) -> Vec<PipelineStep> {
@@ -413,69 +280,33 @@ impl PassPipeline {
     }
 
     /// Runs the schedule on an unversioned kernel: times every pass into
-    /// `ctx.stats`, snapshots into `ctx.trace`, verifies between passes at
-    /// [`VerifyLevel::EveryPass`], and drives `repeat(...)` fixpoints.
+    /// `ctx.stats`, drives `repeat(...)` fixpoints, and hands the kernel to
+    /// the observers (`ctx.trace`, [`VerifyLevel::EveryPass`]) after every
+    /// pass.
+    ///
+    /// The body is converted to the arena representation ([`crate::arena`])
+    /// once, every pass runs as a linear index sweep, and the body is
+    /// converted back once. Only when an observer is set is the arena also
+    /// written back into the kernel after each pass.
     ///
     /// Boundary verification (the codegen input and the final kernel) is
     /// deliberately left to the caller so its failure attribution matches
     /// the surrounding driver stages.
-    ///
-    /// Internally the kernel body is converted to the arena representation
-    /// ([`crate::arena`]) once, the passes run as linear index sweeps, and
-    /// the body is converted back once. When per-pass observation is
-    /// requested (an IR trace sink or [`VerifyLevel::EveryPass`]) the run
-    /// falls back to the tree-walking reference path, which materializes a
-    /// `Kernel` after every pass.
-    pub fn run(&self, kernel: &mut Kernel, ctx: &PassCtx) -> Result<PipelineReport, VerifyFailure> {
-        if ctx.trace.is_none() && ctx.verify != VerifyLevel::EveryPass {
-            return self.run_arena(kernel, ctx);
-        }
-        self.run_reference(kernel, ctx)
+    pub fn run(&self, kernel: &mut Kernel, ctx: &PassCtx) -> Result<(), VerifyFailure> {
+        let (mut arena, root) = Arena::from_body(&std::mem::take(kernel.body_mut()));
+        run_steps(&self.steps, kernel, &mut Ir::Arena(&mut arena, root), ctx)?;
+        *kernel.body_mut() = arena.to_body(root);
+        Ok(())
     }
 
-    /// The tree-walking reference implementation of [`run`](Self::run):
-    /// every pass is a clone-and-rebuild rewrite over boxed [`Inst`]
-    /// trees. Semantically authoritative — the arena fast path is pinned
-    /// to it by the differential suite (`tests/arena_equivalence.rs`) —
-    /// and required when observing the IR between passes.
+    /// The tree-walking oracle for [`run`](Self::run): the same step loop,
+    /// with every pass a clone-and-rebuild rewrite over boxed [`Inst`]
+    /// trees. The differential suite (`tests/arena_equivalence.rs`) pins
+    /// the arena sweeps to it; nothing in production calls it.
     ///
     /// [`Inst`]: crate::ir::Inst
-    pub fn run_reference(
-        &self,
-        kernel: &mut Kernel,
-        ctx: &PassCtx,
-    ) -> Result<PipelineReport, VerifyFailure> {
-        let mut report = PipelineReport::default();
-        let mut valid: Vec<Analysis> = Vec::new();
-        report.changed = run_steps(&self.steps, kernel, ctx, &mut report.passes_run, &mut valid)?;
-        report.valid = valid;
-        Ok(report)
-    }
-
-    /// The arena fast path: one tree→arena conversion, linear sweeps, one
-    /// arena→tree conversion.
-    fn run_arena(
-        &self,
-        kernel: &mut Kernel,
-        ctx: &PassCtx,
-    ) -> Result<PipelineReport, VerifyFailure> {
-        let body = std::mem::take(kernel.body_mut());
-        let (mut arena, root) = Arena::from_body(&body);
-        drop(body);
-        let mut report = PipelineReport::default();
-        let mut valid: Vec<Analysis> = Vec::new();
-        report.changed = run_steps_arena(
-            &self.steps,
-            &mut arena,
-            root,
-            &kernel.arrays,
-            ctx,
-            &mut report.passes_run,
-            &mut valid,
-        )?;
-        report.valid = valid;
-        *kernel.body_mut() = arena.to_body(root);
-        Ok(report)
+    pub fn run_reference(&self, kernel: &mut Kernel, ctx: &PassCtx) -> Result<(), VerifyFailure> {
+        run_steps(&self.steps, kernel, &mut Ir::Tree, ctx).map(drop)
     }
 }
 
@@ -492,106 +323,83 @@ impl FromStr for PassPipeline {
     }
 }
 
-/// Executes `steps` in order; returns whether anything changed.
+/// The IR a step loop rewrites.
+enum Ir<'a> {
+    /// The tree oracle: passes rewrite the kernel's own body.
+    Tree,
+    /// Production: the body lives in an arena for the whole run.
+    Arena(&'a mut Arena, BlockId),
+}
+
+impl Ir<'_> {
+    /// Applies pass `name`; returns whether it changed the IR.
+    fn apply(&mut self, name: &str, kernel: &mut Kernel, policy: UnrollPolicy) -> bool {
+        let Ir::Arena(a, root) = self else {
+            return tree_pass(name, kernel, policy);
+        };
+        let (root, arrays) = (*root, &kernel.arrays);
+        match name {
+            "unroll" => arena::unroll_block(a, root, policy),
+            "scalrep" => arena::scalar_replacement_block(a, root, arrays),
+            "copyprop" => arena::copy_prop_block(a, root),
+            "dce" => arena::dce_block(a, root, arrays),
+            "align" => arena::align_block(a, root, &vec![0usize; arrays.len()]),
+            other => unreachable!("unknown pass `{other}`"),
+        }
+    }
+
+    /// Writes the IR into `kernel`'s body (a tree already lives there).
+    fn sync(&self, kernel: &mut Kernel) {
+        if let Ir::Arena(a, root) = self {
+            *kernel.body_mut() = a.to_body(*root);
+        }
+    }
+}
+
+/// Applies pass `name` with the tree-walking functions of [`super`];
+/// returns whether the body changed.
+fn tree_pass(name: &str, kernel: &mut Kernel, policy: UnrollPolicy) -> bool {
+    let before = kernel.body().to_vec();
+    let arrays = &kernel.arrays;
+    let after = match name {
+        "unroll" => unroll(before.clone(), policy),
+        "scalrep" => scalar_replacement(before.clone(), arrays),
+        "copyprop" => copy_prop(before.clone()),
+        "dce" => dce(before.clone(), arrays),
+        "align" => {
+            let mut body = before.clone();
+            detect_alignment(&mut body, &vec![0usize; arrays.len()]);
+            body
+        }
+        other => unreachable!("unknown pass `{other}`"),
+    };
+    let changed = after != before;
+    *kernel.body_mut() = after;
+    changed
+}
+
+/// The one step loop: executes `steps` in order on `ir`, timing each pass
+/// and handing the kernel to the observers after it; returns whether
+/// anything changed.
 fn run_steps(
     steps: &[PipelineStep],
     kernel: &mut Kernel,
+    ir: &mut Ir,
     ctx: &PassCtx,
-    passes_run: &mut usize,
-    valid: &mut Vec<Analysis>,
 ) -> Result<bool, VerifyFailure> {
     let mut changed_any = false;
     for step in steps {
         match step {
             PipelineStep::Pass(name) => {
-                let pass = pass_by_name(name).expect("pipeline steps hold registered names");
-                let mut span = lgen_telemetry::span(name);
-                let t = Instant::now();
-                let changed = pass.run(kernel, ctx);
-                let ns = t.elapsed().as_nanos() as u64;
-                if span.is_recording() {
-                    span.attr("pass_ns", ns);
-                    span.attr("changed", changed);
-                }
-                drop(span);
-                if let Some(stats) = ctx.stats {
-                    stats.record(name, ns);
-                }
-                *passes_run += 1;
-                changed_any |= changed;
-                valid.retain(|a| pass.preserves().contains(a));
-                for a in pass.provides() {
-                    if !valid.contains(a) {
-                        valid.push(*a);
-                    }
-                }
-                if let Some(trace) = ctx.trace {
-                    trace.record(name, kernel, ctx.isa);
-                }
-                verify_stage(name, kernel, ctx.verify, false)?;
-            }
-            PipelineStep::Repeat(inner) => {
-                for _ in 0..MAX_FIXPOINT_ITERS {
-                    let changed = run_steps(inner, kernel, ctx, passes_run, valid)?;
-                    changed_any |= changed;
-                    if !changed {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    Ok(changed_any)
-}
-
-/// Executes `steps` as arena sweeps; returns whether anything changed.
-/// Bookkeeping (spans, stats, pass counts, analysis validity) matches
-/// [`run_steps`] row for row; only the IR representation differs.
-fn run_steps_arena(
-    steps: &[PipelineStep],
-    a: &mut Arena,
-    root: BlockId,
-    arrays: &[ArrayDecl],
-    ctx: &PassCtx,
-    passes_run: &mut usize,
-    valid: &mut Vec<Analysis>,
-) -> Result<bool, VerifyFailure> {
-    let mut changed_any = false;
-    for step in steps {
-        match step {
-            PipelineStep::Pass(name) => {
-                let pass = pass_by_name(name).expect("pipeline steps hold registered names");
-                let mut span = lgen_telemetry::span(name);
-                let t = Instant::now();
-                let changed = match *name {
-                    "unroll" => arena::unroll_block(a, root, ctx.unroll),
-                    "scalrep" => arena::scalar_replacement_block(a, root, arrays),
-                    "copyprop" => arena::copy_prop_block(a, root),
-                    "dce" => arena::dce_block(a, root, arrays),
-                    "align" => arena::align_block(a, root, &vec![0usize; arrays.len()]),
-                    other => unreachable!("registered pass `{other}` has no arena sweep"),
-                };
-                let ns = t.elapsed().as_nanos() as u64;
-                if span.is_recording() {
-                    span.attr("pass_ns", ns);
-                    span.attr("changed", changed);
-                }
-                drop(span);
-                if let Some(stats) = ctx.stats {
-                    stats.record(name, ns);
-                }
-                *passes_run += 1;
-                changed_any |= changed;
-                valid.retain(|an| pass.preserves().contains(an));
-                for an in pass.provides() {
-                    if !valid.contains(an) {
-                        valid.push(*an);
-                    }
+                changed_any |= ctx.timed(name, || ir.apply(name, kernel, ctx.unroll));
+                if ctx.trace.is_some() || ctx.verify == VerifyLevel::EveryPass {
+                    ir.sync(kernel);
+                    ctx.observe(name, kernel)?;
                 }
             }
             PipelineStep::Repeat(inner) => {
                 for _ in 0..MAX_FIXPOINT_ITERS {
-                    let changed = run_steps_arena(inner, a, root, arrays, ctx, passes_run, valid)?;
+                    let changed = run_steps(inner, kernel, ir, ctx)?;
                     changed_any |= changed;
                     if !changed {
                         break;
@@ -676,16 +484,9 @@ fn parse_steps(
             }
             Some(name) => {
                 let pass = pass_by_name(&name).ok_or_else(|| PipelineSpecError {
-                    message: format!(
-                        "unknown pass `{name}` (known: {})",
-                        PASSES
-                            .iter()
-                            .map(|p| p.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
+                    message: format!("unknown pass `{name}` (known: {})", PASS_NAMES.join(", ")),
                 })?;
-                steps.push(PipelineStep::Pass(pass.name()));
+                steps.push(PipelineStep::Pass(pass));
                 expect_separator(tokens, in_group)?;
             }
         }
@@ -916,17 +717,9 @@ mod tests {
     #[test]
     fn registry_knows_every_standard_pass() {
         for name in ["unroll", "scalrep", "copyprop", "dce", "align"] {
-            let p = pass_by_name(name).unwrap_or_else(|| panic!("`{name}` not registered"));
-            assert_eq!(p.name(), name);
+            assert_eq!(pass_by_name(name), Some(name), "`{name}` not registered");
         }
         assert!(pass_by_name("nosuchpass").is_none());
-        assert_eq!(PASSES.len(), 5);
-    }
-
-    #[test]
-    fn invalidates_is_the_complement_of_preserves_and_provides() {
-        assert_eq!(UnrollPass.invalidates(), vec![Analysis::Alignment]);
-        assert!(DcePass.invalidates().is_empty());
-        assert!(AlignPass.invalidates().is_empty());
+        assert_eq!(PASS_NAMES.len(), 5);
     }
 }

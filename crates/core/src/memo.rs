@@ -204,7 +204,7 @@ impl CompileMemo {
     /// Whether the memoized compile path may serve `cfg`. Peeling and
     /// alignment versioning compile multiple bodies around the schedule,
     /// and any enabled verification level must observe every compile —
-    /// those configs take the reference path.
+    /// those configs compile without the memo.
     pub fn eligible(cfg: &CompileConfig) -> bool {
         !cfg.peeling && !cfg.alignment_versioning && cfg.verify == VerifyLevel::Off
     }

@@ -15,7 +15,8 @@
 //! verification, fixpoint `repeat(...)` groups, and `--print-after-all`
 //! tracing ([`PassTrace`]). The body contributes only what sits outside
 //! the schedule: fusion and codegen in front of it, an optional joint
-//! per-statement unroll genome, the cross-candidate [`CompileMemo`], and —
+//! per-statement unroll genome (timed, traced and verified through the
+//! same [`PassCtx`] as a pass), the cross-candidate [`CompileMemo`], and —
 //! for a single BLAC (one statement, no temporaries) — the whole-kernel
 //! alignment versioning / loop-peeling transforms behind it.
 
@@ -102,11 +103,12 @@ pub(crate) struct Compiled {
 ///
 /// `genome`, when given, holds one [`UnrollPolicy`] per *fused* statement
 /// (see [`lgen_sigma::fuse_program`]): each statement's top-level
-/// instruction range is unrolled under its own policy and the schedule
-/// then runs without its `unroll` step. `stats` accumulates per-pass
-/// time, `trace` records a `--print-after-all` snapshot after codegen and
-/// after every pass, and lowering and optimization are shared through
-/// `memo` when [`CompileMemo::eligible`] holds and no trace is requested.
+/// instruction range is unrolled under its own policy, observed by the
+/// pass manager as the `unroll` stage, and the schedule then runs without
+/// its `unroll` step. `stats` accumulates per-pass time, `trace` records
+/// a `--print-after-all` snapshot after codegen and after every pass, and
+/// lowering and optimization are shared through `memo` when
+/// [`CompileMemo::eligible`] holds and no trace is requested.
 ///
 /// This shell records the `compile` span and the compile metrics; the
 /// work happens in [`compile_body`].
@@ -267,9 +269,6 @@ impl Lowering<'_> {
             fused,
             fusions,
         } = Arc::unwrap_or_clone(lowered);
-        if let Some(genome) = self.genome {
-            unroll_per_statement(&mut kernel, &stmt_ranges, genome);
-        }
         let ctx = PassCtx {
             unroll: self.cfg.unroll,
             verify: self.cfg.verify,
@@ -277,6 +276,12 @@ impl Lowering<'_> {
             stats: self.stats,
             trace: self.trace,
         };
+        if let Some(genome) = self.genome {
+            ctx.timed("unroll", || {
+                unroll_per_statement(&mut kernel, &stmt_ranges, genome)
+            });
+            ctx.observe("unroll", &kernel)?;
+        }
         self.pipeline.run(&mut kernel, &ctx)?;
         let kernel = match memo_key {
             Some((memo, key)) => memo.insert_optimized(key, kernel),
@@ -329,12 +334,13 @@ impl Lowering<'_> {
 /// Applies a per-statement unroll genome: each fused statement's top-level
 /// instruction range is unrolled under its own policy (the statement
 /// ranges partition the lowered body, so this is exactly the in-pipeline
-/// `unroll` pass with per-range policies).
+/// `unroll` pass with per-range policies). Returns whether the body
+/// changed.
 fn unroll_per_statement(
     kernel: &mut Kernel,
     stmt_ranges: &[std::ops::Range<usize>],
     genome: &[UnrollPolicy],
-) {
+) -> bool {
     assert_eq!(
         genome.len(),
         stmt_ranges.len(),
@@ -342,12 +348,16 @@ fn unroll_per_statement(
     );
     let mut insts = std::mem::take(kernel.body_mut()).into_iter();
     let mut body = Vec::new();
+    let mut changed = false;
     for (range, &policy) in stmt_ranges.iter().zip(genome) {
         let chunk: Vec<_> = insts.by_ref().take(range.len()).collect();
-        body.extend(unroll(chunk, policy));
+        let unrolled = unroll(chunk.clone(), policy);
+        changed |= unrolled != chunk;
+        body.extend(unrolled);
     }
     body.extend(insts);
     *kernel.body_mut() = body;
+    changed
 }
 
 #[cfg(test)]

@@ -5,11 +5,15 @@
 //! index sweeps, one conversion back) must produce a kernel whose
 //! unparsed C is byte-identical to `PassPipeline::run_reference`
 //! (clone-and-rebuild rewrites over boxed `Inst` trees), and whose
-//! verifier diagnostics render identically.
+//! verifier diagnostics render identically. Every point runs a second
+//! time under a `PassTrace` sink and `VerifyLevel::EveryPass`: the
+//! per-pass snapshots and verdicts the observers see must agree too.
 
 use lgen::cir::passes::UnrollPolicy;
 use lgen::cir::unparse::unparse;
-use lgen::cir::{render, verify_kernel, Kernel, PassCtx, PassPipeline};
+use lgen::cir::{
+    render, verify_kernel, Kernel, PassCtx, PassPipeline, PassTrace, VerifyFailure, VerifyLevel,
+};
 use lgen::ll::Blac;
 use lgen::ll::{paper, parse_program};
 use lgen::prelude::*;
@@ -51,7 +55,6 @@ fn assert_kernel_equivalent(
     let ctx = PassCtx::new(unroll);
 
     let mut arena_kernel = raw.clone();
-    // No trace sink and verify off: `run` takes the arena fast path.
     pipeline
         .run(&mut arena_kernel, &ctx)
         .expect("arena pipeline runs");
@@ -71,6 +74,45 @@ fn assert_kernel_equivalent(
         render(&verify_kernel(&arena_kernel)),
         render(&verify_kernel(&reference_kernel)),
         "{label} on {arch}, spec \"{spec}\", {unroll:?}: verifier diagnostics differ"
+    );
+
+    // Observed: `run` writes the arena back after every pass for the
+    // trace and the between-pass verifier; both must see what the tree
+    // oracle sees, pass for pass.
+    let observe = |run: fn(&PassPipeline, &mut Kernel, &PassCtx) -> Result<(), VerifyFailure>| {
+        let trace = PassTrace::new();
+        let ctx = PassCtx {
+            verify: VerifyLevel::EveryPass,
+            isa,
+            trace: Some(&trace),
+            ..PassCtx::new(unroll)
+        };
+        let verdict = run(&pipeline, &mut raw.clone(), &ctx)
+            .map_err(|f| format!("after {}: {}", f.pass, render(&f.diagnostics)));
+        (trace.snapshots(), verdict)
+    };
+    let (arena_snaps, arena_verdict) = observe(PassPipeline::run);
+    let (reference_snaps, reference_verdict) = observe(PassPipeline::run_reference);
+    assert_eq!(
+        arena_snaps
+            .iter()
+            .map(|(stage, _)| stage)
+            .collect::<Vec<_>>(),
+        reference_snaps
+            .iter()
+            .map(|(stage, _)| stage)
+            .collect::<Vec<_>>(),
+        "{label} on {arch}, spec \"{spec}\", {unroll:?}: observed stages differ"
+    );
+    for ((stage, arena_ir), (_, reference_ir)) in arena_snaps.iter().zip(&reference_snaps) {
+        assert_eq!(
+            arena_ir, reference_ir,
+            "{label} on {arch}, spec \"{spec}\", {unroll:?}: IR after {stage} differs"
+        );
+    }
+    assert_eq!(
+        arena_verdict, reference_verdict,
+        "{label} on {arch}, spec \"{spec}\", {unroll:?}: between-pass verdicts differ"
     );
 }
 

@@ -332,18 +332,24 @@ fn program_tune_takes_the_tuning_flags() {
 #[test]
 fn print_after_all_traces_every_pass_of_a_program() {
     let path = kalman_file("kalman");
-    let out = lgenc(&[path.to_str().unwrap(), "--print-after-all"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    let blocks: Vec<&str> = stderr
-        .lines()
-        .filter_map(|l| l.strip_prefix("== IR after ")?.strip_suffix(" =="))
-        .collect();
-    assert_eq!(
-        blocks,
-        ["codegen", "unroll", "scalrep", "copyprop", "dce", "align"],
-        "{stderr}"
-    );
-    assert!(!stderr.contains("not supported"), "{stderr}");
+    // A tuned program replays its winning per-statement unroll genome,
+    // which must show up as the `unroll` stage like the pass it replaces.
+    for extra in [&[][..], &["--tune"][..]] {
+        let mut args = vec![path.to_str().unwrap(), "--print-after-all"];
+        args.extend(extra);
+        let out = lgenc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        let blocks: Vec<&str> = stderr
+            .lines()
+            .filter_map(|l| l.strip_prefix("== IR after ")?.strip_suffix(" =="))
+            .collect();
+        assert_eq!(
+            blocks,
+            ["codegen", "unroll", "scalrep", "copyprop", "dce", "align"],
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("not supported"), "{stderr}");
+    }
     let _ = std::fs::remove_file(path);
 }
