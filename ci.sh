@@ -88,6 +88,30 @@ if ! grep -q "autotuned to" <<<"$summary"; then
     exit 1
 fi
 
+echo "==> width parity: every tuning width compiles and evaluates each distinct kernel once"
+widthfile=$(mktemp --suffix=.blac)
+# y = A*x + y with A 9x23: the 18 unroll policies collapse onto 4 kernels.
+printf 'A = matrix(9, 23)\nx = vector(23)\ny = vector(9)\ny = A * x + y\n' > "$widthfile"
+width_rows=""
+for j in 1 2 4; do
+    rows=$(./target/release/lgenc "$widthfile" --tune -j "$j" --cache-stats 2>&1 >/dev/null \
+        | grep -E '^lgenc: (memo: |cache: .* evaluations)' \
+        | sed -E 's/^lgenc: cache: .* ([0-9]+ evaluations).*/\1/')
+    echo "    -j $j: $(paste -sd';' <<<"$rows")"
+    if [ -z "$width_rows" ]; then
+        width_rows=$rows
+    elif [ "$rows" != "$width_rows" ]; then
+        echo "error: -j $j memo row / evaluation count differ from -j 1" >&2
+        exit 1
+    fi
+done
+rm -f "$widthfile"
+misses=$(sed -nE 's/^lgenc: memo: [0-9]+ hits \/ ([0-9]+) misses$/\1/p' <<<"$width_rows")
+if ! grep -q evaluations <<<"$width_rows" || [ "${misses:-0}" -lt 3 ]; then
+    echo "error: expected an evaluation count and >= 3 distinct kernels, got: $width_rows" >&2
+    exit 1
+fi
+
 echo "==> telemetry smoke: --trace-out/--metrics give a valid trace and metrics dump"
 tracefile=$(mktemp --suffix=.json)
 trap 'rm -f "$blacfile" "$tracefile"' EXIT

@@ -17,11 +17,15 @@
 //! [`PassPipeline`] variants.
 //!
 //! Candidates (compile → validate → measure, through one [`Evaluator`]
-//! per tune) fan out over a scoped worker pool ([`crate::pool`]). Every
-//! stage is deterministic, results are collected in candidate order, and
-//! the reduction keeps the *first* best under a strict `<` — so the winner
-//! is byte-identical for any thread count. A shared [`KernelCache`]
-//! dedups compilation across candidates, tunes, and batch jobs.
+//! per tune) fan out over the persistent worker pool ([`crate::pool`]),
+//! which claims the first candidate of every distinct kernel before any
+//! candidate that repeats one. Every stage is deterministic, results are
+//! collected in candidate order, and the reduction keeps the *first* best
+//! under a strict `<` — so the winner is byte-identical for any thread
+//! count. A shared [`KernelCache`] dedups compilation across candidates,
+//! tunes, and batch jobs; its memo and the tuner's evaluation memo are
+//! single-flight, so every width compiles and evaluates each distinct
+//! kernel once.
 //!
 //! **Fault tolerance.** Every evaluation is isolated
 //! ([`crate::pool::run_outcomes`]): a panicking candidate is contained, a
@@ -45,18 +49,18 @@ use crate::config::CompileConfig;
 use crate::evaluate::Evaluator;
 use crate::exec::tolerance;
 use crate::fault::{corrupt_kernel, FaultKind, FaultPlan};
-use crate::pipeline::compile_with;
+use crate::memo::{CompileMemo, Flights, OptKey};
+use crate::pipeline::{compile_with, memo_lowering};
 use crate::pool::{run_outcomes, JobOutcome};
 use lgen_analysis::{analyze_kernel, StaticCost};
 use lgen_cir::passes::{PassPipeline, UnrollPolicy};
 use lgen_cir::{verify_kernel, Kernel, VerifyFailure};
 use lgen_ll::{Blac, Program};
 use lgen_machine::Measurement;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
@@ -152,11 +156,13 @@ type Eval = (Arc<Kernel>, Measurement);
 /// whose unroll decisions collapse to one kernel — kernel-wide policies
 /// and per-statement genomes alike — so a sweep over N decisions with K
 /// distinct kernels validates and measures K times, not N. Sound because
-/// every evaluation stage is deterministic (the map pins its `Arc`s, so a
-/// key can never be reused by a different allocation while the search
-/// runs), and value-neutral: a memo hit returns bit-identical results,
-/// keeping the tuner's any-thread-count determinism.
-type EvalMemo = Mutex<HashMap<(usize, u64), Eval>>;
+/// every evaluation stage is deterministic (a stored result pins its
+/// `Arc`, and a waiter holds its own, so an address is never reused by a
+/// different allocation while it is a live key), and value-neutral: a memo
+/// hit returns bit-identical results, keeping the tuner's any-thread-count
+/// determinism. Single-flight, so a worker that reaches a kernel another
+/// worker is evaluating waits for that result instead of redoing it.
+type EvalMemo = Flights<(usize, u64), Eval>;
 
 /// The program under tuning (a BLAC as its one-statement program — the
 /// form every candidate compiles and is cached as), its kernel name and
@@ -739,17 +745,13 @@ impl Autotuner {
         }
     }
 
-    /// Compiles a candidate under its schedule, with a kernel-wide
-    /// decision as the config's unroll policy and a genome passed on:
-    /// through `cache` when given (reporting which tier served it), else
-    /// directly.
-    fn compile(
+    /// The config a candidate compiles under — its schedule, and a
+    /// kernel-wide decision as the unroll policy — and its genome, if it
+    /// has one.
+    fn candidate_cfg<'c>(
         &self,
-        subject: &Subject,
-        candidate: &Candidate,
-        cache: Option<&KernelCache>,
-    ) -> Result<(Arc<Kernel>, Option<CompileOutcome>), VerifyFailure> {
-        let (program, name) = (&subject.program, subject.name.as_str());
+        candidate: &'c Candidate,
+    ) -> (CompileConfig, Option<&'c [UnrollPolicy]>) {
         let mut cfg = self.cfg.clone();
         if let Some(p) = &candidate.1 {
             cfg.pipeline = p.clone();
@@ -761,6 +763,19 @@ impl Autotuner {
             }
             UnrollChoice::Statements(g) => Some(g.as_slice()),
         };
+        (cfg, genome)
+    }
+
+    /// Compiles a candidate under [`Self::candidate_cfg`]: through `cache`
+    /// when given (reporting which tier served it), else directly.
+    fn compile(
+        &self,
+        subject: &Subject,
+        candidate: &Candidate,
+        cache: Option<&KernelCache>,
+    ) -> Result<(Arc<Kernel>, Option<CompileOutcome>), VerifyFailure> {
+        let (program, name) = (&subject.program, subject.name.as_str());
+        let (cfg, genome) = self.candidate_cfg(candidate);
         match cache {
             Some(cache) => cache
                 .try_get_or_compile_program_outcome(program, name, &cfg, genome)
@@ -860,13 +875,31 @@ impl Autotuner {
         // evaluation wholesale — verify, numeric validation, and
         // measurement are all deterministic functions of (program,
         // kernel), and only fully successful evaluations are memoized.
-        let memo_key = (Arc::as_ptr(&kernel) as usize, subject.fingerprint);
-        if let Some(eval) = memo.lock().get(&memo_key).cloned() {
-            if span.is_recording() {
-                span.attr("eval", "memo");
-            }
-            return Ok(eval);
+        // Injected corrupt kernels are never memoized.
+        if corrupt {
+            return self.validate_and_measure(subject, index, candidate, kernel, deadline, true);
         }
+        let memo_key = (Arc::as_ptr(&kernel) as usize, subject.fingerprint);
+        let (eval, ran) = memo.get_or_fill(memo_key, || {
+            self.validate_and_measure(subject, index, candidate, kernel, deadline, false)
+        })?;
+        if !ran && span.is_recording() {
+            span.attr("eval", "memo");
+        }
+        Ok(eval)
+    }
+
+    /// Verification (when enabled, or for an injected corrupt kernel),
+    /// numeric validation and measurement of one compiled candidate.
+    fn validate_and_measure(
+        &self,
+        subject: &Subject,
+        index: usize,
+        candidate: &Candidate,
+        kernel: Arc<Kernel>,
+        deadline: Option<Instant>,
+        corrupt: bool,
+    ) -> Result<Eval, VerifyFailure> {
         // Re-check cache-served kernels too: a seeded/stale entry must not
         // slip past the verification gate just because it skipped the
         // pipeline's boundary checks.
@@ -892,37 +925,83 @@ impl Autotuner {
             "candidate {} numerically wrong: {diff}",
             candidate.0
         );
-        if expired() {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             panic!("candidate {index} abandoned at its deadline");
         }
         let m = run.measure().expect("measurement");
-        if !corrupt {
-            memo.lock().insert(memo_key, (kernel.clone(), m));
+        if let Some(cache) = &self.cache {
+            cache.record_evaluation();
         }
         Ok((kernel, m))
     }
 
+    /// The order in which the pool claims `jobs`: the first job of every
+    /// distinct kernel, then the jobs that repeat one, each group in job
+    /// order. A kernel's identity is its compile memo key, computed from
+    /// the memoized lowering without running the pass pipeline, so the
+    /// workers start on different kernels instead of waiting on one.
+    /// Without a cache, for configs the memo does not serve, or if the
+    /// lowering panics (every job then fails on its own), the order is the
+    /// job order.
+    fn claim_order(&self, jobs: &[(Arc<Subject>, usize, Candidate)]) -> Vec<usize> {
+        let in_order = || (0..jobs.len()).collect();
+        let memoized = self
+            .cache
+            .as_deref()
+            .filter(|_| CompileMemo::eligible(&self.cfg));
+        let Some(cache) = memoized else {
+            return in_order();
+        };
+        let (stats, memo) = (Some(cache.pass_stats()), cache.memo());
+        let grouped = catch_unwind(AssertUnwindSafe(|| {
+            let mut lowered: Option<(&Arc<Subject>, _)> = None;
+            let mut seen: HashSet<OptKey> = HashSet::new();
+            let (mut leaders, mut followers) = (Vec::new(), Vec::new());
+            for (i, (subject, _, candidate)) in jobs.iter().enumerate() {
+                if !lowered
+                    .as_ref()
+                    .is_some_and(|(s, _)| Arc::ptr_eq(s, subject))
+                {
+                    let (program, name) = (&subject.program, subject.name.as_str());
+                    let entry = memo_lowering(program, name, &self.cfg, stats, memo);
+                    lowered = Some((subject, entry));
+                }
+                let (_, entry) = lowered.as_ref().expect("set above");
+                let (cfg, genome) = self.candidate_cfg(candidate);
+                if seen.insert(OptKey::for_program(entry, &cfg, genome)) {
+                    leaders.push(i);
+                } else {
+                    followers.push(i);
+                }
+            }
+            leaders.extend(followers);
+            leaders
+        }));
+        grouped.unwrap_or_else(|_| in_order())
+    }
+
     /// Evaluates `(subject, fault index, candidate)` jobs on the isolating
     /// worker pool: panics contained, per-candidate deadline enforced,
-    /// claims stopped once the budget (counted from `start`) is spent.
-    /// Outcomes are in job order.
+    /// claims made in [`Self::claim_order`] and stopped once the budget
+    /// (counted from `start`) is spent, so a spent budget skips the end of
+    /// that order. Outcomes are in job order.
     fn eval_outcomes(
         &self,
         jobs: Vec<(Arc<Subject>, usize, Candidate)>,
         start: Instant,
         memo: &Arc<EvalMemo>,
     ) -> Vec<JobOutcome<Eval>> {
-        let n = jobs.len();
+        let order = self.claim_order(&jobs);
         let ctx = Arc::new(self.clone());
         let jobs = Arc::new(jobs);
         let memo = memo.clone();
         let total = self.budget.total;
         let stop = move || total.is_some_and(|b| start.elapsed() >= b);
         run_outcomes(
-            n,
+            order,
             self.threads,
             self.budget.deadline,
-            &stop,
+            stop,
             Arc::new(move |i: usize, deadline| {
                 let (subject, index, candidate) = &jobs[i];
                 ctx.evaluate(subject, *index, candidate, deadline, &memo)
@@ -1164,7 +1243,7 @@ impl Autotuner {
             self.tune_guided_over_pipelines(&subject, climbed)
         } else {
             let candidates = self.candidates(unrolls);
-            let memo = Arc::new(EvalMemo::default());
+            let memo = Arc::new(EvalMemo::new());
             if self.prune.is_off() {
                 let jobs = candidates.iter().enumerate();
                 let jobs = jobs.map(|(i, c)| (subject.clone(), i, c.clone())).collect();
@@ -1285,7 +1364,7 @@ impl Autotuner {
                 grid.push((subject.clone(), i, c.clone()));
             }
         }
-        let memo = Arc::new(EvalMemo::default());
+        let memo = Arc::new(EvalMemo::new());
         let mut outcomes = self.eval_outcomes(grid, start, &memo).into_iter();
         let results: Vec<Result<TunedKernel, TuneError>> = jobs
             .iter()
@@ -1323,7 +1402,7 @@ impl Autotuner {
         space: &[UnrollChoice],
     ) -> Result<Search, TuneError> {
         let start = Instant::now();
-        let memo = Arc::new(EvalMemo::default());
+        let memo = Arc::new(EvalMemo::new());
         let pipelines: Vec<Option<&PassPipeline>> = if self.pipelines.is_empty() {
             vec![None]
         } else {

@@ -23,10 +23,11 @@
 //! **Concurrency.** The map is split into [`SHARDS`] independently locked
 //! shards; the autotuner's worker pool hits disjoint shards with high
 //! probability. Compilation happens *outside* the shard lock, so a slow
-//! pipeline never blocks unrelated lookups; when two threads race on the
-//! same cold key the first insert wins and both return the same `Arc`
-//! (compilation is deterministic, so the discarded duplicate was
-//! identical).
+//! pipeline never blocks unrelated lookups. Two threads that miss the
+//! same cold key both compile it, but through the [`CompileMemo`], whose
+//! single-flight cells run the pipeline once for both (for
+//! [`CompileMemo::eligible`] configs); the first insert wins and both
+//! return the same `Arc`.
 
 use crate::config::CompileConfig;
 use crate::memo::CompileMemo;
@@ -74,7 +75,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Kernels inserted (≤ misses; racing duplicates are not inserted).
     pub inserts: u64,
-    /// Cold compiles that lost an insert race to an identical kernel.
+    /// Cold lookups that lost the insert race for their exact key to a
+    /// concurrent lookup of the same key; they return the winner's `Arc`.
+    /// For [`CompileMemo::eligible`] configs the loser waited on the
+    /// memo's single-flight cell instead of running the pipeline again.
     pub races: u64,
     /// Candidates rejected because they failed static verification
     /// (never inserted — see [`KernelCache::try_get_or_compile`] and the
@@ -98,6 +102,9 @@ pub struct CacheStats {
     /// Memo lookups that ran the pass pipeline for real
     /// (`cir.memo_misses`).
     pub memo_misses: u64,
+    /// Tuning candidates whose validation and measurement actually ran;
+    /// candidates served from the tuner's evaluation memo do not count.
+    pub evaluations: u64,
     /// Entries currently resident.
     pub entries: usize,
 }
@@ -126,6 +133,9 @@ impl fmt::Display for CacheStats {
         }
         if self.tune_pruned > 0 {
             write!(f, ", {} candidate(s) pruned", self.tune_pruned)?;
+        }
+        if self.evaluations > 0 {
+            write!(f, ", {} evaluations", self.evaluations)?;
         }
         if self.memo_hits + self.memo_misses > 0 {
             write!(
@@ -176,6 +186,7 @@ pub struct KernelCache {
     tune_panics: AtomicU64,
     tune_timeouts: AtomicU64,
     tune_pruned: AtomicU64,
+    evaluations: AtomicU64,
     stages: PassStats,
     memo: CompileMemo,
 }
@@ -215,6 +226,7 @@ impl KernelCache {
             tune_panics: AtomicU64::new(0),
             tune_timeouts: AtomicU64::new(0),
             tune_pruned: AtomicU64::new(0),
+            evaluations: AtomicU64::new(0),
             stages: PassStats::new(),
             memo: CompileMemo::new(),
         }
@@ -457,6 +469,12 @@ impl KernelCache {
         metric_counter!("lgen.tune.candidates_pruned").add(n);
     }
 
+    /// Counts a tuning candidate whose validation and measurement ran
+    /// (not served from the tuner's evaluation memo).
+    pub(crate) fn record_evaluation(&self) {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Number of resident kernels.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -488,6 +506,7 @@ impl KernelCache {
             tune_pruned: self.tune_pruned.load(Ordering::Relaxed),
             memo_hits,
             memo_misses,
+            evaluations: self.evaluations.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }

@@ -34,6 +34,12 @@
 //! Fingerprints only *accelerate* the key; the exact fields ride along so
 //! a 64-bit collision cannot alias two entries.
 //!
+//! **Concurrency.** Both levels are single-flight: per key, one thread
+//! lowers or optimizes while the others wait for it and then share its
+//! `Arc`, so a pool of tuning workers runs the pipeline once per distinct
+//! kernel, as one worker does. Only successes are stored; a compile that
+//! fails or panics leaves its key empty for the next caller.
+//!
 //! **Soundness of the decision vector.** The unroll pass works bottom-up
 //! and decides each loop solely from its own trip count; full unrolling
 //! substitutes the body (creating no loops) and factor widening rewrites
@@ -67,6 +73,7 @@
 use crate::config::CompileConfig;
 use lgen_cir::arena::trip_count;
 use lgen_cir::passes::{PassPipeline, PipelineStep, UnrollDecision, UnrollPolicy};
+use lgen_cir::VerifyFailure;
 use lgen_cir::{Arena, Inst, Kernel, VerifyLevel};
 use lgen_isa::VectorIsa;
 use lgen_ll::Program;
@@ -74,8 +81,51 @@ use lgen_sigma::{MvmStrategy, ProgramKernel};
 use lgen_telemetry::metric_counter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// A map of single-flight cells. The first caller of a key fills its
+/// cell while later callers of that key wait for it and then share the
+/// value, so racing workers never compute one key twice. Cells store only
+/// successes: after a fill that fails or panics (the cell's lock does not
+/// poison), the next waiter fills the cell itself.
+pub(crate) struct Flights<K, V> {
+    cells: Mutex<HashMap<K, Arc<Mutex<Option<V>>>>>,
+    filled: AtomicUsize,
+}
+
+impl<K: Eq + Hash, V: Clone> Flights<K, V> {
+    pub(crate) fn new() -> Self {
+        Flights {
+            cells: Mutex::new(HashMap::new()),
+            filled: AtomicUsize::new(0),
+        }
+    }
+
+    /// The value for `key`, running `fill` when the cell is empty, and
+    /// whether this call filled it.
+    pub(crate) fn get_or_fill<E>(
+        &self,
+        key: K,
+        fill: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        let cell = self.cells.lock().entry(key).or_default().clone();
+        let mut value = cell.lock();
+        if let Some(v) = &*value {
+            return Ok((v.clone(), false));
+        }
+        let v = fill()?;
+        *value = Some(v.clone());
+        self.filled.fetch_add(1, Ordering::Relaxed);
+        Ok((v, true))
+    }
+
+    /// Cells filled so far.
+    pub(crate) fn len(&self) -> usize {
+        self.filled.load(Ordering::Relaxed)
+    }
+}
 
 /// Everything fusion and Σ-LL codegen read: the program (a BLAC enters as
 /// its one-statement form), the kernel name (baked into the emitted C),
@@ -172,8 +222,8 @@ impl OptKey {
 /// (not process-global: per-pass accounting and tests rely on cache-scoped
 /// counters), shared by every compile routed through that cache.
 pub struct CompileMemo {
-    lowered: Mutex<HashMap<ProgramLowerKey, ProgramLoweredEntry>>,
-    optimized: Mutex<HashMap<OptKey, Arc<Kernel>>>,
+    lowered: Flights<ProgramLowerKey, ProgramLoweredEntry>,
+    optimized: Flights<OptKey, Arc<Kernel>>,
     /// Id source for lowerings ([`OptKey::lowered`]).
     next_id: AtomicU64,
     hits: AtomicU64,
@@ -193,8 +243,8 @@ impl CompileMemo {
         lgen_telemetry::counter("cir.memo_hits");
         lgen_telemetry::counter("cir.memo_misses");
         CompileMemo {
-            lowered: Mutex::new(HashMap::new()),
-            optimized: Mutex::new(HashMap::new()),
+            lowered: Flights::new(),
+            optimized: Flights::new(),
             next_id: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -211,9 +261,8 @@ impl CompileMemo {
 
     /// The memoized lowering for `(program, name, cfg)`, running `build`
     /// (fusion + Σ-LL codegen) on a miss; shared by every unroll policy,
-    /// per-statement genome and pass schedule. Codegen happens outside the
-    /// lock; when two threads race on a cold key the first insert wins and
-    /// both share it.
+    /// per-statement genome and pass schedule. Single-flight: a thread
+    /// that asks for a lowering another thread is building waits for it.
     pub fn program_lowered_for(
         &self,
         program: &Program,
@@ -228,40 +277,35 @@ impl CompileMemo {
             mvm: cfg.mvm,
             specialized_leftovers: cfg.specialized_leftovers,
         };
-        if let Some(e) = self.lowered.lock().get(&key) {
-            return e.clone();
-        }
-        let pk = Arc::new(build());
-        let fp = kernel_fingerprint(&pk.kernel);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.lowered
-            .lock()
-            .entry(key)
-            .or_insert(ProgramLoweredEntry { pk, id, fp })
-            .clone()
+        let Ok((entry, _)) = self.lowered.get_or_fill(key, || {
+            let pk = Arc::new(build());
+            let fp = kernel_fingerprint(&pk.kernel);
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            Ok::<_, std::convert::Infallible>(ProgramLoweredEntry { pk, id, fp })
+        });
+        entry
     }
 
-    /// Looks up an optimized kernel; counts a memo hit or miss.
-    pub fn optimized_for(&self, key: &OptKey) -> Option<Arc<Kernel>> {
-        let found = self.optimized.lock().get(key).cloned();
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                metric_counter!("cir.memo_hits").inc();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metric_counter!("cir.memo_misses").inc();
-            }
+    /// The optimized kernel for `key`, running `optimize` (the pass
+    /// pipeline) when no kernel is stored; counts a memo miss when it runs
+    /// and a hit otherwise. Single-flight: a thread that asks for a key
+    /// another thread is optimizing waits and shares its kernel. A failed
+    /// or panicking `optimize` stores nothing.
+    pub fn optimized_or_run(
+        &self,
+        key: OptKey,
+        optimize: impl FnOnce() -> Result<Kernel, VerifyFailure>,
+    ) -> Result<Arc<Kernel>, VerifyFailure> {
+        let (kernel, ran) = self.optimized.get_or_fill(key, || {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            metric_counter!("cir.memo_misses").inc();
+            optimize().map(Arc::new)
+        })?;
+        if !ran {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            metric_counter!("cir.memo_hits").inc();
         }
-        found
-    }
-
-    /// Inserts the pipeline's output for `key`; on a racing duplicate the
-    /// first insert wins and the (identical) duplicate is discarded.
-    pub fn insert_optimized(&self, key: OptKey, kernel: Kernel) -> Arc<Kernel> {
-        let arc = Arc::new(kernel);
-        self.optimized.lock().entry(key).or_insert(arc).clone()
+        Ok(kernel)
     }
 
     /// `(hits, misses)` so far.
@@ -274,7 +318,7 @@ impl CompileMemo {
 
     /// Distinct `(lowerings, optimized kernels)` resident.
     pub fn entries(&self) -> (usize, usize) {
-        (self.lowered.lock().len(), self.optimized.lock().len())
+        (self.lowered.len(), self.optimized.len())
     }
 }
 

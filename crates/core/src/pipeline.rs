@@ -22,7 +22,7 @@
 
 use crate::cache::KernelCache;
 use crate::config::CompileConfig;
-use crate::memo::{CompileMemo, OptKey};
+use crate::memo::{CompileMemo, OptKey, ProgramLoweredEntry};
 use crate::pool::run_indexed;
 use crate::program::try_compile_program;
 use lgen_cir::passes::{
@@ -139,6 +139,28 @@ pub(crate) fn compile_with(
     result
 }
 
+/// The memoized lowering that a compile of `(program, name, cfg)` through
+/// `memo` starts from, built (and its codegen timed into `stats`) on a
+/// miss. Only the codegen fields of `cfg` matter.
+pub(crate) fn memo_lowering(
+    program: &Program,
+    name: &str,
+    cfg: &CompileConfig,
+    stats: Option<&PassStats>,
+    memo: &CompileMemo,
+) -> ProgramLoweredEntry {
+    let lower = Lowering {
+        program,
+        name,
+        cfg,
+        pipeline: &cfg.pipeline,
+        genome: None,
+        stats,
+        trace: None,
+    };
+    memo.program_lowered_for(program, name, cfg, || lower.codegen(None))
+}
+
 /// The LL → Σ-LL → C-IR body behind the telemetry shell of
 /// [`compile_with`].
 fn compile_body(
@@ -240,35 +262,46 @@ impl Lowering<'_> {
         peel: Option<usize>,
         memo: Option<&CompileMemo>,
     ) -> Result<Compiled, VerifyFailure> {
-        let isa = self.cfg.arch.vector_isa();
-        let (lowered, memo_key) = match memo {
-            Some(memo) => {
-                let entry = memo
-                    .program_lowered_for(self.program, self.name, self.cfg, || self.codegen(peel));
-                let key = OptKey::for_program(&entry, self.cfg, self.genome);
-                if let Some(kernel) = memo.optimized_for(&key) {
-                    return Ok(Compiled {
-                        kernel,
-                        fused: entry.pk.fused.clone(),
-                        fusions: entry.pk.fusions,
-                    });
-                }
-                (entry.pk, Some((memo, key)))
-            }
-            None => (Arc::new(self.codegen(peel)), None),
+        let Some(memo) = memo else {
+            let ProgramKernel {
+                kernel,
+                stmt_ranges,
+                fused,
+                fusions,
+            } = self.codegen(peel);
+            let kernel = Arc::new(self.optimize(kernel, &stmt_ranges)?);
+            return Ok(Compiled {
+                kernel,
+                fused,
+                fusions,
+            });
         };
+        let entry =
+            memo.program_lowered_for(self.program, self.name, self.cfg, || self.codegen(peel));
+        let key = OptKey::for_program(&entry, self.cfg, self.genome);
+        // The shared lowering is copied, since the passes rewrite it in
+        // place.
+        let kernel = memo.optimized_or_run(key, || {
+            self.optimize(entry.pk.kernel.clone(), &entry.pk.stmt_ranges)
+        })?;
+        Ok(Compiled {
+            kernel,
+            fused: entry.pk.fused.clone(),
+            fusions: entry.pk.fusions,
+        })
+    }
+
+    /// The genome and the pass schedule on a lowered kernel.
+    fn optimize(
+        &self,
+        mut kernel: Kernel,
+        stmt_ranges: &[std::ops::Range<usize>],
+    ) -> Result<Kernel, VerifyFailure> {
+        let isa = self.cfg.arch.vector_isa();
         if let Some(tr) = self.trace {
-            tr.record("codegen", &lowered.kernel, isa);
+            tr.record("codegen", &kernel, isa);
         }
-        verify_stage("codegen", &lowered.kernel, self.cfg.verify, true)?;
-        // Unshared (no memo) lowerings move their kernel; memoized ones
-        // are copied, since the passes rewrite it in place.
-        let ProgramKernel {
-            mut kernel,
-            stmt_ranges,
-            fused,
-            fusions,
-        } = Arc::unwrap_or_clone(lowered);
+        verify_stage("codegen", &kernel, self.cfg.verify, true)?;
         let ctx = PassCtx {
             unroll: self.cfg.unroll,
             verify: self.cfg.verify,
@@ -278,20 +311,12 @@ impl Lowering<'_> {
         };
         if let Some(genome) = self.genome {
             ctx.timed("unroll", || {
-                unroll_per_statement(&mut kernel, &stmt_ranges, genome)
+                unroll_per_statement(&mut kernel, stmt_ranges, genome)
             });
             ctx.observe("unroll", &kernel)?;
         }
         self.pipeline.run(&mut kernel, &ctx)?;
-        let kernel = match memo_key {
-            Some((memo, key)) => memo.insert_optimized(key, kernel),
-            None => Arc::new(kernel),
-        };
-        Ok(Compiled {
-            kernel,
-            fused,
-            fusions,
-        })
+        Ok(kernel)
     }
 
     /// §6 future-work loop peeling: one version per shared base-offset

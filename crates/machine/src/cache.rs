@@ -7,13 +7,31 @@
 
 use std::collections::HashMap;
 
+/// Line indices from this one on keep their slots in a map, so a trace
+/// with a huge address cannot size a table (the table holds 4 bytes per
+/// line below it).
+const DENSE_LINES: usize = 1 << 20;
+
 /// LRU cache over line addresses.
+///
+/// Each resident line holds a slot with the stamp of its last use (stamps
+/// are unique and increasing, so the least recently used line is the one
+/// with the smallest stamp). A table indexed by line gives each resident
+/// line's slot; the simulator's compact layouts keep it small, and lines
+/// above a size bound live in a map. A miss on a full cache evicts the
+/// smallest stamp, found by one scan over the contiguous stamps.
 #[derive(Clone, Debug)]
 pub struct L1Cache {
     line_bytes: usize,
     capacity_lines: usize,
-    /// line index → last-use stamp.
-    lines: HashMap<usize, u64>,
+    /// Slot plus one per line below [`DENSE_LINES`]; 0 = not resident.
+    dense: Vec<u32>,
+    /// Slot plus one per resident line from [`DENSE_LINES`] on.
+    sparse: HashMap<usize, u32>,
+    /// Per slot: the resident line.
+    lines: Vec<usize>,
+    /// Per slot: the line's last-use stamp.
+    stamps: Vec<u64>,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -30,7 +48,10 @@ impl L1Cache {
         L1Cache {
             line_bytes,
             capacity_lines: capacity_bytes / line_bytes,
-            lines: HashMap::new(),
+            dense: Vec::new(),
+            sparse: HashMap::new(),
+            lines: Vec::new(),
+            stamps: Vec::new(),
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -45,22 +66,54 @@ impl L1Cache {
         let mut missed = 0;
         for line in first..=last {
             self.stamp += 1;
-            if self.lines.insert(line, self.stamp).is_none() {
-                missed += 1;
-                self.misses += 1;
-                if self.lines.len() > self.capacity_lines {
-                    self.evict_lru();
-                }
-            } else {
+            if let Some(slot) = self.slot_of(line) {
                 self.hits += 1;
+                self.stamps[slot] = self.stamp;
+                continue;
             }
+            missed += 1;
+            self.misses += 1;
+            let slot = if self.lines.len() < self.capacity_lines {
+                self.lines.push(line);
+                self.stamps.push(self.stamp);
+                self.lines.len() - 1
+            } else {
+                let lru = (0..self.stamps.len())
+                    .min_by_key(|&s| self.stamps[s])
+                    .expect("a full cache holds a line");
+                self.set_slot(self.lines[lru], None);
+                self.lines[lru] = line;
+                self.stamps[lru] = self.stamp;
+                lru
+            };
+            self.set_slot(line, Some(slot));
         }
         (missed, last != first)
     }
 
-    fn evict_lru(&mut self) {
-        if let Some((&line, _)) = self.lines.iter().min_by_key(|(_, &s)| s) {
-            self.lines.remove(&line);
+    fn slot_of(&self, line: usize) -> Option<usize> {
+        let slot = if line < DENSE_LINES {
+            self.dense.get(line).copied().unwrap_or(0)
+        } else {
+            self.sparse.get(&line).copied().unwrap_or(0)
+        };
+        (slot as usize).checked_sub(1)
+    }
+
+    /// Records a line's slot; `None` evicts the line.
+    fn set_slot(&mut self, line: usize, slot: Option<usize>) {
+        // A slot is below the capacity in lines, so it fits a `u32` for
+        // any cache smaller than 2^32 lines.
+        let v = slot.map_or(0, |s| u32::try_from(s + 1).expect("slot fits u32"));
+        if line < DENSE_LINES {
+            if self.dense.len() <= line {
+                self.dense.resize(line + 1, 0);
+            }
+            self.dense[line] = v;
+        } else if v == 0 {
+            self.sparse.remove(&line);
+        } else {
+            self.sparse.insert(line, v);
         }
     }
 
@@ -79,9 +132,12 @@ impl L1Cache {
         self.lines.len()
     }
 
-    /// Empties the cache and statistics.
+    /// Empties the cache and statistics, keeping the table's capacity.
     pub fn clear(&mut self) {
-        self.lines.clear();
+        while let Some(line) = self.lines.pop() {
+            self.set_slot(line, None);
+        }
+        self.stamps.clear();
         self.stamp = 0;
         self.hits = 0;
         self.misses = 0;
@@ -133,5 +189,33 @@ mod tests {
             }
         }
         assert_eq!(c.misses(), 64);
+    }
+
+    #[test]
+    fn evictions_match_a_reference_lru_on_dense_and_sparse_lines() {
+        // The reference: stamps in a map, evict the smallest on overflow.
+        let mut reference: HashMap<usize, u64> = HashMap::new();
+        let mut c = L1Cache::new(8 * 64, 64); // 8 lines
+        let mut x = 0x2545_f491_u64;
+        for stamp in 1..=4000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // A hot band of 12 lines, plus lines far above the table.
+            let line = match x % 5 {
+                0 => DENSE_LINES + (x >> 8) as usize % 6,
+                _ => (x >> 8) as usize % 12,
+            };
+            let expect_miss = reference.insert(line, stamp).is_none();
+            if reference.len() > 8 {
+                let (&lru, _) = reference.iter().min_by_key(|(_, &s)| s).unwrap();
+                reference.remove(&lru);
+            }
+            assert_eq!(c.access(line * 64, 4).0 == 1, expect_miss, "access {stamp}");
+            assert_eq!(c.resident_lines(), reference.len());
+        }
+        c.clear();
+        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.access(0, 4), (1, false), "clear empties every line");
     }
 }

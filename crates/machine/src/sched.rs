@@ -13,8 +13,9 @@ const DENSE_REGS: u32 = 1 << 16;
 ///
 /// The scheduler probes and occupies cycles in a dense band just behind
 /// the horizon, so a bitmap beats a hash set on every operation the hot
-/// loop performs (`emit` runs once per dynamic instruction; a measurement
-/// runs the whole kernel twice).
+/// loop performs (`emit` runs once per dynamic instruction of the timed
+/// run; the warm-up before it only touches the L1 model, through a
+/// [`Warming`] sink).
 #[derive(Clone, Debug, Default)]
 struct CycleSet(Vec<u64>);
 
