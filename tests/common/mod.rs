@@ -148,3 +148,50 @@ pub fn check_digest(file: &str, actual: &str) {
         mismatched.join(", ")
     );
 }
+
+/// `(label, LL source)` of the pass-schedule program families: Kalman
+/// predict at n = 4 and 8, triangular apply (lower and upper) and the
+/// `t = A*x; y = A*t` chain. Their fused kernels keep local temporaries,
+/// so liveness flows register → local store → load → parameter store,
+/// the case DCE has to chase across statements.
+#[allow(dead_code)] // not every test binary sweeps schedules
+pub fn program_families() -> Vec<(&'static str, String)> {
+    let kalman = |n: usize| {
+        let m = (n / 2).max(1);
+        format!(
+            "F = matrix({n}, {n})\nB = matrix({n}, {m})\nu = vector({m})\nx = vector({n})\n\
+             x_next = vector({n})\nP = matrix({n}, {n}) symmetric\n\
+             Q = matrix({n}, {n}) symmetric\nP_next = matrix({n}, {n})\n\
+             x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;\n"
+        )
+    };
+    let triangular = |n: usize, side: &str| {
+        format!(
+            "L = matrix({n}, {n}) triangular({side})\nx = vector({n})\ny = vector({n})\n\
+             t = L * x;\ny = L' * t;\n"
+        )
+    };
+    let chain = |n: usize| {
+        format!("A = matrix({n}, {n})\nx = vector({n})\ny = vector({n})\nt = A * x;\ny = A * t;\n")
+    };
+    vec![
+        ("kalman_4", kalman(4)),
+        ("kalman_8", kalman(8)),
+        ("triangular_lower_8", triangular(8, "lower")),
+        ("triangular_upper_5", triangular(5, "upper")),
+        ("chain_6", chain(6)),
+    ]
+}
+
+/// The pass schedules the schedule sweeps run: the standard order,
+/// fixpoint-cleanup variants, re-ordered cleanup, and schedules with a
+/// pass dropped (`align`, `scalrep`).
+#[allow(dead_code)] // not every test binary sweeps schedules
+pub const PIPELINE_SPECS: [&str; 6] = [
+    "unroll,scalrep,copyprop,dce,align",
+    "unroll,scalrep,repeat(copyprop,dce),align",
+    "unroll,copyprop,scalrep,copyprop,dce,align",
+    "unroll,scalrep,copyprop,dce",
+    "unroll,copyprop,dce,align",
+    "unroll,repeat(scalrep,copyprop,dce)",
+];

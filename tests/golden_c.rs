@@ -8,9 +8,13 @@
 mod common;
 
 use common::{
-    arch_name, check_digest, fnv1a, paper_families, versioning_is_small, KALMAN_PREDICT_4, PROGRAMS,
+    arch_name, check_digest, fnv1a, paper_families, program_families, versioning_is_small,
+    KALMAN_PREDICT_4, PIPELINE_SPECS, PROGRAMS,
 };
+use lgen::cir::passes::UnrollPolicy;
+use lgen::cir::{render, verify_kernel, Kernel, PassCtx, PassTrace, VerifyLevel};
 use lgen::prelude::*;
+use lgen::sigma::CodegenOptions;
 
 fn golden(name: &str, actual: &str) {
     let path = format!("{}/tests/golden/{name}.c", env!("CARGO_MANIFEST_DIR"));
@@ -142,4 +146,91 @@ fn golden_versioned_axpy_dispatch() {
         "saxpy_8_versioned",
         &lgen::cir::unparse::unparse(&kernel, VectorIsa::Ssse3),
     );
+}
+
+/// Digest lines of one schedule point: the raw `kernel` run through
+/// `spec` under `unroll`, once plain and once observed (a `PassTrace`
+/// sink and `VerifyLevel::EveryPass`). One line per observed stage
+/// hashes its `--print-after-all` snapshot; the `final` line hashes the
+/// emitted C, the rendered verifier diagnostics and the observed verdict.
+fn schedule_lines(
+    label: &str,
+    raw: &Kernel,
+    arch: Microarch,
+    spec: &str,
+    unroll: UnrollPolicy,
+) -> String {
+    let pipeline = PassPipeline::parse(spec).expect("spec is legal");
+    let isa = arch.vector_isa();
+    let mut kernel = raw.clone();
+    pipeline
+        .run(&mut kernel, &PassCtx::new(unroll))
+        .expect("pipeline runs");
+
+    let trace = PassTrace::new();
+    let ctx = PassCtx {
+        verify: VerifyLevel::EveryPass,
+        isa,
+        trace: Some(&trace),
+        ..PassCtx::new(unroll)
+    };
+    let verdict = match pipeline.run(&mut raw.clone(), &ctx) {
+        Ok(()) => "ok".to_string(),
+        Err(f) => format!("after {}: {}", f.pass, render(&f.diagnostics)),
+    };
+    let point = format!("{label}/{}/{spec}", arch_name(arch));
+    let mut out = String::new();
+    for (i, (stage, ir)) in trace.snapshots().iter().enumerate() {
+        out += &format!("{point}/{i}:{stage} {:016x}\n", fnv1a(ir.as_bytes()));
+    }
+    let outcome = format!(
+        "{}\0{}\0{verdict}",
+        lgen::cir::unparse::unparse(&kernel, isa),
+        render(&verify_kernel(&kernel))
+    );
+    out += &format!("{point}/final {:016x}\n", fnv1a(outcome.as_bytes()));
+    out
+}
+
+/// Pins what every pass schedule makes of a fixed input set, stage by
+/// stage: 7 paper BLACs on Atom and Cortex-A8 under `Full { max_trip: 16 }`
+/// and the 5 program families on the 4 evaluated cores under
+/// `Full { max_trip: 64 }`, each through the 6 `PIPELINE_SPECS`. One
+/// FNV-1a line per input, core, spec and observed stage in
+/// `tests/golden/pipeline_specs.digest`.
+#[test]
+fn golden_pipeline_specs() {
+    use lgen::ll::paper;
+    let blacs = [
+        ("mvm_5x9", paper::mvm(5, 9)),
+        ("gemv_6x10", paper::gemv(6, 10)),
+        ("gemm_4x8x4", paper::gemm(4, 8, 4)),
+        ("bilinear_5x7", paper::bilinear(5, 7)),
+        ("addt_gemm_6x4x5", paper::addt_gemm(6, 4, 5)),
+        ("axpy_19", paper::axpy(19)),
+        ("transpose_6x5", paper::transpose(6, 5)),
+    ];
+    let mut actual = String::new();
+    for (label, blac) in &blacs {
+        for arch in [Microarch::Atom, Microarch::CortexA8] {
+            let opts = CodegenOptions::full(arch.vector_isa());
+            let raw = lgen::sigma::compile_blac(blac, "k", &opts);
+            for spec in PIPELINE_SPECS {
+                let unroll = UnrollPolicy::Full { max_trip: 16 };
+                actual += &schedule_lines(label, &raw, arch, spec, unroll);
+            }
+        }
+    }
+    for (label, source) in program_families() {
+        let program = parse_program(&source).unwrap_or_else(|e| panic!("{label}: {e:?}"));
+        for arch in Microarch::EVALUATED {
+            let opts = CodegenOptions::full(arch.vector_isa());
+            let raw = lgen::sigma::compile_program(&program, "k", &opts).kernel;
+            for spec in PIPELINE_SPECS {
+                let unroll = UnrollPolicy::Full { max_trip: 64 };
+                actual += &schedule_lines(label, &raw, arch, spec, unroll);
+            }
+        }
+    }
+    check_digest("pipeline_specs.digest", &actual);
 }
