@@ -70,6 +70,30 @@ if ! grep -Eq '^codegen,unroll,scalrep,(copyprop,dce,)+align$' <<<"$stages"; the
     exit 1
 fi
 
+echo "==> lgenc --peel / --version-align under paranoid verify, and the versioning limit"
+for flag in --peel --version-align; do
+    if ! whole_kernel_out=$(./target/release/lgenc "$blacfile" "$flag" --verify=paranoid 2>&1 >/dev/null); then
+        echo "error: lgenc $flag --verify=paranoid failed" >&2
+        echo "$whole_kernel_out" >&2
+        exit 1
+    fi
+done
+# y = A*x + B*z has five vector-sized arrays, past the three versioning
+# accepts: the kernel compiles unversioned and lgenc says so.
+fivefile=$(mktemp --suffix=.blac)
+printf 'A = matrix(4, 8)\nx = vector(8)\nB = matrix(4, 8)\nz = vector(8)\ny = vector(4)\ny = A * x + B * z\n' > "$fivefile"
+if ! five_out=$(./target/release/lgenc "$fivefile" --version-align 2>&1 >/dev/null); then
+    echo "error: lgenc --version-align on a five-array BLAC failed" >&2
+    echo "$five_out" >&2
+    exit 1
+fi
+rm -f "$fivefile"
+if ! grep -q "^lgenc: --version-align: 5 vector-sized arrays exceed the limit of 3; compiled unversioned$" <<<"$five_out"; then
+    echo "error: no unversioned-compile note for the five-array BLAC" >&2
+    echo "$five_out" >&2
+    exit 1
+fi
+
 echo "==> fault-injection suite under LGEN_VERIFY=paranoid"
 LGEN_VERIFY=paranoid cargo test -q --release --test fault_tolerance
 

@@ -14,8 +14,8 @@ use crate::blas::{BetaId, ScaleIds};
 use crate::emit::*;
 use crate::pattern::Pattern;
 use lgen_absint::AffineExpr;
-use lgen_cir::passes::detect_alignment_partial;
-use lgen_cir::{Kernel, KernelBuilder, MemMap, VArith, VWidth};
+use lgen_cir::arena::align_block;
+use lgen_cir::{Arena, ArrayId, Kernel, KernelBuilder, MemMap, VArith, VWidth};
 use lgen_isa::{Microarch, VectorIsa};
 use lgen_ll::blac::OperandId;
 use lgen_ll::Blac;
@@ -251,9 +251,7 @@ pub fn peeled_axpy(blac: &Blac, alpha: OperandId, x: OperandId, name: &str, call
         }
         let mut k = b.finish(blac.flops());
         if let Some(o) = off {
-            let mut offsets = vec![None; k.arrays.len()];
-            offsets[ya.0] = Some(o);
-            detect_alignment_partial(k.body_mut(), &offsets);
+            mark_aligned(&mut k, ya, o);
         }
         k
     };
@@ -325,9 +323,7 @@ pub fn peeled_gemv(
         }
         let mut k = b.finish(blac.flops());
         if let Some(o) = off {
-            let mut offsets = vec![None; k.arrays.len()];
-            offsets[aa.0] = Some(o);
-            detect_alignment_partial(k.body_mut(), &offsets);
+            mark_aligned(&mut k, aa, o);
         }
         k
     };
@@ -339,6 +335,16 @@ pub fn peeled_gemv(
     }
     versions.push((None, build_version(None)));
     merge_versions(versions)
+}
+
+/// Marks the accesses of `k` that are aligned when array `arr` sits at
+/// float offset `off` (mod ν); no other array is assumed aligned.
+fn mark_aligned(k: &mut Kernel, arr: ArrayId, off: usize) {
+    let mut offsets = vec![None; k.arrays.len()];
+    offsets[arr.0] = Some(off);
+    let (mut arena, root) = Arena::from_body(k.body());
+    align_block(&mut arena, root, &offsets);
+    *k.body_mut() = arena.to_body(root);
 }
 
 /// Scalar combine duplicated here to keep `emit`'s helper private.

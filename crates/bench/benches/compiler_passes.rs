@@ -3,9 +3,11 @@
 //! analysis, versioning, unparsing).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lgen_cir::passes::{
-    copy_prop, dce, detect_alignment, scalar_replacement, unroll, UnrollPolicy,
+use lgen_cir::arena::{
+    align_block, copy_prop_block, dce_block, scalar_replacement_block, unroll_block,
 };
+use lgen_cir::passes::UnrollPolicy;
+use lgen_cir::Arena;
 use lgen_core::CompileConfig;
 use lgen_isa::Microarch;
 use lgen_ll::paper;
@@ -31,31 +33,49 @@ fn bench_codegen(c: &mut Criterion) {
     g.finish();
 }
 
+/// Each pass as the arena sweep the pipeline runs, on a copy of the
+/// arena the previous passes left.
 fn bench_passes(c: &mut Criterion) {
     let blac = paper::gemv(30, 100);
     let opts = CodegenOptions::full(lgen_isa::VectorIsa::Ssse3);
     let raw = compile_blac(&blac, "k", &opts);
+    let arrays = &raw.arrays;
+    let policy = UnrollPolicy::Full { max_trip: 32 };
+    let (lowered, root) = Arena::from_body(raw.body());
     let mut g = c.benchmark_group("passes");
     g.bench_function("unroll-full", |b| {
         b.iter(|| {
-            black_box(unroll(
-                raw.body().to_vec(),
-                UnrollPolicy::Full { max_trip: 32 },
-            ))
+            let mut a = lowered.clone();
+            unroll_block(&mut a, root, policy);
+            black_box(a)
         })
     });
-    let unrolled = unroll(raw.body().to_vec(), UnrollPolicy::Full { max_trip: 32 });
+    let mut unrolled = lowered.clone();
+    unroll_block(&mut unrolled, root, policy);
     g.bench_function("scalar-replacement", |b| {
-        b.iter(|| black_box(scalar_replacement(unrolled.clone(), &raw.arrays)))
+        b.iter(|| {
+            let mut a = unrolled.clone();
+            scalar_replacement_block(&mut a, root, arrays);
+            black_box(a)
+        })
     });
-    let replaced = scalar_replacement(unrolled.clone(), &raw.arrays);
+    let mut replaced = unrolled;
+    scalar_replacement_block(&mut replaced, root, arrays);
     g.bench_function("copy-prop+dce", |b| {
-        b.iter(|| black_box(dce(copy_prop(replaced.clone()), &raw.arrays)))
+        b.iter(|| {
+            let mut a = replaced.clone();
+            copy_prop_block(&mut a, root);
+            dce_block(&mut a, root, arrays);
+            black_box(a)
+        })
     });
-    let mut cleaned = dce(copy_prop(replaced), &raw.arrays);
+    let mut cleaned = replaced;
+    copy_prop_block(&mut cleaned, root);
+    dce_block(&mut cleaned, root, arrays);
+    let aligned = vec![Some(0); arrays.len()];
     g.bench_function("alignment-detection", |b| {
         b.iter(|| {
-            detect_alignment(&mut cleaned, &vec![0; raw.arrays.len()]);
+            align_block(&mut cleaned, root, &aligned);
             black_box(&cleaned);
         })
     });

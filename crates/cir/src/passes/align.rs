@@ -1,183 +1,114 @@
 //! Alignment detection and alignment versioning (§3.2).
 //!
-//! Alignment detection runs the abstract interpretation of `lgen-absint`
-//! (reduced product of Interval and Congruence) over the kernel's loop nest
-//! and marks every 16-byte memory access whose address is provably a
-//! multiple of ν floats, given assumptions about the base alignment of each
-//! array. Lowering then uses aligned instructions for marked accesses.
+//! Alignment detection ([`crate::arena::align_block`], the `align` pass)
+//! runs the abstract interpretation of `lgen-absint` over the kernel's
+//! loop nest and marks every 16-byte memory access whose address is
+//! provably a multiple of ν floats, given assumptions about the base
+//! alignment of each array. Lowering then uses aligned instructions for
+//! marked accesses.
 //!
 //! Alignment versioning (§3.2.4) generates one code version per alignment
 //! combination of the vector-accessed parameter arrays — `(N/l)^a + 1`
 //! versions, each analyzed under its own assumption — combined by runtime
 //! dispatch (Listing 3.3).
 
-use crate::ir::{ArrayKind, Inst, Kernel, KernelVersion};
-use lgen_absint::{eval_affine, loop_index_value, AbstractDomain, IntervalCongruence, LoopSpec};
-use std::collections::HashMap;
+use crate::arena::{align_block, Arena};
+use crate::ir::{Inst, Kernel, KernelVersion};
 
 /// Number of float offsets per alignment class (ν for single precision with
 /// 16-byte vectors).
 pub const ALIGN_CLASSES: usize = 4;
 
-/// Marks provably aligned accesses in `body`.
-///
-/// `base_offsets[a]` is the assumed base offset of array `a` in floats
-/// modulo [`ALIGN_CLASSES`] (locals are always 0: the layout aligns them).
-pub fn detect_alignment(body: &mut [Inst], base_offsets: &[usize]) {
-    let opts: Vec<Option<usize>> = base_offsets.iter().map(|&o| Some(o)).collect();
-    detect_alignment_partial(body, &opts);
+/// The most arrays a kernel is versioned over: 3 arrays make 4^3 + 1 = 65
+/// versions (Listing 3.3); 4^4 + 1 = 257 is past the paper's own
+/// practical limit.
+pub const MAX_VERSIONED_ARRAYS: usize = 3;
+
+/// The parameter arrays alignment versioning dispatches on: those long
+/// enough (length ≥ ν) to be vector-accessed. Short (scalar) parameters
+/// are don't-care.
+pub fn versioned_arrays(kernel: &Kernel) -> Vec<usize> {
+    kernel
+        .arrays
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.kind.is_param() && d.len >= ALIGN_CLASSES)
+        .map(|(i, _)| i)
+        .collect()
 }
 
-/// [`detect_alignment`] with possibly-unknown base offsets: `None` entries
-/// are arrays whose alignment is not assumed (their 16-byte accesses are
-/// never marked). Used by runtime-peeling competitor models that dispatch
-/// on one array's alignment only.
-pub fn detect_alignment_partial(body: &mut [Inst], base_offsets: &[Option<usize>]) {
-    let mut env: HashMap<usize, IntervalCongruence> = HashMap::new();
-    walk(body, &mut env, base_offsets);
-}
-
-fn walk(
-    insts: &mut [Inst],
-    env: &mut HashMap<usize, IntervalCongruence>,
-    base_offsets: &[Option<usize>],
-) {
-    for inst in insts {
-        match inst {
-            Inst::GLoad {
-                arr,
-                addr,
-                map,
-                aligned,
-                ..
-            }
-            | Inst::GStore {
-                arr,
-                addr,
-                map,
-                aligned,
-                ..
-            } => {
-                if map.contiguous_bytes() != Some(16) {
-                    // Only full-width contiguous accesses have aligned
-                    // instruction variants.
-                    *aligned = false;
-                    continue;
-                }
-                let Some(base) = base_offsets[arr.0] else {
-                    *aligned = false;
-                    continue;
-                };
-                let v = eval_affine(addr, |var| {
-                    env.get(&var)
-                        .copied()
-                        .unwrap_or_else(IntervalCongruence::top)
-                })
-                .add(&IntervalCongruence::constant(base as i64));
-                *aligned = v.divisible_by(ALIGN_CLASSES as i64);
-            }
-            Inst::Loop {
-                var,
-                name,
-                start,
-                end,
-                step,
-                body,
-            } => {
-                let value = loop_index_value(&LoopSpec::new(name, *start, *end, *step));
-                let saved = env.insert(*var, value);
-                walk(body, env, base_offsets);
-                match saved {
-                    Some(s) => {
-                        env.insert(*var, s);
-                    }
-                    None => {
-                        env.remove(var);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
+/// Whether [`version_for_alignment`] accepts `kernel`: it is not yet
+/// versioned and has at most [`MAX_VERSIONED_ARRAYS`] versioned arrays.
+pub fn can_version(kernel: &Kernel) -> bool {
+    kernel.versions.len() == 1 && versioned_arrays(kernel).len() <= MAX_VERSIONED_ARRAYS
 }
 
 /// Generates the alignment-versioned form of a kernel (§3.2.4).
 ///
-/// Parameter arrays long enough to be vector-accessed (length ≥ ν) are
-/// versioned over their 4 possible float offsets; short (scalar) parameters
-/// are don't-care. The result has `4^a + 1` versions: every combination,
-/// each with alignment detection applied under its assumption, plus the
-/// all-unaligned fallback.
+/// Every [`versioned_arrays`] entry is versioned over its 4 possible float
+/// offsets. The result has `4^a + 1` versions: every combination, each
+/// with alignment detection applied under its assumption, plus the
+/// all-unaligned fallback. The body is converted to an arena once, and
+/// every version is rendered from it.
 ///
 /// # Panics
 ///
-/// Panics if the kernel is already versioned, or if more than 3 arrays
-/// would be versioned (4^4 + 1 = 257 versions is past the paper's own
-/// practical limit; Listing 3.3 uses 3 arrays → 65 versions).
+/// Panics unless [`can_version`] holds: if the kernel is already
+/// versioned, or if more than [`MAX_VERSIONED_ARRAYS`] arrays would be
+/// versioned.
 pub fn version_for_alignment(kernel: &Kernel) -> Kernel {
     assert_eq!(kernel.versions.len(), 1, "kernel is already versioned");
-    let base_body = &kernel.versions[0].body;
-    let params: Vec<usize> = kernel
-        .arrays
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.kind.is_param())
-        .map(|(i, _)| i)
-        .collect();
-    let versioned: Vec<usize> = params
-        .iter()
-        .copied()
-        .filter(|&a| kernel.arrays[a].len >= ALIGN_CLASSES)
-        .collect();
+    let versioned = versioned_arrays(kernel);
     assert!(
-        versioned.len() <= 3,
+        can_version(kernel),
         "refusing to version {} arrays (4^{} versions)",
         versioned.len(),
         versioned.len()
     );
+    let params: Vec<usize> = (0..kernel.arrays.len())
+        .filter(|&a| kernel.arrays[a].kind.is_param())
+        .collect();
+    let (mut arena, root) = Arena::from_body(kernel.body());
+    let mut render = |offsets: &[Option<usize>]| {
+        align_block(&mut arena, root, offsets);
+        arena.to_body(root)
+    };
 
     let ncombos = ALIGN_CLASSES.pow(versioned.len() as u32);
     let mut versions = Vec::with_capacity(ncombos + 1);
     for combo in 0..ncombos {
-        // Decode the combination into per-array offsets.
-        let mut offsets = vec![0usize; kernel.arrays.len()];
-        let mut required: Vec<Option<usize>> = vec![None; params.len()];
+        // Decode the combination into per-array offsets; arrays outside
+        // the combination (locals, short parameters) sit at offset 0.
+        let mut offsets = vec![Some(0); kernel.arrays.len()];
         let mut rem = combo;
         for &a in &versioned {
-            let off = rem % ALIGN_CLASSES;
+            offsets[a] = Some(rem % ALIGN_CLASSES);
             rem /= ALIGN_CLASSES;
-            offsets[a] = off;
-            let pidx = params.iter().position(|&p| p == a).expect("param");
-            required[pidx] = Some(off);
         }
-        let mut body = base_body.clone();
-        detect_alignment(&mut body, &offsets);
+        let required = params
+            .iter()
+            .map(|&p| {
+                if versioned.contains(&p) {
+                    offsets[p]
+                } else {
+                    None
+                }
+            })
+            .collect();
         versions.push(KernelVersion {
             required_offsets: Some(required),
-            body,
+            body: render(&offsets),
         });
     }
     // Unconditional fallback: everything unaligned.
-    let mut fallback = base_body.clone();
-    clear_alignment(&mut fallback);
     versions.push(KernelVersion {
         required_offsets: None,
-        body: fallback,
+        body: render(&vec![None; kernel.arrays.len()]),
     });
 
     Kernel {
         versions,
         ..kernel.clone()
-    }
-}
-
-fn clear_alignment(insts: &mut [Inst]) {
-    for inst in insts {
-        match inst {
-            Inst::GLoad { aligned, .. } | Inst::GStore { aligned, .. } => *aligned = false,
-            Inst::Loop { body, .. } => clear_alignment(body),
-            _ => {}
-        }
     }
 }
 
@@ -209,17 +140,19 @@ pub fn count_aligned(insts: &[Inst]) -> (usize, usize) {
     (aligned, total)
 }
 
-/// Convenience: does any parameter kind make the array local?
-pub fn is_local(kind: ArrayKind) -> bool {
-    kind == ArrayKind::Local
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::on_tree;
     use crate::builder::KernelBuilder;
     use crate::map::MemMap;
     use lgen_absint::AffineExpr;
+
+    /// Alignment detection on `k`'s body with every base offset known.
+    fn align_with(k: &mut Kernel, base_offsets: &[usize]) {
+        let offsets: Vec<Option<usize>> = base_offsets.iter().map(|&o| Some(o)).collect();
+        on_tree::align(k.body_mut(), &offsets);
+    }
 
     /// `for i in (0..16).step 4: load A+i` — all accesses aligned when the
     /// base is aligned, none when the base is off by one float.
@@ -233,9 +166,9 @@ mod tests {
             b.store(v, y, AffineExpr::var(i), MemMap::horizontal(4));
         });
         let mut k = b.finish(0);
-        detect_alignment(k.body_mut(), &[0, 0]);
+        align_with(&mut k, &[0, 0]);
         assert_eq!(count_aligned(k.body()), (2, 2));
-        detect_alignment(k.body_mut(), &[1, 0]);
+        align_with(&mut k, &[1, 0]);
         assert_eq!(count_aligned(k.body()), (1, 2));
     }
 
@@ -251,7 +184,7 @@ mod tests {
             b.store(v, y, AffineExpr::var(k), MemMap::horizontal(4));
         });
         let mut k = b.finish(0);
-        detect_alignment(k.body_mut(), &[0, 0]);
+        align_with(&mut k, &[0, 0]);
         assert_eq!(count_aligned(k.body()), (2, 2));
     }
 
@@ -268,16 +201,16 @@ mod tests {
             b.store(v, y, AffineExpr::scaled(4, r), MemMap::horizontal(4));
         });
         let mut k = b.finish(0);
-        detect_alignment(k.body_mut(), &[0, 0]);
+        align_with(&mut k, &[0, 0]);
         // Statically the row load cannot be proven aligned (depends on r)…
         assert_eq!(count_aligned(k.body()), (1, 2));
         // …but after full unrolling, exactly the even rows are.
-        let body = crate::passes::unroll(
+        let body = on_tree::unroll(
             std::mem::take(k.body_mut()),
             crate::passes::UnrollPolicy::Full { max_trip: 8 },
         );
         *k.body_mut() = body;
-        detect_alignment(k.body_mut(), &[0, 0]);
+        align_with(&mut k, &[0, 0]);
         let (aligned, total) = count_aligned(k.body());
         assert_eq!(total, 8);
         assert_eq!(aligned, 2 + 4, "rows 0 and 2 of A, all 4 stores to y");
@@ -291,7 +224,7 @@ mod tests {
         let v = b.load(x, AffineExpr::constant(0), MemMap::horizontal(3));
         b.store(v, y, AffineExpr::constant(0), MemMap::horizontal(2));
         let mut k = b.finish(0);
-        detect_alignment(k.body_mut(), &[0, 0]);
+        align_with(&mut k, &[0, 0]);
         assert_eq!(count_aligned(k.body()), (0, 0));
     }
 

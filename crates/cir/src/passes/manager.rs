@@ -12,8 +12,10 @@
 //! fingerprintable for cache keys ([`PassPipeline::fingerprint`]), and
 //! runnable ([`PassPipeline::run`]). A run converts the kernel body to the
 //! arena representation ([`crate::arena`]) once, applies every pass as a
-//! linear index sweep, and converts back once. One step loop owns the
-//! machinery around each pass:
+//! linear index sweep, and converts back once; callers with work of their
+//! own inside the same arena run (the per-statement unroll genome, the
+//! peeling alignment assumptions) use [`PassPipeline::run_arena`] and
+//! [`PassCtx::stage`]. One step loop owns the machinery around each pass:
 //!
 //! * **per-pass wall-clock accounting** into a telemetry span and a
 //!   dynamic [`PassStats`] table (one row per pass actually run, in
@@ -25,14 +27,10 @@
 //!   kernel after every pass, snapshotted, and verified under the pass's
 //!   name. Pipeline *boundary* checks remain the caller's, so failure
 //!   attribution matches the driver's stages.
-//!
-//! [`PassPipeline::run_reference`] drives the same loop with the
-//! tree-walking functions of [`super`]. It is the oracle the differential
-//! tests pin the arena sweeps to, and nothing in production calls it.
 
-use super::{copy_prop, dce, detect_alignment, scalar_replacement, unroll, UnrollPolicy};
+use super::UnrollPolicy;
 use crate::arena::{self, Arena, BlockId};
-use crate::ir::Kernel;
+use crate::ir::{ArrayDecl, Kernel};
 use crate::unparse::unparse;
 use crate::verify::{verify_stage, VerifyFailure, VerifyLevel};
 use lgen_isa::VectorIsa;
@@ -82,12 +80,24 @@ impl PassCtx<'_> {
         }
     }
 
-    /// Runs `apply` as stage `name` under a telemetry span and adds its
-    /// time to `stats`; returns `apply`'s verdict on whether the IR changed.
-    pub fn timed(&self, name: &str, apply: impl FnOnce() -> bool) -> bool {
+    /// Applies stage `name` to `kernel`'s body, which lives in `arena`
+    /// under `root` for the length of a pipeline run: `apply` runs under a
+    /// telemetry span with its time added to `stats`, and then, if an
+    /// observer is set, the arena is written back into `kernel`, which the
+    /// trace sink records and [`VerifyLevel::EveryPass`] verifies with
+    /// failures naming `name`. Returns `apply`'s verdict on whether the IR
+    /// changed.
+    pub fn stage(
+        &self,
+        name: &'static str,
+        kernel: &mut Kernel,
+        arena: &mut Arena,
+        root: BlockId,
+        apply: impl FnOnce(&mut Arena, BlockId, &[ArrayDecl]) -> bool,
+    ) -> Result<bool, VerifyFailure> {
         let mut span = lgen_telemetry::span(name);
         let t = Instant::now();
-        let changed = apply();
+        let changed = apply(arena, root, &kernel.arrays);
         let ns = t.elapsed().as_nanos() as u64;
         if span.is_recording() {
             span.attr("pass_ns", ns);
@@ -97,17 +107,14 @@ impl PassCtx<'_> {
         if let Some(stats) = self.stats {
             stats.record(name, ns);
         }
-        changed
-    }
-
-    /// Hands `kernel`, as it stands after stage `name`, to the observers:
-    /// the trace sink records it, and [`VerifyLevel::EveryPass`] verifies
-    /// it with failures naming `name`.
-    pub fn observe(&self, name: &'static str, kernel: &Kernel) -> Result<(), VerifyFailure> {
-        if let Some(trace) = self.trace {
-            trace.record(name, kernel, self.isa);
+        if self.trace.is_some() || self.verify == VerifyLevel::EveryPass {
+            *kernel.body_mut() = arena.to_body(root);
+            if let Some(trace) = self.trace {
+                trace.record(name, kernel, self.isa);
+            }
+            verify_stage(name, kernel, self.verify, false)?;
         }
-        verify_stage(name, kernel, self.verify, false)
+        Ok(changed)
     }
 }
 
@@ -294,19 +301,23 @@ impl PassPipeline {
     /// the surrounding driver stages.
     pub fn run(&self, kernel: &mut Kernel, ctx: &PassCtx) -> Result<(), VerifyFailure> {
         let (mut arena, root) = Arena::from_body(&std::mem::take(kernel.body_mut()));
-        run_steps(&self.steps, kernel, &mut Ir::Arena(&mut arena, root), ctx)?;
+        self.run_arena(kernel, &mut arena, root, ctx)?;
         *kernel.body_mut() = arena.to_body(root);
         Ok(())
     }
 
-    /// The tree-walking oracle for [`run`](Self::run): the same step loop,
-    /// with every pass a clone-and-rebuild rewrite over boxed [`Inst`]
-    /// trees. The differential suite (`tests/arena_equivalence.rs`) pins
-    /// the arena sweeps to it; nothing in production calls it.
-    ///
-    /// [`Inst`]: crate::ir::Inst
-    pub fn run_reference(&self, kernel: &mut Kernel, ctx: &PassCtx) -> Result<(), VerifyFailure> {
-        run_steps(&self.steps, kernel, &mut Ir::Tree, ctx).map(drop)
+    /// [`run`](Self::run) on a body the caller has already converted:
+    /// `kernel` supplies the array declarations and receives the observed
+    /// snapshots, while the body being optimized is `arena`'s block
+    /// `root`. The caller writes the arena back when its run is done.
+    pub fn run_arena(
+        &self,
+        kernel: &mut Kernel,
+        arena: &mut Arena,
+        root: BlockId,
+        ctx: &PassCtx,
+    ) -> Result<(), VerifyFailure> {
+        run_steps(&self.steps, kernel, arena, root, ctx).map(drop)
     }
 }
 
@@ -323,83 +334,44 @@ impl FromStr for PassPipeline {
     }
 }
 
-/// The IR a step loop rewrites.
-enum Ir<'a> {
-    /// The tree oracle: passes rewrite the kernel's own body.
-    Tree,
-    /// Production: the body lives in an arena for the whole run.
-    Arena(&'a mut Arena, BlockId),
-}
-
-impl Ir<'_> {
-    /// Applies pass `name`; returns whether it changed the IR.
-    fn apply(&mut self, name: &str, kernel: &mut Kernel, policy: UnrollPolicy) -> bool {
-        let Ir::Arena(a, root) = self else {
-            return tree_pass(name, kernel, policy);
-        };
-        let (root, arrays) = (*root, &kernel.arrays);
-        match name {
-            "unroll" => arena::unroll_block(a, root, policy),
-            "scalrep" => arena::scalar_replacement_block(a, root, arrays),
-            "copyprop" => arena::copy_prop_block(a, root),
-            "dce" => arena::dce_block(a, root, arrays),
-            "align" => arena::align_block(a, root, &vec![0usize; arrays.len()]),
-            other => unreachable!("unknown pass `{other}`"),
-        }
-    }
-
-    /// Writes the IR into `kernel`'s body (a tree already lives there).
-    fn sync(&self, kernel: &mut Kernel) {
-        if let Ir::Arena(a, root) = self {
-            *kernel.body_mut() = a.to_body(*root);
-        }
-    }
-}
-
-/// Applies pass `name` with the tree-walking functions of [`super`];
-/// returns whether the body changed.
-fn tree_pass(name: &str, kernel: &mut Kernel, policy: UnrollPolicy) -> bool {
-    let before = kernel.body().to_vec();
-    let arrays = &kernel.arrays;
-    let after = match name {
-        "unroll" => unroll(before.clone(), policy),
-        "scalrep" => scalar_replacement(before.clone(), arrays),
-        "copyprop" => copy_prop(before.clone()),
-        "dce" => dce(before.clone(), arrays),
-        "align" => {
-            let mut body = before.clone();
-            detect_alignment(&mut body, &vec![0usize; arrays.len()]);
-            body
-        }
+/// Applies pass `name` to the body at `root`; returns whether it changed.
+fn apply_pass(
+    name: &str,
+    a: &mut Arena,
+    root: BlockId,
+    arrays: &[ArrayDecl],
+    policy: UnrollPolicy,
+) -> bool {
+    match name {
+        "unroll" => arena::unroll_block(a, root, policy),
+        "scalrep" => arena::scalar_replacement_block(a, root, arrays),
+        "copyprop" => arena::copy_prop_block(a, root),
+        "dce" => arena::dce_block(a, root, arrays),
+        "align" => arena::align_block(a, root, &vec![Some(0); arrays.len()]),
         other => unreachable!("unknown pass `{other}`"),
-    };
-    let changed = after != before;
-    *kernel.body_mut() = after;
-    changed
+    }
 }
 
-/// The one step loop: executes `steps` in order on `ir`, timing each pass
-/// and handing the kernel to the observers after it; returns whether
-/// anything changed.
+/// The one step loop: executes `steps` in order, each pass a
+/// [`PassCtx::stage`]; returns whether anything changed.
 fn run_steps(
     steps: &[PipelineStep],
     kernel: &mut Kernel,
-    ir: &mut Ir,
+    arena: &mut Arena,
+    root: BlockId,
     ctx: &PassCtx,
 ) -> Result<bool, VerifyFailure> {
     let mut changed_any = false;
     for step in steps {
         match step {
             PipelineStep::Pass(name) => {
-                changed_any |= ctx.timed(name, || ir.apply(name, kernel, ctx.unroll));
-                if ctx.trace.is_some() || ctx.verify == VerifyLevel::EveryPass {
-                    ir.sync(kernel);
-                    ctx.observe(name, kernel)?;
-                }
+                changed_any |= ctx.stage(name, kernel, arena, root, |a, root, arrays| {
+                    apply_pass(name, a, root, arrays, ctx.unroll)
+                })?;
             }
             PipelineStep::Repeat(inner) => {
                 for _ in 0..MAX_FIXPOINT_ITERS {
-                    let changed = run_steps(inner, kernel, ir, ctx)?;
+                    let changed = run_steps(inner, kernel, arena, root, ctx)?;
                     changed_any |= changed;
                     if !changed {
                         break;

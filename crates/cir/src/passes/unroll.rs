@@ -1,14 +1,11 @@
-//! Loop unrolling.
+//! Loop unrolling: the policy the `unroll` pass
+//! ([`crate::arena::unroll_block`]) applies.
 //!
 //! LGen "typically unrolls inner loops" (§2.1.2): full unrolling of small
 //! trip counts exposes straight-line codelet chains to scalar replacement
 //! and lets alignment detection see constant addresses; partial unrolling
 //! trades instruction-cache pressure for instruction-level parallelism.
 //! The unroll decision is part of the autotuning search space.
-
-use crate::arena::trip_count;
-use crate::ir::Inst;
-use lgen_absint::{AffineExpr, VarId};
 
 /// Unrolling policy applied to every loop in a body (innermost included).
 ///
@@ -45,8 +42,8 @@ pub enum UnrollDecision {
 
 impl UnrollPolicy {
     /// The decision this policy takes on a loop of `trips` iterations —
-    /// the one rule behind the tree and arena unroll passes and the
-    /// compile memo's unroll signature.
+    /// the one rule behind the unroll pass and the compile memo's unroll
+    /// signature.
     pub fn decide(self, trips: usize) -> UnrollDecision {
         match self {
             UnrollPolicy::None => UnrollDecision::Leave,
@@ -61,188 +58,13 @@ impl UnrollPolicy {
     }
 }
 
-/// Substitutes `var := value` in an affine expression.
-fn subst_expr(e: &AffineExpr, var: VarId, value: i64) -> AffineExpr {
-    let mut out = AffineExpr {
-        terms: Vec::with_capacity(e.terms.len()),
-        constant: e.constant,
-    };
-    for &(c, v) in &e.terms {
-        if v == var {
-            out.constant += c * value;
-        } else {
-            out.terms.push((c, v));
-        }
-    }
-    out
-}
-
-/// Substitutes `var := value` throughout a block (recursively).
-pub fn subst_block(insts: &[Inst], var: VarId, value: i64) -> Vec<Inst> {
-    insts
-        .iter()
-        .map(|inst| match inst {
-            Inst::GLoad {
-                dst,
-                arr,
-                addr,
-                map,
-                aligned,
-            } => Inst::GLoad {
-                dst: *dst,
-                arr: *arr,
-                addr: subst_expr(addr, var, value),
-                map: map.clone(),
-                aligned: *aligned,
-            },
-            Inst::GStore {
-                src,
-                arr,
-                addr,
-                map,
-                aligned,
-            } => Inst::GStore {
-                src: *src,
-                arr: *arr,
-                addr: subst_expr(addr, var, value),
-                map: map.clone(),
-                aligned: *aligned,
-            },
-            Inst::Loop {
-                var: v,
-                name,
-                start,
-                end,
-                step,
-                body,
-            } => Inst::Loop {
-                var: *v,
-                name: name.clone(),
-                start: *start,
-                end: *end,
-                step: *step,
-                body: subst_block(body, var, value),
-            },
-            other => other.clone(),
-        })
-        .collect()
-}
-
-/// Applies `policy` to every loop in `insts`, bottom-up.
-pub fn unroll(insts: Vec<Inst>, policy: UnrollPolicy) -> Vec<Inst> {
-    insts
-        .into_iter()
-        .flat_map(|inst| unroll_inst(inst, policy))
-        .collect()
-}
-
-fn unroll_inst(inst: Inst, policy: UnrollPolicy) -> Vec<Inst> {
-    let Inst::Loop {
-        var,
-        name,
-        start,
-        end,
-        step,
-        body,
-    } = inst
-    else {
-        return vec![inst];
-    };
-    let body = unroll(body, policy);
-    match policy.decide(trip_count(start, end, step)) {
-        UnrollDecision::Leave => vec![Inst::Loop {
-            var,
-            name,
-            start,
-            end,
-            step,
-            body,
-        }],
-        UnrollDecision::Full => {
-            let mut out = Vec::new();
-            let mut k = start;
-            while k < end {
-                out.extend(subst_block(&body, var, k));
-                k += step;
-            }
-            out
-        }
-        UnrollDecision::Widen(factor) => {
-            // Repeat the body `factor` times with offsets, widen the step.
-            let mut widened = Vec::new();
-            for u in 0..factor {
-                widened.extend(body.iter().map(|i| shift_var(i, var, u as i64 * step)));
-            }
-            vec![Inst::Loop {
-                var,
-                name,
-                start,
-                end,
-                step: step * factor as i64,
-                body: widened,
-            }]
-        }
-    }
-}
-
-/// Rewrites `var` to `var + delta` inside an instruction (for factor
-/// unrolling).
-fn shift_var(inst: &Inst, var: VarId, delta: i64) -> Inst {
-    let shift_expr = |e: &AffineExpr| -> AffineExpr {
-        let coeff: i64 = e.terms.iter().filter(|t| t.1 == var).map(|t| t.0).sum();
-        e.offset(coeff * delta)
-    };
-    match inst {
-        Inst::GLoad {
-            dst,
-            arr,
-            addr,
-            map,
-            aligned,
-        } => Inst::GLoad {
-            dst: *dst,
-            arr: *arr,
-            addr: shift_expr(addr),
-            map: map.clone(),
-            aligned: *aligned,
-        },
-        Inst::GStore {
-            src,
-            arr,
-            addr,
-            map,
-            aligned,
-        } => Inst::GStore {
-            src: *src,
-            arr: *arr,
-            addr: shift_expr(addr),
-            map: map.clone(),
-            aligned: *aligned,
-        },
-        Inst::Loop {
-            var: v,
-            name,
-            start,
-            end,
-            step,
-            body,
-        } => Inst::Loop {
-            var: *v,
-            name: name.clone(),
-            start: *start,
-            end: *end,
-            step: *step,
-            body: body.iter().map(|i| shift_var(i, var, delta)).collect(),
-        },
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::ArrayId;
+    use crate::arena::on_tree::unroll;
+    use crate::ir::{ArrayId, Inst};
     use crate::map::MemMap;
+    use lgen_absint::AffineExpr;
 
     fn load_at(addr: AffineExpr) -> Inst {
         Inst::GLoad {

@@ -1148,8 +1148,15 @@ impl Autotuner {
     /// top [`PrunePolicy::survivors`], and audit the model by Spearman-
     /// correlating predictions against measurements. While the audit is
     /// unhealthy (correlation below the threshold) and budget remains,
-    /// the measured set widens — doubling — toward full measurement, so a
-    /// bad model costs tuning throughput, never the winner's quality.
+    /// the measured set widens — doubling — toward full measurement.
+    ///
+    /// The widening catches a model that ranks the measured tranche
+    /// badly, not one that leaves the winner out of it: a tranche the
+    /// model orders well, or whose measurements all tie (undefined ρ,
+    /// counted as healthy), stops the search, and the exhaustive winner
+    /// can be lost. `topk:4` lost it in 8 of 120 `paper_families()`
+    /// tunes, by up to 8.1% (ROADMAP item 2 replaces the audit with
+    /// bound-based pruning that keeps it).
     ///
     /// Deterministic for any thread count: the ranking is a pure function
     /// of the candidates, each tranche is evaluated in ascending candidate
@@ -2089,7 +2096,9 @@ mod tests {
     fn hostile_audit_threshold_widens_to_full_measurement() {
         // An unattainable audit threshold (> 1) keeps the search widening
         // until every candidate is measured — the graceful-degradation
-        // path: a distrusted model can cost throughput, never the winner.
+        // path: a distrusted model costs throughput, and full measurement
+        // finds the exhaustive winner. (A trusted model can still lose it;
+        // see `tune_pruned` and ROADMAP item 2.)
         // (GEMV with ten survivors: the statically best candidates are
         // the full-unroll family — eight policies collapsing to one
         // kernel and one cycle count — so a smaller tranche measures an

@@ -14,23 +14,26 @@
 //! manager, which owns per-pass timing ([`PassStats`]), between-pass
 //! verification, fixpoint `repeat(...)` groups, and `--print-after-all`
 //! tracing ([`PassTrace`]). The body contributes only what sits outside
-//! the schedule: fusion and codegen in front of it, an optional joint
-//! per-statement unroll genome (timed, traced and verified through the
-//! same [`PassCtx`] as a pass), the cross-candidate [`CompileMemo`], and —
-//! for a single BLAC (one statement, no temporaries) — the whole-kernel
-//! alignment versioning / loop-peeling transforms behind it.
+//! the schedule: fusion and codegen in front of it, the cross-candidate
+//! [`CompileMemo`], and — for a single BLAC (one statement, no
+//! temporaries) — the whole-kernel alignment versioning / loop-peeling
+//! transforms behind it. Every C-IR transform is an arena sweep, and one
+//! arena run per body covers the optional per-statement unroll genome
+//! (a [`PassCtx::stage`], timed, traced and verified like a pass), the
+//! schedule and peeling's alignment assumptions.
 
 use crate::cache::KernelCache;
 use crate::config::CompileConfig;
 use crate::memo::{CompileMemo, OptKey, ProgramLoweredEntry};
 use crate::pool::run_indexed;
 use crate::program::try_compile_program;
+use lgen_cir::arena::{align_block, unroll_statements};
+use lgen_cir::passes::align::{can_version, ALIGN_CLASSES};
 use lgen_cir::passes::{
-    detect_alignment_partial, unroll, version_for_alignment, PassCtx, PassPipeline, PassStats,
-    PassTrace, UnrollPolicy,
+    version_for_alignment, PassCtx, PassPipeline, PassStats, PassTrace, UnrollPolicy,
 };
 use lgen_cir::{
-    merge_kernel_versions, verify_stage, ArrayKind, Kernel, VerifyFailure, VerifyLevel,
+    merge_kernel_versions, verify_stage, Arena, ArrayKind, Kernel, VerifyFailure, VerifyLevel,
 };
 use lgen_isa::VectorIsa;
 use lgen_ll::{Blac, Program};
@@ -184,10 +187,7 @@ fn compile_body(
     // per-version alignment detection replaces the all-aligned `align`.
     let mut pipeline = Cow::Borrowed(&cfg.pipeline);
     if genome.is_some() {
-        pipeline = Cow::Owned(pipeline.without("unroll"));
-    }
-    if peeling || versioning {
-        pipeline = Cow::Owned(pipeline.without("align"));
+        pipeline = Cow::Owned(cfg.pipeline.without("unroll"));
     }
     let lower = Lowering {
         program,
@@ -199,22 +199,42 @@ fn compile_body(
         trace,
     };
     if peeling {
-        let compiled = lower.peeled()?;
+        let unaligned = pipeline.without("align");
+        let compiled = Lowering {
+            pipeline: &unaligned,
+            ..lower
+        }
+        .peeled()?;
         verify_stage("peeling", &compiled.kernel, cfg.verify, true)?;
         return Ok(compiled);
     }
-    let memo = memo.filter(|_| CompileMemo::eligible(cfg) && trace.is_none());
-    let mut compiled = lower.run(None, memo)?;
-    if versioning {
-        // Alignment versioning with runtime dispatch (§3.2.4).
-        let t = Instant::now();
-        let _span = lgen_telemetry::span("align-version");
-        compiled.kernel = Arc::new(version_for_alignment(&compiled.kernel));
-        if let Some(s) = stats {
-            s.record("align-version", t.elapsed().as_nanos() as u64);
+    let compiled = if versioning {
+        // Alignment versioning with runtime dispatch (§3.2.4) for kernels
+        // it accepts; one with too many vector-sized parameters compiles
+        // unversioned.
+        let pk = lower.codegen(None);
+        if can_version(&pk.kernel) {
+            let unaligned = pipeline.without("align");
+            let mut compiled = Lowering {
+                pipeline: &unaligned,
+                ..lower
+            }
+            .finish(pk, None)?;
+            let t = Instant::now();
+            let _span = lgen_telemetry::span("align-version");
+            compiled.kernel = Arc::new(version_for_alignment(&compiled.kernel));
+            if let Some(s) = stats {
+                s.record("align-version", t.elapsed().as_nanos() as u64);
+            }
+            verify_stage("alignment-versioning", &compiled.kernel, cfg.verify, true)?;
+            return Ok(compiled);
         }
-        verify_stage("alignment-versioning", &compiled.kernel, cfg.verify, true)?;
-    } else if cfg.verify != VerifyLevel::EveryPass || pipeline.is_empty() {
+        lower.finish(pk, None)?
+    } else {
+        let memo = memo.filter(|_| CompileMemo::eligible(cfg) && trace.is_none());
+        lower.run(None, memo)?
+    };
+    if cfg.verify != VerifyLevel::EveryPass || pipeline.is_empty() {
         // Pipeline-exit boundary check; at EveryPass the manager already
         // verified this exact kernel after its final pass.
         verify_stage("pipeline", &compiled.kernel, cfg.verify, true)?;
@@ -224,6 +244,7 @@ fn compile_body(
 
 /// One compile request as the body has resolved it: the input, the
 /// schedule actually run, and the instrumentation to thread through.
+#[derive(Clone, Copy)]
 struct Lowering<'a> {
     program: &'a Program,
     name: &'a str,
@@ -257,24 +278,15 @@ impl Lowering<'_> {
     /// One body: codegen (through `memo` when given), then the genome and
     /// the C-IR pass schedule (§2.1.4, §3.1) under the pass manager. A
     /// memo hit on the (lowering × schedule × unroll) key skips both.
+    /// `peel` is the base offset class a peeled body is generated and
+    /// analyzed for.
     fn run(
         &self,
         peel: Option<usize>,
         memo: Option<&CompileMemo>,
     ) -> Result<Compiled, VerifyFailure> {
         let Some(memo) = memo else {
-            let ProgramKernel {
-                kernel,
-                stmt_ranges,
-                fused,
-                fusions,
-            } = self.codegen(peel);
-            let kernel = Arc::new(self.optimize(kernel, &stmt_ranges)?);
-            return Ok(Compiled {
-                kernel,
-                fused,
-                fusions,
-            });
+            return self.finish(self.codegen(peel), peel);
         };
         let entry =
             memo.program_lowered_for(self.program, self.name, self.cfg, || self.codegen(peel));
@@ -282,7 +294,7 @@ impl Lowering<'_> {
         // The shared lowering is copied, since the passes rewrite it in
         // place.
         let kernel = memo.optimized_or_run(key, || {
-            self.optimize(entry.pk.kernel.clone(), &entry.pk.stmt_ranges)
+            self.optimize(entry.pk.kernel.clone(), &entry.pk.stmt_ranges, peel)
         })?;
         Ok(Compiled {
             kernel,
@@ -291,11 +303,29 @@ impl Lowering<'_> {
         })
     }
 
-    /// The genome and the pass schedule on a lowered kernel.
+    /// [`optimize`](Self::optimize) on a fresh lowering.
+    fn finish(&self, pk: ProgramKernel, peel: Option<usize>) -> Result<Compiled, VerifyFailure> {
+        let ProgramKernel {
+            kernel,
+            stmt_ranges,
+            fused,
+            fusions,
+        } = pk;
+        Ok(Compiled {
+            kernel: Arc::new(self.optimize(kernel, &stmt_ranges, peel)?),
+            fused,
+            fusions,
+        })
+    }
+
+    /// The genome, the pass schedule and, for a body peeled for base
+    /// offset class `peel`, alignment detection under that assumption —
+    /// all in one arena run on a lowered kernel.
     fn optimize(
         &self,
         mut kernel: Kernel,
         stmt_ranges: &[std::ops::Range<usize>],
+        peel: Option<usize>,
     ) -> Result<Kernel, VerifyFailure> {
         let isa = self.cfg.arch.vector_isa();
         if let Some(tr) = self.trace {
@@ -309,13 +339,29 @@ impl Lowering<'_> {
             stats: self.stats,
             trace: self.trace,
         };
+        let (mut arena, root) = Arena::from_body(&std::mem::take(kernel.body_mut()));
         if let Some(genome) = self.genome {
-            ctx.timed("unroll", || {
-                unroll_per_statement(&mut kernel, stmt_ranges, genome)
-            });
-            ctx.observe("unroll", &kernel)?;
+            ctx.stage("unroll", &mut kernel, &mut arena, root, |a, root, _| {
+                unroll_statements(a, root, stmt_ranges, genome)
+            })?;
         }
-        self.pipeline.run(&mut kernel, &ctx)?;
+        self.pipeline
+            .run_arena(&mut kernel, &mut arena, root, &ctx)?;
+        if let Some(off) = peel {
+            // Vector-sized parameters share the class; locals are aligned
+            // by the layout, short parameters are never assumed aligned.
+            let assumptions: Vec<Option<usize>> = kernel
+                .arrays
+                .iter()
+                .map(|a| match a.kind {
+                    ArrayKind::Local => Some(0),
+                    _ if a.len >= ALIGN_CLASSES => Some(off),
+                    _ => None,
+                })
+                .collect();
+            align_block(&mut arena, root, &assumptions);
+        }
+        *kernel.body_mut() = arena.to_body(root);
         Ok(kernel)
     }
 
@@ -325,25 +371,14 @@ impl Lowering<'_> {
     /// analyzed under its own assumption, plus an unconditional unaligned
     /// fallback.
     fn peeled(&self) -> Result<Compiled, VerifyFailure> {
-        let nu = 4usize;
-        let mut versions = Vec::with_capacity(nu + 1);
-        for off in 0..nu {
-            let mut k = Arc::unwrap_or_clone(self.run(Some(off), None)?.kernel);
-            let assumptions: Vec<Option<usize>> = k
-                .arrays
-                .iter()
-                .map(|a| match a.kind {
-                    ArrayKind::Local => Some(0),
-                    _ if a.len >= nu => Some(off),
-                    _ => None,
-                })
-                .collect();
-            detect_alignment_partial(k.body_mut(), &assumptions);
+        let mut versions = Vec::with_capacity(ALIGN_CLASSES + 1);
+        for off in 0..ALIGN_CLASSES {
+            let k = Arc::unwrap_or_clone(self.run(Some(off), None)?.kernel);
             let required: Vec<Option<usize>> = k
                 .arrays
                 .iter()
                 .filter(|a| a.kind.is_param())
-                .map(|a| if a.len >= nu { Some(off) } else { None })
+                .map(|a| (a.len >= ALIGN_CLASSES).then_some(off))
                 .collect();
             versions.push((Some(required), k));
         }
@@ -354,35 +389,6 @@ impl Lowering<'_> {
             ..fallback
         })
     }
-}
-
-/// Applies a per-statement unroll genome: each fused statement's top-level
-/// instruction range is unrolled under its own policy (the statement
-/// ranges partition the lowered body, so this is exactly the in-pipeline
-/// `unroll` pass with per-range policies). Returns whether the body
-/// changed.
-fn unroll_per_statement(
-    kernel: &mut Kernel,
-    stmt_ranges: &[std::ops::Range<usize>],
-    genome: &[UnrollPolicy],
-) -> bool {
-    assert_eq!(
-        genome.len(),
-        stmt_ranges.len(),
-        "one unroll policy per fused statement"
-    );
-    let mut insts = std::mem::take(kernel.body_mut()).into_iter();
-    let mut body = Vec::new();
-    let mut changed = false;
-    for (range, &policy) in stmt_ranges.iter().zip(genome) {
-        let chunk: Vec<_> = insts.by_ref().take(range.len()).collect();
-        let unrolled = unroll(chunk.clone(), policy);
-        changed |= unrolled != chunk;
-        body.extend(unrolled);
-    }
-    body.extend(insts);
-    *kernel.body_mut() = body;
-    changed
 }
 
 #[cfg(test)]
@@ -416,6 +422,24 @@ mod tests {
         let k = compile(&blac, "k", &cfg);
         // x and y are versioned (alpha is scalar): 4^2 + 1.
         assert_eq!(k.versions.len(), 17);
+    }
+
+    /// Past `MAX_VERSIONED_ARRAYS` vector-sized parameters, versioning is
+    /// declined: `y = A*x + B*z` (A, B 4×8) compiles to the one version
+    /// the same BLAC gets without versioning.
+    #[test]
+    fn versioning_past_the_array_limit_compiles_unversioned() {
+        let program = lgen_ll::parse_program(
+            "A = matrix(4, 8)\nx = vector(8)\nB = matrix(4, 8)\nz = vector(8)\n\
+             y = vector(4)\ny = A * x + B * z\n",
+        )
+        .unwrap();
+        let blac = program.view(0);
+        let plain = compile(&blac, "k", &CompileConfig::full(Microarch::Atom));
+        let cfg = CompileConfig::full(Microarch::Atom).with_versioning();
+        let k = compile(&blac, "k", &cfg);
+        assert_eq!(k.versions.len(), 1);
+        assert_eq!(k, plain);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! `--metrics` dumps the process metrics registry to stderr at exit;
 //! `LGEN_TRACE=1` records spans and prints the tree summary to stderr.
 
+use lgen::cir::passes::align::{versioned_arrays, MAX_VERSIONED_ARRAYS};
 use lgen::cir::passes::UnrollPolicy;
 use lgen::core::{
     parse_duration, try_compile_program_with, KernelCache, PassStats, PassTrace, PrunePolicy,
@@ -409,6 +410,16 @@ fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
             Err(failure) => verification_failed(&failure),
         }
     };
+
+    if cfg.alignment_versioning && kernel.versions.len() == 1 {
+        // The compile declined to version (versioning always adds the
+        // unaligned fallback, so a versioned kernel has 2+ versions).
+        eprintln!(
+            "lgenc: --version-align: {} vector-sized arrays exceed the limit of {}; compiled unversioned",
+            versioned_arrays(&kernel).len(),
+            MAX_VERSIONED_ARRAYS
+        );
+    }
 
     if o.cache_stats {
         // One coherent snapshot: counters and per-pass rows are read

@@ -353,3 +353,37 @@ fn print_after_all_traces_every_pass_of_a_program() {
     }
     let _ = std::fs::remove_file(path);
 }
+
+/// `--version-align` on a BLAC with more vector-sized arrays than
+/// versioning accepts (`y = A*x + B*z`: A, x, B, z and y, five arrays)
+/// compiles the kernel unversioned and says so, instead of aborting.
+#[test]
+fn version_align_past_the_array_limit_compiles_unversioned_with_a_note() {
+    let path = std::env::temp_dir().join(format!("lgenc_cli_{}_five.blac", std::process::id()));
+    std::fs::write(
+        &path,
+        "A = matrix(4, 8)\nx = vector(8)\nB = matrix(4, 8)\nz = vector(8)\ny = vector(4)\n\
+         y = A * x + B * z\n",
+    )
+    .unwrap();
+    let out = lgenc(&[path.to_str().unwrap(), "--version-align"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.contains(
+            "lgenc: --version-align: 5 vector-sized arrays exceed the limit of 3; \
+             compiled unversioned"
+        ),
+        "note missing: {stderr}"
+    );
+    assert!(stderr.contains("lgenc: validated"), "{stderr}");
+    let c = String::from_utf8_lossy(&out.stdout);
+    assert!(!c.contains("uintptr_t"), "no dispatch chain expected: {c}");
+    // Within the limit, the same flag versions and prints no note.
+    let small = blac_file("valign");
+    let out = lgenc(&[small.to_str().unwrap(), "--version-align"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("compiled unversioned"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("uintptr_t"));
+}

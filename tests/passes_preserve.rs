@@ -1,7 +1,11 @@
-//! Differential testing of the optimization passes: for any BLAC, any
-//! unrolling decision, and any backend, the fully optimized kernel must
-//! compute exactly what the unoptimized emission computes.
+//! Differential testing of the optimization passes: for any BLAC or
+//! program, any unrolling decision, and any backend, the fully optimized
+//! kernel must compute exactly what the unoptimized emission computes.
 
+#[allow(dead_code)]
+mod common;
+
+use common::{program_families, PIPELINE_SPECS};
 use lgen::cir::passes::UnrollPolicy;
 use lgen::ll::paper;
 use lgen::ll::reference::test_data;
@@ -102,19 +106,6 @@ proptest! {
     }
 }
 
-/// The pass schedules the differential sweep below runs: the standard
-/// order, a fixpoint-cleanup variant, re-ordered cleanup, and schedules
-/// with a pass dropped (`align`, `scalrep`) — every one is a legal spec
-/// and must be a bit-exact semantics preserver.
-const PIPELINE_SPECS: [&str; 6] = [
-    "unroll,scalrep,copyprop,dce,align",
-    "unroll,scalrep,repeat(copyprop,dce),align",
-    "unroll,copyprop,scalrep,copyprop,dce,align",
-    "unroll,scalrep,copyprop,dce",
-    "unroll,copyprop,dce,align",
-    "unroll,repeat(scalrep,copyprop,dce)",
-];
-
 /// Differential testing over pass *schedules*: any legal pipeline spec —
 /// fixpoint groups and dropped passes included — must compute bit-exactly
 /// what the unoptimized emission computes, on paper BLACs and random
@@ -138,6 +129,38 @@ fn every_pipeline_spec_preserves_semantics_bit_exactly() {
                     .with_passes(pipeline);
                 let opt = outputs(blac, &compile(blac, "opt", &cfg), arch.vector_isa());
                 assert_eq!(raw, opt, "{arch} spec \"{spec}\"");
+            }
+        }
+    }
+}
+
+/// The schedule sweep over the program families on every evaluated core:
+/// each fused kernel, whose local temporaries carry values between
+/// statements, must compute bit-exactly what its raw emission computes
+/// under every spec.
+#[test]
+fn every_pipeline_spec_preserves_program_semantics_bit_exactly() {
+    for (label, source) in program_families() {
+        let program = parse_program(&source).unwrap_or_else(|e| panic!("{label}: {e:?}"));
+        let values = lgen::core::program_test_values(&program, 400);
+        for arch in Microarch::EVALUATED {
+            let isa = arch.vector_isa();
+            let outputs = |kernel: &lgen::cir::Kernel| -> Vec<Vec<f32>> {
+                run_program_kernel(&program, kernel, isa, &values)
+                    .expect("kernel executes")
+                    .into_iter()
+                    .map(|v| v.data)
+                    .collect()
+            };
+            let opts = CodegenOptions::full(isa);
+            let raw = outputs(&lgen::sigma::compile_program(&program, "raw", &opts).kernel);
+            for spec in PIPELINE_SPECS {
+                let pipeline = PassPipeline::parse(spec).expect("spec is legal");
+                let cfg = CompileConfig::full(arch)
+                    .with_unroll(UnrollPolicy::Full { max_trip: 64 })
+                    .with_passes(pipeline);
+                let opt = outputs(&compile_program(&program, "opt", &cfg).kernel);
+                assert_eq!(raw, opt, "{label} on {arch}, spec \"{spec}\"");
             }
         }
     }

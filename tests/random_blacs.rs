@@ -6,10 +6,8 @@
 //! and the static verifier must stay clean, so a failure shrinks straight
 //! to the offending pass.
 
-use lgen::cir::passes::{
-    copy_prop, dce, detect_alignment, scalar_replacement, unroll, UnrollPolicy,
-};
-use lgen::cir::verify_kernel;
+use lgen::cir::passes::{UnrollPolicy, PASS_NAMES};
+use lgen::cir::{verify_kernel, PassCtx};
 use lgen::ll::blac::{Blac, Dims, Expr, OperandId};
 use lgen::ll::reference::{eval_reference, max_abs_diff, test_data};
 use lgen::prelude::*;
@@ -191,39 +189,21 @@ proptest! {
         let diags = verify_kernel(&kernel);
         prop_assert!(diags.is_empty(), "codegen fails verification:\n{}", lgen::cir::render(&diags));
         let baseline = output_bits(&blac, &kernel, arch, &values);
-        let arrays = kernel.arrays.clone();
-
-        macro_rules! step {
-            ($name:expr, $apply:expr) => {{
-                let body = std::mem::take(kernel.body_mut());
-                #[allow(clippy::redundant_closure_call)]
-                { *kernel.body_mut() = ($apply)(body); }
-                let diags = verify_kernel(&kernel);
-                prop_assert!(
-                    diags.is_empty(),
-                    "pass `{}` broke verification:\n{}",
-                    $name,
-                    lgen::cir::render(&diags)
-                );
-                let got = output_bits(&blac, &kernel, arch, &values);
-                prop_assert_eq!(&got, &baseline, "pass `{}` changed outputs", $name);
-            }};
+        // The standard schedule, one single-step pipeline per pass.
+        let ctx = PassCtx::new(policy);
+        for name in PASS_NAMES {
+            let step = PassPipeline::parse(name).expect("pass name");
+            prop_assert!(step.run(&mut kernel, &ctx).is_ok());
+            let diags = verify_kernel(&kernel);
+            prop_assert!(
+                diags.is_empty(),
+                "pass `{}` broke verification:\n{}",
+                name,
+                lgen::cir::render(&diags)
+            );
+            let got = output_bits(&blac, &kernel, arch, &values);
+            prop_assert_eq!(&got, &baseline, "pass `{}` changed outputs", name);
         }
-        step!("unroll", |b| unroll(b, policy));
-        step!("scalar-replacement", |b| scalar_replacement(b, &arrays));
-        step!("copy-prop", copy_prop);
-        step!("dce", |b| dce(b, &arrays));
-
-        let zeros = vec![0usize; arrays.len()];
-        detect_alignment(kernel.body_mut(), &zeros);
-        let diags = verify_kernel(&kernel);
-        prop_assert!(
-            diags.is_empty(),
-            "pass `alignment` broke verification:\n{}",
-            lgen::cir::render(&diags)
-        );
-        let got = output_bits(&blac, &kernel, arch, &values);
-        prop_assert_eq!(&got, &baseline, "pass `alignment` changed outputs");
     }
 }
 
