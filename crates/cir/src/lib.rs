@@ -12,12 +12,13 @@
 //! The crate provides:
 //!
 //! * the IR itself ([`ir`], [`map`]) and a builder API ([`builder`]),
-//! * code-level optimizations ([`passes`]): loop unrolling, scalar
-//!   replacement, copy propagation, dead-code elimination, and alignment
-//!   detection with alignment versioning (§3.2) — each schedulable by
-//!   name in a spec-string [`PassPipeline`] that runs them as arena
-//!   sweeps ([`arena`]) with per-pass timing, between-pass verification,
-//!   fixpoint `repeat(...)` groups, and IR tracing,
+//! * code-level optimizations: loop unrolling, scalar replacement, copy
+//!   propagation, dead-code elimination, and alignment detection with
+//!   alignment versioning (§3.2), each implemented once, as a sweep over
+//!   the arena form of a body ([`arena`]), and scheduled by name in a
+//!   spec-string [`PassPipeline`] ([`passes`]) with per-pass timing,
+//!   between-pass verification, fixpoint `repeat(...)` groups, and IR
+//!   tracing,
 //! * lowering of C-IR to machine opcodes per ISA ([`lower`]),
 //! * a reference interpreter that executes kernels numerically while
 //!   emitting the dynamic instruction trace ([`interp`]),
