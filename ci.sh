@@ -469,17 +469,33 @@ if ! wait "$lgend_pid"; then
     exit 1
 fi
 
-# Fault leg: one injected mid-request hang, slow tracing armed below it.
-# Exactly that request must cross the threshold — one chrome-trace chunk
-# in the slow-trace log, one slow_trace count in stats, and the request
-# visible in the flight recorder via `lgen-cli tail`.
+# Fault leg: one injected panic and one injected mid-request hang, slow
+# tracing armed below the hang. The panic (seq 3) must be contained by
+# the release binary: answered `error internal`, counted once, recorded
+# as `internal` in the flight recorder and snapshotted to the flight
+# dump. Exactly the hung request (seq 5) must cross the threshold — one
+# chrome-trace chunk in the slow-trace log, one slow_trace count in
+# stats, and the request visible in the flight recorder via `lgen-cli
+# tail`.
 fault_sock="$servedir/fault.sock"
-LGEN_FAULTS="hang@5:900ms" ./target/release/lgend --socket "$fault_sock" \
+LGEN_FAULTS="panic@3,hang@5:900ms" ./target/release/lgend --socket "$fault_sock" \
     --workers 2 --slow-ms 400 --recorder-cap 32 2>> "$servedir/lgend.log" &
 lgend_pid=$!
 for i in $(seq 0 7); do
+    status=0
     ./target/release/lgen-cli compile "$blacfile" --socket "$fault_sock" \
-        --name "fault_k$i" --tenant t0 > /dev/null 2>&1
+        --name "fault_k$i" --tenant t0 > /dev/null 2> "$servedir/fault-$i.err" || status=$?
+    if [ "$i" -eq 3 ]; then
+        if [ "$status" -eq 0 ] || ! grep -q 'internal: request panicked' "$servedir/fault-3.err"; then
+            echo "error: the injected panic (seq 3) was not answered error internal" >&2
+            cat "$servedir/fault-3.err" >&2
+            exit 1
+        fi
+    elif [ "$status" -ne 0 ]; then
+        echo "error: request seq $i failed:" >&2
+        cat "$servedir/fault-$i.err" >&2
+        exit 1
+    fi
 done
 fault_tail=$(./target/release/lgen-cli tail --json --socket "$fault_sock")
 fault_stats=$(./target/release/lgen-cli stats --json --socket "$fault_sock")
@@ -497,12 +513,26 @@ if ! grep -q '"slow_trace":{"enabled":true,"threshold_ms":400,"chunks":1}' <<<"$
     echo "$fault_stats" >&2
     exit 1
 fi
+if ! grep -q '"lgen.serve.panics_contained":1[,}]' <<<"$fault_stats"; then
+    echo "error: stats --json does not count the one contained panic" >&2
+    echo "$fault_stats" >&2
+    exit 1
+fi
 if ! grep -q '"seq":5,' <<<"$fault_tail"; then
     echo "error: flight recorder dump is missing the hung request (seq 5)" >&2
     echo "$fault_tail" >&2
     exit 1
 fi
-echo "    fault leg: 1 slow-trace chunk, hung request in the flight recorder"
+if ! grep -Eq '"seq":3,[^}]*"outcome":"internal"' <<<"$fault_tail"; then
+    echo "error: flight recorder does not show seq 3 answered internal" >&2
+    echo "$fault_tail" >&2
+    exit 1
+fi
+if ! grep -q '"seq":3,' "$fault_sock.flight-dump.json" 2>/dev/null; then
+    echo "error: the contained panic left no flight dump holding seq 3" >&2
+    exit 1
+fi
+echo "    fault leg: panic contained (seq 3), 1 slow-trace chunk, hung request in the flight recorder"
 
 python3 - "$servedir/cold.json" "$servedir/warm.json" <<'EOF' > BENCH_serve.json
 import json, sys

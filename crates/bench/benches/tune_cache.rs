@@ -57,11 +57,11 @@ fn bench_cache(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("cold/compile-suite", |b| {
         b.iter(|| {
-            let cache = KernelCache::new();
+            let cache = Arc::new(KernelCache::new());
             black_box(compile_many(&jobs, 1, &cache))
         })
     });
-    let warm = KernelCache::new();
+    let warm = Arc::new(KernelCache::new());
     compile_many(&jobs, 1, &warm);
     g.bench_function("warm/compile-suite", |b| {
         b.iter(|| black_box(compile_many(&jobs, 1, &warm)))

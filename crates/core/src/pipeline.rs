@@ -84,9 +84,11 @@ pub fn try_compile(blac: &Blac, name: &str, cfg: &CompileConfig) -> Result<Kerne
 pub fn compile_many(
     jobs: &[(Blac, String, CompileConfig)],
     threads: usize,
-    cache: &KernelCache,
+    cache: &Arc<KernelCache>,
 ) -> Vec<Arc<Kernel>> {
-    run_indexed(jobs.len(), threads, |i| {
+    let jobs: Arc<[(Blac, String, CompileConfig)]> = jobs.into();
+    let cache = cache.clone();
+    run_indexed(jobs.len(), threads, move |i| {
         let (blac, name, cfg) = &jobs[i];
         cache.get_or_compile(blac, name, cfg)
     })

@@ -1,5 +1,5 @@
-//! Worker pools for embarrassingly parallel compile / validate / measure
-//! jobs.
+//! The one isolation runtime: a worker pool for embarrassingly parallel
+//! jobs that may panic or hang.
 //!
 //! Jobs are index-addressed: job `i` writes result slot `i`, so the output
 //! order is the input order no matter which worker ran what — the
@@ -7,22 +7,19 @@
 //! through a single atomic counter (jobs are coarse — a full
 //! compile+validate+measure each — so contention is negligible).
 //!
-//! Two entry points with different failure semantics:
-//!
-//! - [`run_indexed`] — batch compilation of trusted inputs on scoped
-//!   threads. A panicking job is fatal: the panic propagates to the
-//!   caller, and a cooperative cancel flag stops sibling workers from
-//!   claiming further doomed jobs while the scope joins.
-//! - [`run_outcomes`] — the autotuner's jobs, on one process-wide pool of
-//!   parked helper threads. The pool starts lazily and grows to the widest
-//!   width requested, and the caller works as one of the workers, so once
-//!   the pool is warm a call spawns no thread. Jobs are claimed in an
-//!   order the caller gives. A panicking, hanging, or verifier-rejected
-//!   job is *contained*: every job is wrapped in `catch_unwind`,
-//!   optionally raced against a per-job deadline on its worker's
-//!   persistent runner thread, and reported as a [`JobOutcome`] so the
-//!   caller (the autotuner) can degrade gracefully instead of aborting the
-//!   whole search.
+//! [`run_outcomes`] is the one entry point that runs jobs. It runs them on
+//! one process-wide pool of parked helper threads. The pool starts lazily
+//! and grows to the widest width requested, and the caller works as one of
+//! the workers, so once the pool is warm a call spawns no thread. Jobs are
+//! claimed in an order the caller gives. A panicking, hanging, or
+//! verifier-rejected job is *contained*: every job is wrapped in
+//! `catch_unwind`, optionally raced against a per-job deadline on its
+//! worker's persistent runner thread, and reported as a [`JobOutcome`] so
+//! the caller can degrade gracefully instead of aborting. Its callers are
+//! the autotuner, the Mediator's experiment attempts (one call per
+//! attempt, on the core's worker thread), `lgend`'s requests (one call per
+//! request, inline on the daemon's worker), and [`run_indexed`], the batch
+//! compiler's layer that turns the first contained panic back into one.
 
 use lgen_cir::VerifyFailure;
 use parking_lot::Mutex;
@@ -85,71 +82,62 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Runs `job(0..n_jobs)` on up to `threads` scoped workers and returns the
-/// results in job order. With `threads <= 1` (or a single job) everything
-/// runs on the caller's thread — the sequential path is the parallel path.
+/// Runs `job(0..n_jobs)` on up to `threads` workers of the pool behind
+/// [`run_outcomes`] and returns the results in job order. With
+/// `threads <= 1` (or a single job) everything runs on the caller's
+/// thread — the sequential path is the parallel path.
 ///
 /// # Panics
 ///
 /// A panicking job propagates out, matching the sequential behaviour the
 /// batch compiler documents: a trusted input failing is a compiler bug,
-/// not a recoverable condition. The panic sets a cancel flag checked in
-/// the claim loop, so sibling workers stop claiming new (doomed) jobs
-/// instead of running the rest of the batch to completion first; the
-/// original payload is rethrown after the scope joins.
+/// not a recoverable condition. The first panic stops the workers from
+/// claiming new (doomed) jobs instead of running the rest of the batch to
+/// completion first; once the call returns, the first failing job's panic
+/// is re-raised with its message.
 pub fn run_indexed<T, F>(n_jobs: usize, threads: usize, job: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    T: Send + 'static,
+    F: Fn(usize) -> T + Send + Sync + 'static,
 {
-    let threads = effective_threads(threads).min(n_jobs);
-    if threads <= 1 {
-        return (0..n_jobs).map(job).collect();
-    }
-
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n_jobs).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
-    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    let job = &job;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let slots = &slots;
-            let next = &next;
-            let cancelled = &cancelled;
-            let first_panic = &first_panic;
-            scope.spawn(move || loop {
-                if cancelled.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_jobs {
-                    break;
-                }
-                // The job (a whole compile+validate+measure) runs outside
-                // the lock; only the slot write serializes.
-                match catch_unwind(AssertUnwindSafe(|| job(i))) {
-                    Ok(result) => slots.lock()[i] = Some(result),
-                    Err(payload) => {
-                        cancelled.store(true, Ordering::Relaxed);
-                        let mut slot = first_panic.lock();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        break;
-                    }
-                }
-            });
+    /// Marks the run failed when the job it guards unwinds.
+    struct Fail<'a>(&'a AtomicBool);
+    impl Drop for Fail<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(true, Ordering::Relaxed);
+            }
         }
-    });
-    if let Some(payload) = first_panic.into_inner() {
-        resume_unwind(payload);
     }
-    slots
-        .into_inner()
+    let failed = Arc::new(AtomicBool::new(false));
+    let stop = failed.clone();
+    let outcomes = run_outcomes(
+        (0..n_jobs).collect(),
+        threads,
+        None,
+        move || stop.load(Ordering::Relaxed),
+        Arc::new(move |i, _| {
+            let _fail = Fail(&failed);
+            Ok(job(i))
+        }),
+    );
+    let mut first_panic = None;
+    let results = outcomes
         .into_iter()
-        .map(|s| s.expect("every job index was claimed"))
-        .collect()
+        .filter_map(|o| match o {
+            JobOutcome::Ok(t) => Some(t),
+            JobOutcome::Panicked(msg) => {
+                first_panic.get_or_insert(msg);
+                None
+            }
+            // Skipped once a job failed; nothing here rejects.
+            JobOutcome::Rejected(_) | JobOutcome::TimedOut => None,
+        })
+        .collect();
+    if let Some(msg) = first_panic {
+        resume_unwind(Box::new(msg));
+    }
+    results
 }
 
 /// A caught job result as it travels back from a runner thread.
@@ -601,14 +589,14 @@ impl Shared {
     }
 }
 
-/// Fault-isolating variant of [`run_indexed`] on the process-wide
-/// persistent pool: runs job `i` for every `i` in `order` (a permutation
-/// of `0..order.len()`), claiming jobs in that order, and returns the
-/// outcomes in job order. Every job is contained (`catch_unwind`,
-/// optional per-job `deadline`), failures become [`JobOutcome`]s instead
-/// of aborting the run, and `stop` is checked before every claim, so
-/// workers stop claiming once the run is doomed or its budget is spent;
-/// unclaimed slots — the end of `order` — report [`JobOutcome::TimedOut`].
+/// Runs job `i` for every `i` in `order` (a permutation of
+/// `0..order.len()`) on the process-wide persistent pool, claiming jobs in
+/// that order, and returns the outcomes in job order. Every job is
+/// contained (`catch_unwind`, optional per-job `deadline`), failures
+/// become [`JobOutcome`]s instead of aborting the run, and `stop` is
+/// checked before every claim, so workers stop claiming once the run is
+/// doomed or its budget is spent; unclaimed slots — the end of `order` —
+/// report [`JobOutcome::TimedOut`].
 ///
 /// The `'static` bounds exist because helpers and deadline runners are
 /// long-lived threads and a hung job's runner may outlive the call; share
@@ -643,9 +631,10 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let out = run_indexed(100, 4, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
+        let counter = Arc::new(AtomicUsize::new(0));
+        let count = counter.clone();
+        let out = run_indexed(100, 4, move |i| {
+            count.fetch_add(1, Ordering::Relaxed);
             i
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
@@ -683,16 +672,17 @@ mod tests {
     /// completion before the scope joins.
     #[test]
     fn panicking_job_cancels_sibling_claims() {
-        let ran = AtomicUsize::new(0);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counted = ran.clone();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_indexed(200, 4, |i| {
+            run_indexed(200, 4, move |i| {
                 if i == 0 {
                     panic!("doomed");
                 }
                 // Slow enough that the cancel flag is set long before the
                 // batch could drain.
                 std::thread::sleep(Duration::from_millis(5));
-                ran.fetch_add(1, Ordering::Relaxed);
+                counted.fetch_add(1, Ordering::Relaxed);
             })
         }));
         assert!(caught.is_err(), "the panic still propagates");

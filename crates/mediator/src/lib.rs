@@ -14,14 +14,14 @@
 //! payload is a closure executed on the device's core instead of shell
 //! commands. The scheduling semantics (mutual exclusion per core, load
 //! balancing, sync/async processing, expiry) are implemented and tested
-//! for real, with actual worker threads.
+//! for real, with actual worker threads. Each experiment attempt is
+//! isolated by `lgen_core::pool::run_outcomes`, the runtime the autotuner
+//! and `lgend` use too: a panic becomes a 500, an overrun deadline a 408.
 
-pub mod admission;
 pub mod api;
 pub mod measure;
 pub mod scheduler;
 
-pub use admission::{AdmissionError, FairQueue};
 pub use api::{ApiError, ErrorReason, JobResults, JobState, JobStatus};
 pub use measure::MeasurementModule;
 pub use scheduler::{DeviceSpec, ExperimentSpec, Mediator, WorkFn};

@@ -9,26 +9,34 @@
 //!
 //! **Fault tolerance.** A device farm sees flaky runs: a measurement that
 //! segfaults, hangs, or trips a transient SSH-level error must not take
-//! the worker (or the whole campaign) down. Every experiment attempt runs
-//! under `catch_unwind` — a panic is reported as a 500
-//! (`InternalError`), never propagated into the core worker. An optional
-//! per-experiment [`timeout`](ExperimentSpec::timeout) bounds each
-//! attempt: a run still going when it expires is abandoned (the thesis
+//! the worker (or the whole campaign) down. Every experiment attempt is
+//! one [`run_outcomes`] call on the core's worker thread, the runtime
+//! that also isolates the autotuner's candidates: a panic is reported as
+//! a 500 (`InternalError`), never propagated into the core worker. An
+//! optional per-experiment [`timeout`](ExperimentSpec::timeout) bounds
+//! each attempt, which then runs on the worker's persistent deadline
+//! runner: a run still going when it expires is abandoned (the thesis
 //! kills the SSH session; threads cannot be killed, so the worker walks
-//! away and the stray attempt finishes unobserved) and reported as a 408
-//! (`InstructionTimeoutError`). Transient failures — the work returning
-//! `Err` — are retried up to [`retries`](ExperimentSpec::retries) times
-//! with exponential backoff before the 405 is reported; the attempt count
-//! is surfaced in [`ExperimentResults::attempts`]. Finally, a background
-//! sweeper evicts expired results-cache entries even when nobody polls,
-//! so a long-lived Mediator cannot leak finished jobs.
+//! away, the stray attempt finishes unobserved, and the runner is
+//! replaced) and reported as a 408 (`InstructionTimeoutError`). No
+//! thread is spawned per attempt or per job. Transient failures — the
+//! work returning `Err` — are retried up to
+//! [`retries`](ExperimentSpec::retries) times with exponential backoff
+//! before the 405 is reported; the attempt count is surfaced in
+//! [`ExperimentResults::attempts`]. A job is checked whole before any of
+//! its experiments is enqueued, so a rejected job runs nothing. Finally,
+//! a background sweeper settles asynchronous jobs and evicts expired
+//! results-cache entries even when nobody polls, so a long-lived Mediator
+//! cannot leak finished jobs.
 
 use crate::api::{ApiError, ErrorReason, ExperimentResults, JobResults, JobState, JobStatus};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use lgen_core::pool::run_outcomes;
+use lgen_core::JobOutcome;
 use lgen_isa::Microarch;
+use lgen_telemetry::{metric_counter, metric_histogram};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -39,8 +47,8 @@ use std::time::{Duration, Instant};
 /// thesis). `Fn` (not `FnOnce`) so a transient failure can be retried.
 pub type WorkFn = Box<dyn Fn(Microarch, usize) -> Result<Vec<String>, String> + Send + Sync>;
 
-/// Shared form of the payload: timed-out attempts run on an abandoned
-/// runner thread, which needs co-ownership.
+/// Shared form of the payload: every attempt hands the pool its own
+/// owning handle, and a timed-out attempt outlives its call.
 type SharedWork = Arc<dyn Fn(Microarch, usize) -> Result<Vec<String>, String> + Send + Sync>;
 
 /// A device registration (replaces the SSH `Device` of Table A.1).
@@ -110,29 +118,24 @@ impl ExperimentSpec {
 /// attempts it took.
 type Verdict = (Result<Vec<String>, ApiError>, usize);
 
-/// Per-experiment completion channel.
-type ReplyRx = crossbeam::channel::Receiver<Verdict>;
-
-enum CoreMsg {
-    Run {
-        work: SharedWork,
-        device: String,
-        arch: Microarch,
-        core: usize,
-        timeout: Option<Duration>,
-        retries: usize,
-        /// When the experiment entered the core queue; the worker turns
-        /// this into the queue-wait histogram.
-        enqueued: Instant,
-        reply: Sender<Verdict>,
-    },
-    Shutdown,
+/// One experiment queued on a core.
+struct Run {
+    work: SharedWork,
+    device: String,
+    arch: Microarch,
+    core: usize,
+    timeout: Option<Duration>,
+    retries: usize,
+    /// When the experiment entered the core queue; the worker turns this
+    /// into the queue-wait histogram.
+    enqueued: Instant,
+    reply: Sender<Verdict>,
 }
 
 struct CoreWorker {
-    queue: Sender<CoreMsg>,
+    queue: Sender<Run>,
     pending: Arc<AtomicUsize>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
 struct DeviceHandle {
@@ -145,10 +148,57 @@ struct DeviceHandle {
     enqueue: Mutex<()>,
 }
 
+/// A dispatched experiment: where it runs and its reply channel.
+struct Wait {
+    device_hostname: String,
+    core: usize,
+    reply: Receiver<Verdict>,
+}
+
+impl Wait {
+    fn result(&self, (outcome, attempts): Verdict) -> ExperimentResults {
+        ExperimentResults {
+            device_hostname: self.device_hostname.clone(),
+            core: self.core,
+            attempts,
+            outcome,
+        }
+    }
+}
+
+/// The verdict of an experiment whose worker hung up without one.
+fn worker_died() -> Verdict {
+    let died = ApiError::new(ErrorReason::InternalError, "worker died");
+    (Err(died), 0)
+}
+
+/// An asynchronous job in the results cache: its experiments, the
+/// results taken so far (one slot each), and when the last one arrived.
 struct JobEntry {
-    state: JobState,
-    results: Option<JobResults>,
+    waits: Vec<Wait>,
+    taken: Vec<Option<ExperimentResults>>,
     finished_at: Option<Instant>,
+}
+
+/// Settles every cached job — takes each verdict that has arrived, and
+/// starts a job's expiry clock once its last one has — then drops the
+/// jobs finished more than `expiry` ago.
+fn sweep(jobs: &mut HashMap<String, JobEntry>, expiry: Duration) {
+    for e in jobs.values_mut() {
+        for (w, slot) in e.waits.iter().zip(&mut e.taken) {
+            if slot.is_none() {
+                *slot = match w.reply.try_recv() {
+                    Ok(verdict) => Some(w.result(verdict)),
+                    Err(TryRecvError::Disconnected) => Some(w.result(worker_died())),
+                    Err(TryRecvError::Empty) => None,
+                };
+            }
+        }
+        if e.finished_at.is_none() && e.taken.iter().all(Option::is_some) {
+            e.finished_at = Some(Instant::now());
+        }
+    }
+    jobs.retain(|_, e| e.finished_at.is_none_or(|t| t.elapsed() < expiry));
 }
 
 /// The middleware: registered devices, per-core workers, results cache.
@@ -158,7 +208,7 @@ pub struct Mediator {
     next_job: AtomicUsize,
     /// Results expire this long after completion (§4.3).
     expiry: Duration,
-    /// Wakes the background sweeper for shutdown.
+    /// Dropped to stop the background sweeper.
     sweep_stop: Option<Sender<()>>,
     sweeper: Option<JoinHandle<()>>,
 }
@@ -169,78 +219,88 @@ fn backoff(attempt: usize) -> Duration {
     Duration::from_millis(1u64 << (attempt - 1).min(6) as u32)
 }
 
-/// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
+/// A core's worker: runs its queue in FIFO order until the Mediator drops
+/// the sending end.
+fn core_worker(queue: Receiver<Run>, pending: &AtomicUsize) {
+    for run in queue.iter() {
+        let queue_wait = run.enqueued.elapsed();
+        metric_histogram!("lgen.mediator.queue_wait_us").record(queue_wait.as_micros() as u64);
+        let mut span = lgen_telemetry::span("experiment");
+        if span.is_recording() {
+            span.attr("device", &run.device);
+            span.attr("core", run.core);
+            span.attr("queue_wait_us", queue_wait.as_micros());
+        }
+        let run_start = Instant::now();
+        let verdict = run.verdict();
+        metric_histogram!("lgen.mediator.run_us").record(run_start.elapsed().as_micros() as u64);
+        metric_counter!("lgen.mediator.experiments").inc();
+        let (outcome, attempts) = &verdict;
+        if *attempts > 1 {
+            metric_counter!("lgen.mediator.retries").add(*attempts as u64 - 1);
+        }
+        if span.is_recording() {
+            span.attr("attempts", attempts);
+            span.attr(
+                "outcome",
+                match outcome {
+                    Ok(_) => "ok".to_string(),
+                    Err(e) => format!("error{}", e.code),
+                },
+            );
+        }
+        drop(span);
+        pending.fetch_sub(1, Ordering::SeqCst);
+        let _ = run.reply.send(verdict);
     }
 }
 
-/// One attempt: panic-contained, optionally deadline-bounded.
-fn run_attempt(
-    work: &SharedWork,
-    arch: Microarch,
-    core: usize,
-    timeout: Option<Duration>,
-) -> Result<Vec<String>, ApiError> {
-    let exec_err = |msg: String| ApiError::new(ErrorReason::InstructionExecutionError, msg);
-    let panic_err = |payload: Box<dyn std::any::Any + Send>| {
-        ApiError::new(
-            ErrorReason::InternalError,
-            format!("experiment panicked: {}", panic_message(&*payload)),
-        )
-    };
-    match timeout {
-        None => match catch_unwind(AssertUnwindSafe(|| work(arch, core))) {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(msg)) => Err(exec_err(msg)),
-            Err(payload) => Err(panic_err(payload)),
-        },
-        Some(limit) => {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let w = work.clone();
-            std::thread::spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| w(arch, core)));
-                let _ = tx.send(r);
-            });
-            match rx.recv_timeout(limit) {
-                Ok(Ok(Ok(out))) => Ok(out),
-                Ok(Ok(Err(msg))) => Err(exec_err(msg)),
-                Ok(Err(payload)) => Err(panic_err(payload)),
-                Err(_) => Err(ApiError::new(
-                    ErrorReason::InstructionTimeoutError,
-                    format!("experiment exceeded its {limit:?} deadline"),
-                )),
+impl Run {
+    /// Runs the experiment to its final verdict: transient failures (405)
+    /// are retried with backoff up to `retries` times; timeouts and panics
+    /// are terminal (the deadline budget is spent, and a panicking payload
+    /// is not presumed transient).
+    fn verdict(&self) -> Verdict {
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let outcome = self.attempt();
+            match &outcome {
+                Err(e)
+                    if e.reason == ErrorReason::InstructionExecutionError
+                        && attempts <= self.retries =>
+                {
+                    std::thread::sleep(backoff(attempts));
+                }
+                _ => return (outcome, attempts),
             }
         }
     }
-}
 
-/// Runs an experiment to its final verdict: transient failures (405) are
-/// retried with backoff up to `retries` times; timeouts and panics are
-/// terminal (the deadline budget is spent, and a panicking payload is not
-/// presumed transient).
-fn run_experiment(
-    work: &SharedWork,
-    arch: Microarch,
-    core: usize,
-    timeout: Option<Duration>,
-    retries: usize,
-) -> Verdict {
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        let outcome = run_attempt(work, arch, core, timeout);
-        match &outcome {
-            Err(e) if e.reason == ErrorReason::InstructionExecutionError && attempts <= retries => {
-                std::thread::sleep(backoff(attempts));
+    /// One attempt, isolated by the pool on the calling core worker:
+    /// inline without a timeout, else on the worker's persistent deadline
+    /// runner.
+    fn attempt(&self) -> Result<Vec<String>, ApiError> {
+        let (work, arch, core) = (self.work.clone(), self.arch, self.core);
+        let attempt = Arc::new(move |_: usize, _: Option<Instant>| Ok(work(arch, core)));
+        let outcome = run_outcomes(vec![0], 1, self.timeout, || false, attempt).pop();
+        let (reason, message) = match (outcome, self.timeout) {
+            (Some(JobOutcome::Ok(out)), _) => {
+                return out
+                    .map_err(|msg| ApiError::new(ErrorReason::InstructionExecutionError, msg))
             }
-            _ => return (outcome, attempts),
-        }
+            (Some(JobOutcome::Panicked(msg)), _) => (
+                ErrorReason::InternalError,
+                format!("experiment panicked: {msg}"),
+            ),
+            (Some(JobOutcome::TimedOut), Some(limit)) => (
+                ErrorReason::InstructionTimeoutError,
+                format!("experiment exceeded its {limit:?} deadline"),
+            ),
+            // No verifier and no stop predicate: nothing else ends an attempt.
+            _ => (ErrorReason::InternalError, "experiment was not run".into()),
+        };
+        Err(ApiError::new(reason, message))
     }
 }
 
@@ -251,67 +311,14 @@ impl Mediator {
         for d in devices {
             let cores = (0..d.cores)
                 .map(|_core| {
-                    let (tx, rx) = unbounded::<CoreMsg>();
+                    let (queue, rx) = unbounded::<Run>();
                     let pending = Arc::new(AtomicUsize::new(0));
-                    let pending2 = pending.clone();
-                    let handle = std::thread::spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                CoreMsg::Run {
-                                    work,
-                                    device,
-                                    arch,
-                                    core,
-                                    timeout,
-                                    retries,
-                                    enqueued,
-                                    reply,
-                                } => {
-                                    let queue_wait = enqueued.elapsed();
-                                    lgen_telemetry::metric_histogram!(
-                                        "lgen.mediator.queue_wait_us"
-                                    )
-                                    .record(queue_wait.as_micros() as u64);
-                                    let mut span = lgen_telemetry::span("experiment");
-                                    if span.is_recording() {
-                                        span.attr("device", &device);
-                                        span.attr("core", core);
-                                        span.attr("queue_wait_us", queue_wait.as_micros());
-                                    }
-                                    let run_start = Instant::now();
-                                    let verdict =
-                                        run_experiment(&work, arch, core, timeout, retries);
-                                    lgen_telemetry::metric_histogram!("lgen.mediator.run_us")
-                                        .record(run_start.elapsed().as_micros() as u64);
-                                    lgen_telemetry::metric_counter!("lgen.mediator.experiments")
-                                        .inc();
-                                    let (outcome, attempts) = &verdict;
-                                    if *attempts > 1 {
-                                        lgen_telemetry::metric_counter!("lgen.mediator.retries")
-                                            .add(*attempts as u64 - 1);
-                                    }
-                                    if span.is_recording() {
-                                        span.attr("attempts", attempts);
-                                        span.attr(
-                                            "outcome",
-                                            match outcome {
-                                                Ok(_) => "ok".to_string(),
-                                                Err(e) => format!("error{}", e.code),
-                                            },
-                                        );
-                                    }
-                                    drop(span);
-                                    pending2.fetch_sub(1, Ordering::SeqCst);
-                                    let _ = reply.send(verdict);
-                                }
-                                CoreMsg::Shutdown => break,
-                            }
-                        }
-                    });
+                    let counter = pending.clone();
+                    let handle = std::thread::spawn(move || core_worker(rx, &counter));
                     CoreWorker {
-                        queue: tx,
+                        queue,
                         pending,
-                        handle: Some(handle),
+                        handle,
                     }
                 })
                 .collect();
@@ -334,9 +341,7 @@ impl Mediator {
         let jobs2 = jobs.clone();
         let sweeper = std::thread::spawn(move || {
             while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                jobs2
-                    .lock()
-                    .retain(|_, e| e.finished_at.is_none_or(|t| t.elapsed() < expiry));
+                sweep(&mut jobs2.lock(), expiry);
             }
         });
         Mediator {
@@ -351,9 +356,9 @@ impl Mediator {
 
     /// Least-loaded core among the affinity set (the load-balance rule of
     /// §4.3: "assigns the experiment to the core that has the least number
-    /// of pending experiments"). Callers must hold the device's `enqueue`
-    /// lock so the counter scan and the subsequent increment are atomic
-    /// with respect to other enqueues.
+    /// of pending experiments"). Callers that enqueue on the pick must
+    /// hold the device's `enqueue` lock so the counter scan and the
+    /// subsequent increment are atomic with respect to other enqueues.
     fn pick_core(dev: &DeviceHandle, affinity: &[usize]) -> Result<usize, ApiError> {
         let candidates: Vec<usize> = if affinity.is_empty() {
             (0..dev.cores.len()).collect()
@@ -368,28 +373,33 @@ impl Mediator {
             .ok_or_else(|| ApiError::new(ErrorReason::BadRequest, "affinity names no valid core"))
     }
 
-    fn dispatch(
-        &self,
-        experiments: Vec<ExperimentSpec>,
-    ) -> Result<Vec<(String, usize, ReplyRx)>, ApiError> {
+    /// Enqueues every experiment of a job, or none: device and affinity
+    /// are checked for all of them first.
+    fn dispatch(&self, experiments: Vec<ExperimentSpec>) -> Result<Vec<Wait>, ApiError> {
+        let devices = experiments
+            .iter()
+            .map(|e| {
+                let dev = self.devices.get(&e.device).ok_or_else(|| {
+                    ApiError::new(
+                        ErrorReason::SshAuthenticationError,
+                        format!("unknown device {}", e.device),
+                    )
+                })?;
+                Self::pick_core(dev, &e.affinity).map(|_| dev)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut waits = Vec::with_capacity(experiments.len());
-        for e in experiments {
-            let dev = self.devices.get(&e.device).ok_or_else(|| {
-                ApiError::new(
-                    ErrorReason::SshAuthenticationError,
-                    format!("unknown device {}", e.device),
-                )
-            })?;
+        for (e, dev) in experiments.into_iter().zip(devices) {
             // Pick + increment + send under the device lock: without it,
             // concurrent enqueues race the `pending` scan and pile onto
             // the same "least-loaded" core.
             let guard = dev.enqueue.lock();
             let core = Self::pick_core(dev, &e.affinity)?;
-            let (reply_tx, reply_rx) = unbounded();
+            let (reply_tx, reply) = unbounded();
             dev.cores[core].pending.fetch_add(1, Ordering::SeqCst);
             dev.cores[core]
                 .queue
-                .send(CoreMsg::Run {
+                .send(Run {
                     work: Arc::from(e.work),
                     device: e.device.clone(),
                     arch: dev.arch,
@@ -401,31 +411,13 @@ impl Mediator {
                 })
                 .map_err(|_| ApiError::new(ErrorReason::InternalError, "worker gone"))?;
             drop(guard);
-            waits.push((e.device, core, reply_rx));
+            waits.push(Wait {
+                device_hostname: e.device,
+                core,
+                reply,
+            });
         }
         Ok(waits)
-    }
-
-    fn collect(waits: Vec<(String, usize, ReplyRx)>) -> JobResults {
-        let data = waits
-            .into_iter()
-            .map(|(device_hostname, core, rx)| {
-                let (outcome, attempts) = match rx.recv() {
-                    Ok(verdict) => verdict,
-                    Err(_) => (
-                        Err(ApiError::new(ErrorReason::InternalError, "worker died")),
-                        0,
-                    ),
-                };
-                ExperimentResults {
-                    device_hostname,
-                    core,
-                    attempts,
-                    outcome,
-                }
-            })
-            .collect();
-        JobResults { data }
     }
 
     /// Synchronous processing (Fig. 4.2): blocks until all experiments of
@@ -436,13 +428,18 @@ impl Mediator {
     /// Returns an [`ApiError`] if the request fails preliminary checks
     /// (unknown device, bad affinity).
     pub fn submit_sync(&self, experiments: Vec<ExperimentSpec>) -> Result<JobResults, ApiError> {
-        let waits = self.dispatch(experiments)?;
-        Ok(Self::collect(waits))
+        let data = self
+            .dispatch(experiments)?
+            .iter()
+            .map(|w| w.result(w.reply.recv().unwrap_or_else(|_| worker_died())))
+            .collect();
+        Ok(JobResults { data })
     }
 
     /// Asynchronous processing (Fig. 4.3): preliminary checks run
-    /// immediately; on success the job id is returned and a background
-    /// collector stores results in the cache for [`poll`](Self::poll).
+    /// immediately; on success the job id is returned and the job's
+    /// results land in the cache for [`poll`](Self::poll) as they arrive
+    /// (each poll and each sweeper tick takes what has arrived).
     ///
     /// # Errors
     ///
@@ -453,22 +450,11 @@ impl Mediator {
         self.jobs.lock().insert(
             id.clone(),
             JobEntry {
-                state: JobState::Pending,
-                results: None,
+                taken: waits.iter().map(|_| None).collect(),
+                waits,
                 finished_at: None,
             },
         );
-        let jobs = self.jobs.clone();
-        let id2 = id.clone();
-        std::thread::spawn(move || {
-            let results = Self::collect(waits);
-            let mut map = jobs.lock();
-            if let Some(entry) = map.get_mut(&id2) {
-                entry.state = JobState::Finished;
-                entry.results = Some(results);
-                entry.finished_at = Some(Instant::now());
-            }
-        });
         Ok(id)
     }
 
@@ -476,24 +462,21 @@ impl Mediator {
     /// [`JobState::NotFound`].
     pub fn poll(&self, job_id: &str) -> JobStatus {
         let mut map = self.jobs.lock();
-        // Expire stale results on read too (§4.3: "results that stay in
-        // the Results Cache for more than a specific amount of time
-        // expire") — the background sweeper handles the no-poll case.
-        map.retain(|_, e| match e.finished_at {
-            Some(t) => t.elapsed() < self.expiry,
-            None => true,
-        });
-        match map.get(job_id) {
-            None => JobStatus {
-                job_id: job_id.into(),
-                state: JobState::NotFound,
-                data: None,
+        // Settle and expire on read too (§4.3: "results that stay in the
+        // Results Cache for more than a specific amount of time expire")
+        // — the background sweeper handles the no-poll case.
+        sweep(&mut map, self.expiry);
+        let (state, data) = match map.get(job_id) {
+            None => (JobState::NotFound, None),
+            Some(e) => match e.taken.iter().cloned().collect() {
+                Some(data) => (JobState::Finished, Some(JobResults { data })),
+                None => (JobState::Pending, None),
             },
-            Some(e) => JobStatus {
-                job_id: job_id.into(),
-                state: e.state.clone(),
-                data: e.results.clone(),
-            },
+        };
+        JobStatus {
+            job_id: job_id.into(),
+            state,
+            data,
         }
     }
 
@@ -514,22 +497,17 @@ impl Mediator {
 }
 
 impl Drop for Mediator {
+    /// Hangs up the sweeper's and every core worker's channel, which ends
+    /// their loops, and joins them.
     fn drop(&mut self) {
-        if let Some(stop) = self.sweep_stop.take() {
-            let _ = stop.send(());
-        }
-        if let Some(h) = self.sweeper.take() {
-            let _ = h.join();
-        }
-        for dev in self.devices.values_mut() {
-            for core in &mut dev.cores {
-                let _ = core.queue.send(CoreMsg::Shutdown);
-            }
-            for core in &mut dev.cores {
-                if let Some(h) = core.handle.take() {
-                    let _ = h.join();
-                }
-            }
+        self.sweep_stop.take();
+        let cores = std::mem::take(&mut self.devices)
+            .into_values()
+            .flat_map(|d| d.cores)
+            .map(|c| c.handle);
+        let threads: Vec<JoinHandle<()>> = self.sweeper.take().into_iter().chain(cores).collect();
+        for t in threads {
+            let _ = t.join();
         }
     }
 }
@@ -653,9 +631,76 @@ mod tests {
                 "zbox",
                 Box::new(|_, _| Ok(vec!["next".into()])),
             )
-            .on_cores(vec![1])])
+            .on_cores(vec![1])
+            .with_timeout(Duration::from_secs(5))])
             .unwrap();
         assert_eq!(again.data[0].outcome.as_ref().unwrap()[0], "next");
+    }
+
+    /// Timed attempts run on the core worker's persistent deadline
+    /// runner: no thread per attempt.
+    #[test]
+    fn timed_attempts_share_one_runner_thread() {
+        let m = mediator();
+        let exps = (0..20)
+            .map(|_| {
+                ExperimentSpec::new(
+                    "zbox",
+                    Box::new(|_, _| Ok(vec![format!("{:?}", std::thread::current().id())])),
+                )
+                .on_cores(vec![0])
+                .with_timeout(Duration::from_secs(5))
+            })
+            .collect();
+        let results = m.submit_sync(exps).unwrap();
+        let ids: std::collections::HashSet<String> = results
+            .data
+            .iter()
+            .map(|r| r.outcome.as_ref().unwrap()[0].clone())
+            .collect();
+        assert_eq!(ids.len(), 1, "attempts ran on {} threads", ids.len());
+    }
+
+    /// A job rejected by its preliminary checks runs none of its
+    /// experiments, not even the ones listed before the bad one. The
+    /// follow-up job on the same core runs after anything enqueued
+    /// before it (per-core FIFO), so the counter is final when read.
+    #[test]
+    fn rejected_job_runs_none_of_its_experiments() {
+        let m = mediator();
+        for (device, affinity, code) in [("nope", vec![], 401), ("zbox", vec![9], 400)] {
+            for sync in [true, false] {
+                let ran = Arc::new(AtomicUsize::new(0));
+                let counter = ran.clone();
+                let first = ExperimentSpec::new(
+                    "zbox",
+                    Box::new(move |_, _| {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        Ok(vec![])
+                    }),
+                )
+                .on_cores(vec![0]);
+                let bad = ExperimentSpec::new(device, Box::new(|_, _| Ok(vec![])))
+                    .on_cores(affinity.clone());
+                let err = if sync {
+                    m.submit_sync(vec![first, bad]).unwrap_err()
+                } else {
+                    m.submit_async(vec![first, bad]).unwrap_err()
+                };
+                assert_eq!(err.code, code);
+                m.submit_sync(vec![ExperimentSpec::new(
+                    "zbox",
+                    Box::new(|_, _| Ok(vec![])),
+                )
+                .on_cores(vec![0])])
+                    .unwrap();
+                assert_eq!(
+                    ran.load(Ordering::SeqCst),
+                    0,
+                    "a rejected job ran an experiment (sync: {sync})"
+                );
+            }
+        }
     }
 
     #[test]

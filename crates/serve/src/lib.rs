@@ -8,7 +8,7 @@
 //! - **Protocol** ([`proto`]): length-prefixed frames carrying a small
 //!   text message (verb line, `key: value` headers, body) — requests
 //!   for `compile`/`tune`/`stats`/`ping`/`shutdown`.
-//! - **Admission** ([`lgen_mediator::FairQueue`]): a bounded queue with
+//! - **Admission** (`admission::FairQueue`): a bounded queue with
 //!   per-tenant round-robin fairness; overload answers `error busy`
 //!   instead of queueing without bound.
 //! - **Coalescing** ([`lgen_core::Coalescer`]): identical in-flight
@@ -24,6 +24,7 @@
 //! layout in detail, and `src/bin/lgend.rs` / `src/bin/lgen-cli.rs` for
 //! the command-line entry points.
 
+mod admission;
 pub mod client;
 pub mod proto;
 pub mod recorder;

@@ -7,7 +7,7 @@
 //! UnixListener ── per-connection reader threads
 //!        │  parse frame → Request          (proto.rs)
 //!        ▼
-//! FairQueue (bounded, per-tenant round-robin)      (lgen-mediator)
+//! FairQueue (bounded, per-tenant round-robin)      (admission.rs)
 //!        │  Full → "busy" response, no queueing
 //!        ▼
 //! worker pool ── Coalescer (identical fingerprints compile once)
@@ -20,35 +20,37 @@
 //! the traffic-replay harness aggregates those instead of scraping global
 //! counters, so several daemons can share one process in tests.
 //!
-//! **Failure containment.** Each request runs under `catch_unwind`: a
-//! panicking candidate produces an `error internal` response for exactly
-//! that request and nothing else — the shard maps, memo, metrics registry,
-//! span buffer, and coalescing map all swallow lock poisoning (see
-//! DESIGN.md "The compile service"), and followers of a panicked
-//! coalescing leader retry on their own. `LGEN_FAULTS=panic@i,...`
-//! injects such panics by *request sequence number* for the regression
-//! tests and the CI replay run.
+//! **Failure containment.** Each request is one job of
+//! `lgen_core::pool::run_outcomes`, the runtime that also isolates tuning
+//! candidates and Mediator experiments. It has no deadline, so it runs
+//! inline on the worker. A panicking candidate produces an
+//! `error internal` response for exactly that request and nothing else —
+//! the shard maps, memo, metrics registry, span buffer, and coalescing
+//! map all swallow lock poisoning (see DESIGN.md "The compile service"),
+//! and followers of a panicked coalescing leader retry on their own.
+//! `LGEN_FAULTS=panic@i,...` injects such panics by *request sequence
+//! number* for the regression tests and the CI replay run.
 //!
 //! **Shutdown.** A `shutdown` request (there is no signal handling — the
 //! accept loop polls a flag) answers `ok`, closes admission, drains the
 //! queue, joins the workers, and removes the socket file. In-flight
 //! requests finish; later requests get `error shutting-down`.
 
+use crate::admission::{AdmissionError, FairQueue};
 use crate::proto::{read_frame, write_frame, ErrorKind, ProtoError, Request, Response, Verb};
 use crate::recorder::{CacheTier, CoalesceRole, FlightRecord, FlightRecorder};
 use crate::trace::SlowTraceLog;
+use lgen_core::pool::run_outcomes;
 use lgen_core::{
     stable_fingerprint, Autotuner, Coalescer, CompileConfig, CompileOutcome, DiskCache, FaultPlan,
-    KernelCache, PrunePolicy, SearchStrategy, Variant,
+    JobOutcome, KernelCache, PrunePolicy, SearchStrategy, Variant,
 };
-use lgen_mediator::{AdmissionError, FairQueue};
 use lgen_telemetry::{
-    metric_counter, metric_counter_family, metric_gauge, metric_histogram, metric_histogram_family,
-    Telemetry,
+    json_string, metric_counter, metric_counter_family, metric_gauge, metric_histogram,
+    metric_histogram_family, Telemetry,
 };
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -517,36 +519,44 @@ fn worker_loop(engine: &Arc<Engine>, worker: usize) {
         .slow
         .as_ref()
         .map(|_| &*Box::leak(Box::new(Telemetry::new(true))));
-    while let Some((tenant, job, queue_wait)) = engine.queue.pop_timed() {
+    while let Some((tenant, Job { req, seq, reply }, queue_wait)) = engine.queue.pop_timed() {
         let started = Instant::now();
-        // Contain per-request panics (injected or real): the requester
-        // gets `error internal`; the daemon keeps serving. Poison-safe
-        // locks everywhere below make this sound.
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            // The scope guard drops on unwind too, restoring the global
-            // collector for whatever this worker does next.
-            let _scope = collector.map(lgen_telemetry::scoped_collector);
-            let mut root = lgen_telemetry::span("serve.handle");
-            if root.is_recording() {
-                root.attr("verb", job.req.verb.as_str());
-                root.attr("tenant", &tenant);
-                root.attr("seq", job.seq);
-                root.attr("queue_wait_us", queue_wait.as_micros());
+        let verb = req.verb;
+        let handle = {
+            let (engine, tenant) = (engine.clone(), tenant.clone());
+            move |_: usize, _: Option<Instant>| {
+                // The scope guard drops on unwind too, restoring the
+                // global collector for whatever this worker does next.
+                let _scope = collector.map(lgen_telemetry::scoped_collector);
+                let mut root = lgen_telemetry::span("serve.handle");
+                if root.is_recording() {
+                    root.attr("verb", verb.as_str());
+                    root.attr("tenant", &tenant);
+                    root.attr("seq", seq);
+                    root.attr("queue_wait_us", queue_wait.as_micros());
+                }
+                Ok(handle_compile(&engine, &req, seq))
             }
-            handle_compile(engine, &job.req, job.seq)
-        }));
-        let panicked = outcome.is_err();
-        let resp = match outcome {
-            Ok(resp) => resp,
-            Err(cause) => {
+        };
+        // Contain per-request panics (injected or real) in the pool that
+        // isolates every job: without a deadline the request runs inline
+        // on this worker, so the collector above sees its spans. The
+        // requester gets `error internal`; the daemon keeps serving.
+        // Poison-safe locks everywhere below make this sound.
+        let outcome = run_outcomes(vec![0], 1, None, || false, Arc::new(handle)).pop();
+        let (resp, panicked) = match outcome {
+            Some(JobOutcome::Ok(resp)) => (resp, false),
+            Some(JobOutcome::Panicked(msg)) => {
                 metric_counter!("lgen.serve.panics_contained").inc();
-                let what = cause
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| cause.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic".to_string());
-                Response::error(ErrorKind::Internal, format!("request panicked: {what}"))
+                let resp = Response::error(ErrorKind::Internal, format!("request panicked: {msg}"));
+                (resp, true)
             }
+            // No deadline, stop predicate or verifier: nothing else ends
+            // the job.
+            _ => (
+                Response::error(ErrorKind::Internal, "request not run"),
+                false,
+            ),
         };
         let service = started.elapsed();
         metric_histogram_family!("lgen.serve.service_us", "tenant")
@@ -565,7 +575,7 @@ fn worker_loop(engine: &Arc<Engine>, worker: usize) {
         }
 
         engine.recorder.record(flight_record(
-            &job, &tenant, &resp, queue_wait, service, worker,
+            seq, verb, &tenant, &resp, queue_wait, service, worker,
         ));
         if panicked {
             // Preserve the requests leading up to (and including) the
@@ -573,13 +583,14 @@ fn worker_loop(engine: &Arc<Engine>, worker: usize) {
             let _ = std::fs::write(&engine.flight_dump, engine.recorder.to_json());
         }
         // A dropped receiver (client gone) is fine; the work is cached.
-        let _ = job.reply.send(resp);
+        let _ = reply.send(resp);
     }
 }
 
 /// Builds the flight record for one finished request from its response.
 fn flight_record(
-    job: &Job,
+    seq: u64,
+    verb: Verb,
     tenant: &str,
     resp: &Response,
     queue_wait: Duration,
@@ -604,9 +615,9 @@ fn flight_record(
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .unwrap_or(0);
     FlightRecord {
-        seq: job.seq,
+        seq,
         tenant: tenant.to_string(),
-        verb: job.req.verb.as_str(),
+        verb: verb.as_str(),
         fingerprint,
         tier,
         role,
@@ -840,7 +851,7 @@ fn stats_json_response(engine: &Arc<Engine>) -> Response {
         let _ = write!(
             out,
             "{}:{{\"requests\":{},\"queue_wait_us\":{},\"service_us\":{}}}",
-            json_quote(tenant),
+            json_string(tenant),
             requests,
             histogram_json(wait),
             histogram_json(service)
@@ -851,7 +862,7 @@ fn stats_json_response(engine: &Arc<Engine>) -> Response {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", json_quote(verb), n);
+        let _ = write!(out, "{}:{}", json_string(verb), n);
     }
     out.push_str("},\"by_outcome\":{");
     if let Some(fam) = find_counter_family("lgen.serve.outcomes") {
@@ -859,7 +870,7 @@ fn stats_json_response(engine: &Arc<Engine>) -> Response {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_quote(&values[0]), n);
+            let _ = write!(out, "{}:{}", json_string(&values[0]), n);
         }
     }
     out.push_str("}},");
@@ -867,11 +878,11 @@ fn stats_json_response(engine: &Arc<Engine>) -> Response {
     let _ = write!(
         out,
         "\"cache\":{},",
-        json_quote(&engine.cache.stats().to_string())
+        json_string(&engine.cache.stats().to_string())
     );
     match &engine.disk {
         Some(disk) => {
-            let _ = write!(out, "\"disk\":{},", json_quote(&disk.stats().to_string()));
+            let _ = write!(out, "\"disk\":{},", json_string(&disk.stats().to_string()));
         }
         None => out.push_str("\"disk\":null,"),
     }
@@ -908,24 +919,4 @@ fn stats_json_response(engine: &Arc<Engine>) -> Response {
     );
     let _ = write!(out, "\"metrics\":{}}}", lgen_telemetry::metrics_json(&snap));
     Response::ok(out)
-}
-
-/// Minimal JSON string quoting for stats fields (tenant names, cache
-/// report lines).
-fn json_quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

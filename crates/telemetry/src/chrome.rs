@@ -10,6 +10,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::json_string;
 use crate::span::SpanRecord;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -69,27 +70,6 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
     }
 
     out.push_str("]}");
-    out
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -1,4 +1,5 @@
-//! Stable-field-order JSON export of a [`MetricsSnapshot`].
+//! Stable-field-order JSON export of a [`MetricsSnapshot`], and
+//! [`json_string`], the workspace's one JSON string escaper.
 //!
 //! Hand-rolled like [`crate::chrome`] (this crate has no dependencies):
 //! metric names come out in the registry's sorted order and every object
@@ -20,7 +21,6 @@
 //! `{"keys":[..],"series":[{"labels":{..},...}],"overflowed":N}` with
 //! series sorted by label values (overflow last).
 
-use crate::chrome::json_string;
 use crate::labels::FamilySnapshot;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use std::fmt::Write as _;
@@ -135,6 +135,27 @@ fn family<V>(out: &mut String, fam: &FamilySnapshot<V>, value: impl Fn(&mut Stri
         out.push('}');
     }
     let _ = write!(out, "],\"overflowed\":{}}}", fam.overflowed);
+}
+
+/// Escapes `s` as a JSON string literal (quotes included).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]

@@ -285,9 +285,9 @@ pub fn span(name: &str) -> SpanGuard<'static> {
 
 /// Routes this thread's free [`span`] calls to `collector` until the
 /// returned guard drops (RAII — restores the previous override even on
-/// panic unwind, which matters because `lgend` installs one inside its
-/// worker `catch_unwind` closure). Nesting is supported: the guard
-/// remembers and restores whatever override was live before it.
+/// panic unwind, which matters because `lgend` installs one inside each
+/// request's job, which runs under `catch_unwind`). Nesting is supported:
+/// the guard remembers and restores whatever override was live before it.
 pub fn scoped_collector(collector: &'static Telemetry) -> CollectorScope {
     let prev = OVERRIDE.with(|o| o.replace(Some(collector)));
     CollectorScope { prev }

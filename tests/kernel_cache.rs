@@ -164,7 +164,7 @@ fn warm_cache_compile_skips_the_pipeline_and_matches() {
 
 #[test]
 fn batch_compile_dedups_and_preserves_order() {
-    let cache = KernelCache::new();
+    let cache = Arc::new(KernelCache::new());
     let cfg = CompileConfig::full(Microarch::Atom);
     let jobs: Vec<(Blac, String, CompileConfig)> = vec![
         (lgen::ll::paper::gemv(4, 12), "a".into(), cfg.clone()),
