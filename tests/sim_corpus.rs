@@ -4,17 +4,20 @@
 //! winners of exhaustive tunes. The simulator is a cost model, so these
 //! numbers are part of what `lgen` reports; a change that moves one must
 //! be deliberate. The static predictor's output over the same kernels
-//! (`analyze_kernel`, which ranks pruned tunes) is pinned alongside.
+//! (`analyze_kernel`, which ranks pruned tunes) is pinned alongside, and
+//! so are the kernel codec's bytes, which disk caches written by earlier
+//! builds must keep decoding.
 //!
-//! One FNV-1a line per kernel in `tests/golden/sim_corpus.digest` and
-//! `tests/golden/static_cost.digest`, so a mismatch names the kernel. To
-//! regenerate after an intentional change:
+//! One FNV-1a line per kernel in `tests/golden/sim_corpus.digest`,
+//! `tests/golden/static_cost.digest` and `tests/golden/codec_corpus.digest`,
+//! so a mismatch names the kernel. To regenerate after an intentional
+//! change:
 //! `LGEN_BLESS=1 cargo test --test sim_corpus`.
 
 mod common;
 
 use common::{arch_name, check_digest, fnv1a, paper_families, versioning_is_small, PROGRAMS};
-use lgen::cir::{run_kernel, Kernel, MemLayout};
+use lgen::cir::{decode_kernel, encode_kernel, run_kernel, Kernel, MemLayout};
 use lgen::core::ProgramTuner;
 use lgen::ll::reference::test_data_for;
 use lgen::machine::Measurement;
@@ -183,6 +186,21 @@ fn static_cost_corpus() -> String {
     out
 }
 
+/// `encode_kernel`'s bytes for every corpus kernel; each must also decode
+/// back to the kernel it encodes.
+fn codec_corpus() -> String {
+    let mut out = String::new();
+    for arch in Microarch::EVALUATED {
+        for_each_kernel(arch, |name, _, kernel| {
+            let bytes = encode_kernel(kernel);
+            let decoded = decode_kernel(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(decoded == *kernel, "{name}: decode(encode(k)) != k");
+            out += &format!("{name} {:016x}\n", fnv1a(&bytes));
+        });
+    }
+    out
+}
+
 #[test]
 fn golden_sim_corpus() {
     check_digest("sim_corpus.digest", &sim_corpus());
@@ -191,4 +209,9 @@ fn golden_sim_corpus() {
 #[test]
 fn golden_static_cost_corpus() {
     check_digest("static_cost.digest", &static_cost_corpus());
+}
+
+#[test]
+fn golden_codec_corpus() {
+    check_digest("codec_corpus.digest", &codec_corpus());
 }
