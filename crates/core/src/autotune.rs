@@ -1401,8 +1401,8 @@ impl Autotuner {
 
     /// Guided search across schedules: one hill climb over `space` per
     /// candidate pipeline (just the config's own when pass-order search
-    /// is off), keeping the first best under a strict `<`. The winner
-    /// aggregates the failures of every climb.
+    /// is off), keeping the first best objective score under a strict
+    /// `<`. The winner aggregates the failures of every climb.
     fn tune_guided_over_pipelines(
         &self,
         subject: &Arc<Subject>,
@@ -1422,10 +1422,9 @@ impl Autotuner {
             match self.tune_guided(subject, space, p, start, &memo) {
                 Ok(t) => {
                     all_failures.extend(t.failures.iter().cloned());
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| t.measurement.cycles < b.measurement.cycles)
-                    {
+                    if best.as_ref().is_none_or(|b| {
+                        self.objective.score(&t.measurement) < self.objective.score(&b.measurement)
+                    }) {
                         best = Some(t);
                     }
                 }
@@ -1549,15 +1548,10 @@ impl Autotuner {
                 break;
             }
         }
-        let unroll = samples
-            .iter()
-            .find(|(_, c)| *c == best_m.cycles)
-            .map(|(u, _)| u.clone())
-            .expect("best was sampled");
         Ok(Search {
             kernel: best_k,
             measurement: best_m,
-            unroll,
+            unroll: space[idx].clone(),
             pipeline: pipeline
                 .cloned()
                 .unwrap_or_else(|| self.cfg.pipeline.clone()),
@@ -1699,6 +1693,24 @@ mod tests {
         assert!(by_energy.measurement.energy_pj <= by_cycles.measurement.energy_pj);
         assert!(by_cycles.measurement.cycles <= by_energy.measurement.cycles);
         assert!(by_energy.measurement.energy_pj > 0);
+    }
+
+    /// Under a non-cycle objective, two candidates can tie on cycles but
+    /// not on the objective; the reported unroll is the winner's own.
+    #[test]
+    fn guided_energy_search_reports_the_winners_unroll() {
+        let blac = paper::madd(3, 3);
+        let cfg = CompileConfig::full(Microarch::CortexA8);
+        let tuned = Autotuner::new(cfg.clone())
+            .with_strategy(SearchStrategy::Guided)
+            .with_objective(Objective::Energy)
+            .tune(&blac, "k");
+        let recompiled = compile(&blac, "k", &cfg.with_unroll(tuned.unroll));
+        assert!(
+            recompiled == tuned.kernel,
+            "unroll {:?} does not recompile to the winner",
+            tuned.unroll
+        );
     }
 
     #[test]
