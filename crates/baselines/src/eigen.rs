@@ -15,7 +15,7 @@ use crate::emit::*;
 use crate::pattern::Pattern;
 use lgen_absint::AffineExpr;
 use lgen_cir::arena::align_block;
-use lgen_cir::{Arena, ArrayId, Kernel, KernelBuilder, MemMap, VArith, VWidth};
+use lgen_cir::{ArrayId, Kernel, KernelBuilder, MemMap, VArith, VWidth};
 use lgen_isa::{Microarch, VectorIsa};
 use lgen_ll::blac::OperandId;
 use lgen_ll::Blac;
@@ -342,9 +342,8 @@ pub fn peeled_gemv(
 fn mark_aligned(k: &mut Kernel, arr: ArrayId, off: usize) {
     let mut offsets = vec![None; k.arrays.len()];
     offsets[arr.0] = Some(off);
-    let (mut arena, root) = Arena::from_body(k.body());
-    align_block(&mut arena, root, &offsets);
-    *k.body_mut() = arena.to_body(root);
+    let body = k.body_mut();
+    align_block(&mut body.arena, body.root, &offsets);
 }
 
 /// Scalar combine duplicated here to keep `emit`'s helper private.

@@ -6,7 +6,7 @@
 //! addressing overhead.
 
 use lgen_absint::AffineExpr;
-use lgen_cir::{ArrayId, Inst, KernelBuilder, MemMap, OverheadKind, VArith, VReg, VWidth};
+use lgen_cir::{ArrayId, KernelBuilder, MemMap, OverheadKind, VArith, VReg, VWidth};
 
 /// Vector width of the modelled SIMD units.
 pub const NU: usize = 4;
@@ -59,12 +59,7 @@ fn gen_cost(b: &mut KernelBuilder, gen: bool, n: u16) {
 
 /// In-place scalar/vector accumulate `acc += v`.
 fn add_acc(b: &mut KernelBuilder, acc: VReg, v: VReg, w: VWidth) {
-    b.push(Inst::Arith {
-        op: VArith::Add(w),
-        dst: acc,
-        a: acc,
-        b: v,
-    });
+    b.arith_into(VArith::Add(w), acc, acc, v);
 }
 
 /// Applies `scale` to the lane-0 scalar `t`, reading `out[idx]` as needed,
@@ -417,15 +412,7 @@ fn gemm_row_block(
         let baddr = AffineExpr::var(k).scale(n as i64).plus(&j0);
         let bmap = MemMap::horizontal(w);
         let bv = if aligned_b && w == NU {
-            let dst = b.fresh_reg();
-            b.push(Inst::GLoad {
-                dst,
-                arr: bm,
-                addr: baddr,
-                map: bmap,
-                aligned: true,
-            });
-            dst
+            b.load_aligned(bm, baddr, bmap)
         } else {
             b.load(bm, baddr, bmap)
         };
@@ -591,14 +578,7 @@ pub fn vec_copy(b: &mut KernelBuilder, src: ArrayId, dst: ArrayId, len: usize) {
     if full > 0 {
         let i = b.begin_loop("i", 0, full as i64, NU as i64);
         let v = b.load(src, AffineExpr::var(i), MemMap::horizontal(NU));
-        let d = AffineExpr::var(i);
-        b.push(Inst::GStore {
-            src: v,
-            arr: dst,
-            addr: d,
-            map: MemMap::horizontal(NU),
-            aligned: true,
-        });
+        b.store_aligned(v, dst, AffineExpr::var(i), MemMap::horizontal(NU));
         b.end_loop();
     }
     for i in full..len {

@@ -7,7 +7,6 @@ use lgen_cir::arena::{
     align_block, copy_prop_block, dce_block, scalar_replacement_block, unroll_block,
 };
 use lgen_cir::passes::UnrollPolicy;
-use lgen_cir::Arena;
 use lgen_core::CompileConfig;
 use lgen_isa::Microarch;
 use lgen_ll::paper;
@@ -41,7 +40,8 @@ fn bench_passes(c: &mut Criterion) {
     let raw = compile_blac(&blac, "k", &opts);
     let arrays = &raw.arrays;
     let policy = UnrollPolicy::Full { max_trip: 32 };
-    let (lowered, root) = Arena::from_body(raw.body());
+    // The lowered kernel's own arena, cloned per iteration.
+    let (lowered, root) = (&raw.body().arena, raw.body().root);
     let mut g = c.benchmark_group("passes");
     g.bench_function("unroll-full", |b| {
         b.iter(|| {

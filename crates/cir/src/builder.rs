@@ -1,9 +1,11 @@
 //! A fluent builder for C-IR kernels.
 //!
-//! Used by the Σ-LL lowering (`lgen-sigma`), the baselines, and tests to
-//! assemble kernels without manipulating [`Inst`] vectors directly.
+//! Used by the Σ-LL lowering (`lgen-sigma`), the baselines, the codec and
+//! tests: it emits straight into the kernel's [`Arena`], interning
+//! addresses, maps and loop names as it goes.
 
-use crate::ir::{ArrayDecl, ArrayId, ArrayKind, Inst, Kernel, KernelVersion, VArith, VMove, VReg};
+use crate::arena::{AInst, Arena, InstId, Sym};
+use crate::ir::{ArrayDecl, ArrayId, ArrayKind, Kernel, KernelVersion, VArith, VMove, VReg};
 use crate::map::MemMap;
 use lgen_absint::{AffineExpr, VarId};
 
@@ -32,11 +34,13 @@ use lgen_absint::{AffineExpr, VarId};
 pub struct KernelBuilder {
     name: String,
     arrays: Vec<ArrayDecl>,
+    /// The body under construction.
+    arena: Arena,
     /// Stack of open instruction sequences; `frames[0]` is the kernel body,
     /// deeper frames are open loops.
-    frames: Vec<Vec<Inst>>,
+    frames: Vec<Vec<InstId>>,
     /// Open loop headers matching `frames[1..]`.
-    open_loops: Vec<(VarId, String, i64, i64, i64)>,
+    open_loops: Vec<(VarId, Sym, i64, i64, i64)>,
     nreg: u32,
     nvars: usize,
 }
@@ -47,6 +51,7 @@ impl KernelBuilder {
         KernelBuilder {
             name: name.to_string(),
             arrays: Vec::new(),
+            arena: Arena::default(),
             frames: vec![Vec::new()],
             open_loops: Vec::new(),
             nreg: 0,
@@ -107,74 +112,99 @@ impl KernelBuilder {
         self.nreg - 1
     }
 
-    /// Appends a raw instruction.
-    pub fn push(&mut self, inst: Inst) {
+    /// Appends an instruction to the innermost open frame.
+    fn emit(&mut self, inst: AInst) {
+        let id = self.arena.push(inst);
         self.frames
             .last_mut()
             .expect("builder has a frame")
-            .push(inst);
+            .push(id);
     }
 
-    /// Emits a generic load and returns the destination register.
-    pub fn load(&mut self, arr: ArrayId, addr: AffineExpr, map: MemMap) -> VReg {
+    fn load_as(&mut self, arr: ArrayId, addr: AffineExpr, map: MemMap, aligned: bool) -> VReg {
         let dst = self.fresh_reg();
-        self.push(Inst::GLoad {
+        let (addr, map) = (self.arena.intern_expr(&addr), self.arena.intern_map(&map));
+        self.emit(AInst::GLoad {
             dst,
             arr,
             addr,
             map,
-            aligned: false,
+            aligned,
         });
         dst
     }
 
-    /// Emits a generic store.
-    pub fn store(&mut self, src: VReg, arr: ArrayId, addr: AffineExpr, map: MemMap) {
-        self.push(Inst::GStore {
+    fn store_as(&mut self, src: VReg, arr: ArrayId, addr: AffineExpr, map: MemMap, aligned: bool) {
+        let (addr, map) = (self.arena.intern_expr(&addr), self.arena.intern_map(&map));
+        self.emit(AInst::GStore {
             src,
             arr,
             addr,
             map,
-            aligned: false,
+            aligned,
         });
+    }
+
+    /// Emits a generic load and returns the destination register.
+    pub fn load(&mut self, arr: ArrayId, addr: AffineExpr, map: MemMap) -> VReg {
+        self.load_as(arr, addr, map, false)
+    }
+
+    /// Emits a generic load already marked aligned — for code whose
+    /// layout guarantees the alignment (the hand-written competitor
+    /// models), not for LGen's own codegen, which leaves marking to
+    /// alignment detection.
+    pub fn load_aligned(&mut self, arr: ArrayId, addr: AffineExpr, map: MemMap) -> VReg {
+        self.load_as(arr, addr, map, true)
+    }
+
+    /// Emits a generic store.
+    pub fn store(&mut self, src: VReg, arr: ArrayId, addr: AffineExpr, map: MemMap) {
+        self.store_as(src, arr, addr, map, false);
+    }
+
+    /// Emits a generic store already marked aligned (see
+    /// [`load_aligned`](Self::load_aligned)).
+    pub fn store_aligned(&mut self, src: VReg, arr: ArrayId, addr: AffineExpr, map: MemMap) {
+        self.store_as(src, arr, addr, map, true);
     }
 
     /// Emits `op(a, b)` into a fresh register.
     pub fn arith(&mut self, op: VArith, a: VReg, b: VReg) -> VReg {
         assert!(!op.reads_dst(), "use arith_acc for accumulating ops");
         let dst = self.fresh_reg();
-        self.push(Inst::Arith { op, dst, a, b });
+        self.emit(AInst::Arith { op, dst, a, b });
         dst
     }
 
     /// Emits an accumulating op (`dst += a*b` style) into `dst`.
     pub fn arith_acc(&mut self, op: VArith, dst: VReg, a: VReg, b: VReg) {
         assert!(op.reads_dst(), "use arith for non-accumulating ops");
-        self.push(Inst::Arith { op, dst, a, b });
+        self.emit(AInst::Arith { op, dst, a, b });
+    }
+
+    /// Emits `dst = op(a, b)` into an existing register, e.g. the
+    /// in-place accumulate `acc = acc + v` that keeps a register stable
+    /// across loop iterations.
+    pub fn arith_into(&mut self, op: VArith, dst: VReg, a: VReg, b: VReg) {
+        self.emit(AInst::Arith { op, dst, a, b });
     }
 
     /// Emits a register move/lane op into a fresh register.
     pub fn mov_op(&mut self, op: VMove, a: VReg, b: VReg) -> VReg {
         let dst = self.fresh_reg();
-        self.push(Inst::Move { op, dst, a, b });
+        self.emit(AInst::Move { op, dst, a, b });
         dst
     }
 
     /// Emits `dst = 0`.
     pub fn zero(&mut self) -> VReg {
-        let dst = self.fresh_reg();
-        self.push(Inst::Move {
-            op: VMove::Zero,
-            dst,
-            a: 0,
-            b: 0,
-        });
-        dst
+        self.mov_op(VMove::Zero, 0, 0)
     }
 
-    /// Charges schedule-only overhead (see [`Inst::Overhead`]).
+    /// Charges schedule-only overhead (see [`AInst::Overhead`]).
     pub fn overhead(&mut self, kind: crate::ir::OverheadKind, count: u16) {
-        self.push(Inst::Overhead { kind, count });
+        self.emit(AInst::Overhead { kind, count });
     }
 
     /// Opens a counted loop; returns its variable id.
@@ -182,8 +212,8 @@ impl KernelBuilder {
         assert!(step > 0, "loop step must be positive");
         let var = self.nvars;
         self.nvars += 1;
-        self.open_loops
-            .push((var, name.to_string(), start, end, step));
+        let name = self.arena.intern_sym(name);
+        self.open_loops.push((var, name, start, end, step));
         self.frames.push(Vec::new());
         var
     }
@@ -200,8 +230,9 @@ impl KernelBuilder {
     /// Panics if no loop is open.
     pub fn end_loop(&mut self) {
         let body = self.frames.pop().expect("no open loop body");
+        let body = self.arena.push_block(body);
         let (var, name, start, end, step) = self.open_loops.pop().expect("no open loop");
-        self.push(Inst::Loop {
+        self.emit(AInst::Loop {
             var,
             name,
             start,
@@ -238,12 +269,14 @@ impl KernelBuilder {
             self.open_loops.len()
         );
         let body = self.frames.pop().expect("body frame");
+        let root = self.arena.push_block(body);
         Kernel {
             name: self.name,
             arrays: self.arrays,
             versions: vec![KernelVersion {
                 required_offsets: None,
-                body,
+                arena: self.arena,
+                root,
             }],
             nreg: self.nreg,
             nvars: self.nvars,

@@ -1,7 +1,10 @@
-//! The C-IR instruction set and kernel container.
+//! The kernel container and the operand types of C-IR instructions.
+//!
+//! A [`Kernel`] declares its arrays and holds one body per alignment
+//! version; each body is an [`Arena`] of [`crate::arena::AInst`]s under a
+//! root block — the one form of C-IR from codegen to unparse.
 
-use crate::map::MemMap;
-use lgen_absint::AffineExpr;
+use crate::arena::{Arena, BlockId, InstId};
 
 /// A virtual register holding up to 4 single-precision lanes.
 pub type VReg = u32;
@@ -111,88 +114,7 @@ pub enum VMove {
     GetLane(u8),
 }
 
-/// A C-IR instruction.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Inst {
-    /// Generic load (§3.1): gathers the elements described by `map`,
-    /// relative to `base + addr` (both in floats), into `dst`; unmapped
-    /// lanes become zero.
-    GLoad {
-        /// Destination register.
-        dst: VReg,
-        /// Source array.
-        arr: ArrayId,
-        /// Affine address in floats, over enclosing loop variables.
-        addr: AffineExpr,
-        /// Offset→lane mapping.
-        map: MemMap,
-        /// Set by alignment detection (§3.2): the access is provably
-        /// 16-byte aligned, so an aligned instruction may be used.
-        aligned: bool,
-    },
-    /// Generic store: scatters lanes of `src` per `map`.
-    GStore {
-        /// Source register.
-        src: VReg,
-        /// Destination array.
-        arr: ArrayId,
-        /// Affine address in floats.
-        addr: AffineExpr,
-        /// Offset→lane mapping.
-        map: MemMap,
-        /// Set by alignment detection.
-        aligned: bool,
-    },
-    /// `dst = op(a, b)` (or `dst op= …` for accumulating ops).
-    Arith {
-        /// Operation.
-        op: VArith,
-        /// Destination (also read when [`VArith::reads_dst`]).
-        dst: VReg,
-        /// First source.
-        a: VReg,
-        /// Second source.
-        b: VReg,
-    },
-    /// Register move / lane manipulation.
-    Move {
-        /// Operation.
-        op: VMove,
-        /// Destination.
-        dst: VReg,
-        /// Primary source (ignored by `Zero`).
-        a: VReg,
-        /// Secondary source (used by `Shuf`, `SetLane`).
-        b: VReg,
-    },
-    /// Bookkeeping overhead charged to the schedule without touching data:
-    /// library-call dispatch, per-access address arithmetic of runtime-size
-    /// ("gen") code, packing-loop control, … Used by the competitor models
-    /// in `lgen-baselines`.
-    Overhead {
-        /// What kind of overhead.
-        kind: OverheadKind,
-        /// How many overhead instructions to charge.
-        count: u16,
-    },
-    /// A counted loop; the variable is usable in nested affine addresses.
-    Loop {
-        /// Loop variable id (dense, kernel-wide).
-        var: lgen_absint::VarId,
-        /// Variable name for unparsing.
-        name: String,
-        /// Start value.
-        start: i64,
-        /// Exclusive bound.
-        end: i64,
-        /// Step (positive).
-        step: i64,
-        /// Body.
-        body: Vec<Inst>,
-    },
-}
-
-/// Kinds of schedule-only overhead (see [`Inst::Overhead`]).
+/// Kinds of schedule-only overhead (see [`crate::arena::AInst::Overhead`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum OverheadKind {
     /// Integer address arithmetic.
@@ -204,15 +126,34 @@ pub enum OverheadKind {
 }
 
 /// One alignment version of a kernel body (§3.2.4).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct KernelVersion {
     /// Required base-address offsets, in floats modulo ν, for each
     /// *parameter* array (in declaration order); `None` entries are
     /// don't-care (e.g. scalar parameters). A `None` at the outer level is
     /// the unconditional fallback version.
     pub required_offsets: Option<Vec<Option<usize>>>,
-    /// The body specialized under that assumption.
-    pub body: Vec<Inst>,
+    /// The body specialized under that assumption: the program reachable
+    /// from [`root`](Self::root).
+    pub arena: Arena,
+    /// The body's top-level block.
+    pub root: BlockId,
+}
+
+impl KernelVersion {
+    /// The top-level instruction ids of the body, in program order.
+    pub fn insts(&self) -> &[InstId] {
+        self.arena.block(self.root)
+    }
+}
+
+/// Structural: equal requirements and equal reachable programs, whatever
+/// the arenas' unreachable instructions or interning order.
+impl PartialEq for KernelVersion {
+    fn eq(&self, other: &Self) -> bool {
+        self.required_offsets == other.required_offsets
+            && self.arena.same_program(self.root, &other.arena, other.root)
+    }
 }
 
 /// A compiled kernel: arrays, one or more alignment-dispatched bodies, and
@@ -240,9 +181,9 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if the kernel has alignment versions.
-    pub fn body(&self) -> &[Inst] {
+    pub fn body(&self) -> &KernelVersion {
         assert_eq!(self.versions.len(), 1, "kernel has alignment versions");
-        &self.versions[0].body
+        &self.versions[0]
     }
 
     /// Mutable access to the single body of an unversioned kernel.
@@ -250,9 +191,9 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if the kernel has alignment versions.
-    pub fn body_mut(&mut self) -> &mut Vec<Inst> {
+    pub fn body_mut(&mut self) -> &mut KernelVersion {
         assert_eq!(self.versions.len(), 1, "kernel has alignment versions");
-        &mut self.versions[0].body
+        &mut self.versions[0]
     }
 
     /// Ids of parameter arrays, in declaration order.
@@ -266,33 +207,9 @@ impl Kernel {
     }
 
     /// Total static instruction count across all versions (loops counted
-    /// once).
+    /// once; unreachable arena entries not at all).
     pub fn static_size(&self) -> usize {
-        fn count(insts: &[Inst]) -> usize {
-            insts
-                .iter()
-                .map(|i| match i {
-                    Inst::Loop { body, .. } => 1 + count(body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        self.versions.iter().map(|v| count(&v.body)).sum()
-    }
-
-    /// Applies `f` to every instruction (pre-order) in every version.
-    pub fn visit_insts(&self, mut f: impl FnMut(&Inst)) {
-        fn walk(insts: &[Inst], f: &mut impl FnMut(&Inst)) {
-            for i in insts {
-                f(i);
-                if let Inst::Loop { body, .. } = i {
-                    walk(body, f);
-                }
-            }
-        }
-        for v in &self.versions {
-            walk(&v.body, &mut f);
-        }
+        self.versions.iter().map(|v| v.arena.count(v.root)).sum()
     }
 }
 
@@ -320,10 +237,10 @@ pub fn merge_kernel_versions(kernels: Vec<(Option<Vec<Option<usize>>>, Kernel)>)
         assert_eq!(k.arrays, arrays, "versions must declare identical arrays");
         nreg = nreg.max(k.nreg);
         nvars = nvars.max(k.nvars);
-        let body = k.versions.into_iter().next().expect("single body").body;
+        let body = k.versions.into_iter().next().expect("single body");
         versions.push(KernelVersion {
             required_offsets: req,
-            body,
+            ..body
         });
     }
     Kernel {
@@ -339,71 +256,43 @@ pub fn merge_kernel_versions(kernels: Vec<(Option<Vec<Option<usize>>>, Kernel)>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::AInst;
+    use crate::builder::KernelBuilder;
+    use crate::map::MemMap;
+    use lgen_absint::AffineExpr;
 
-    fn tiny_kernel() -> Kernel {
-        Kernel {
-            name: "k".into(),
-            arrays: vec![
-                ArrayDecl {
-                    name: "x".into(),
-                    len: 4,
-                    kind: ArrayKind::Input,
-                },
-                ArrayDecl {
-                    name: "y".into(),
-                    len: 4,
-                    kind: ArrayKind::Output,
-                },
-                ArrayDecl {
-                    name: "t0".into(),
-                    len: 4,
-                    kind: ArrayKind::Local,
-                },
-            ],
-            versions: vec![KernelVersion {
-                required_offsets: None,
-                body: vec![
-                    Inst::GLoad {
-                        dst: 0,
-                        arr: ArrayId(0),
-                        addr: AffineExpr::constant(0),
-                        map: MemMap::horizontal(4),
-                        aligned: false,
-                    },
-                    Inst::GStore {
-                        src: 0,
-                        arr: ArrayId(1),
-                        addr: AffineExpr::constant(0),
-                        map: MemMap::horizontal(4),
-                        aligned: false,
-                    },
-                ],
-            }],
-            nreg: 1,
-            nvars: 0,
-            flops: 0,
+    fn tiny_kernel(looped: bool) -> Kernel {
+        let mut b = KernelBuilder::new("k");
+        let x = b.input("x", 4);
+        let y = b.output("y", 4);
+        b.local("t0", 4);
+        let copy = |b: &mut KernelBuilder| {
+            let v = b.load(x, AffineExpr::constant(0), MemMap::horizontal(4));
+            b.store(v, y, AffineExpr::constant(0), MemMap::horizontal(4));
+        };
+        if looped {
+            b.for_loop("i", 0, 8, 4, |b, _| copy(b));
+        } else {
+            copy(&mut b);
         }
+        b.finish(0)
     }
 
     #[test]
     fn param_ids_exclude_locals() {
-        let k = tiny_kernel();
+        let k = tiny_kernel(false);
         assert_eq!(k.param_ids(), vec![ArrayId(0), ArrayId(1)]);
     }
 
     #[test]
     fn static_size_counts_nested() {
-        let mut k = tiny_kernel();
-        let inner = k.body().to_vec();
-        *k.body_mut() = vec![Inst::Loop {
-            var: 0,
-            name: "i".into(),
-            start: 0,
-            end: 8,
-            step: 4,
-            body: inner,
-        }];
-        k.nvars = 1;
+        let mut k = tiny_kernel(true);
+        assert_eq!(k.static_size(), 3);
+        // An unlinked instruction is not part of the body.
+        k.body_mut().arena.push(AInst::Overhead {
+            kind: OverheadKind::Call,
+            count: 1,
+        });
         assert_eq!(k.static_size(), 3);
     }
 

@@ -9,16 +9,20 @@
 //! replacement work even when a store and the matching load would be
 //! implemented by different instruction sequences (Fig. 3.4).
 //!
+//! C-IR has one form: each kernel version's body is an [`Arena`] of
+//! [`AInst`]s with interned operands ([`arena`]). Codegen emits into it,
+//! the passes rewrite it in place, and every consumer below reads it.
+//!
 //! The crate provides:
 //!
-//! * the IR itself ([`ir`], [`map`]) and a builder API ([`builder`]),
+//! * the IR itself ([`arena`], [`ir`], [`map`]) and a builder API
+//!   ([`builder`]),
 //! * code-level optimizations: loop unrolling, scalar replacement, copy
 //!   propagation, dead-code elimination, and alignment detection with
 //!   alignment versioning (§3.2), each implemented once, as a sweep over
-//!   the arena form of a body ([`arena`]), and scheduled by name in a
-//!   spec-string [`PassPipeline`] ([`passes`]) with per-pass timing,
-//!   between-pass verification, fixpoint `repeat(...)` groups, and IR
-//!   tracing,
+//!   the arena, and scheduled by name in a spec-string [`PassPipeline`]
+//!   ([`passes`]) with per-pass timing, between-pass verification,
+//!   fixpoint `repeat(...)` groups, and IR tracing,
 //! * lowering of C-IR to machine opcodes per ISA ([`lower`]),
 //! * a reference interpreter that executes kernels numerically while
 //!   emitting the dynamic instruction trace ([`interp`]),
@@ -41,14 +45,14 @@ pub mod passes;
 pub mod unparse;
 pub mod verify;
 
-pub use arena::Arena;
+pub use arena::{AInst, Arena, BlockId, InstId};
 pub use builder::KernelBuilder;
 pub use codec::{decode_kernel, encode_kernel, CodecError, CODEC_VERSION};
 pub use diag::{render, Check, Diagnostic};
 pub use interp::{run_kernel, ExecError, MemLayout};
 pub use ir::{
-    merge_kernel_versions, ArrayDecl, ArrayId, ArrayKind, Inst, Kernel, KernelVersion,
-    OverheadKind, VArith, VMove, VReg, VWidth,
+    merge_kernel_versions, ArrayDecl, ArrayId, ArrayKind, Kernel, KernelVersion, OverheadKind,
+    VArith, VMove, VReg, VWidth,
 };
 pub use map::MemMap;
 pub use passes::{PassCtx, PassPipeline, PassStats, PassTrace};

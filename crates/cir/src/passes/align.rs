@@ -12,8 +12,8 @@
 //! versions, each analyzed under its own assumption — combined by runtime
 //! dispatch (Listing 3.3).
 
-use crate::arena::{align_block, Arena};
-use crate::ir::{Inst, Kernel, KernelVersion};
+use crate::arena::{align_block, AInst};
+use crate::ir::{Kernel, KernelVersion};
 
 /// Number of float offsets per alignment class (ν for single precision with
 /// 16-byte vectors).
@@ -48,8 +48,8 @@ pub fn can_version(kernel: &Kernel) -> bool {
 /// Every [`versioned_arrays`] entry is versioned over its 4 possible float
 /// offsets. The result has `4^a + 1` versions: every combination, each
 /// with alignment detection applied under its assumption, plus the
-/// all-unaligned fallback. The body is converted to an arena once, and
-/// every version is rendered from it.
+/// all-unaligned fallback. Each version is a copy of the body's arena
+/// with alignment detection run under its assumption.
 ///
 /// # Panics
 ///
@@ -68,10 +68,15 @@ pub fn version_for_alignment(kernel: &Kernel) -> Kernel {
     let params: Vec<usize> = (0..kernel.arrays.len())
         .filter(|&a| kernel.arrays[a].kind.is_param())
         .collect();
-    let (mut arena, root) = Arena::from_body(kernel.body());
-    let mut render = |offsets: &[Option<usize>]| {
-        align_block(&mut arena, root, offsets);
-        arena.to_body(root)
+    let body = kernel.body();
+    let render = |required_offsets, offsets: &[Option<usize>]| {
+        let mut arena = body.arena.clone();
+        align_block(&mut arena, body.root, offsets);
+        KernelVersion {
+            required_offsets,
+            arena,
+            root: body.root,
+        }
     };
 
     let ncombos = ALIGN_CLASSES.pow(versioned.len() as u32);
@@ -95,16 +100,10 @@ pub fn version_for_alignment(kernel: &Kernel) -> Kernel {
                 }
             })
             .collect();
-        versions.push(KernelVersion {
-            required_offsets: Some(required),
-            body: render(&offsets),
-        });
+        versions.push(render(Some(required), &offsets));
     }
     // Unconditional fallback: everything unaligned.
-    versions.push(KernelVersion {
-        required_offsets: None,
-        body: render(&vec![None; kernel.arrays.len()]),
-    });
+    versions.push(render(None, &vec![None; kernel.arrays.len()]));
 
     Kernel {
         versions,
@@ -112,38 +111,29 @@ pub fn version_for_alignment(kernel: &Kernel) -> Kernel {
     }
 }
 
-/// Counts aligned and total 16-byte accesses (static), for tests and
-/// diagnostics.
-pub fn count_aligned(insts: &[Inst]) -> (usize, usize) {
-    let mut aligned = 0;
-    let mut total = 0;
-    fn go(insts: &[Inst], aligned: &mut usize, total: &mut usize) {
-        for inst in insts {
-            match inst {
-                Inst::GLoad {
-                    map, aligned: a, ..
-                }
-                | Inst::GStore {
-                    map, aligned: a, ..
-                } if map.contiguous_bytes() == Some(16) => {
-                    *total += 1;
-                    if *a {
-                        *aligned += 1;
-                    }
-                }
-                Inst::Loop { body, .. } => go(body, aligned, total),
-                _ => {}
-            }
+/// Counts aligned and total 16-byte accesses of one body (static), for
+/// tests and diagnostics.
+pub fn count_aligned(body: &KernelVersion) -> (usize, usize) {
+    let (mut aligned, mut total) = (0, 0);
+    body.arena.visit(body.root, &mut |_, inst| match *inst {
+        AInst::GLoad {
+            map, aligned: a, ..
         }
-    }
-    go(insts, &mut aligned, &mut total);
+        | AInst::GStore {
+            map, aligned: a, ..
+        } if body.arena.maps.get(map).contiguous_bytes() == Some(16) => {
+            total += 1;
+            aligned += a as usize;
+        }
+        _ => {}
+    });
     (aligned, total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::on_tree;
+    use crate::arena::unroll_block;
     use crate::builder::KernelBuilder;
     use crate::map::MemMap;
     use lgen_absint::AffineExpr;
@@ -151,7 +141,8 @@ mod tests {
     /// Alignment detection on `k`'s body with every base offset known.
     fn align_with(k: &mut Kernel, base_offsets: &[usize]) {
         let offsets: Vec<Option<usize>> = base_offsets.iter().map(|&o| Some(o)).collect();
-        on_tree::align(k.body_mut(), &offsets);
+        let body = k.body_mut();
+        align_block(&mut body.arena, body.root, &offsets);
     }
 
     /// `for i in (0..16).step 4: load A+i` — all accesses aligned when the
@@ -205,11 +196,9 @@ mod tests {
         // Statically the row load cannot be proven aligned (depends on r)…
         assert_eq!(count_aligned(k.body()), (1, 2));
         // …but after full unrolling, exactly the even rows are.
-        let body = on_tree::unroll(
-            std::mem::take(k.body_mut()),
-            crate::passes::UnrollPolicy::Full { max_trip: 8 },
-        );
-        *k.body_mut() = body;
+        let body = k.body_mut();
+        let full = crate::passes::UnrollPolicy::Full { max_trip: 8 };
+        unroll_block(&mut body.arena, body.root, full);
         align_with(&mut k, &[0, 0]);
         let (aligned, total) = count_aligned(k.body());
         assert_eq!(total, 8);
@@ -250,17 +239,17 @@ mod tests {
             .iter()
             .find(|v| v.required_offsets == Some(vec![Some(0), None, Some(0)]))
             .expect("all-aligned combo");
-        assert_eq!(count_aligned(&v0.body), (3, 3));
+        assert_eq!(count_aligned(v0), (3, 3));
         // The fallback marks none.
         let fb = vk.versions.last().unwrap();
         assert!(fb.required_offsets.is_none());
-        assert_eq!(count_aligned(&fb.body), (0, 3));
+        assert_eq!(count_aligned(fb), (0, 3));
         // A mixed combo: x at offset 1 (never aligned), y at 0 (aligned).
         let vm = vk
             .versions
             .iter()
             .find(|v| v.required_offsets == Some(vec![Some(1), None, Some(0)]))
             .unwrap();
-        assert_eq!(count_aligned(&vm.body), (2, 3));
+        assert_eq!(count_aligned(vm), (2, 3));
     }
 }

@@ -3,9 +3,10 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::arena::on_tree::{copyprop, dce, scalrep};
+    use crate::arena::test_util::run_passes;
+    use crate::arena::AInst;
     use crate::builder::KernelBuilder;
-    use crate::ir::{Inst, VArith, VMove, VWidth};
+    use crate::ir::{VArith, VMove, VWidth};
     use crate::map::MemMap;
     use lgen_absint::AffineExpr;
 
@@ -46,28 +47,25 @@ mod tests {
         let l3 = b.load(t[3], zero.clone(), m.clone());
         let s1 = b.arith(VArith::Add(VWidth::Q), l2, l3);
         b.store(s1, d, zero.clone(), m.clone());
-        let k = b.finish(8);
-
-        let body = scalrep(k.versions[0].body.clone(), &k.arrays);
-        let body = copyprop(body);
-        let body = dce(body, &k.arrays);
+        let mut k = b.finish(8);
+        let body = run_passes(&mut k, "scalrep,copyprop,dce");
 
         // Exactly: 3 loads (A, B, C), 2 adds, 1 store (D).
         let loads = body
             .iter()
-            .filter(|i| matches!(i, Inst::GLoad { .. }))
+            .filter(|i| matches!(i, AInst::GLoad { .. }))
             .count();
         let stores = body
             .iter()
-            .filter(|i| matches!(i, Inst::GStore { .. }))
+            .filter(|i| matches!(i, AInst::GStore { .. }))
             .count();
         let adds = body
             .iter()
-            .filter(|i| matches!(i, Inst::Arith { .. }))
+            .filter(|i| matches!(i, AInst::Arith { .. }))
             .count();
         let movs = body
             .iter()
-            .filter(|i| matches!(i, Inst::Move { .. }))
+            .filter(|i| matches!(i, AInst::Move { .. }))
             .count();
         assert_eq!((loads, stores, adds, movs), (3, 1, 2, 0), "body: {body:#?}");
     }
@@ -81,8 +79,8 @@ mod tests {
         let _dead = b.arith(VArith::Mul(VWidth::Q), v, v);
         let _dead2 = b.mov_op(VMove::Splat(0), v, 0);
         b.store(v, y, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(0);
-        let body = dce(k.versions[0].body.clone(), &k.arrays);
+        let mut k = b.finish(0);
+        let body = run_passes(&mut k, "dce");
         assert_eq!(body.len(), 2);
     }
 
@@ -96,9 +94,9 @@ mod tests {
         });
         let v = b.load(x, AffineExpr::constant(0), MemMap::horizontal(4));
         b.store(v, y, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(0);
-        let body = dce(k.versions[0].body.clone(), &k.arrays);
-        assert!(!body.iter().any(|i| matches!(i, Inst::Loop { .. })));
+        let mut k = b.finish(0);
+        let body = run_passes(&mut k, "dce");
+        assert!(!body.iter().any(|i| matches!(i, AInst::Loop { .. })));
     }
 
     #[test]
@@ -110,8 +108,8 @@ mod tests {
         let v = b.load(x, AffineExpr::constant(0), MemMap::horizontal(4));
         b.arith_acc(VArith::Fma(VWidth::Q), acc, v, v);
         b.store(acc, y, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(8);
-        let body = dce(k.versions[0].body.clone(), &k.arrays);
+        let mut k = b.finish(8);
+        let body = run_passes(&mut k, "dce");
         assert_eq!(body.len(), 4, "zero, load, fma, store all live: {body:#?}");
     }
 }

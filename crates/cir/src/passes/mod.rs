@@ -20,9 +20,9 @@
 //! [`run`](PassPipeline::run) it. The whole-kernel transforms run on the
 //! same sweeps: alignment *versioning* with runtime dispatch (§3.2.4,
 //! [`version_for_alignment`]) renders every version with the alignment
-//! sweep from one arena, and a compile's per-statement unroll genome and
-//! loop peeling's alignment assumptions run inside the schedule's own
-//! arena run ([`PassPipeline::run_arena`]).
+//! sweep on its own copy of the body's arena, and a compile's
+//! per-statement unroll genome and loop peeling's alignment assumptions
+//! sweep the same arena the schedule runs on.
 
 pub mod align;
 pub mod manager;

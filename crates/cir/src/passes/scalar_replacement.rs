@@ -3,9 +3,10 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::arena::on_tree::{copyprop, dce, scalrep};
+    use crate::arena::test_util::run_passes;
+    use crate::arena::AInst;
     use crate::builder::KernelBuilder;
-    use crate::ir::{Inst, VArith, VMove, VWidth};
+    use crate::ir::{VArith, VMove, VWidth};
     use crate::map::MemMap;
     use lgen_absint::AffineExpr;
     use lgen_isa::{MOp, VectorIsa};
@@ -22,17 +23,17 @@ mod tests {
         b.store(v, t, AffineExpr::constant(0), MemMap::horizontal(4));
         let w = b.load(t, AffineExpr::constant(0), MemMap::horizontal(4));
         b.store(w, y, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(0);
+        let mut k = b.finish(0);
 
-        let body = scalrep(k.versions[0].body.clone(), &k.arrays);
+        let body = run_passes(&mut k, "scalrep");
         let loads_from_local = body
             .iter()
-            .filter(|i| matches!(i, Inst::GLoad { arr, .. } if arr.0 == 2))
+            .filter(|i| matches!(i, AInst::GLoad { arr, .. } if arr.0 == 2))
             .count();
         assert_eq!(loads_from_local, 0, "local load must be forwarded");
         assert!(body
             .iter()
-            .any(|i| matches!(i, Inst::Move { op: VMove::Mov, .. })));
+            .any(|i| matches!(i, AInst::Move { op: VMove::Mov, .. })));
     }
 
     /// The Fig. 3.4 scenario: 3-element store and 3-element load through a
@@ -51,15 +52,15 @@ mod tests {
         b.store(s, y, AffineExpr::constant(0), MemMap::horizontal(3));
         let mut k = b.finish(3);
 
-        let body = scalrep(std::mem::take(k.body_mut()), &k.arrays);
-        let body = copyprop(body);
-        let body = dce(body, &k.arrays);
-        *k.body_mut() = body;
+        run_passes(&mut k, "scalrep,copyprop,dce");
 
         // No access to the local array survives.
         let mut local_accesses = 0;
-        k.visit_insts(|i| match i {
-            Inst::GLoad { arr, .. } | Inst::GStore { arr, .. } if arr.0 == 2 => local_accesses += 1,
+        let body = k.body();
+        body.arena.visit(body.root, &mut |_, i| match *i {
+            AInst::GLoad { arr, .. } | AInst::GStore { arr, .. } if arr.0 == 2 => {
+                local_accesses += 1
+            }
             _ => {}
         });
         assert_eq!(local_accesses, 0);
@@ -90,11 +91,11 @@ mod tests {
         b.store(v, x, AffineExpr::constant(0), MemMap::horizontal(4));
         let w = b.load(x, AffineExpr::constant(0), MemMap::horizontal(4));
         b.store(w, x, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(0);
-        let body = scalrep(k.versions[0].body.clone(), &k.arrays);
+        let mut k = b.finish(0);
+        let body = run_passes(&mut k, "scalrep");
         let loads = body
             .iter()
-            .filter(|i| matches!(i, Inst::GLoad { .. }))
+            .filter(|i| matches!(i, AInst::GLoad { .. }))
             .count();
         assert_eq!(loads, 2, "parameter accesses must not be forwarded");
     }
@@ -110,11 +111,11 @@ mod tests {
         // Load from a different offset of the local.
         let w = b.load(t, AffineExpr::constant(4), MemMap::horizontal(4));
         b.store(w, y, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(0);
-        let body = scalrep(k.versions[0].body.clone(), &k.arrays);
+        let mut k = b.finish(0);
+        let body = run_passes(&mut k, "scalrep");
         let local_loads = body
             .iter()
-            .filter(|i| matches!(i, Inst::GLoad { arr, .. } if arr.0 == 2))
+            .filter(|i| matches!(i, AInst::GLoad { arr, .. } if arr.0 == 2))
             .count();
         assert_eq!(local_loads, 1);
     }
@@ -132,12 +133,12 @@ mod tests {
         b.store(v1, t, AffineExpr::constant(2), MemMap::horizontal(4));
         let w = b.load(t, AffineExpr::constant(0), MemMap::horizontal(4));
         b.store(w, y, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(0);
-        let body = scalrep(k.versions[0].body.clone(), &k.arrays);
+        let mut k = b.finish(0);
+        let body = run_passes(&mut k, "scalrep");
         // The load must NOT be forwarded to v0.
         let forwarded = body
             .iter()
-            .any(|i| matches!(i, Inst::Move { op: VMove::Mov, .. }));
+            .any(|i| matches!(i, AInst::Move { op: VMove::Mov, .. }));
         assert!(!forwarded, "overlapped store must invalidate forwarding");
     }
 
@@ -152,23 +153,25 @@ mod tests {
         let t = b.local("t0", 4);
         let v = b.load(x, AffineExpr::constant(0), MemMap::horizontal(4));
         b.store(v, t, AffineExpr::constant(0), MemMap::horizontal(4));
-        // Redefine v (as a cloned unrolled body would).
-        b.push(Inst::GLoad {
-            dst: v,
-            arr: x,
-            addr: AffineExpr::constant(4),
-            map: MemMap::horizontal(4),
-            aligned: false,
-        });
+        let redef = b.load(x, AffineExpr::constant(4), MemMap::horizontal(4));
         let w = b.load(t, AffineExpr::constant(0), MemMap::horizontal(4));
         b.store(w, y, AffineExpr::constant(0), MemMap::horizontal(4));
-        let k = b.finish(0);
-        let body = scalrep(k.versions[0].body.clone(), &k.arrays);
+        let mut k = b.finish(0);
+        // Redefine v (as a cloned unrolled body would): the third
+        // instruction loads into `v` instead of a fresh register.
+        let body = k.body_mut();
+        let id = body.insts()[2];
+        let AInst::GLoad { dst, .. } = &mut body.arena.insts[id.0 as usize] else {
+            panic!("expected the redefining load");
+        };
+        assert_eq!(*dst, redef);
+        *dst = v;
+        let body = run_passes(&mut k, "scalrep");
         // The load of t0 must survive: forwarding from the stale register
         // would read x[4..8] instead of x[0..4].
         let local_loads = body
             .iter()
-            .filter(|i| matches!(i, Inst::GLoad { arr, .. } if *arr == t))
+            .filter(|i| matches!(i, AInst::GLoad { arr, .. } if *arr == t))
             .count();
         assert_eq!(local_loads, 1, "stale forwarding detected: {body:#?}");
     }
@@ -185,12 +188,14 @@ mod tests {
             let w = b.load(t, AffineExpr::constant(0), MemMap::horizontal(4));
             b.store(w, y, AffineExpr::var(i), MemMap::horizontal(4));
         });
-        let k = b.finish(0);
-        let body = scalrep(k.versions[0].body.clone(), &k.arrays);
+        let mut k = b.finish(0);
+        let body = run_passes(&mut k, "scalrep");
         // Inside the loop, the load survives (conservatively).
-        let Inst::Loop { body: inner, .. } = &body[2] else {
+        let AInst::Loop { body: inner, .. } = body[2] else {
             panic!()
         };
-        assert!(matches!(inner[0], Inst::GLoad { .. }));
+        let arena = &k.body().arena;
+        let first = arena.block(inner)[0];
+        assert!(matches!(arena.inst(first), AInst::GLoad { .. }));
     }
 }

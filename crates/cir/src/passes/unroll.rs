@@ -61,112 +61,112 @@ impl UnrollPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::on_tree::unroll;
-    use crate::ir::{ArrayId, Inst};
+    use crate::arena::test_util::{insts_in, push_insts};
+    use crate::arena::{unroll_block, AInst, Arena, BlockId};
+    use crate::ir::ArrayId;
     use crate::map::MemMap;
     use lgen_absint::AffineExpr;
 
-    fn load_at(addr: AffineExpr) -> Inst {
-        Inst::GLoad {
+    fn load_at(a: &mut Arena, addr: AffineExpr) -> AInst {
+        AInst::GLoad {
             dst: 0,
             arr: ArrayId(0),
-            addr,
-            map: MemMap::horizontal(4),
+            addr: a.intern_expr(&addr),
+            map: a.intern_map(&MemMap::horizontal(4)),
             aligned: false,
         }
     }
 
-    fn simple_loop(start: i64, end: i64, step: i64) -> Inst {
-        Inst::Loop {
+    fn simple_loop(a: &mut Arena, start: i64, end: i64, step: i64) -> AInst {
+        let load = load_at(a, AffineExpr::var(0));
+        AInst::Loop {
             var: 0,
-            name: "i".into(),
+            name: a.intern_sym("i"),
             start,
             end,
             step,
-            body: vec![load_at(AffineExpr::var(0))],
+            body: push_insts(a, &[load]),
         }
+    }
+
+    /// Unrolls a body of one `simple_loop(start, end, step)`; returns the
+    /// arena and the unrolled root block.
+    fn unroll_loop(start: i64, end: i64, step: i64, policy: UnrollPolicy) -> (Arena, BlockId) {
+        let mut a = Arena::default();
+        let l = simple_loop(&mut a, start, end, step);
+        let root = push_insts(&mut a, &[l]);
+        unroll_block(&mut a, root, policy);
+        (a, root)
+    }
+
+    /// The `(constant, terms)` address of a load.
+    fn addr_of(a: &Arena, inst: AInst) -> (i64, Vec<(i64, usize)>) {
+        let AInst::GLoad { addr, .. } = inst else {
+            panic!("expected load, got {inst:?}")
+        };
+        (a.exprs.constant(addr), a.exprs.terms(addr).to_vec())
     }
 
     #[test]
     fn full_unroll_substitutes_constants() {
-        let out = unroll(
-            vec![simple_loop(0, 12, 4)],
-            UnrollPolicy::Full { max_trip: 8 },
-        );
-        assert_eq!(out.len(), 3);
-        let addrs: Vec<i64> = out
-            .iter()
-            .map(|i| match i {
-                Inst::GLoad { addr, .. } => {
-                    assert!(addr.terms.is_empty());
-                    addr.constant
-                }
-                _ => panic!("expected load"),
-            })
-            .collect();
-        assert_eq!(addrs, vec![0, 4, 8]);
+        let (a, root) = unroll_loop(0, 12, 4, UnrollPolicy::Full { max_trip: 8 });
+        let out = insts_in(&a, root);
+        let addrs: Vec<_> = out.iter().map(|&i| addr_of(&a, i)).collect();
+        assert_eq!(addrs, vec![(0, vec![]), (4, vec![]), (8, vec![])]);
     }
 
     #[test]
     fn full_unroll_respects_threshold() {
-        let out = unroll(
-            vec![simple_loop(0, 400, 4)],
-            UnrollPolicy::Full { max_trip: 8 },
-        );
+        let (a, root) = unroll_loop(0, 400, 4, UnrollPolicy::Full { max_trip: 8 });
+        let out = insts_in(&a, root);
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0], Inst::Loop { .. }));
+        assert!(matches!(out[0], AInst::Loop { .. }));
     }
 
     #[test]
     fn factor_unroll_widens_step() {
-        let out = unroll(
-            vec![simple_loop(0, 32, 4)],
-            UnrollPolicy::Factor { factor: 2 },
-        );
-        let Inst::Loop { step, body, .. } = &out[0] else {
+        let (a, root) = unroll_loop(0, 32, 4, UnrollPolicy::Factor { factor: 2 });
+        let AInst::Loop { step, body, .. } = insts_in(&a, root)[0] else {
             panic!()
         };
-        assert_eq!(*step, 8);
+        assert_eq!(step, 8);
+        let body = insts_in(&a, body);
         assert_eq!(body.len(), 2);
-        let Inst::GLoad { addr, .. } = &body[1] else {
-            panic!()
-        };
         // Second copy accesses var + 4.
-        assert_eq!(addr.constant, 4);
-        assert_eq!(addr.terms, vec![(1, 0)]);
+        assert_eq!(addr_of(&a, body[1]), (4, vec![(1, 0)]));
     }
 
     #[test]
     fn factor_unroll_skips_nondividing_trip_counts() {
-        let out = unroll(
-            vec![simple_loop(0, 12, 4)],
-            UnrollPolicy::Factor { factor: 2 },
-        );
+        let (a, root) = unroll_loop(0, 12, 4, UnrollPolicy::Factor { factor: 2 });
         // 3 trips, not divisible by 2, but 3 > 2 → untouched.
-        let Inst::Loop { step, body, .. } = &out[0] else {
+        let AInst::Loop { step, body, .. } = insts_in(&a, root)[0] else {
             panic!()
         };
-        assert_eq!(*step, 4);
-        assert_eq!(body.len(), 1);
+        assert_eq!(step, 4);
+        assert_eq!(a.block(body).len(), 1);
     }
 
     #[test]
     fn nested_loops_unroll_bottom_up() {
-        let inner = simple_loop(0, 8, 4);
-        let outer = Inst::Loop {
+        let mut a = Arena::default();
+        let inner = simple_loop(&mut a, 0, 8, 4);
+        let outer = AInst::Loop {
             var: 1,
-            name: "j".into(),
+            name: a.intern_sym("j"),
             start: 0,
             end: 100,
             step: 1,
-            body: vec![inner],
+            body: push_insts(&mut a, &[inner]),
         };
-        let out = unroll(vec![outer], UnrollPolicy::Full { max_trip: 4 });
+        let root = push_insts(&mut a, &[outer]);
+        unroll_block(&mut a, root, UnrollPolicy::Full { max_trip: 4 });
         // Outer survives (100 trips), inner fully unrolled inside it.
-        let Inst::Loop { body, .. } = &out[0] else {
+        let AInst::Loop { body, .. } = insts_in(&a, root)[0] else {
             panic!()
         };
+        let body = insts_in(&a, body);
         assert_eq!(body.len(), 2);
-        assert!(body.iter().all(|i| matches!(i, Inst::GLoad { .. })));
+        assert!(body.iter().all(|i| matches!(i, AInst::GLoad { .. })));
     }
 }

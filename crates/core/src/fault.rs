@@ -15,7 +15,7 @@
 //! such a plan and greps the failure summary, keeping the degradation
 //! path wired end to end.
 
-use lgen_cir::{Inst, Kernel};
+use lgen_cir::{AInst, Kernel};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -166,18 +166,15 @@ pub fn parse_duration(s: &str) -> Option<Duration> {
 /// Falls back to corrupting the declared length of the first array if the
 /// kernel contains no load at all.
 pub fn corrupt_kernel(kernel: &mut Kernel) {
-    fn bump_first_load(insts: &mut [Inst]) -> bool {
-        insts.iter_mut().any(|inst| match inst {
-            Inst::GLoad { addr, .. } => {
-                addr.constant += 1_000_000;
-                true
-            }
-            Inst::Loop { body, .. } => bump_first_load(body),
-            _ => false,
-        })
-    }
     for version in &mut kernel.versions {
-        if bump_first_load(&mut version.body) {
+        let mut first_load = None;
+        version.arena.visit(version.root, &mut |id, inst| {
+            if first_load.is_none() && matches!(inst, AInst::GLoad { .. }) {
+                first_load = Some(id);
+            }
+        });
+        if let Some(id) = first_load {
+            version.arena.offset_access(id, 1_000_000);
             return;
         }
     }

@@ -74,7 +74,7 @@ use crate::config::CompileConfig;
 use lgen_cir::arena::trip_count;
 use lgen_cir::passes::{PassPipeline, PipelineStep, UnrollDecision, UnrollPolicy};
 use lgen_cir::VerifyFailure;
-use lgen_cir::{Arena, Inst, Kernel, VerifyLevel};
+use lgen_cir::{AInst, Arena, InstId, Kernel, KernelVersion, VerifyLevel};
 use lgen_isa::VectorIsa;
 use lgen_ll::Program;
 use lgen_sigma::{MvmStrategy, ProgramKernel};
@@ -340,8 +340,8 @@ impl std::fmt::Debug for CompileMemo {
 /// scalar metadata (none of which live in the body but all of which the
 /// unparser and passes read).
 fn kernel_fingerprint(kernel: &Kernel) -> u64 {
-    let (arena, root) = Arena::from_body(kernel.body());
-    let mut fp = arena.fingerprint(root);
+    let body = kernel.body();
+    let mut fp = body.arena.fingerprint(body.root);
     let mix = |fp: &mut u64, v: u64| {
         *fp ^= v;
         *fp = fp.wrapping_mul(0x100_0000_01b3);
@@ -364,7 +364,11 @@ fn kernel_fingerprint(kernel: &Kernel) -> u64 {
 
 /// The unroll axis of the optimization key: what `policy` would do to
 /// every loop of `body` (see [`UnrollSig`] for when the collapse applies).
-pub fn unroll_signature(pipeline: &PassPipeline, policy: UnrollPolicy, body: &[Inst]) -> UnrollSig {
+pub fn unroll_signature(
+    pipeline: &PassPipeline,
+    policy: UnrollPolicy,
+    body: &KernelVersion,
+) -> UnrollSig {
     if !pipeline.contains("unroll") {
         // The policy is never consulted: every policy shares one entry.
         return UnrollSig::Decisions(Vec::new());
@@ -373,7 +377,7 @@ pub fn unroll_signature(pipeline: &PassPipeline, policy: UnrollPolicy, body: &[I
         return UnrollSig::Policy(policy);
     }
     let mut decisions = Vec::new();
-    collect_decisions(body, policy, &mut decisions);
+    collect_decisions(&body.arena, body.insts(), policy, &mut decisions);
     UnrollSig::Decisions(decisions)
 }
 
@@ -388,7 +392,12 @@ fn genome_signature(pk: &ProgramKernel, genome: &[UnrollPolicy]) -> UnrollSig {
     let body = pk.kernel.body();
     let mut decisions = Vec::new();
     for (range, &policy) in pk.stmt_ranges.iter().zip(genome) {
-        collect_decisions(&body[range.clone()], policy, &mut decisions);
+        collect_decisions(
+            &body.arena,
+            &body.insts()[range.clone()],
+            policy,
+            &mut decisions,
+        );
     }
     UnrollSig::Genome(decisions)
 }
@@ -422,18 +431,23 @@ fn steps_contain_unroll(steps: &[PipelineStep]) -> bool {
 }
 
 /// Post-order walk matching the pass's bottom-up processing order.
-fn collect_decisions(body: &[Inst], policy: UnrollPolicy, out: &mut Vec<UnrollDecision>) {
-    for inst in body {
-        if let Inst::Loop {
+fn collect_decisions(
+    arena: &Arena,
+    ids: &[InstId],
+    policy: UnrollPolicy,
+    out: &mut Vec<UnrollDecision>,
+) {
+    for &id in ids {
+        if let AInst::Loop {
             start,
             end,
             step,
             body,
             ..
-        } = inst
+        } = *arena.inst(id)
         {
-            collect_decisions(body, policy, out);
-            out.push(policy.decide(trip_count(*start, *end, *step)));
+            collect_decisions(arena, arena.block(body), policy, out);
+            out.push(policy.decide(trip_count(start, end, step)));
         }
     }
 }
@@ -470,12 +484,13 @@ mod tests {
 
     #[test]
     fn repeat_schedules_fall_back_to_the_exact_policy() {
+        let empty = lgen_cir::KernelBuilder::new("k").finish(0);
         let p = PassPipeline::parse("repeat(unroll,dce)").unwrap();
-        let sig = unroll_signature(&p, UnrollPolicy::Full { max_trip: 8 }, &[]);
+        let sig = unroll_signature(&p, UnrollPolicy::Full { max_trip: 8 }, empty.body());
         assert_eq!(sig, UnrollSig::Policy(UnrollPolicy::Full { max_trip: 8 }));
         // A single top-level unroll collapses normally.
         let p = PassPipeline::parse("unroll,repeat(copyprop,dce)").unwrap();
-        let sig = unroll_signature(&p, UnrollPolicy::Full { max_trip: 8 }, &[]);
+        let sig = unroll_signature(&p, UnrollPolicy::Full { max_trip: 8 }, empty.body());
         assert!(matches!(sig, UnrollSig::Decisions(_)));
     }
 

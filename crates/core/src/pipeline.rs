@@ -17,9 +17,9 @@
 //! the schedule: fusion and codegen in front of it, the cross-candidate
 //! [`CompileMemo`], and — for a single BLAC (one statement, no
 //! temporaries) — the whole-kernel alignment versioning / loop-peeling
-//! transforms behind it. Every C-IR transform is an arena sweep, and one
-//! arena run per body covers the optional per-statement unroll genome
-//! (a [`PassCtx::stage`], timed, traced and verified like a pass), the
+//! transforms behind it. Every C-IR transform is a sweep over the arena
+//! codegen emitted: the optional per-statement unroll genome (a
+//! [`PassCtx::stage`], timed, traced and verified like a pass), the
 //! schedule and peeling's alignment assumptions.
 
 use crate::cache::KernelCache;
@@ -33,7 +33,7 @@ use lgen_cir::passes::{
     version_for_alignment, PassCtx, PassPipeline, PassStats, PassTrace, UnrollPolicy,
 };
 use lgen_cir::{
-    merge_kernel_versions, verify_stage, Arena, ArrayKind, Kernel, VerifyFailure, VerifyLevel,
+    merge_kernel_versions, verify_stage, ArrayKind, Kernel, VerifyFailure, VerifyLevel,
 };
 use lgen_isa::VectorIsa;
 use lgen_ll::{Blac, Program};
@@ -322,7 +322,7 @@ impl Lowering<'_> {
 
     /// The genome, the pass schedule and, for a body peeled for base
     /// offset class `peel`, alignment detection under that assumption —
-    /// all in one arena run on a lowered kernel.
+    /// all in place on the lowered kernel's arena.
     fn optimize(
         &self,
         mut kernel: Kernel,
@@ -341,14 +341,12 @@ impl Lowering<'_> {
             stats: self.stats,
             trace: self.trace,
         };
-        let (mut arena, root) = Arena::from_body(&std::mem::take(kernel.body_mut()));
         if let Some(genome) = self.genome {
-            ctx.stage("unroll", &mut kernel, &mut arena, root, |a, root, _| {
+            ctx.stage("unroll", &mut kernel, |a, root, _| {
                 unroll_statements(a, root, stmt_ranges, genome)
             })?;
         }
-        self.pipeline
-            .run_arena(&mut kernel, &mut arena, root, &ctx)?;
+        self.pipeline.run(&mut kernel, &ctx)?;
         if let Some(off) = peel {
             // Vector-sized parameters share the class; locals are aligned
             // by the layout, short parameters are never assumed aligned.
@@ -361,9 +359,9 @@ impl Lowering<'_> {
                     _ => None,
                 })
                 .collect();
-            align_block(&mut arena, root, &assumptions);
+            let body = kernel.body_mut();
+            align_block(&mut body.arena, body.root, &assumptions);
         }
-        *kernel.body_mut() = arena.to_body(root);
         Ok(kernel)
     }
 
@@ -480,8 +478,9 @@ mod tests {
         assert!(unrolled.static_size() > rolled.static_size());
         // Fully unrolled: no loops remain.
         let mut loops = 0;
-        unrolled.visit_insts(|i| {
-            if matches!(i, lgen_cir::Inst::Loop { .. }) {
+        let body = unrolled.body();
+        body.arena.visit(body.root, &mut |_, i| {
+            if matches!(i, lgen_cir::AInst::Loop { .. }) {
                 loops += 1;
             }
         });
@@ -568,14 +567,14 @@ mod tests {
         assert_eq!(k.versions.len(), 5);
         // Every non-fallback version must contain aligned full-width ops.
         for v in &k.versions[..4] {
-            let (aligned, total) = count_aligned(&v.body);
+            let (aligned, total) = count_aligned(v);
             assert!(
                 aligned > 0,
                 "peeled version has no aligned access ({total} total)"
             );
         }
         // The fallback has none.
-        assert_eq!(count_aligned(&k.versions[4].body).0, 0);
+        assert_eq!(count_aligned(&k.versions[4]).0, 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ν-BLACs are selected via [`CodegenOptions`].
 
 use lgen_absint::AffineExpr;
-use lgen_cir::{ArrayId, Inst, Kernel, KernelBuilder, MemMap, VArith, VMove, VReg, VWidth};
+use lgen_cir::{ArrayId, Kernel, KernelBuilder, MemMap, VArith, VMove, VReg, VWidth};
 use lgen_isa::VectorIsa;
 use lgen_ll::blac::{infer_dims, Blac, Dims, Expr, Operand, OperandId, Structure};
 use lgen_ll::TileGrid;
@@ -419,12 +419,7 @@ impl Cg<'_> {
     /// In-place accumulate: `acc += val` (keeps `acc` stable across loop
     /// iterations, unlike the fresh-register [`KernelBuilder::arith`]).
     fn add_acc(&mut self, acc: VReg, val: VReg, w: VWidth) {
-        self.b.push(Inst::Arith {
-            op: VArith::Add(w),
-            dst: acc,
-            a: acc,
-            b: val,
-        });
+        self.b.arith_into(VArith::Add(w), acc, acc, val);
     }
 
     /// The contraction support `(klo, khi)` a structured left operand

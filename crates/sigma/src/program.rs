@@ -439,7 +439,7 @@ mod tests {
             assert_eq!(r.start, expect_start);
             expect_start = r.end;
         }
-        assert_eq!(expect_start, pk.kernel.body().len());
+        assert_eq!(expect_start, pk.kernel.body().insts().len());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 use lgen::absint::AffineExpr;
 use lgen::cir::passes::UnrollPolicy;
 use lgen::cir::{
-    verify_kernel, ArrayKind, Check, Inst, Kernel, KernelBuilder, MemMap, VArith, VWidth,
+    verify_kernel, AInst, Arena, ArrayKind, BlockId, Check, Kernel, KernelBuilder, KernelVersion,
+    MemMap, VArith, VWidth,
 };
 use lgen::core::{KernelCache, ProgramCacheKey, SearchStrategy};
 use lgen::ll::paper;
@@ -85,17 +86,19 @@ fn custom_pipeline_specs_verify_clean_at_every_pass() {
     }
 }
 
-/// Adds `bump` to the address constant of the first generic load found
-/// (descending into loops). Returns whether a load was mutated.
-fn bump_first_load(insts: &mut [Inst], bump: i64) -> bool {
-    insts.iter_mut().any(|inst| match inst {
-        Inst::GLoad { addr, .. } => {
-            addr.constant += bump;
-            true
+/// Moves the first generic load found (pre-order, descending into loops)
+/// by `bump` floats. The address is re-interned: the pooled one may be
+/// shared with other accesses. Returns whether a load was mutated.
+fn bump_first_load(body: &mut KernelVersion, bump: i64) -> bool {
+    let mut first = None;
+    body.arena.visit(body.root, &mut |id, inst| {
+        if first.is_none() && matches!(inst, AInst::GLoad { .. }) {
+            first = Some(id);
         }
-        Inst::Loop { body, .. } => bump_first_load(body, bump),
-        _ => false,
-    })
+    });
+    first
+        .inspect(|&id| body.arena.offset_access(id, bump))
+        .is_some()
 }
 
 #[test]
@@ -117,26 +120,28 @@ fn injected_oob_index_is_reported() {
     );
 }
 
-/// Removes every store whose destination is a local array (descending into
+/// Unlinks every store whose destination is a local array (descending into
 /// loops), simulating a scalar-replacement/DCE bug that forwarded a store
 /// away while a load through the local survived.
-fn drop_local_stores(insts: &mut Vec<Inst>, kernel_arrays: &[lgen::cir::ArrayDecl]) {
-    insts.retain_mut(|inst| match inst {
-        Inst::GStore { arr, .. } => kernel_arrays[arr.0].kind != ArrayKind::Local,
-        Inst::Loop { body, .. } => {
-            drop_local_stores(body, kernel_arrays);
+fn drop_local_stores(a: &mut Arena, block: BlockId, kernel_arrays: &[lgen::cir::ArrayDecl]) {
+    let mut ids = std::mem::take(&mut a.blocks[block.0 as usize]);
+    ids.retain(|&id| match *a.inst(id) {
+        AInst::GStore { arr, .. } => kernel_arrays[arr.0].kind != ArrayKind::Local,
+        AInst::Loop { body, .. } => {
+            drop_local_stores(a, body, kernel_arrays);
             true
         }
         _ => true,
     });
+    a.blocks[block.0 as usize] = ids;
 }
 
-fn loads_a_local(insts: &[Inst], kernel_arrays: &[lgen::cir::ArrayDecl]) -> bool {
-    insts.iter().any(|inst| match inst {
-        Inst::GLoad { arr, .. } => kernel_arrays[arr.0].kind == ArrayKind::Local,
-        Inst::Loop { body, .. } => loads_a_local(body, kernel_arrays),
-        _ => false,
-    })
+fn loads_a_local(body: &KernelVersion, kernel_arrays: &[lgen::cir::ArrayDecl]) -> bool {
+    let mut found = false;
+    body.arena.visit(body.root, &mut |_, inst| {
+        found |= matches!(*inst, AInst::GLoad { arr, .. } if kernel_arrays[arr.0].kind == ArrayKind::Local);
+    });
+    found
 }
 
 #[test]
@@ -153,7 +158,8 @@ fn dropped_local_store_is_reported() {
         "test premise: raw chain kernel reads a local temporary"
     );
     assert!(verify_kernel(&kernel).is_empty(), "raw kernel must verify");
-    drop_local_stores(kernel.body_mut(), &arrays);
+    let body = kernel.body_mut();
+    drop_local_stores(&mut body.arena, body.root, &arrays);
     let diags = verify_kernel(&kernel);
     assert!(
         diags.iter().any(|d| d.check == Check::LocalDataflow),
