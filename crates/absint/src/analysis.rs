@@ -1,4 +1,4 @@
-//! Fixpoint analysis of LGen-shaped loop nests (§2.3.2, §3.2.2).
+//! Loop-index fixpoints and affine address evaluation (§2.3.2, §3.2.2).
 //!
 //! LGen's generated code has the fixed shape of the paper's Listing 3.1: a
 //! nest of `for` loops with *constant* bounds and steps, whose index
@@ -7,22 +7,21 @@
 //! + a`. This module provides:
 //!
 //! * [`LoopSpec`] / [`AffineExpr`] — the program model,
-//! * [`Analyzer`] — computes, per index variable, the abstract value in the
-//!   reduced Interval×Congruence product at the loop body (the fixpoint of
-//!   the paper's loop semantics `env' = env ⊔ ((env + step) ⊓ [start,
+//! * [`loop_index_value`] — the abstract value of a loop's index variable in
+//!   the reduced Interval×Congruence product at the loop body (the fixpoint
+//!   of the paper's loop semantics `env' = env ⊔ ((env + step) ⊓ [start,
 //!   end-1])`, with reduction applied at every step),
-//! * a generic structured-statement analysis ([`Stmt`], [`analyze_program`])
-//!   usable with any [`AbstractDomain`], which the tests use to validate the
-//!   framework beyond the LGen shape.
+//! * [`eval_affine`] — evaluation of an affine address against per-variable
+//!   abstract values, which the alignment-detection pass and the C-IR
+//!   verifier in `lgen-cir` run on every address.
 
 use crate::congruence::Congruence;
 use crate::domain::AbstractDomain;
 use crate::interval::Interval;
 use crate::reduced::IntervalCongruence;
-use std::collections::HashMap;
 
-/// Identifier of a loop index variable, assigned by [`Analyzer::push_loop`]
-/// in nesting order (outermost first).
+/// Identifier of a loop index variable, assigned in nesting order
+/// (outermost first).
 pub type VarId = usize;
 
 /// A counted loop `for var = start; var < end; var += step`.
@@ -122,7 +121,7 @@ impl AffineExpr {
 
     /// Adds `coeff·var`, merging with an existing term for `var` and
     /// keeping the term list sorted by variable id.
-    pub fn add_term(&mut self, coeff: i64, v: VarId) {
+    pub(crate) fn add_term(&mut self, coeff: i64, v: VarId) {
         match self.terms.binary_search_by_key(&v, |t| t.1) {
             Ok(i) => {
                 self.terms[i].0 += coeff;
@@ -140,7 +139,7 @@ impl AffineExpr {
 
     /// Restores the normalization invariant on an expression whose terms
     /// were assembled out of order (sorts, merges duplicates, drops zero
-    /// coefficients). Constructors and [`add_term`](Self::add_term) already
+    /// coefficients). Constructors and `add_term` already
     /// maintain the invariant; this is for code that fills `terms` by hand.
     pub fn normalize(&mut self) {
         if self.is_normalized() {
@@ -160,7 +159,7 @@ impl AffineExpr {
 
     /// Whether the normalization invariant holds (sorted, distinct,
     /// nonzero coefficients).
-    pub fn is_normalized(&self) -> bool {
+    pub(crate) fn is_normalized(&self) -> bool {
         self.terms.iter().all(|t| t.0 != 0) && self.terms.windows(2).all(|w| w[0].1 < w[1].1)
     }
 
@@ -184,11 +183,6 @@ impl AffineExpr {
                 .collect(),
             constant: self.constant * k,
         }
-    }
-
-    /// Evaluates the expression concretely given variable values.
-    pub fn eval_concrete(&self, vals: &HashMap<VarId, i64>) -> i64 {
-        self.terms.iter().map(|&(c, v)| c * vals[&v]).sum::<i64>() + self.constant
     }
 }
 
@@ -230,148 +224,25 @@ pub fn loop_index_value(spec: &LoopSpec) -> IntervalCongruence {
     unreachable!("fixpoint iteration always terminates via widening")
 }
 
-/// Analysis context for a single LGen loop nest.
+/// Evaluates the affine expression `constant + Σ coeff·var` over `terms` in
+/// any abstract domain, resolving each variable through `value_of`.
 ///
-/// Loops are registered outermost-first with [`push_loop`](Self::push_loop);
-/// affine address expressions are then evaluated against the per-variable
-/// fixpoints with [`eval`](Self::eval).
-///
-/// # Example
-///
-/// ```
-/// use lgen_absint::analysis::{Analyzer, LoopSpec, AffineExpr};
-///
-/// let mut a = Analyzer::new();
-/// let i = a.push_loop(LoopSpec::new("i", 0, 16, 4));
-/// let j = a.push_loop(LoopSpec::new("j", 0, 8, 4));
-/// // address 8*i + j: congruence 0 + 4Z → 16-byte aligned floats
-/// let addr = AffineExpr::scaled(8, i).plus(&AffineExpr::var(j));
-/// assert!(a.eval(&addr).divisible_by(4));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Analyzer {
-    loops: Vec<LoopSpec>,
-    values: Vec<IntervalCongruence>,
-}
-
-impl Analyzer {
-    /// Creates an empty analysis context.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers the next-inner loop and returns its variable id.
-    pub fn push_loop(&mut self, spec: LoopSpec) -> VarId {
-        let value = loop_index_value(&spec);
-        self.loops.push(spec);
-        self.values.push(value);
-        self.values.len() - 1
-    }
-
-    /// The registered loops, outermost first.
-    pub fn loops(&self) -> &[LoopSpec] {
-        &self.loops
-    }
-
-    /// The abstract value of a loop index variable at the innermost body.
-    pub fn value(&self, v: VarId) -> IntervalCongruence {
-        self.values[v]
-    }
-
-    /// Evaluates an affine expression in the reduced product domain.
-    pub fn eval(&self, e: &AffineExpr) -> IntervalCongruence {
-        eval_affine(e, |v| self.values[v])
-    }
-}
-
-/// A statement in the generic structured-program model (beyond the LGen
-/// shape): assignments of affine expressions and counted loops.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Stmt {
-    /// `var = expr;` over previously assigned variables.
-    Assign(VarId, AffineExpr),
-    /// A counted loop over a fresh index variable with a nested body.
-    For(VarId, LoopSpec, Vec<Stmt>),
-}
-
-/// Analyzes a structured program in any abstract domain, returning the final
-/// environment (variable → abstract value) after the program.
-///
-/// Loop semantics follow §2.3.2: environments of a node's in-edges are
-/// joined pointwise; iteration (with widening after a bounded number of
-/// rounds) runs until a fixpoint.
-pub fn analyze_program<D: AbstractDomain>(stmts: &[Stmt], nvars: usize) -> Vec<D> {
-    let mut env: Vec<D> = vec![D::bottom(); nvars];
-    analyze_block(stmts, &mut env);
-    env
-}
-
-/// Evaluates an affine expression in any abstract domain, resolving each
-/// variable through `value_of`.
-///
-/// This is the public entry point for clients that maintain their own
-/// variable environments — the alignment-detection pass and the C-IR
-/// verifier in `lgen-cir` both evaluate address expressions against a map
-/// from loop variables to [`loop_index_value`] fixpoints. Unbound variables
-/// are the caller's concern: return [`AbstractDomain::top`] for them to
-/// stay sound.
-pub fn eval_affine<D: AbstractDomain>(e: &AffineExpr, mut value_of: impl FnMut(VarId) -> D) -> D {
-    let mut acc = D::constant(e.constant);
-    for &(coeff, v) in &e.terms {
+/// The expression comes as its parts rather than an [`AffineExpr`], so
+/// interned representations evaluate without building one: the
+/// alignment-detection pass and the C-IR verifier in `lgen-cir` both run
+/// every address through this function against a map from loop variables
+/// to [`loop_index_value`] fixpoints. Unbound variables are the caller's
+/// concern: return [`AbstractDomain::top`] for them to stay sound.
+pub fn eval_affine<D: AbstractDomain>(
+    constant: i64,
+    terms: &[(i64, VarId)],
+    mut value_of: impl FnMut(VarId) -> D,
+) -> D {
+    let mut acc = D::constant(constant);
+    for &(coeff, v) in terms {
         acc = acc.add(&D::constant(coeff).mul(&value_of(v)));
     }
     acc
-}
-
-fn analyze_block<D: AbstractDomain>(stmts: &[Stmt], env: &mut [D]) {
-    for s in stmts {
-        match s {
-            Stmt::Assign(v, e) => {
-                let val = eval_affine(e, |v| env[v].clone());
-                env[*v] = val;
-            }
-            Stmt::For(v, spec, body) => {
-                if spec.trip_count() == 0 {
-                    continue;
-                }
-                let step = D::constant(spec.step);
-                // Kleene iteration over (index value, body environment).
-                let mut idx = D::constant(spec.start);
-                let mut iters = 0usize;
-                loop {
-                    env[*v] = idx.clone();
-                    let mut body_env = env.to_vec();
-                    analyze_block(body, &mut body_env);
-                    // Merge effects of the body on all variables.
-                    let mut changed = false;
-                    for (slot, new) in env.iter_mut().zip(body_env.iter()) {
-                        let joined = slot.join(new);
-                        if joined != *slot {
-                            *slot = joined;
-                            changed = true;
-                        }
-                    }
-                    let bumped = env[*v].add(&step);
-                    let next_idx = D::constant(spec.start).join(&bumped);
-                    let next_idx = if iters >= WIDEN_AFTER {
-                        idx.widen(&next_idx)
-                    } else {
-                        next_idx
-                    };
-                    if next_idx == idx && !changed {
-                        break;
-                    }
-                    idx = next_idx;
-                    iters += 1;
-                    if iters > 4 * WIDEN_AFTER {
-                        // Safety net: force top for the index.
-                        idx = D::top();
-                    }
-                }
-                env[*v] = idx;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -380,6 +251,13 @@ mod tests {
     use crate::domain::AbstractDomain;
     use crate::interval::Interval;
     use proptest::prelude::*;
+
+    /// Evaluates `e` in a nest whose variables are numbered like `loops`
+    /// (outermost first), each bound to its loop's index fixpoint.
+    fn eval_in_nest(loops: &[LoopSpec], e: &AffineExpr) -> IntervalCongruence {
+        let values: Vec<IntervalCongruence> = loops.iter().map(loop_index_value).collect();
+        eval_affine(e.constant, &e.terms, |v| values[v])
+    }
 
     /// The paper's Listing 3.2: `for k in (0..8).step_by(13)` — taken once,
     /// so the reduced product must collapse `k` to the singleton 0.
@@ -438,40 +316,19 @@ mod tests {
 
     #[test]
     fn affine_evaluation() {
-        let mut a = Analyzer::new();
-        let i = a.push_loop(LoopSpec::new("i", 0, 12, 4));
-        let j = a.push_loop(LoopSpec::new("j", 0, 4, 1));
+        let nest = [LoopSpec::new("i", 0, 12, 4), LoopSpec::new("j", 0, 4, 1)];
+        let (i, j) = (0, 1);
         // 16*i + 4*j is always divisible by 4.
         let e = AffineExpr::scaled(16, i).plus(&AffineExpr::scaled(4, j));
-        assert!(a.eval(&e).divisible_by(4));
+        assert!(eval_in_nest(&nest, &e).divisible_by(4));
         // 16*i + j is not.
         let e = AffineExpr::scaled(16, i).plus(&AffineExpr::var(j));
-        assert!(!a.eval(&e).divisible_by(4));
+        assert!(!eval_in_nest(&nest, &e).divisible_by(4));
         // but 16*i + j + 4 - j ... constant folding via plus/scale:
         let e = AffineExpr::var(j)
             .plus(&AffineExpr::var(j).scale(-1))
             .offset(8);
-        assert_eq!(a.eval(&e), IntervalCongruence::constant(8));
-    }
-
-    #[test]
-    fn generic_program_analysis_interval() {
-        // x = 0; for i in 0..10 { x = i + 1 }  → x ∈ [0, 10] (join of init 0
-        // and all body results).
-        let x = 0;
-        let i = 1;
-        let prog = vec![
-            Stmt::Assign(x, AffineExpr::constant(0)),
-            Stmt::For(
-                i,
-                LoopSpec::new("i", 0, 10, 1),
-                vec![Stmt::Assign(x, AffineExpr::var(i).offset(1))],
-            ),
-        ];
-        let env = analyze_program::<Interval>(&prog, 2);
-        assert!(Interval::range(0, 10).le(&env[x]));
-        // Soundness: every concrete final value of x is in γ.
-        assert!(env[x].gamma_contains(10));
+        assert_eq!(eval_in_nest(&nest, &e), IntervalCongruence::constant(8));
     }
 
     proptest! {
@@ -514,9 +371,7 @@ mod tests {
         ) {
             let s0 = LoopSpec::new("i0", l0.0, l0.0 + l0.1, l0.2);
             let s1 = LoopSpec::new("i1", l1.0, l1.0 + l1.1, l1.2);
-            let mut an = Analyzer::new();
-            let v0 = an.push_loop(s0.clone());
-            let v1 = an.push_loop(s1.clone());
+            let (v0, v1) = (0, 1);
             let addr = AffineExpr::scaled(a0, v0)
                 .plus(&AffineExpr::scaled(a1, v1))
                 .offset(c);
@@ -533,7 +388,7 @@ mod tests {
                 }
                 i += s0.step;
             }
-            let detected = an.eval(&addr).divisible_by(n);
+            let detected = eval_in_nest(&[s0.clone(), s1.clone()], &addr).divisible_by(n);
             // Soundness: detected ⇒ all_divisible. Preciseness: all ⇒ detected.
             prop_assert_eq!(detected, all_divisible,
                 "addr {}*i0+{}*i1+{}, n={}, loops {:?} {:?}", a0, a1, c, n, s0, s1);

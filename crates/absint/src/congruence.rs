@@ -6,7 +6,7 @@
 use crate::domain::AbstractDomain;
 
 /// Greatest common divisor (non-negative; `gcd(0, 0) = 0`).
-pub fn gcd(a: i64, b: i64) -> i64 {
+pub(crate) fn gcd(a: i64, b: i64) -> i64 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
         let t = b;
@@ -17,7 +17,7 @@ pub fn gcd(a: i64, b: i64) -> i64 {
 }
 
 /// Least common multiple (non-negative; `lcm(x, 0) = 0`).
-pub fn lcm(a: i64, b: i64) -> i64 {
+pub(crate) fn lcm(a: i64, b: i64) -> i64 {
     if a == 0 || b == 0 {
         0
     } else {
@@ -39,7 +39,7 @@ fn emod(a: i64, m: i64) -> i64 {
 ///
 /// ```
 /// use lgen_absint::congruence::Congruence;
-/// use lgen_absint::domain::AbstractDomain;
+/// use lgen_absint::AbstractDomain;
 ///
 /// let even = Congruence::modulo(0, 2);
 /// let odd = Congruence::modulo(1, 2);
@@ -67,22 +67,6 @@ impl Congruence {
             Congruence::Class { c, m: 0 }
         } else {
             Congruence::Class { c: emod(c, m), m }
-        }
-    }
-
-    /// The residue, if not `⊥`.
-    pub fn residue(&self) -> Option<i64> {
-        match self {
-            Congruence::Bottom => None,
-            Congruence::Class { c, .. } => Some(*c),
-        }
-    }
-
-    /// The modulus, if not `⊥`.
-    pub fn modulus(&self) -> Option<i64> {
-        match self {
-            Congruence::Bottom => None,
-            Congruence::Class { m, .. } => Some(*m),
         }
     }
 

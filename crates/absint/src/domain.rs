@@ -18,7 +18,7 @@ use std::fmt::Debug;
 /// # Example
 ///
 /// ```
-/// use lgen_absint::domain::AbstractDomain;
+/// use lgen_absint::AbstractDomain;
 /// use lgen_absint::interval::Interval;
 ///
 /// let a = Interval::constant(3);
@@ -69,7 +69,7 @@ pub trait AbstractDomain: Clone + PartialEq + Eq + Debug {
     /// Widening operator `∇`.
     ///
     /// Defaults to [`join`](Self::join), which is a valid widening for
-    /// finite-height domains (Sign, Congruence). The Interval domain
+    /// finite-height domains (Congruence). The Interval domain
     /// overrides this with the classic unstable-bound-to-infinity widening so
     /// that fixpoint iteration terminates quickly on long loops.
     fn widen(&self, other: &Self) -> Self {
@@ -81,7 +81,8 @@ pub trait AbstractDomain: Clone + PartialEq + Eq + Debug {
 /// values; used by the property tests of each domain.
 ///
 /// Returns an error string naming the violated law, if any.
-pub fn check_lattice_laws<D: AbstractDomain>(a: &D, b: &D, c: &D) -> Result<(), String> {
+#[cfg(test)]
+pub(crate) fn check_lattice_laws<D: AbstractDomain>(a: &D, b: &D, c: &D) -> Result<(), String> {
     // join is an upper bound
     if !a.le(&a.join(b)) || !b.le(&a.join(b)) {
         return Err(format!("join not an upper bound for {a:?} {b:?}"));

@@ -51,7 +51,7 @@ impl Bound {
 ///
 /// ```
 /// use lgen_absint::interval::Interval;
-/// use lgen_absint::domain::AbstractDomain;
+/// use lgen_absint::AbstractDomain;
 ///
 /// let i = Interval::range(1, 5).meet(&Interval::range(3, 9));
 /// assert_eq!(i, Interval::range(3, 5));
@@ -79,12 +79,12 @@ impl Interval {
     }
 
     /// The interval `[lo, +∞]`.
-    pub fn at_least(lo: i64) -> Self {
+    pub(crate) fn at_least(lo: i64) -> Self {
         Interval::Range(Bound::Finite(lo), Bound::PosInf)
     }
 
     /// The interval `[-∞, hi]`.
-    pub fn at_most(hi: i64) -> Self {
+    pub(crate) fn at_most(hi: i64) -> Self {
         Interval::Range(Bound::NegInf, Bound::Finite(hi))
     }
 
@@ -101,14 +101,6 @@ impl Interval {
         match self {
             Interval::Bottom => None,
             Interval::Range(_, hi) => Some(*hi),
-        }
-    }
-
-    /// If the interval is a singleton `[c, c]`, returns `c`.
-    pub fn as_constant(&self) -> Option<i64> {
-        match self {
-            Interval::Range(Bound::Finite(a), Bound::Finite(b)) if a == b => Some(*a),
-            _ => None,
         }
     }
 }

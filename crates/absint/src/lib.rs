@@ -1,18 +1,18 @@
-//! Abstract interpretation framework used by LGen's alignment detection.
+//! Abstract interpretation for LGen's alignment detection.
 //!
 //! This crate implements the static-analysis machinery of the paper's
 //! Sections 2.3 and 3.2:
 //!
-//! * a generic [`AbstractDomain`] trait modelling a complete lattice with
+//! * the [`AbstractDomain`] trait modelling a complete lattice with
 //!   abstract transfer functions for `+` and `*`,
-//! * the pedagogical [`Sign`] domain of Fig. 2.5 and Table 2.6,
 //! * the [`Interval`] domain of Fig. 2.6 and Table 2.7,
 //! * the [`Congruence`] domain of Fig. 2.7 and Table 2.8,
-//! * their [reduced product](reduced::IntervalCongruence) with the reduction
+//! * their [reduced product](IntervalCongruence) with the reduction
 //!   function `red` and the `R`/`L` bound-tightening helpers (§2.3.4),
-//! * a fixpoint [`analysis`] engine for the loop-nest programs that LGen
-//!   generates (Listing 3.1), which is what the alignment-detection pass in
-//!   `lgen-cir` builds on.
+//! * the loop-index fixpoint [`loop_index_value`] for the loop nests LGen
+//!   generates (Listing 3.1) and the affine address evaluator
+//!   [`eval_affine`], which the alignment-detection pass and the C-IR
+//!   verifier in `lgen-cir` run on every address.
 //!
 //! # Example
 //!
@@ -22,27 +22,24 @@
 //! function refines the Congruence half):
 //!
 //! ```
-//! use lgen_absint::analysis::{Analyzer, LoopSpec, AffineExpr};
-//! use lgen_absint::congruence::Congruence;
-//! use lgen_absint::domain::AbstractDomain;
+//! use lgen_absint::{
+//!     eval_affine, loop_index_value, AbstractDomain, AffineExpr, Congruence, LoopSpec,
+//! };
 //!
-//! let mut a = Analyzer::new();
-//! let k = a.push_loop(LoopSpec::new("k", 0, 8, 13));
-//! let addr = AffineExpr::var(k); // address A + 1*k + 0
-//! let value = a.eval(&addr);
+//! let k = loop_index_value(&LoopSpec::new("k", 0, 8, 13));
+//! let addr = AffineExpr::var(0); // address A + 1*k + 0, with k as variable 0
+//! let value = eval_affine(addr.constant, &addr.terms, |_| k);
 //! assert!(value.congruence().le(&Congruence::modulo(0, 4)));
 //! ```
 
 pub mod analysis;
 pub mod congruence;
-pub mod domain;
+pub(crate) mod domain;
 pub mod interval;
-pub mod reduced;
-pub mod sign;
+pub(crate) mod reduced;
 
-pub use analysis::{eval_affine, loop_index_value, AffineExpr, Analyzer, LoopSpec, VarId};
+pub use analysis::{eval_affine, loop_index_value, AffineExpr, LoopSpec, VarId};
 pub use congruence::Congruence;
 pub use domain::AbstractDomain;
 pub use interval::Interval;
 pub use reduced::IntervalCongruence;
-pub use sign::Sign;

@@ -18,7 +18,7 @@ fn emod(a: i64, m: i64) -> i64 {
 }
 
 /// `R(c + mZ, a)`: the smallest `n ≥ a` with `n ∈ c + mZ` (paper §2.3.4).
-pub fn r_bound(con: &Congruence, a: i64) -> i64 {
+pub(crate) fn r_bound(con: &Congruence, a: i64) -> i64 {
     match con {
         Congruence::Bottom => panic!("R is undefined on ⊥"),
         Congruence::Class { c, m } => {
@@ -32,7 +32,7 @@ pub fn r_bound(con: &Congruence, a: i64) -> i64 {
 }
 
 /// `L(c + mZ, b)`: the greatest `n ≤ b` with `n ∈ c + mZ` (paper §2.3.4).
-pub fn l_bound(con: &Congruence, b: i64) -> i64 {
+pub(crate) fn l_bound(con: &Congruence, b: i64) -> i64 {
     match con {
         Congruence::Bottom => panic!("L is undefined on ⊥"),
         Congruence::Class { c, m } => {
@@ -57,7 +57,7 @@ pub fn l_bound(con: &Congruence, b: i64) -> i64 {
 ///
 /// ```
 /// use lgen_absint::{Interval, Congruence, IntervalCongruence};
-/// use lgen_absint::domain::AbstractDomain;
+/// use lgen_absint::AbstractDomain;
 ///
 /// // red([1,5], 0+2Z) = ([2,4], 0+2Z)
 /// let v = IntervalCongruence::new(Interval::range(1, 5), Congruence::modulo(0, 2));

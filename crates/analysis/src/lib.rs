@@ -11,7 +11,6 @@
 //! ([`lgen_isa::energy`]) tables. This crate folds those together in one
 //! linear sweep over the kernel body:
 //!
-//! * [`loop_nests`] — loop-nest / static trip-count extraction;
 //! * [`MixHistogram`] — the weighted per-[`MOp`] instruction mix a kernel
 //!   would execute (C-IR ops → machine ops via the lowering tables, loop
 //!   bodies weighted by their trip product, loop/dispatch bookkeeping
@@ -36,7 +35,7 @@ use lgen_cir::lower::{
 use lgen_cir::{AInst, Arena, BlockId, Kernel, OverheadKind, VReg};
 use lgen_isa::cost::cost;
 use lgen_isa::energy::{op_energy_pj, static_energy_pj_per_cycle};
-use lgen_isa::{MOp, Microarch, OpClass, VectorIsa};
+use lgen_isa::{MOp, Microarch, VectorIsa};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -73,54 +72,6 @@ impl Hasher for IntHasher {
 type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
-/// One loop of a kernel's (statically known) loop forest.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LoopInfo {
-    /// Loop-variable name, as unparsed.
-    pub name: String,
-    /// Nesting depth (0 = outermost).
-    pub depth: usize,
-    /// The loop's own trip count.
-    pub trips: usize,
-    /// Total body executions: the trip product of this loop and every
-    /// enclosing one.
-    pub iterations: u64,
-}
-
-/// Extracts the loop forest of the kernel body the all-aligned dispatch
-/// selects, pre-order. All C-IR loops are counted with static bounds, so
-/// this — like every analysis here — needs no execution.
-pub fn loop_nests(kernel: &Kernel) -> Vec<LoopInfo> {
-    fn walk(a: &Arena, block: BlockId, depth: usize, outer: u64, out: &mut Vec<LoopInfo>) {
-        for &id in a.block(block) {
-            if let AInst::Loop {
-                name,
-                start,
-                end,
-                step,
-                body,
-                ..
-            } = a.inst(id)
-            {
-                let trips = trip_count(*start, *end, *step);
-                let iterations = outer.saturating_mul(trips as u64);
-                out.push(LoopInfo {
-                    name: a.syms.get(*name).to_string(),
-                    depth,
-                    trips,
-                    iterations,
-                });
-                walk(a, *body, depth + 1, iterations, out);
-            }
-        }
-    }
-    let (version, _, _) = dispatched_version(kernel);
-    let v = &kernel.versions[version];
-    let mut out = Vec::new();
-    walk(&v.arena, v.root, 0, 1, &mut out);
-    out
-}
-
 /// A weighted machine-op histogram: how many dynamic instances of each
 /// [`MOp`] one kernel invocation executes, predicted statically.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -142,15 +93,6 @@ impl MixHistogram {
     /// Total predicted dynamic instructions.
     pub fn total(&self) -> u64 {
         self.counts.values().sum()
-    }
-
-    /// Predicted dynamic instructions of one [`OpClass`].
-    pub fn class_total(&self, class: OpClass) -> u64 {
-        self.counts
-            .iter()
-            .filter(|(op, _)| op.class() == class)
-            .map(|(_, n)| n)
-            .sum()
     }
 
     /// Whether the histogram is empty.
@@ -209,16 +151,6 @@ impl StaticCost {
     /// [`Measurement::energy_delay`]: https://docs.rs/lgen-machine
     pub fn energy_delay(&self) -> u128 {
         self.energy_pj as u128 * self.predicted_cycles() as u128
-    }
-
-    /// Predicted performance upper bound in flops per cycle.
-    pub fn flops_per_cycle_bound(&self) -> f64 {
-        let cycles = self.predicted_cycles();
-        if cycles == 0 {
-            0.0
-        } else {
-            self.flops as f64 / cycles as f64
-        }
     }
 }
 
@@ -537,17 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn loop_nests_report_static_trip_counts() {
-        let k = vadd_kernel(64);
-        let nests = loop_nests(&k);
-        assert_eq!(nests.len(), 1);
-        assert_eq!(nests[0].name, "i");
-        assert_eq!(nests[0].depth, 0);
-        assert_eq!(nests[0].trips, 16);
-        assert_eq!(nests[0].iterations, 16);
-    }
-
-    #[test]
     fn mix_matches_the_interpreter_trace_shape() {
         // 16 iterations × (2 loads + 1 add + 1 store) plus per-iteration
         // loop bookkeeping — the same counts the interpreter's trace
@@ -560,7 +481,6 @@ mod tests {
         assert_eq!(cost.mix.count(MOp::Branch), 16);
         assert_eq!(cost.mix.count(MOp::IAddr), 16);
         assert_eq!(cost.mix.total(), 32 + 16 + 16 + 16 + 16);
-        assert_eq!(cost.mix.class_total(OpClass::Load), 32);
     }
 
     #[test]

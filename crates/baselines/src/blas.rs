@@ -22,7 +22,7 @@ use lgen_ll::Blac;
 
 /// The library being modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum Flavor {
+pub(crate) enum Flavor {
     /// Intel MKL 11.1.
     Mkl,
     /// ATLAS 3.10.1.
@@ -350,7 +350,7 @@ fn build_scalar(blac: &Blac, p: &Pattern, flavor: Flavor) -> Kernel {
 /// Operand-id form of [`Scale`] used by the peeled builders (which declare
 /// their own arrays per version).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScaleIds {
+pub(crate) struct ScaleIds {
     /// α operand.
     pub alpha: Option<lgen_ll::blac::OperandId>,
     /// β side.
@@ -359,11 +359,9 @@ pub struct ScaleIds {
 
 /// Operand-id form of [`Beta`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BetaId {
+pub(crate) enum BetaId {
     /// `out = α·t`.
     Zero,
-    /// `out = α·t + out`.
-    One,
     /// `out = α·t + β·out`.
     Scalar(lgen_ll::blac::OperandId),
 }

@@ -15,7 +15,7 @@ use crate::emit::*;
 use crate::pattern::Pattern;
 use lgen_absint::AffineExpr;
 use lgen_cir::arena::align_block;
-use lgen_cir::{ArrayId, Kernel, KernelBuilder, MemMap, VArith, VWidth};
+use lgen_cir::{merge_kernel_versions, ArrayId, Kernel, KernelBuilder, MemMap, VArith, VWidth};
 use lgen_isa::{Microarch, VectorIsa};
 use lgen_ll::blac::OperandId;
 use lgen_ll::Blac;
@@ -29,7 +29,6 @@ fn scale_of(ar: &[lgen_cir::ArrayId], s: ScaleIds) -> Scale {
         alpha: s.alpha.map(|id| ar[id.0]),
         beta: match s.beta {
             BetaId::Zero => Beta::Zero,
-            BetaId::One => Beta::One,
             BetaId::Scalar(id) => Beta::Scalar(ar[id.0]),
         },
     }
@@ -210,7 +209,13 @@ fn build_plain(blac: &Blac, p: &Pattern, isa: VectorIsa) -> Kernel {
 /// Peeled `y = αx + y`: runtime-dispatched on `y`'s alignment; each version
 /// peels `(ν − off) mod ν` scalar elements, runs an aligned-destination
 /// packet loop, and finishes with a scalar tail.
-pub fn peeled_axpy(blac: &Blac, alpha: OperandId, x: OperandId, name: &str, calls: u16) -> Kernel {
+pub(crate) fn peeled_axpy(
+    blac: &Blac,
+    alpha: OperandId,
+    x: OperandId,
+    name: &str,
+    calls: u16,
+) -> Kernel {
     let n = blac.dims(x).len();
     let y_param = blac.output.0;
     let nparams = blac.operands.len();
@@ -262,14 +267,14 @@ pub fn peeled_axpy(blac: &Blac, alpha: OperandId, x: OperandId, name: &str, call
         versions.push((Some(req), build_version(Some(off))));
     }
     versions.push((None, build_version(None)));
-    merge_versions(versions)
+    merge_kernel_versions(versions)
 }
 
 /// Peeled row-traversal gemv, dispatched on `A`'s base alignment: rows are
 /// statically unrolled; each row peels to its own alignment boundary and
 /// then uses aligned loads of `A` (`x` loads stay unaligned — its relative
 /// alignment is unknown).
-pub fn peeled_gemv(
+pub(crate) fn peeled_gemv(
     blac: &Blac,
     a: OperandId,
     x: OperandId,
@@ -334,7 +339,7 @@ pub fn peeled_gemv(
         versions.push((Some(req), build_version(Some(off))));
     }
     versions.push((None, build_version(None)));
-    merge_versions(versions)
+    merge_kernel_versions(versions)
 }
 
 /// Marks the accesses of `k` that are aligned when array `arr` sits at

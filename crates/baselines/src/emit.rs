@@ -9,11 +9,11 @@ use lgen_absint::AffineExpr;
 use lgen_cir::{ArrayId, KernelBuilder, MemMap, OverheadKind, VArith, VReg, VWidth};
 
 /// Vector width of the modelled SIMD units.
-pub const NU: usize = 4;
+pub(crate) const NU: usize = 4;
 
 /// How a result combines with the existing output: `out = α·t ⊕ β`-style.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Scale {
+pub(crate) struct Scale {
     /// Multiply the computed term by this scalar operand (`None` = 1).
     pub alpha: Option<ArrayId>,
     /// What to add from the old output value.
@@ -32,7 +32,7 @@ impl Scale {
 
 /// The `β`-side of a [`Scale`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Beta {
+pub(crate) enum Beta {
     /// `out = α·t`.
     Zero,
     /// `out = α·t + out` (accumulate).
@@ -55,11 +55,6 @@ fn gen_cost(b: &mut KernelBuilder, gen: bool, n: u16) {
     if gen {
         b.overhead(OverheadKind::Addr, n);
     }
-}
-
-/// In-place scalar/vector accumulate `acc += v`.
-fn add_acc(b: &mut KernelBuilder, acc: VReg, v: VReg, w: VWidth) {
-    b.arith_into(VArith::Add(w), acc, acc, v);
 }
 
 /// Applies `scale` to the lane-0 scalar `t`, reading `out[idx]` as needed,
@@ -123,7 +118,7 @@ fn combine_vec(
 // ---------------------------------------------------------------- axpy ---
 
 /// Scalar `y = αx + y`.
-pub fn scalar_axpy(
+pub(crate) fn scalar_axpy(
     b: &mut KernelBuilder,
     alpha: ArrayId,
     x: ArrayId,
@@ -143,7 +138,7 @@ pub fn scalar_axpy(
 }
 
 /// Vectorized `y = αx + y`, unaligned accesses, scalar remainder.
-pub fn vec_axpy(b: &mut KernelBuilder, alpha: ArrayId, x: ArrayId, y: ArrayId, n: usize) {
+pub(crate) fn vec_axpy(b: &mut KernelBuilder, alpha: ArrayId, x: ArrayId, y: ArrayId, n: usize) {
     let al = splat(b, alpha);
     let full = n / NU * NU;
     if full > 0 {
@@ -168,7 +163,7 @@ pub fn vec_axpy(b: &mut KernelBuilder, alpha: ArrayId, x: ArrayId, y: ArrayId, n
 
 /// Scalar row-wise `y = α·A·x ⊕ β` (`A` is `m×n`).
 #[allow(clippy::too_many_arguments)]
-pub fn scalar_gemv(
+pub(crate) fn scalar_gemv(
     b: &mut KernelBuilder,
     a: ArrayId,
     x: ArrayId,
@@ -197,7 +192,7 @@ pub fn scalar_gemv(
 /// column chunks, horizontal reduction, scalar combine. Unaligned loads.
 /// `loop_overhead` charges the generic-library per-iteration bookkeeping.
 #[allow(clippy::too_many_arguments)]
-pub fn vec_gemv(
+pub(crate) fn vec_gemv(
     b: &mut KernelBuilder,
     a: ArrayId,
     x: ArrayId,
@@ -251,7 +246,7 @@ fn a_elem_addr(i: &AffineExpr, k: &AffineExpr, m: usize, kdim: usize, a_t: bool)
 
 /// Scalar triple-loop `C = α·A·B ⊕ β` (`A` `m×k`, `B` `k×n`).
 #[allow(clippy::too_many_arguments)]
-pub fn scalar_gemm(
+pub(crate) fn scalar_gemm(
     b: &mut KernelBuilder,
     a: ArrayId,
     bm: ArrayId,
@@ -285,7 +280,7 @@ pub fn scalar_gemm(
 /// `splat(A[i,k]) · B[k, chunk]` over `k`. Unaligned. One row of register
 /// blocking only (the naive auto-vectorized shape).
 #[allow(clippy::too_many_arguments)]
-pub fn vec_gemm_1row(
+pub(crate) fn vec_gemm_1row(
     b: &mut KernelBuilder,
     a: ArrayId,
     bm: ArrayId,
@@ -335,7 +330,7 @@ pub fn vec_gemm_1row(
 /// `aligned_b` marks the B row loads as 16-byte aligned — only valid when B
 /// is a packed, aligned local buffer whose row length is a multiple of ν.
 #[allow(clippy::too_many_arguments)]
-pub fn vec_gemm_blocked4(
+pub(crate) fn vec_gemm_blocked4(
     b: &mut KernelBuilder,
     a: ArrayId,
     bm: ArrayId,
@@ -441,7 +436,7 @@ fn gemm_row_block(
 // ------------------------------------------------------------- madd etc ---
 
 /// Scalar element-wise `C = A + B`.
-pub fn scalar_madd(
+pub(crate) fn scalar_madd(
     b: &mut KernelBuilder,
     a: ArrayId,
     bm: ArrayId,
@@ -459,7 +454,7 @@ pub fn scalar_madd(
 }
 
 /// Vectorized element-wise `C = A + B` (unaligned), scalar remainder.
-pub fn vec_madd(b: &mut KernelBuilder, a: ArrayId, bm: ArrayId, cm: ArrayId, len: usize) {
+pub(crate) fn vec_madd(b: &mut KernelBuilder, a: ArrayId, bm: ArrayId, cm: ArrayId, len: usize) {
     let full = len / NU * NU;
     if full > 0 {
         let i = b.begin_loop("i", 0, full as i64, NU as i64);
@@ -478,7 +473,7 @@ pub fn vec_madd(b: &mut KernelBuilder, a: ArrayId, bm: ArrayId, cm: ArrayId, len
 }
 
 /// Scalar transpose `C = Aᵀ` (`A` is `m×n`).
-pub fn scalar_transpose(
+pub(crate) fn scalar_transpose(
     b: &mut KernelBuilder,
     a: ArrayId,
     cm: ArrayId,
@@ -506,7 +501,7 @@ pub fn scalar_transpose(
 
 /// Scalar transposing add into `dst`: `dst = (A0 + A1)ᵀ` (`A0`, `A1` are
 /// `k×m`, `dst` is `m×k`) — the `MKL_Somatadd`/`saxpy` staging step.
-pub fn scalar_transpose_add(
+pub(crate) fn scalar_transpose_add(
     b: &mut KernelBuilder,
     a0: ArrayId,
     a1: ArrayId,
@@ -531,7 +526,7 @@ pub fn scalar_transpose_add(
 }
 
 /// Vectorized dot product into `out[0]`.
-pub fn vec_dot(b: &mut KernelBuilder, u: ArrayId, v: ArrayId, out: ArrayId, n: usize) {
+pub(crate) fn vec_dot(b: &mut KernelBuilder, u: ArrayId, v: ArrayId, out: ArrayId, n: usize) {
     let full = n / NU * NU;
     let acc = b.zero();
     if full > 0 {
@@ -553,7 +548,7 @@ pub fn vec_dot(b: &mut KernelBuilder, u: ArrayId, v: ArrayId, out: ArrayId, n: u
 }
 
 /// Scalar dot product into `out[0]`.
-pub fn scalar_dot(
+pub(crate) fn scalar_dot(
     b: &mut KernelBuilder,
     u: ArrayId,
     v: ArrayId,
@@ -573,7 +568,7 @@ pub fn scalar_dot(
 
 /// Vectorized packing copy `dst[0..len) = src[0..len)` (ATLAS-style
 /// operand packing; unaligned source, aligned local destination).
-pub fn vec_copy(b: &mut KernelBuilder, src: ArrayId, dst: ArrayId, len: usize) {
+pub(crate) fn vec_copy(b: &mut KernelBuilder, src: ArrayId, dst: ArrayId, len: usize) {
     let full = len / NU * NU;
     if full > 0 {
         let i = b.begin_loop("i", 0, full as i64, NU as i64);
@@ -587,22 +582,9 @@ pub fn vec_copy(b: &mut KernelBuilder, src: ArrayId, dst: ArrayId, len: usize) {
     }
 }
 
-/// Scalar copy with per-element overhead (generic memcpy-ish fallback).
-pub fn scalar_copy(b: &mut KernelBuilder, src: ArrayId, dst: ArrayId, len: usize) {
-    let i = b.begin_loop("i", 0, len as i64, 1);
-    let v = b.load(src, AffineExpr::var(i), MemMap::scalar());
-    b.store(v, dst, AffineExpr::var(i), MemMap::scalar());
-    b.end_loop();
-}
-
 /// Library-call dispatch overhead.
-pub fn call_overhead(b: &mut KernelBuilder, calls: u16) {
+pub(crate) fn call_overhead(b: &mut KernelBuilder, calls: u16) {
     b.overhead(OverheadKind::Call, calls);
-}
-
-/// In-place vector accumulate helper exposed to the competitor builders.
-pub fn acc_into(b: &mut KernelBuilder, acc: VReg, v: VReg, w: VWidth) {
-    add_acc(b, acc, v, w);
 }
 
 /// Declares kernel parameter arrays for every BLAC operand (in operand
@@ -626,25 +608,12 @@ pub fn declare(blac: &lgen_ll::Blac, name: &str) -> (KernelBuilder, Vec<ArrayId>
     (b, arrs)
 }
 
-/// Merges separately built per-alignment bodies into one runtime-dispatched
-/// kernel (the loop-peeling competitors' equivalent of Listing 3.3).
-///
-/// # Panics
-///
-/// Panics if the kernels disagree on their array declarations, or if the
-/// last entry is not the unconditional fallback.
-pub fn merge_versions(
-    kernels: Vec<(Option<Vec<Option<usize>>>, lgen_cir::Kernel)>,
-) -> lgen_cir::Kernel {
-    lgen_cir::merge_kernel_versions(kernels)
-}
-
 /// Truly naive vectorized gemm: the output chunk is *reloaded and restored
 /// through memory on every k iteration* — the accumulate-through-memory
 /// code that weak auto-vectorizers and Eigen 3.2's NEON path produce. The
 /// store→load dependency serializes the k loop.
 #[allow(clippy::too_many_arguments)]
-pub fn vec_gemm_reload(
+pub(crate) fn vec_gemm_reload(
     b: &mut KernelBuilder,
     a: ArrayId,
     bm: ArrayId,
@@ -708,7 +677,7 @@ pub fn vec_gemm_reload(
 /// product round-trips through the stack every chunk — Eigen 3.2's NEON
 /// gemv shape.
 #[allow(clippy::too_many_arguments)]
-pub fn vec_gemv_spill(
+pub(crate) fn vec_gemv_spill(
     b: &mut KernelBuilder,
     a: ArrayId,
     x: ArrayId,

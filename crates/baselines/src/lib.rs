@@ -27,17 +27,16 @@
 //! Every generated baseline kernel is validated against the naive
 //! reference, like LGen's own kernels.
 
-pub mod blas;
+pub(crate) mod blas;
 pub mod eigen;
 pub mod emit;
-pub mod handwritten;
-pub mod pattern;
+pub(crate) mod handwritten;
+pub(crate) mod pattern;
 
 use lgen_cir::Kernel;
 use lgen_isa::Microarch;
 use lgen_ll::Blac;
-
-pub use pattern::{classify, Pattern};
+use pattern::classify;
 
 /// A competitor of §5.1.2.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]

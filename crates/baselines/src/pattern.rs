@@ -135,7 +135,7 @@ fn as_mvm(blac: &Blac, e: &Expr) -> Option<(OperandId, OperandId)> {
 }
 
 /// Recognizes the paper's BLAC shapes; `None` for anything else.
-pub fn classify(blac: &Blac) -> Option<Pattern> {
+pub(crate) fn classify(blac: &Blac) -> Option<Pattern> {
     let e = &blac.expr;
     let out = blac.output;
     let d_out = blac.dims(out);

@@ -7,12 +7,12 @@ use lgen_isa::Microarch;
 use lgen_ll::Blac;
 
 /// Repetitions for the median (the simulator is deterministic, so 3 ≡ 15).
-pub const REPS: usize = 3;
+pub(crate) const REPS: usize = 3;
 
 /// Autotuner sample size used by the sweep drivers (the paper uses 10; the
 /// space here has 9 points, so 6 random samples cover it well at a fraction
 /// of the time).
-pub const TUNE_SAMPLES: usize = 6;
+pub(crate) const TUNE_SAMPLES: usize = 6;
 
 /// Measures an LGen variant on a BLAC: autotunes (random search, §5.1.5)
 /// and returns flops/cycle of the best kernel.
@@ -26,7 +26,7 @@ pub fn measure_lgen(blac: &Blac, arch: Microarch, variant: Variant) -> f64 {
 
 /// Measures an LGen variant without autotuning, at explicit per-parameter
 /// float offsets (the Fig. 5.9 misalignment protocol).
-pub fn measure_lgen_offsets(
+pub(crate) fn measure_lgen_offsets(
     blac: &Blac,
     arch: Microarch,
     cfg: &CompileConfig,
@@ -63,7 +63,7 @@ pub fn measure_competitor_offsets(
 
 /// Builds a figure by sweeping `ns` and measuring a set of LGen variants
 /// plus all available competitors.
-pub struct SeriesBuilder<'a> {
+pub(crate) struct SeriesBuilder<'a> {
     arch: Microarch,
     blac_of: Box<dyn Fn(usize) -> Blac + 'a>,
     variants: Vec<Variant>,
@@ -83,14 +83,14 @@ impl<'a> SeriesBuilder<'a> {
 
     /// Selects the LGen variants to plot (default: Full and Base).
     #[must_use]
-    pub fn variants(mut self, v: &[Variant]) -> Self {
+    pub(crate) fn variants(mut self, v: &[Variant]) -> Self {
         self.variants = v.to_vec();
         self
     }
 
     /// Selects the competitors to plot (default: all available).
     #[must_use]
-    pub fn competitors(mut self, c: &[Competitor]) -> Self {
+    pub(crate) fn competitors(mut self, c: &[Competitor]) -> Self {
         self.competitors = c.to_vec();
         self
     }
@@ -127,29 +127,29 @@ impl<'a> SeriesBuilder<'a> {
 /// (alignment ripple, prime-tile-count dips).
 pub mod sweeps {
     /// Long-dimension sweep for panels (the paper plots 2…1190).
-    pub fn panel() -> Vec<usize> {
+    pub(crate) fn panel() -> Vec<usize> {
         vec![
             2, 5, 8, 16, 23, 36, 64, 101, 128, 254, 361, 512, 695, 893, 1024, 1190,
         ]
     }
 
     /// Short panel sweep for expensive kernels (the paper plots 2…946).
-    pub fn panel_short() -> Vec<usize> {
+    pub(crate) fn panel_short() -> Vec<usize> {
         vec![2, 6, 12, 24, 48, 96, 190, 380, 574, 710, 946]
     }
 
     /// Micro-BLAC sizes (the paper plots 2…10).
-    pub fn micro() -> Vec<usize> {
+    pub(crate) fn micro() -> Vec<usize> {
         (2..=10).collect()
     }
 
     /// Varying-shape sweep (the paper plots 2…100 for 30×n).
-    pub fn varying() -> Vec<usize> {
+    pub(crate) fn varying() -> Vec<usize> {
         vec![2, 9, 16, 23, 30, 37, 44, 58, 72, 86, 100]
     }
 
     /// Vector-length sweep for axpy (the paper plots 2…3782).
-    pub fn vector() -> Vec<usize> {
+    pub(crate) fn vector() -> Vec<usize> {
         vec![16, 64, 256, 542, 1082, 2162, 3242, 3782, 4400]
     }
 

@@ -16,5 +16,5 @@ pub mod drivers;
 pub mod figures;
 pub mod series;
 
-pub use drivers::{measure_competitor, measure_lgen, SeriesBuilder};
-pub use series::{Figure, Series};
+pub use drivers::{measure_competitor, measure_lgen};
+pub use series::Series;

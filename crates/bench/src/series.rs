@@ -21,7 +21,8 @@ impl Series {
     }
 
     /// The maximum f/c over the sweep (0 if empty/unavailable).
-    pub fn peak(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak(&self) -> f64 {
         self.points.iter().filter_map(|p| p.1).fold(0.0, f64::max)
     }
 
@@ -38,7 +39,7 @@ impl Series {
 
 /// A whole figure: id, caption, and its series over a shared x sweep.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Figure {
+pub(crate) struct Figure {
     /// Paper artifact id, e.g. "fig-5.1a".
     pub id: String,
     /// Caption, e.g. "y = Ax, A is 4×n (Intel Atom)".
@@ -61,7 +62,8 @@ impl Figure {
     }
 
     /// The series with the given label, if present.
-    pub fn series(&self, label: &str) -> Option<&Series> {
+    #[cfg(test)]
+    pub(crate) fn series(&self, label: &str) -> Option<&Series> {
         self.series.iter().find(|s| s.label == label)
     }
 
@@ -89,36 +91,6 @@ impl Figure {
                     }
                     None => {
                         let _ = write!(out, "  {:>18}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
-
-    /// Renders as CSV (one row per x, one column per series).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{}", self.xlabel);
-        for s in &self.series {
-            let _ = write!(out, ",{}", s.label);
-        }
-        let _ = writeln!(out);
-        let xs: Vec<usize> = self
-            .series
-            .first()
-            .map(|s| s.points.iter().map(|p| p.0).collect())
-            .unwrap_or_default();
-        for (row, &x) in xs.iter().enumerate() {
-            let _ = write!(out, "{x}");
-            for s in &self.series {
-                match s.points.get(row).and_then(|p| p.1) {
-                    Some(v) => {
-                        let _ = write!(out, ",{v:.4}");
-                    }
-                    None => {
-                        let _ = write!(out, ",");
                     }
                 }
             }
@@ -157,15 +129,6 @@ mod tests {
         assert!(txt.contains("1.000"));
         assert!(txt.contains("0.500"));
         assert!(txt.contains('-'));
-    }
-
-    #[test]
-    fn csv_shape() {
-        let csv = sample().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "n,A,B");
-        assert_eq!(lines[1], "2,1.0000,");
-        assert_eq!(lines[2], "4,2.0000,0.5000");
     }
 
     #[test]

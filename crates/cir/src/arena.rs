@@ -15,7 +15,7 @@
 //!   [`SymTable`];
 //! * affine address expressions live in a shared side-table
 //!   ([`ExprPool`]) of **interned**, deduplicated [`AffineExpr`] forms
-//!   with small-vector inline term storage ([`TermVec`]) — expression
+//!   with small-vector inline term storage (`TermVec`) — expression
 //!   equality (the scalar-replacement footprint test) becomes an
 //!   [`ExprId`] comparison;
 //! * memory maps are interned in a [`MapPool`] the same way.
@@ -40,7 +40,7 @@
 //! propagation ([`copy_prop_block`]), dead-code elimination
 //! ([`dce_block`]) and alignment detection ([`align_block`], which also
 //! renders every version of [`crate::passes::version_for_alignment`]).
-//! The [`crate::passes::manager`] schedules them by name.
+//! The pass manager ([`crate::PassPipeline`]) schedules them by name.
 //!
 //! [`fingerprint`](Arena::fingerprint) hashes the reachable program
 //! content-addressed (interned ids are resolved through the pools), which
@@ -51,7 +51,7 @@ use crate::map::MemMap;
 use crate::passes::align::ALIGN_CLASSES;
 use crate::passes::{UnrollDecision, UnrollPolicy};
 use lgen_absint::{
-    loop_index_value, AbstractDomain, AffineExpr, IntervalCongruence, LoopSpec, VarId,
+    eval_affine, loop_index_value, AbstractDomain, AffineExpr, IntervalCongruence, LoopSpec, VarId,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -88,7 +88,7 @@ const INLINE_TERMS: usize = 4;
 /// Small-vector term storage: up to `INLINE_TERMS` `(coeff, var)`
 /// pairs inline, heap spill beyond that.
 #[derive(Clone, Debug)]
-pub struct TermVec {
+pub(crate) struct TermVec {
     len: u32,
     inline: [(i64, VarId); INLINE_TERMS],
     spill: Vec<(i64, VarId)>,
@@ -328,7 +328,7 @@ pub enum AInst {
     Arith {
         /// Operation.
         op: VArith,
-        /// Destination (also read when [`VArith::reads_dst`]).
+        /// Destination (also read when `VArith::reads_dst`).
         dst: VReg,
         /// First source.
         a: VReg,
@@ -418,7 +418,7 @@ impl Arena {
     }
 
     /// Interns an [`AffineExpr`] (which is normalized by construction).
-    pub fn intern_expr(&mut self, e: &AffineExpr) -> ExprId {
+    pub(crate) fn intern_expr(&mut self, e: &AffineExpr) -> ExprId {
         self.exprs.intern(e.constant, &e.terms)
     }
 
@@ -459,15 +459,11 @@ impl Arena {
         e: ExprId,
         env: &HashMap<VarId, IntervalCongruence>,
     ) -> IntervalCongruence {
-        let mut v = IntervalCongruence::constant(self.exprs.constant(e));
-        for &(coeff, var) in self.exprs.terms(e) {
-            let val = env
-                .get(&var)
+        eval_affine(self.exprs.constant(e), self.exprs.terms(e), |var| {
+            env.get(&var)
                 .copied()
-                .unwrap_or_else(IntervalCongruence::top);
-            v = v.add(&IntervalCongruence::constant(coeff).mul(&val));
-        }
-        v
+                .unwrap_or_else(IntervalCongruence::top)
+        })
     }
 
     /// Whether the program reachable from `block` equals the one reachable

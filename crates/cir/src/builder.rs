@@ -22,8 +22,7 @@ use lgen_absint::{AffineExpr, VarId};
 /// let mut b = KernelBuilder::new("copy4");
 /// let x = b.input("x", 4);
 /// let y = b.output("y", 4);
-/// b.begin_loop("i", 0, 4, 1);
-/// let i = b.current_loop_var().unwrap();
+/// let i = b.begin_loop("i", 0, 4, 1);
 /// let r = b.load(x, AffineExpr::var(i), MemMap::scalar());
 /// b.store(r, y, AffineExpr::var(i), MemMap::scalar());
 /// b.end_loop();
@@ -216,11 +215,6 @@ impl KernelBuilder {
         self.open_loops.push((var, name, start, end, step));
         self.frames.push(Vec::new());
         var
-    }
-
-    /// The variable of the innermost open loop.
-    pub fn current_loop_var(&self) -> Option<VarId> {
-        self.open_loops.last().map(|l| l.0)
     }
 
     /// Closes the innermost open loop.

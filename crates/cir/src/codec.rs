@@ -32,7 +32,7 @@ use std::fmt;
 
 /// Format revision; bump on any layout change so old entries are rejected
 /// (and recompiled) instead of misread.
-pub const CODEC_VERSION: u32 = 1;
+pub(crate) const CODEC_VERSION: u32 = 1;
 
 /// Why a byte stream failed to decode back into a [`Kernel`].
 #[derive(Clone, Debug, PartialEq, Eq)]

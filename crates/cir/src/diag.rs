@@ -94,7 +94,7 @@ pub fn render(diags: &[Diagnostic]) -> String {
 
 /// Renders an abstract value as `c+mZ in [lo, hi]` (ASCII, stable). Used in
 /// diagnostic details so the report shows exactly what the analysis knew.
-pub fn render_value(v: &IntervalCongruence) -> String {
+pub(crate) fn render_value(v: &IntervalCongruence) -> String {
     if v.is_bottom() {
         return "bottom".into();
     }

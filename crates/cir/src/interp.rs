@@ -21,7 +21,7 @@ use lgen_isa::{MOp, MachInst, MemRef, Srcs, TraceSink, VectorIsa, MAX_SRCS};
 
 /// Safety padding (floats) after each array, so that NEON's "load 4, keep 3"
 /// trick (Fig. 3.4) never reads out of the buffer.
-pub const ARRAY_PAD: usize = 4;
+pub(crate) const ARRAY_PAD: usize = 4;
 
 /// Placement of the kernel's arrays in a flat byte-addressed memory.
 #[derive(Clone, Debug, PartialEq, Eq)]

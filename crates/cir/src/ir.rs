@@ -92,7 +92,7 @@ pub enum VArith {
 
 impl VArith {
     /// Whether the destination register is also read (accumulating ops).
-    pub fn reads_dst(self) -> bool {
+    pub(crate) fn reads_dst(self) -> bool {
         matches!(self, VArith::Fma(_) | VArith::FmaLane(_, _))
     }
 }
@@ -197,7 +197,7 @@ impl Kernel {
     }
 
     /// Ids of parameter arrays, in declaration order.
-    pub fn param_ids(&self) -> Vec<ArrayId> {
+    pub(crate) fn param_ids(&self) -> Vec<ArrayId> {
         self.arrays
             .iter()
             .enumerate()

@@ -16,7 +16,7 @@
 //! The crate provides:
 //!
 //! * the IR itself ([`arena`], [`ir`], [`map`]) and a builder API
-//!   ([`builder`]),
+//!   ([`KernelBuilder`]),
 //! * code-level optimizations: loop unrolling, scalar replacement, copy
 //!   propagation, dead-code elimination, and alignment detection with
 //!   alignment versioning (§3.2), each implemented once, as a sweep over
@@ -28,15 +28,15 @@
 //!   emitting the dynamic instruction trace ([`interp`]),
 //! * a static verifier that re-proves the pass invariants (bounds,
 //!   def-before-use, lane consistency) by abstract interpretation
-//!   ([`verify`], [`diag`]),
+//!   ([`verify`], with [`Diagnostic`] reports),
 //! * an unparser producing C-with-intrinsics source text ([`unparse`]),
 //! * a versioned binary codec for persisting compiled kernels on disk
 //!   ([`codec`]), used by the compile service's warm-start cache.
 
 pub mod arena;
-pub mod builder;
+pub(crate) mod builder;
 pub mod codec;
-pub mod diag;
+pub(crate) mod diag;
 pub mod interp;
 pub mod ir;
 pub mod lower;
@@ -45,9 +45,9 @@ pub mod passes;
 pub mod unparse;
 pub mod verify;
 
-pub use arena::{AInst, Arena, BlockId, InstId};
+pub use arena::{AInst, Arena, BlockId, ExprId, ExprPool, InstId, MapId, MapPool, Sym, SymTable};
 pub use builder::KernelBuilder;
-pub use codec::{decode_kernel, encode_kernel, CodecError, CODEC_VERSION};
+pub use codec::{decode_kernel, encode_kernel, CodecError};
 pub use diag::{render, Check, Diagnostic};
 pub use interp::{run_kernel, ExecError, MemLayout};
 pub use ir::{

@@ -25,7 +25,7 @@ pub const MAX_LOWERED_OPS: usize = 8;
 /// The most source slots one lowered op reads: NEON `vmla` reads its
 /// accumulator and both factors. Equal to the trace's inline bound, so
 /// every lowered op fits a [`lgen_isa::MachInst`].
-pub const MAX_LOWERED_SRCS: usize = lgen_isa::MAX_SRCS;
+pub(crate) const MAX_LOWERED_SRCS: usize = lgen_isa::MAX_SRCS;
 
 /// An operand slot in a lowered sequence: either a C-IR virtual register or
 /// a sequence-local temporary.

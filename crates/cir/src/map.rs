@@ -90,7 +90,7 @@ impl MemMap {
     /// # Panics
     ///
     /// Panics if empty, lanes are not distinct, or any lane exceeds 3.
-    pub fn from_entries(mut entries: Vec<(i64, u8)>) -> Self {
+    pub(crate) fn from_entries(mut entries: Vec<(i64, u8)>) -> Self {
         assert!(!entries.is_empty(), "memory map must be non-empty");
         entries.sort_by_key(|&(_, lane)| lane);
         for w in entries.windows(2) {
@@ -114,7 +114,7 @@ impl MemMap {
     }
 
     /// Whether this is a broadcast (splat) map.
-    pub fn is_broadcast(&self) -> bool {
+    pub(crate) fn is_broadcast(&self) -> bool {
         self.broadcast
     }
 
@@ -162,7 +162,7 @@ impl MemMap {
     }
 
     /// Bytes spanned when the map is a contiguous horizontal run.
-    pub fn contiguous_bytes(&self) -> Option<usize> {
+    pub(crate) fn contiguous_bytes(&self) -> Option<usize> {
         if self.is_horizontal() {
             Some(self.lanes() * 4)
         } else {

@@ -42,7 +42,7 @@ use std::time::Instant;
 /// Iteration cap for [`PipelineStep::Repeat`]: a repeat block that has not
 /// reached a fixpoint after this many rounds stops anyway (every pass is a
 /// semantics preserver, so stopping early is always sound).
-pub const MAX_FIXPOINT_ITERS: usize = 8;
+pub(crate) const MAX_FIXPOINT_ITERS: usize = 8;
 
 /// Shared context a pipeline run threads through every pass.
 ///
@@ -122,7 +122,7 @@ pub const PASS_NAMES: [&str; 5] = ["unroll", "scalrep", "copyprop", "dce", "alig
 
 /// Resolves a spec-string name (canonical or alias) to its canonical name.
 /// Aliases accept the hyphenated long names the verifier stages use.
-pub fn pass_by_name(name: &str) -> Option<&'static str> {
+pub(crate) fn pass_by_name(name: &str) -> Option<&'static str> {
     let canonical = match name {
         "scalar-replacement" => "scalrep",
         "copy-prop" => "copyprop",
@@ -138,7 +138,7 @@ pub enum PipelineStep {
     /// Run a pass once (a canonical name from [`PASS_NAMES`]).
     Pass(&'static str),
     /// Run the inner steps repeatedly until none of them changes the
-    /// kernel (capped at [`MAX_FIXPOINT_ITERS`] rounds).
+    /// kernel (capped at `MAX_FIXPOINT_ITERS` rounds).
     Repeat(Vec<PipelineStep>),
 }
 
@@ -526,16 +526,6 @@ impl PassStats {
             .iter()
             .map(|r| (r.name.clone(), r.ns, r.runs))
             .collect()
-    }
-
-    /// Total nanoseconds across all rows.
-    pub fn total_ns(&self) -> u64 {
-        self.rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|r| r.ns)
-            .sum()
     }
 }
 

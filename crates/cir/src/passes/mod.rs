@@ -1,7 +1,7 @@
 //! Code-level optimizations on C-IR (paper §2.1.4, §3.1, §3.2).
 //!
 //! Each optimization is one arena sweep ([`crate::arena`]); the
-//! [`manager`] schedules the sweeps by name. The standard LGen schedule is
+//! [`PassPipeline`] schedules the sweeps by name. The standard LGen schedule is
 //! the [`PassPipeline::standard`] spec `unroll,scalrep,copyprop,dce,align`:
 //!
 //! 1. `unroll` — loop unrolling (full or by a factor), exposing
@@ -25,13 +25,12 @@
 //! sweep the same arena the schedule runs on.
 
 pub mod align;
-pub mod manager;
+pub(crate) mod manager;
 pub mod unroll;
 
 pub use align::version_for_alignment;
 pub use manager::{
-    pass_by_name, PassCtx, PassPipeline, PassStats, PassTrace, PipelineSpecError, PipelineStep,
-    PASS_NAMES,
+    PassCtx, PassPipeline, PassStats, PassTrace, PipelineSpecError, PipelineStep, PASS_NAMES,
 };
 pub use unroll::{UnrollDecision, UnrollPolicy};
 

@@ -13,7 +13,7 @@
 //! 2. **out-of-bounds detection** — every load/store/gather/scatter address
 //!    is evaluated in `lgen-absint`'s reduced Interval×Congruence product
 //!    against the array's static size plus the interpreter's
-//!    [`ARRAY_PAD`] contract (NEON-style "load ν, keep fewer" accesses
+//!    `ARRAY_PAD` contract (NEON-style "load ν, keep fewer" accesses
 //!    legitimately read into the padding);
 //! 3. **vector-width/lane consistency** — lane indices of
 //!    `Splat`/`Shuf`/`SetLane`/`GetLane`/`MulLane`/`FmaLane` are in range

@@ -559,8 +559,9 @@ impl Autotuner {
 
     /// Sets the Spearman-correlation floor below which a pruned search
     /// stops trusting the static model and widens (default `0.5`).
+    #[cfg(test)]
     #[must_use]
-    pub fn with_audit_threshold(mut self, threshold: f64) -> Self {
+    pub(crate) fn with_audit_threshold(mut self, threshold: f64) -> Self {
         self.audit_threshold = threshold;
         self
     }

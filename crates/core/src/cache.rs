@@ -20,18 +20,18 @@
 //! unroll genome. The map keys on that full [`ProgramCacheKey`], so a hit
 //! is exact by construction.
 //!
-//! **Concurrency.** The map is split into [`SHARDS`] independently locked
+//! **Concurrency.** The map is split into `SHARDS` independently locked
 //! shards; the autotuner's worker pool hits disjoint shards with high
 //! probability. Compilation happens *outside* the shard lock, so a slow
 //! pipeline never blocks unrelated lookups. Two threads that miss the
 //! same cold key both compile it, but through the [`CompileMemo`], whose
 //! single-flight cells run the pipeline once for both (for
-//! [`CompileMemo::eligible`] configs); the first insert wins and both
+//! `CompileMemo::eligible` configs); the first insert wins and both
 //! return the same `Arc`.
 
 use crate::config::CompileConfig;
 use crate::memo::CompileMemo;
-use crate::persist::{stable_fingerprint, DiskCache, DiskStats};
+use crate::persist::{stable_fingerprint, DiskCache};
 use crate::pipeline::compile_with;
 use lgen_cir::passes::{PassStats, UnrollPolicy};
 use lgen_cir::{Kernel, VerifyFailure};
@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of independently locked shards (power of two).
-pub const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 
 /// The exact identity of a compiled kernel: the program (a BLAC enters as
 /// its one-statement form), the kernel name, the config, and the optional
@@ -77,7 +77,7 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Cold lookups that lost the insert race for their exact key to a
     /// concurrent lookup of the same key; they return the winner's `Arc`.
-    /// For [`CompileMemo::eligible`] configs the loser waited on the
+    /// For `CompileMemo::eligible` configs the loser waited on the
     /// memo's single-flight cell instead of running the pipeline again.
     pub races: u64,
     /// Candidates rejected because they failed static verification
@@ -167,7 +167,7 @@ pub enum CompileOutcome {
 
 impl CompileOutcome {
     /// Whether the request was served without running the pipeline.
-    pub fn is_cache_hit(self) -> bool {
+    pub(crate) fn is_cache_hit(self) -> bool {
         !matches!(self, CompileOutcome::Compiled)
     }
 }
@@ -245,11 +245,6 @@ impl KernelCache {
     /// The attached persistent tier, if any.
     pub fn disk(&self) -> Option<&Arc<DiskCache>> {
         self.disk.as_ref()
-    }
-
-    /// Behaviour counters of the attached persistent tier, if any.
-    pub fn disk_stats(&self) -> Option<DiskStats> {
-        self.disk.as_ref().map(|d| d.stats())
     }
 
     fn shard(&self, key: &ProgramCacheKey) -> &Mutex<HashMap<ProgramCacheKey, Arc<Kernel>>> {
@@ -442,21 +437,21 @@ impl KernelCache {
 
     /// Counts a verification rejection decided outside the cache (the
     /// autotuner re-verifies even cache-served kernels before measuring).
-    pub fn record_verify_reject(&self) {
+    pub(crate) fn record_verify_reject(&self) {
         self.verify_rejects.fetch_add(1, Ordering::Relaxed);
         metric_counter!("lgen.cache.verify_rejects").inc();
     }
 
     /// Counts a tuning candidate whose evaluation panicked (contained by
     /// the fault-tolerant pool).
-    pub fn record_tune_panic(&self) {
+    pub(crate) fn record_tune_panic(&self) {
         self.tune_panics.fetch_add(1, Ordering::Relaxed);
         metric_counter!("lgen.tune.panics").inc();
     }
 
     /// Counts a tuning candidate abandoned at its deadline or skipped by
     /// an exhausted search budget.
-    pub fn record_tune_timeout(&self) {
+    pub(crate) fn record_tune_timeout(&self) {
         self.tune_timeouts.fetch_add(1, Ordering::Relaxed);
         metric_counter!("lgen.tune.timeouts").inc();
     }
@@ -464,7 +459,7 @@ impl KernelCache {
     /// Counts `n` tuning candidates the static cost model pruned from the
     /// measured set (`--prune`); they never reached validation or the
     /// simulator.
-    pub fn record_tune_pruned(&self, n: u64) {
+    pub(crate) fn record_tune_pruned(&self, n: u64) {
         self.tune_pruned.fetch_add(n, Ordering::Relaxed);
         metric_counter!("lgen.tune.candidates_pruned").add(n);
     }
@@ -512,8 +507,8 @@ impl KernelCache {
     }
 
     /// The cross-candidate compile memo behind this cache (lowering and
-    /// optimized-subtree sharing for [`CompileMemo::eligible`] configs).
-    pub fn memo(&self) -> &CompileMemo {
+    /// optimized-subtree sharing for `CompileMemo::eligible` configs).
+    pub(crate) fn memo(&self) -> &CompileMemo {
         &self.memo
     }
 
@@ -767,7 +762,7 @@ mod tests {
             .try_get_or_compile_program_outcome(&gemv, "k", &cfg, None)
             .unwrap();
         assert_eq!(o, CompileOutcome::Memory);
-        assert_eq!(cache2.disk_stats().unwrap().hits, 2);
+        assert_eq!(cache2.disk().unwrap().stats().hits, 2);
         assert_eq!(
             cache2.pass_stats().compiles(),
             0,

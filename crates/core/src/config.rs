@@ -106,12 +106,6 @@ impl CompileConfig {
         Self::variant(arch, Variant::Base)
     }
 
-    /// Whether the schedule performs alignment detection (§3.2), i.e. the
-    /// pipeline contains the `align` pass.
-    pub fn alignment_detection(&self) -> bool {
-        self.pipeline.contains("align")
-    }
-
     /// Returns a copy with a different unrolling decision.
     #[must_use]
     pub fn with_unroll(mut self, unroll: UnrollPolicy) -> Self {
@@ -156,20 +150,20 @@ mod tests {
     fn variants_toggle_the_right_options() {
         let base = CompileConfig::variant(Microarch::Atom, Variant::Base);
         assert_eq!(base.mvm, MvmStrategy::Classic);
-        assert!(!base.alignment_detection());
+        assert!(!base.pipeline.contains("align"));
         assert!(!base.specialized_leftovers);
         assert_eq!(base.pipeline.to_spec(), "unroll,scalrep,copyprop,dce");
 
         let align = CompileConfig::variant(Microarch::Atom, Variant::Align);
-        assert!(align.alignment_detection());
+        assert!(align.pipeline.contains("align"));
         assert_eq!(align.mvm, MvmStrategy::Classic);
 
         let mvm = CompileConfig::variant(Microarch::Atom, Variant::Mvm);
-        assert!(!mvm.alignment_detection());
+        assert!(!mvm.pipeline.contains("align"));
         assert_eq!(mvm.mvm, MvmStrategy::MvhRr);
 
         let full = CompileConfig::full(Microarch::CortexA8);
-        assert!(full.alignment_detection());
+        assert!(full.pipeline.contains("align"));
         assert!(full.specialized_leftovers);
         assert_eq!(full.mvm, MvmStrategy::MvhRr);
         assert_eq!(full.pipeline, PassPipeline::standard());
@@ -182,7 +176,7 @@ mod tests {
         let swapped = cfg.clone().with_passes(custom.clone());
         assert_eq!(swapped.pipeline, custom);
         assert_ne!(cfg, swapped, "pipeline is part of config identity");
-        assert!(!swapped.alignment_detection());
+        assert!(!swapped.pipeline.contains("align"));
     }
 
     #[test]

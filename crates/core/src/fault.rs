@@ -165,7 +165,7 @@ pub fn parse_duration(s: &str) -> Option<Duration> {
 /// bounds (the same mutation the verifier's own coverage tests use).
 /// Falls back to corrupting the declared length of the first array if the
 /// kernel contains no load at all.
-pub fn corrupt_kernel(kernel: &mut Kernel) {
+pub(crate) fn corrupt_kernel(kernel: &mut Kernel) {
     for version in &mut kernel.versions {
         let mut first_load = None;
         version.arena.visit(version.root, &mut |id, inst| {

@@ -45,8 +45,8 @@ pub use exec::{check_kernel, measure_blac, run_blac_kernel};
 pub use fault::{parse_duration, FaultKind, FaultPlan};
 pub use lgen_cir::passes::UnrollDecision;
 pub use lgen_cir::{PassPipeline, PassStats, PassTrace, VerifyFailure, VerifyLevel};
-pub use memo::{CompileMemo, UnrollSig};
-pub use persist::{stable_fingerprint, DiskCache, DiskStats, StableHasher};
+pub use memo::CompileMemo;
+pub use persist::{stable_fingerprint, DiskCache, DiskStats};
 pub use pipeline::{compile, compile_many, try_compile};
 pub use pool::{effective_threads, JobOutcome};
 pub use program::{

@@ -10,16 +10,16 @@
 //! all trip ≤ 48). This module memoizes the two expensive stages
 //! underneath the exact cache:
 //!
-//! 1. **Lowering** ([`CompileMemo::program_lowered_for`]): one fusion +
+//! 1. **Lowering** (`CompileMemo::program_lowered_for`): one fusion +
 //!    Σ-LL codegen per `(program, name, isa, mvm, specialized leftovers)`
 //!    point — a BLAC enters as its one-statement program — shared by
 //!    every unroll policy, genome and pass schedule. The lowered kernel's
 //!    body is fingerprinted through the C-IR [`Arena`] (a canonical
 //!    pre-order walk that resolves interned expressions and maps), giving
 //!    the structural half of the optimization key.
-//! 2. **Optimization** ([`OptKey`]): the pass pipeline's output is keyed
+//! 2. **Optimization** (`OptKey`): the pass pipeline's output is keyed
 //!    by *(structural fingerprint × pipeline fingerprint × unroll
-//!    signature)*. The unroll signature ([`UnrollSig`]) is the per-loop
+//!    signature)*. The unroll signature (`UnrollSig`) is the per-loop
 //!    decision vector the policy — or, for a per-statement genome, each
 //!    statement's policy on its own range — would take on the lowered
 //!    body: the collapsing step that lets a sweep over 18 policies, or
@@ -63,7 +63,7 @@
 //! entry whatever the schedule; they never share one with a kernel-wide
 //! policy, whose unroll runs at its place in the schedule.
 //!
-//! Eligibility ([`CompileMemo::eligible`]) excludes peeling and alignment
+//! Eligibility (`CompileMemo::eligible`) excludes peeling and alignment
 //! versioning (multi-body compiles around the schedule) and any enabled
 //! verification level (verification must observe every compile it was
 //! asked to observe). Hits and misses are surfaced as the
@@ -145,7 +145,7 @@ struct ProgramLowerKey {
 /// dense identity within this memo, and the structural fingerprint of its
 /// body.
 #[derive(Clone)]
-pub struct ProgramLoweredEntry {
+pub(crate) struct ProgramLoweredEntry {
     /// The lowered (unoptimized) program kernel, shared by every genome
     /// and schedule.
     pub pk: Arc<ProgramKernel>,
@@ -159,7 +159,7 @@ pub struct ProgramLoweredEntry {
 
 /// The unroll axis of an [`OptKey`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum UnrollSig {
+pub(crate) enum UnrollSig {
     /// Per-loop decision vector in post-order (the pass is bottom-up) —
     /// collapses policies that act identically on this body.
     Decisions(Vec<UnrollDecision>),
@@ -181,7 +181,7 @@ pub enum UnrollSig {
 /// (structural × pipeline) key; `lowered` and `spec` are the exact fields
 /// that make a fingerprint collision harmless.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct OptKey {
+pub(crate) struct OptKey {
     lowered: u64,
     kernel_fp: u64,
     pipeline_fp: u64,
@@ -200,7 +200,7 @@ impl OptKey {
     /// # Panics
     ///
     /// If the genome does not hold one policy per statement range.
-    pub fn for_program(
+    pub(crate) fn for_program(
         entry: &ProgramLoweredEntry,
         cfg: &CompileConfig,
         policies: Option<&[UnrollPolicy]>,
@@ -255,7 +255,7 @@ impl CompileMemo {
     /// alignment versioning compile multiple bodies around the schedule,
     /// and any enabled verification level must observe every compile —
     /// those configs compile without the memo.
-    pub fn eligible(cfg: &CompileConfig) -> bool {
+    pub(crate) fn eligible(cfg: &CompileConfig) -> bool {
         !cfg.peeling && !cfg.alignment_versioning && cfg.verify == VerifyLevel::Off
     }
 
@@ -263,7 +263,7 @@ impl CompileMemo {
     /// (fusion + Σ-LL codegen) on a miss; shared by every unroll policy,
     /// per-statement genome and pass schedule. Single-flight: a thread
     /// that asks for a lowering another thread is building waits for it.
-    pub fn program_lowered_for(
+    pub(crate) fn program_lowered_for(
         &self,
         program: &Program,
         name: &str,
@@ -291,7 +291,7 @@ impl CompileMemo {
     /// and a hit otherwise. Single-flight: a thread that asks for a key
     /// another thread is optimizing waits and shares its kernel. A failed
     /// or panicking `optimize` stores nothing.
-    pub fn optimized_or_run(
+    pub(crate) fn optimized_or_run(
         &self,
         key: OptKey,
         optimize: impl FnOnce() -> Result<Kernel, VerifyFailure>,
@@ -364,7 +364,7 @@ fn kernel_fingerprint(kernel: &Kernel) -> u64 {
 
 /// The unroll axis of the optimization key: what `policy` would do to
 /// every loop of `body` (see [`UnrollSig`] for when the collapse applies).
-pub fn unroll_signature(
+pub(crate) fn unroll_signature(
     pipeline: &PassPipeline,
     policy: UnrollPolicy,
     body: &KernelVersion,

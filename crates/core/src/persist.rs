@@ -8,7 +8,7 @@
 //!
 //! **Addressing.** Entries are keyed by a *stable* 64-bit fingerprint of
 //! the full cache key (BLAC/program structure × kernel name × pipeline ×
-//! config × genome) computed by [`StableHasher`] — FNV-1a, byte-order
+//! config × genome) computed by `StableHasher` — FNV-1a, byte-order
 //! fixed, identical across processes and builds, unlike
 //! `std::hash::DefaultHasher`, whose output is explicitly not guaranteed
 //! stable. One entry per fingerprint: `<dir>/<fp:016x>.lgk`.
@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk entry format revision (independent of
 /// [`codec::CODEC_VERSION`], which versions the kernel payload inside).
-pub const DISK_FORMAT_VERSION: u32 = 1;
+pub(crate) const DISK_FORMAT_VERSION: u32 = 1;
 
 const MAGIC: [u8; 4] = *b"LGKC";
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -52,7 +52,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// platforms, and builds, which `DefaultHasher` is documented **not** to
 /// be. Used for every fingerprint that leaves the process (disk entries,
 /// wire-level request coalescing).
-pub struct StableHasher(u64);
+pub(crate) struct StableHasher(u64);
 
 impl Default for StableHasher {
     fn default() -> Self {
@@ -80,7 +80,7 @@ impl Hasher for StableHasher {
     }
 }
 
-/// The stable fingerprint of any hashable key (see [`StableHasher`]).
+/// The stable fingerprint of any hashable key (see `StableHasher`).
 pub fn stable_fingerprint<T: Hash + ?Sized>(key: &T) -> u64 {
     let mut h = StableHasher::new();
     key.hash(&mut h);

@@ -18,7 +18,7 @@
 //! the caller can degrade gracefully instead of aborting. Its callers are
 //! the autotuner, the Mediator's experiment attempts (one call per
 //! attempt, on the core's worker thread), `lgend`'s requests (one call per
-//! request, inline on the daemon's worker), and [`run_indexed`], the batch
+//! request, inline on the daemon's worker), and `run_indexed`, the batch
 //! compiler's layer that turns the first contained panic back into one.
 
 use lgen_cir::VerifyFailure;
@@ -95,7 +95,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// claiming new (doomed) jobs instead of running the rest of the batch to
 /// completion first; once the call returns, the first failing job's panic
 /// is re-raised with its message.
-pub fn run_indexed<T, F>(n_jobs: usize, threads: usize, job: F) -> Vec<T>
+pub(crate) fn run_indexed<T, F>(n_jobs: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,

@@ -17,13 +17,6 @@ pub struct MemRef {
     pub bytes: usize,
 }
 
-impl MemRef {
-    /// Whether the access is 16-byte aligned.
-    pub fn aligned16(&self) -> bool {
-        self.addr.is_multiple_of(16)
-    }
-}
-
 /// Most source registers one instruction reads (`vmla`'s accumulator and
 /// two multiplicands).
 pub const MAX_SRCS: usize = 3;
@@ -211,20 +204,6 @@ impl TraceSink for RecordingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mem_ref_alignment() {
-        assert!(MemRef {
-            addr: 32,
-            bytes: 16
-        }
-        .aligned16());
-        assert!(!MemRef {
-            addr: 36,
-            bytes: 16
-        }
-        .aligned16());
-    }
 
     #[test]
     fn constructors_fill_memory_metadata() {

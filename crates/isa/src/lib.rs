@@ -21,11 +21,11 @@ pub mod cost;
 pub mod energy;
 pub mod inst;
 pub mod ops;
-pub mod uarch;
+pub(crate) mod uarch;
 
 pub use cost::{haswell_family_add_vs_hadd, InstCost, PortReq};
 pub use inst::{MachInst, MemRef, Srcs, TraceSink, MAX_SRCS};
-pub use ops::{MOp, OpClass};
+pub use ops::MOp;
 pub use uarch::{Microarch, UarchParams};
 
 /// A SIMD instruction-set extension targeted by the compiler backend.
@@ -46,25 +46,6 @@ impl VectorIsa {
         match self {
             VectorIsa::Ssse3 | VectorIsa::Neon => 4,
             VectorIsa::Scalar => 1,
-        }
-    }
-
-    /// Whether this ISA has efficient doubleword (half-vector) operations
-    /// (NEON only) — the property exploited by specialized ν-BLACs (§3.4).
-    pub fn has_doubleword(self) -> bool {
-        self == VectorIsa::Neon
-    }
-
-    /// Whether the ISA provides fused multiply-accumulate.
-    pub fn has_fma(self) -> bool {
-        self == VectorIsa::Neon
-    }
-
-    /// The alignment length in bytes relevant for aligned memory accesses.
-    pub fn alignment_bytes(self) -> usize {
-        match self {
-            VectorIsa::Ssse3 | VectorIsa::Neon => 16,
-            VectorIsa::Scalar => 4,
         }
     }
 }
@@ -88,13 +69,5 @@ mod tests {
         assert_eq!(VectorIsa::Ssse3.nu(), 4);
         assert_eq!(VectorIsa::Neon.nu(), 4);
         assert_eq!(VectorIsa::Scalar.nu(), 1);
-    }
-
-    #[test]
-    fn capability_flags() {
-        assert!(VectorIsa::Neon.has_fma());
-        assert!(!VectorIsa::Ssse3.has_fma());
-        assert!(VectorIsa::Neon.has_doubleword());
-        assert!(!VectorIsa::Scalar.has_doubleword());
     }
 }

@@ -9,7 +9,7 @@
 
 /// Coarse classification used by the schedulers and by cost tables.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum OpClass {
+pub(crate) enum OpClass {
     /// Vector or scalar load.
     Load,
     /// Vector or scalar store.
@@ -141,7 +141,7 @@ pub enum MOp {
 
 impl MOp {
     /// The coarse class of this opcode.
-    pub fn class(self) -> OpClass {
+    pub(crate) fn class(self) -> OpClass {
         use MOp::*;
         match self {
             MmLoadAPs | MmLoadUPs | MmLoadSs | MmLoadLPi | MmLoad1Ps | VldQ | VldD | VldLane
@@ -182,12 +182,6 @@ impl MOp {
             MmLoadSs | MmStoreSs | MmLoad1Ps | VldLane | VstLane | VldDup | FLoad | FStore => 4,
             _ => 0,
         }
-    }
-
-    /// Whether this is an *aligned-only* memory opcode (faults on unaligned
-    /// addresses, like `movaps`).
-    pub fn requires_alignment(self) -> bool {
-        matches!(self, MOp::MmLoadAPs | MOp::MmStoreAPs)
     }
 
     /// Floating-point operations performed (for peak-utilization debugging;
@@ -291,14 +285,6 @@ mod tests {
         assert_eq!(MOp::VldD.access_bytes(), 8);
         assert_eq!(MOp::FLoad.access_bytes(), 4);
         assert_eq!(MOp::MmAddPs.access_bytes(), 0);
-    }
-
-    #[test]
-    fn only_movaps_style_ops_require_alignment() {
-        assert!(MOp::MmLoadAPs.requires_alignment());
-        assert!(MOp::MmStoreAPs.requires_alignment());
-        assert!(!MOp::MmLoadUPs.requires_alignment());
-        assert!(!MOp::VldQ.requires_alignment());
     }
 
     #[test]

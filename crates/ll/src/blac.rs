@@ -102,7 +102,7 @@ impl Structure {
     }
 
     /// Whether element `(r, c)` is structurally zero.
-    pub fn is_zero_at(self, r: usize, c: usize) -> bool {
+    pub(crate) fn is_zero_at(self, r: usize, c: usize) -> bool {
         match self {
             Structure::LowerTriangular => c > r,
             Structure::UpperTriangular => c < r,
@@ -112,7 +112,7 @@ impl Structure {
     }
 
     /// Whether the annotation requires a square operand.
-    pub fn requires_square(self) -> bool {
+    pub(crate) fn requires_square(self) -> bool {
         self != Structure::General
     }
 
@@ -239,7 +239,7 @@ impl Blac {
     /// # Errors
     ///
     /// Returns a [`SizeError`] if operator shapes are inconsistent.
-    pub fn infer(&self, e: &Expr) -> Result<Dims, SizeError> {
+    pub(crate) fn infer(&self, e: &Expr) -> Result<Dims, SizeError> {
         infer_dims(&self.operands, e)
     }
 
@@ -341,7 +341,7 @@ impl Blac {
     }
 }
 
-/// Infers the size of `e` over an operand table: [`Blac::infer`] for any
+/// Infers the size of `e` over an operand table: `Blac::infer` for any
 /// statement sharing that table (a program statement is checked and
 /// lowered in place, without building a [`Blac`]).
 ///
@@ -445,7 +445,7 @@ pub(crate) fn expr_flops(operands: &[Operand], e: &Expr) -> u64 {
 
 impl Blac {
     /// Pretty-prints a subexpression in mathematical notation.
-    pub fn expr_string(&self, e: &Expr) -> String {
+    pub(crate) fn expr_string(&self, e: &Expr) -> String {
         match e {
             Expr::Ref(id) => self.operands[id.0].name.clone(),
             Expr::Add(a, b) => {
@@ -560,11 +560,6 @@ impl BlacBuilder {
     /// Declares a column vector of length `n` and returns its id.
     pub fn col_vector(&mut self, name: &str, n: usize) -> OperandId {
         self.push(name, Dims::new(n, 1))
-    }
-
-    /// Declares a row vector of length `n` and returns its id.
-    pub fn row_vector(&mut self, name: &str, n: usize) -> OperandId {
-        self.push(name, Dims::new(1, n))
     }
 
     /// Declares a scalar operand.

@@ -21,7 +21,7 @@ pub mod reference;
 pub mod tile;
 
 pub use blac::{Blac, BlacBuilder, Dims, Expr, ExprHandle, OperandId, SizeError, Structure};
-pub use parse::{parse_blac, parse_program};
+pub use parse::{parse_program, ParseError};
 pub use program::{eval_program_reference, Program, ProgramBuilder, ProgramError, Statement};
 pub use reference::{eval_reference, test_data_for};
 pub use tile::TileGrid;

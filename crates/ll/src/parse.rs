@@ -154,28 +154,11 @@ fn segments(src: &str) -> Result<Vec<Segment>, ParseError> {
     Ok(out)
 }
 
-/// Parses a BLAC source text into a validated [`Blac`].
-///
-/// # Errors
-///
-/// Returns [`ParseError`] on malformed input, undeclared/redeclared names,
-/// a missing equation, or inconsistent shapes.
-///
-/// # Example
-///
-/// ```
-/// let blac = lgen_ll::parse::parse_blac(
-///     "A = matrix(4, 8)\n\
-///      x = vector(8)\n\
-///      y = vector(4)\n\
-///      alpha = scalar\n\
-///      y = alpha * (A * x)",
-/// )?;
-/// assert_eq!(blac.to_string(), "y = alpha A x");
-/// assert_eq!(blac.flops(), 2 * 4 * 8 + 4);
-/// # Ok::<(), lgen_ll::parse::ParseError>(())
-/// ```
-pub fn parse_blac(src: &str) -> Result<Blac, ParseError> {
+/// Parses a single-equation BLAC source text into a validated [`Blac`]
+/// (the unit tests' entry point to the shared grammar; production input
+/// goes through [`parse_program`]).
+#[cfg(test)]
+pub(crate) fn parse_blac(src: &str) -> Result<Blac, ParseError> {
     let mut operands: Vec<Operand> = Vec::new();
     let mut names: HashMap<String, OperandId> = HashMap::new();
     let mut equation: Option<Segment> = None;
@@ -208,15 +191,31 @@ pub fn parse_blac(src: &str) -> Result<Blac, ParseError> {
 /// Parses a multi-statement program source text into a validated
 /// [`Program`].
 ///
-/// The grammar extends [`parse_blac`]'s: declarations may carry a
-/// structure annotation (`symmetric`, `diagonal`, `triangular(lower)`,
-/// `triangular(upper)`), statements are executed in order (separated by
-/// `;` or line breaks), and a statement whose left-hand side is not
+/// The grammar is the module's declaration + equation language, extended:
+/// declarations may carry a structure annotation (`symmetric`,
+/// `diagonal`, `triangular(lower)`, `triangular(upper)`), statements are
+/// executed in order (separated by `;` or line breaks), and a statement whose left-hand side is not
 /// declared `let`-binds a temporary whose size is inferred from the
 /// expression.
 ///
 /// A single-equation BLAC file is a valid one-statement program, so this
 /// is a strict superset front end.
+///
+/// # Example
+///
+/// ```
+/// let program = lgen_ll::parse_program(
+///     "A = matrix(4, 8)\n\
+///      x = vector(8)\n\
+///      y = vector(4)\n\
+///      alpha = scalar\n\
+///      y = alpha * (A * x)",
+/// )?;
+/// assert_eq!(program.statements.len(), 1);
+/// assert_eq!(program.statement_blac(0).to_string(), "y = alpha A x");
+/// assert_eq!(program.flops(), 2 * 4 * 8 + 4);
+/// # Ok::<(), lgen_ll::ParseError>(())
+/// ```
 ///
 /// # Errors
 ///

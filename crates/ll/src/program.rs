@@ -415,11 +415,6 @@ impl ProgramBuilder {
         self.push(name, Dims::new(n, 1), Structure::General, false)
     }
 
-    /// Declares a row vector of length `n`.
-    pub fn row_vector(&mut self, name: &str, n: usize) -> OperandId {
-        self.push(name, Dims::new(1, n), Structure::General, false)
-    }
-
     /// Declares a scalar operand.
     pub fn scalar(&mut self, name: &str) -> OperandId {
         self.push(name, Dims::new(1, 1), Structure::General, false)

@@ -53,19 +53,6 @@ impl TileGrid {
     pub fn leftover_start(&self) -> usize {
         self.full * self.tile
     }
-
-    /// Fraction of the dimension covered by leftover tiles.
-    pub fn leftover_fraction(&self) -> f64 {
-        self.leftover as f64 / self.dim as f64
-    }
-
-    /// Valid outer blocking factors: divisors of the full-tile count
-    /// (LGen's "leftovers in at most one tiling level" restriction — a
-    /// second level of leftovers is not allowed, §2.1.2).
-    pub fn outer_factors(&self) -> Vec<usize> {
-        let n = self.full.max(1);
-        (1..=n).filter(|f| n.is_multiple_of(*f)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -95,21 +82,10 @@ mod tests {
     }
 
     #[test]
-    fn prime_full_count_has_trivial_outer_factors() {
-        // Seven is prime: the only outer tilings are 1 and 7 — "we cannot
-        // further tile without introducing more leftovers".
-        let g = TileGrid::new(30, 4);
-        assert_eq!(g.outer_factors(), vec![1, 7]);
-        let g2 = TileGrid::new(32, 4);
-        assert_eq!(g2.outer_factors(), vec![1, 2, 4, 8]);
-    }
-
-    #[test]
     fn dim_smaller_than_tile() {
         let g = TileGrid::new(3, 4);
         assert_eq!((g.full, g.leftover), (0, 3));
         assert_eq!(g.iter().collect::<Vec<_>>(), vec![(0, 3)]);
-        assert_eq!(g.leftover_fraction(), 1.0);
     }
 
     #[test]

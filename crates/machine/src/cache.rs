@@ -21,7 +21,7 @@ const DENSE_LINES: usize = 1 << 20;
 /// above a size bound live in a map. A miss on a full cache evicts the
 /// smallest stamp, found by one scan over the contiguous stamps.
 #[derive(Clone, Debug)]
-pub struct L1Cache {
+pub(crate) struct L1Cache {
     line_bytes: usize,
     capacity_lines: usize,
     /// Slot plus one per line below [`DENSE_LINES`]; 0 = not resident.
@@ -117,7 +117,7 @@ impl L1Cache {
         }
     }
 
-    /// Hit count since construction or [`clear`](Self::clear).
+    /// Hit count since construction.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -128,19 +128,9 @@ impl L1Cache {
     }
 
     /// Number of resident lines.
-    pub fn resident_lines(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self) -> usize {
         self.lines.len()
-    }
-
-    /// Empties the cache and statistics, keeping the table's capacity.
-    pub fn clear(&mut self) {
-        while let Some(line) = self.lines.pop() {
-            self.set_slot(line, None);
-        }
-        self.stamps.clear();
-        self.stamp = 0;
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -214,8 +204,5 @@ mod tests {
             assert_eq!(c.access(line * 64, 4).0 == 1, expect_miss, "access {stamp}");
             assert_eq!(c.resident_lines(), reference.len());
         }
-        c.clear();
-        assert_eq!(c.resident_lines(), 0);
-        assert_eq!(c.access(0, 4), (1, false), "clear empties every line");
     }
 }

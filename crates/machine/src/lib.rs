@@ -26,6 +26,5 @@ pub mod cache;
 pub mod measure;
 pub mod sched;
 
-pub use cache::L1Cache;
-pub use measure::{measure_kernel, measure_protocol, timed_run, Measurement};
+pub use measure::{measure_protocol, timed_run, Measurement};
 pub use sched::{Simulator, Warming};

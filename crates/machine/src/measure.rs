@@ -48,7 +48,7 @@ pub struct Measurement {
 impl Measurement {
     /// The measurement of the run `sim` has just scheduled, for a kernel
     /// of `flops` useful flops.
-    pub fn of_run(sim: &Simulator, flops: u64) -> Self {
+    pub(crate) fn of_run(sim: &Simulator, flops: u64) -> Self {
         let cycles = sim.cycles();
         Measurement {
             cycles,
@@ -85,28 +85,14 @@ impl Measurement {
     }
 }
 
-/// Measures `kernel` on `arch` under the §5.1.4 protocol.
+/// Measures `kernel` on `arch` under the §5.1.4 protocol with `reps`
+/// repetitions. Every repetition would report the same cycles (see the
+/// module docs), so one timed run stands for all `reps`; the parameter
+/// states the protocol a call site follows.
 ///
 /// `args` are the kernel's parameter arrays (declaration order); the
 /// kernel runs twice, so they are snapshotted and restored between the
 /// warm-up and the timed run, and hold one run's results afterwards.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from kernel execution.
-pub fn measure_kernel(
-    kernel: &Kernel,
-    args: &mut [&mut [f32]],
-    layout: &MemLayout,
-    arch: Microarch,
-) -> Result<Measurement, ExecError> {
-    measure_protocol(kernel, args, layout, arch, 15)
-}
-
-/// [`measure_kernel`] with an explicit repetition count. Every
-/// repetition would report the same cycles (see the module docs), so one
-/// timed run stands for all `reps`; the parameter states the §5.1.4
-/// protocol a call site follows.
 ///
 /// # Errors
 ///
@@ -171,7 +157,7 @@ mod tests {
         let layout = MemLayout::aligned(&k);
         let mut x: Vec<f32> = (0..64).map(|i| i as f32).collect();
         let mut y = vec![1.0f32; 64];
-        let m = measure_kernel(&k, &mut [&mut x, &mut y], &layout, Microarch::Atom).unwrap();
+        let m = measure_protocol(&k, &mut [&mut x, &mut y], &layout, Microarch::Atom, 15).unwrap();
         assert_eq!(m.q1, m.cycles);
         assert_eq!(m.q3, m.cycles);
         assert!(m.cycles > 0);
@@ -213,8 +199,9 @@ mod tests {
         let mut y1 = vec![0.0f32; 32];
         let mut x2 = vec![0.0f32; 256];
         let mut y2 = vec![0.0f32; 256];
-        let ms = measure_kernel(&small, &mut [&mut x1, &mut y1], &ls, Microarch::Atom).unwrap();
-        let mb = measure_kernel(&big, &mut [&mut x2, &mut y2], &lb, Microarch::Atom).unwrap();
+        let ms =
+            measure_protocol(&small, &mut [&mut x1, &mut y1], &ls, Microarch::Atom, 15).unwrap();
+        let mb = measure_protocol(&big, &mut [&mut x2, &mut y2], &lb, Microarch::Atom, 15).unwrap();
         assert!(mb.cycles > ms.cycles);
     }
 
@@ -226,7 +213,7 @@ mod tests {
         for arch in [Microarch::Atom, Microarch::CortexA8, Microarch::CortexA9] {
             let mut x = vec![1.0f32; 128];
             let mut y = vec![2.0f32; 128];
-            let m = measure_kernel(&k, &mut [&mut x, &mut y], &layout, arch).unwrap();
+            let m = measure_protocol(&k, &mut [&mut x, &mut y], &layout, arch, 15).unwrap();
             per_arch.push((arch, m.cycles));
         }
         // The A9 (single NEON issue) must be slower than the A8 (dual

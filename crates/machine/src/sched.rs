@@ -222,12 +222,6 @@ impl Simulator {
         Warming(&mut self.cache)
     }
 
-    /// Full reset including the cache.
-    pub fn reset_all(&mut self) {
-        self.reset_timing();
-        self.cache.clear();
-    }
-
     /// The earliest program-order constraint: with window W, an instruction
     /// may not issue before the instruction W places ahead of it issued
     /// (W = 1 ⇒ strictly in-order issue).

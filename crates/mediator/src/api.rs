@@ -111,13 +111,6 @@ pub struct ExperimentResults {
     pub outcome: Result<Vec<String>, ApiError>,
 }
 
-impl ExperimentResults {
-    /// Retries consumed beyond the first attempt.
-    pub fn retries_used(&self) -> usize {
-        self.attempts.saturating_sub(1)
-    }
-}
-
 /// Results of a whole job.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct JobResults {
@@ -129,12 +122,6 @@ impl JobResults {
     /// Experiments that ended in an error (after any retries).
     pub fn failures(&self) -> usize {
         self.data.iter().filter(|r| r.outcome.is_err()).count()
-    }
-
-    /// Attempts summed over all experiments — equals `data.len()` when
-    /// nothing was retried.
-    pub fn total_attempts(&self) -> usize {
-        self.data.iter().map(|r| r.attempts).sum()
     }
 }
 

@@ -18,10 +18,10 @@
 //! isolated by `lgen_core::pool::run_outcomes`, the runtime the autotuner
 //! and `lgend` use too: a panic becomes a 500, an overrun deadline a 408.
 
-pub mod api;
+pub(crate) mod api;
 pub mod measure;
-pub mod scheduler;
+pub(crate) mod scheduler;
 
-pub use api::{ApiError, ErrorReason, JobResults, JobState, JobStatus};
+pub use api::{ApiError, ErrorReason, ExperimentResults, JobResults, JobState, JobStatus};
 pub use measure::MeasurementModule;
-pub use scheduler::{DeviceSpec, ExperimentSpec, Mediator, WorkFn};
+pub use scheduler::{DeviceSpec, ExperimentSpec, Mediator};

@@ -30,7 +30,6 @@
 //! cannot leak finished jobs.
 
 use crate::api::{ApiError, ErrorReason, ExperimentResults, JobResults, JobState, JobStatus};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use lgen_core::pool::run_outcomes;
 use lgen_core::JobOutcome;
 use lgen_isa::Microarch;
@@ -38,6 +37,7 @@ use lgen_telemetry::{metric_counter, metric_histogram};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 /// An experiment payload: runs on the assigned device core and returns one
 /// output string per repetition (stdout/output-file contents in the
 /// thesis). `Fn` (not `FnOnce`) so a transient failure can be retried.
-pub type WorkFn = Box<dyn Fn(Microarch, usize) -> Result<Vec<String>, String> + Send + Sync>;
+pub(crate) type WorkFn = Box<dyn Fn(Microarch, usize) -> Result<Vec<String>, String> + Send + Sync>;
 
 /// Shared form of the payload: every attempt hands the pool its own
 /// owning handle, and a timed-out attempt outlives its call.
@@ -311,7 +311,7 @@ impl Mediator {
         for d in devices {
             let cores = (0..d.cores)
                 .map(|_core| {
-                    let (queue, rx) = unbounded::<Run>();
+                    let (queue, rx) = channel::<Run>();
                     let pending = Arc::new(AtomicUsize::new(0));
                     let counter = pending.clone();
                     let handle = std::thread::spawn(move || core_worker(rx, &counter));
@@ -337,7 +337,7 @@ impl Mediator {
         // expiry keeps eviction prompt at test-scale expiries without
         // busy-waking long-lived farms.
         let interval = (expiry / 4).clamp(Duration::from_millis(1), Duration::from_millis(500));
-        let (sweep_stop, stop_rx) = unbounded::<()>();
+        let (sweep_stop, stop_rx) = channel::<()>();
         let jobs2 = jobs.clone();
         let sweeper = std::thread::spawn(move || {
             while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
@@ -395,7 +395,7 @@ impl Mediator {
             // the same "least-loaded" core.
             let guard = dev.enqueue.lock();
             let core = Self::pick_core(dev, &e.affinity)?;
-            let (reply_tx, reply) = unbounded();
+            let (reply_tx, reply) = channel();
             dev.cores[core].pending.fetch_add(1, Ordering::SeqCst);
             dev.cores[core]
                 .queue
@@ -483,12 +483,14 @@ impl Mediator {
     /// Number of entries currently held by the results cache (finished or
     /// still pending). Expired entries leave on the next sweep even if
     /// nobody polls.
-    pub fn cached_results(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cached_results(&self) -> usize {
         self.jobs.lock().len()
     }
 
     /// Number of experiments currently queued or running on a core.
-    pub fn pending_on(&self, device: &str, core: usize) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn pending_on(&self, device: &str, core: usize) -> Option<usize> {
         self.devices
             .get(device)
             .and_then(|d| d.cores.get(core))
@@ -743,7 +745,7 @@ mod tests {
         assert_eq!(err.code, 405);
         assert_eq!(results.data[0].attempts, 3);
         assert_eq!(always_calls.load(Ordering::SeqCst), 3);
-        assert_eq!(results.total_attempts(), 3);
+        assert_eq!(results.data.iter().map(|r| r.attempts).sum::<usize>(), 3);
     }
 
     /// The central guarantee: experiments pinned to one core never overlap.

@@ -51,7 +51,7 @@ struct State<T> {
 
 /// A bounded multi-tenant work queue with round-robin draining (see
 /// module docs).
-pub struct FairQueue<T> {
+pub(crate) struct FairQueue<T> {
     state: Mutex<State<T>>,
     cv: Condvar,
     capacity: usize,
@@ -59,7 +59,7 @@ pub struct FairQueue<T> {
 
 /// Why a [`FairQueue::push`] was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionError {
+pub(crate) enum AdmissionError {
     /// The queue is at capacity; retry later (HTTP-429 moral equivalent).
     Full,
     /// The queue is shutting down; do not retry.
@@ -128,7 +128,7 @@ impl<T> FairQueue<T> {
     /// `None` once the queue is closed *and* drained. The wait is billed
     /// to the tenant via the `lgen.serve.queue_wait_us{tenant}` histogram
     /// family — the per-tenant backlog signal `stats --json` surfaces.
-    pub fn pop_timed(&self) -> Option<(String, T, Duration)> {
+    pub(crate) fn pop_timed(&self) -> Option<(String, T, Duration)> {
         let mut st = lock(&self.state);
         loop {
             if st.depth > 0 {

@@ -29,12 +29,11 @@ pub mod client;
 pub mod proto;
 pub mod recorder;
 pub mod replay;
-pub mod server;
+pub(crate) mod server;
 pub mod trace;
 
 pub use client::Client;
-pub use proto::{ErrorKind, ProtoError, Request, Response, Verb, MAX_FRAME};
+pub use proto::{ErrorKind, ProtoError, Request, Response, Verb};
 pub use recorder::{CacheTier, CoalesceRole, FlightRecord, FlightRecorder};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use server::{Lgend, ServeConfig, DEFAULT_RECORDER_CAP};
-pub use trace::SlowTraceLog;

@@ -8,7 +8,7 @@
 //! [u32 LE payload length][payload bytes]
 //! ```
 //!
-//! A frame longer than [`MAX_FRAME`] is a protocol error and the server
+//! A frame longer than `MAX_FRAME` is a protocol error and the server
 //! closes the connection — the length prefix is attacker-controlled input
 //! and must never size an allocation unchecked.
 //!
@@ -49,7 +49,7 @@ use std::io::{self, Read, Write};
 /// Hard cap on a frame payload (1 MiB): larger LL programs than this are
 /// far outside the paper's problem sizes, and the prefix must not be able
 /// to size an unchecked allocation.
-pub const MAX_FRAME: usize = 1 << 20;
+pub(crate) const MAX_FRAME: usize = 1 << 20;
 
 /// Request verbs the daemon understands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl Request {
     }
 
     /// The kernel symbol name.
-    pub fn kernel_name(&self) -> &str {
+    pub(crate) fn kernel_name(&self) -> &str {
         self.headers
             .get("name")
             .map(String::as_str)
@@ -157,12 +157,12 @@ impl Request {
     }
 
     /// Serializes into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         encode_message(self.verb.as_str(), &self.headers, &self.body)
     }
 
     /// Parses a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
         let (verb_line, headers, body) = decode_message(payload)?;
         let verb = Verb::parse(&verb_line)
             .ok_or_else(|| ProtoError::Malformed(format!("unknown verb {verb_line:?}")))?;
@@ -256,7 +256,7 @@ impl Response {
     }
 
     /// Serializes into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let verb = match self.error {
             None => "ok".to_string(),
             Some(kind) => format!("error {}", kind.as_str()),
@@ -265,7 +265,7 @@ impl Response {
     }
 
     /// Parses a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
         let (verb_line, headers, body) = decode_message(payload)?;
         let error = if verb_line == "ok" {
             None
@@ -292,7 +292,7 @@ impl Response {
 pub enum ProtoError {
     /// Transport failure (includes clean EOF between frames).
     Io(io::Error),
-    /// The peer announced a frame over [`MAX_FRAME`].
+    /// The peer announced a frame over `MAX_FRAME`.
     Oversized(usize),
     /// The payload text violated the message grammar.
     Malformed(String),
@@ -319,7 +319,7 @@ impl From<io::Error> for ProtoError {
 }
 
 /// Writes one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
@@ -328,7 +328,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one length-prefixed frame; rejects oversized announcements
 /// *before* allocating.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;

@@ -144,7 +144,7 @@ impl FlightRecorder {
     }
 
     /// Total records accepted (including ones since overwritten).
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
     }
 

@@ -142,7 +142,7 @@ impl ServeConfig {
     }
 
     /// The effective slow-trace log path.
-    pub fn slow_trace_path(&self) -> PathBuf {
+    pub(crate) fn slow_trace_path(&self) -> PathBuf {
         self.slow_trace_path
             .clone()
             .unwrap_or_else(|| suffixed(&self.socket, ".slow-trace.jsonl"))
@@ -150,7 +150,7 @@ impl ServeConfig {
 
     /// Where the flight recorder is snapshotted when a panic is
     /// contained.
-    pub fn flight_dump_path(&self) -> PathBuf {
+    pub(crate) fn flight_dump_path(&self) -> PathBuf {
         suffixed(&self.socket, ".flight-dump.json")
     }
 }
@@ -306,11 +306,6 @@ impl Lgend {
         self.engine.disk.as_ref()
     }
 
-    /// The request flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.engine.recorder
-    }
-
     /// Items currently queued for admission (this daemon only — unlike
     /// the `lgen.serve.queue_depth` gauge, which is process-global).
     pub fn queue_depth(&self) -> usize {
@@ -320,11 +315,6 @@ impl Lgend {
     /// Requests shutdown as if a `shutdown` frame had arrived.
     pub fn request_shutdown(&self) {
         self.engine.begin_shutdown();
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.engine.shutdown.load(Ordering::SeqCst)
     }
 
     /// Blocks until the daemon has shut down (acceptor and workers

@@ -15,15 +15,15 @@
 
 use std::fs::OpenOptions;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Default size bound per trace file (4 MiB).
-pub const DEFAULT_MAX_BYTES: u64 = 4 << 20;
+pub(crate) const DEFAULT_MAX_BYTES: u64 = 4 << 20;
 
 /// An append-only, size-bounded, rotating trace log (see module docs).
-pub struct SlowTraceLog {
+pub(crate) struct SlowTraceLog {
     path: PathBuf,
     max_bytes: u64,
     /// Serializes append+rotate; writers are already off the hot path
@@ -44,12 +44,13 @@ impl SlowTraceLog {
     }
 
     /// Where the current file lives.
-    pub fn path(&self) -> &Path {
+    #[cfg(test)]
+    pub(crate) fn path(&self) -> &std::path::Path {
         &self.path
     }
 
     /// Where rotated content goes.
-    pub fn rotated_path(&self) -> PathBuf {
+    pub(crate) fn rotated_path(&self) -> PathBuf {
         let mut s = self.path.as_os_str().to_os_string();
         s.push(".1");
         PathBuf::from(s)

@@ -6,8 +6,8 @@
 //! * [`sigma_ll`] — the Σ-LL representation: gather/scatter operators and
 //!   explicit summations over tiles (Fig. 2.2, equations (2.4), (3.7),
 //!   (3.8)), with executable semantics used to validate the tiling algebra;
-//! * [`nu_blacs`] — the 18 ν-BLAC codelets of Table 2.1, written in C-IR
-//!   and instantiable for every supported ISA;
+//! * [`nu_blacs`] — the catalogue of Table 2.1's 18 ν-BLACs, grouped by
+//!   operator;
 //! * [`codegen`] — the Σ-LL-to-C-IR lowering: tile the computation at ν
 //!   granularity, fuse element-wise operators into the consumer loops (the
 //!   Σ-LL loop-merging of §2.1.3), instantiate ν-BLAC-shaped code per tile

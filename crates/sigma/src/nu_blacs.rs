@@ -1,18 +1,18 @@
 //! The 18 ν-BLACs of Table 2.1.
 //!
-//! A ν-BLAC is a handwritten codelet implementing one basic operator on
-//! ν-sized operands held in registers: ν×ν matrices are 4 registers (one
-//! per row), ν×1 and 1×ν vectors are single registers, scalars are
-//! broadcast registers. The Loader/Storer codelets (generic loads/stores
-//! with packing maps, in `lgen-cir`) move leftover tiles in and out of this
-//! register form (§2.1.4).
+//! A ν-BLAC is a codelet implementing one basic operator on ν-sized
+//! operands held in registers: ν×ν matrices are 4 registers (one per row),
+//! ν×1 and 1×ν vectors are single registers, scalars are broadcast
+//! registers. The Loader/Storer codelets (generic loads/stores with packing
+//! maps, in `lgen-cir`) move leftover tiles in and out of this register
+//! form (§2.1.4).
 //!
-//! Emitters are written in C-IR, so one definition serves every ISA: the
-//! lane-FMA form (`FmaLane`) lowers to `vmla_lane` on NEON and to
-//! shuffle+mul+add on SSSE3, and the horizontal-add form lowers to
-//! `_mm_hadd_ps` on SSSE3 and to `vpadd` pairs on NEON.
-
-use lgen_cir::{KernelBuilder, VArith, VMove, VReg, VWidth};
+//! This module is the catalogue: [`NuBlacKind`] names each ν-BLAC and
+//! [`Operator`] groups them into Table 2.1's rows. The code generator
+//! ([`crate::codegen`]) emits the ν-BLAC shapes inline, in C-IR, so one
+//! definition serves every ISA: the lane-FMA form lowers to `vmla_lane` on
+//! NEON and to shuffle+mul+add on SSSE3, and the horizontal-add form lowers
+//! to `_mm_hadd_ps` on SSSE3 and to `vpadd` pairs on NEON.
 
 /// Identity of one of the 18 required ν-BLACs (Table 2.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -115,118 +115,9 @@ impl NuBlacKind {
     }
 }
 
-const Q: VWidth = VWidth::Q;
-
-/// ν×ν + ν×ν → ν×ν.
-pub fn add_mm(b: &mut KernelBuilder, a: &[VReg; 4], c: &[VReg; 4]) -> [VReg; 4] {
-    [
-        b.arith(VArith::Add(Q), a[0], c[0]),
-        b.arith(VArith::Add(Q), a[1], c[1]),
-        b.arith(VArith::Add(Q), a[2], c[2]),
-        b.arith(VArith::Add(Q), a[3], c[3]),
-    ]
-}
-
-/// ν-vector + ν-vector (covers both `AddVV` and `AddRR`).
-pub fn add_vv(b: &mut KernelBuilder, x: VReg, y: VReg) -> VReg {
-    b.arith(VArith::Add(Q), x, y)
-}
-
-/// broadcast scalar × ν×ν (covers `SMulM` and `MSMul`).
-pub fn smul_m(b: &mut KernelBuilder, s: VReg, a: &[VReg; 4]) -> [VReg; 4] {
-    [
-        b.arith(VArith::Mul(Q), a[0], s),
-        b.arith(VArith::Mul(Q), a[1], s),
-        b.arith(VArith::Mul(Q), a[2], s),
-        b.arith(VArith::Mul(Q), a[3], s),
-    ]
-}
-
-/// broadcast scalar × ν-vector (covers `SMulV`, `SMulR`, `VSMul`, `RSMul`).
-pub fn smul_v(b: &mut KernelBuilder, s: VReg, x: VReg) -> VReg {
-    b.arith(VArith::Mul(Q), x, s)
-}
-
-/// scalar × scalar.
-pub fn smul_s(b: &mut KernelBuilder, s: VReg, t: VReg) -> VReg {
-    b.arith(VArith::Mul(VWidth::S), s, t)
-}
-
-/// ν×ν · ν×ν → ν×ν: row `r` of the result accumulates `A[r][k] · B[k][·]`
-/// over `k` via lane-FMA (the §3.4 Listing 3.10 shape; on SSSE3 the lane
-/// reads lower to shuffles).
-pub fn mul_mm(b: &mut KernelBuilder, a: &[VReg; 4], c: &[VReg; 4]) -> [VReg; 4] {
-    let mut out = [0; 4];
-    for (r, slot) in out.iter_mut().enumerate() {
-        let acc = b.arith(VArith::MulLane(Q, 0), c[0], a[r]);
-        for k in 1..4u8 {
-            b.arith_acc(VArith::FmaLane(Q, k), acc, c[k as usize], a[r]);
-        }
-        *slot = acc;
-    }
-    out
-}
-
-/// ν×ν · ν×1 → ν×1: the Listing 3.4 shape — per-row multiplies followed by
-/// a horizontal-add tree.
-pub fn mul_mv(b: &mut KernelBuilder, a: &[VReg; 4], x: VReg) -> VReg {
-    let m0 = b.arith(VArith::Mul(Q), a[0], x);
-    let m1 = b.arith(VArith::Mul(Q), a[1], x);
-    let m2 = b.arith(VArith::Mul(Q), a[2], x);
-    let m3 = b.arith(VArith::Mul(Q), a[3], x);
-    let h0 = b.arith(VArith::Hadd, m0, m1);
-    let h1 = b.arith(VArith::Hadd, m2, m3);
-    b.arith(VArith::Hadd, h0, h1)
-}
-
-/// 1×ν · ν×ν → 1×ν.
-pub fn mul_rm(b: &mut KernelBuilder, x: VReg, c: &[VReg; 4]) -> VReg {
-    let acc = b.arith(VArith::MulLane(Q, 0), c[0], x);
-    for k in 1..4u8 {
-        b.arith_acc(VArith::FmaLane(Q, k), acc, c[k as usize], x);
-    }
-    acc
-}
-
-/// ν×1 · 1×ν → ν×ν (outer product): row `r` is `v[r] · wᵀ`.
-pub fn mul_vr(b: &mut KernelBuilder, v: VReg, w: VReg) -> [VReg; 4] {
-    [0u8, 1, 2, 3].map(|r| b.arith(VArith::MulLane(Q, r), w, v))
-}
-
-/// 1×ν · ν×1 → scalar (inner product), result in lane 0.
-pub fn mul_rv(b: &mut KernelBuilder, x: VReg, v: VReg) -> VReg {
-    let m = b.arith(VArith::Mul(Q), x, v);
-    let h = b.arith(VArith::Hadd, m, m);
-    b.arith(VArith::Hadd, h, h)
-}
-
-/// (ν×ν)ᵀ: the classic 8-shuffle 4×4 transpose.
-pub fn trans_m(b: &mut KernelBuilder, a: &[VReg; 4]) -> [VReg; 4] {
-    let t0 = b.mov_op(VMove::Shuf([0, 4, 1, 5]), a[0], a[1]);
-    let t1 = b.mov_op(VMove::Shuf([2, 6, 3, 7]), a[0], a[1]);
-    let t2 = b.mov_op(VMove::Shuf([0, 4, 1, 5]), a[2], a[3]);
-    let t3 = b.mov_op(VMove::Shuf([2, 6, 3, 7]), a[2], a[3]);
-    [
-        b.mov_op(VMove::Shuf([0, 1, 4, 5]), t0, t2),
-        b.mov_op(VMove::Shuf([2, 3, 6, 7]), t0, t2),
-        b.mov_op(VMove::Shuf([0, 1, 4, 5]), t1, t3),
-        b.mov_op(VMove::Shuf([2, 3, 6, 7]), t1, t3),
-    ]
-}
-
-/// (ν×1)ᵀ / (1×ν)ᵀ: a register copy — vectors of both orientations share
-/// the same register form.
-pub fn trans_v(b: &mut KernelBuilder, x: VReg) -> VReg {
-    b.mov_op(VMove::Mov, x, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lgen_absint::AffineExpr;
-    use lgen_cir::{run_kernel, MemLayout, MemMap};
-    use lgen_isa::inst::NullSink;
-    use lgen_isa::VectorIsa;
 
     #[test]
     fn exactly_18_nu_blacs() {
@@ -250,212 +141,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 18);
-    }
-
-    /// Harness: runs a matrix-matrix ν-BLAC on 4×4 inputs via the C-IR
-    /// interpreter on the given ISA and returns the 4×4 result.
-    fn run_mm(
-        isa: VectorIsa,
-        f: impl Fn(&mut KernelBuilder, &[VReg; 4], &[VReg; 4]) -> [VReg; 4],
-        a: &[f32; 16],
-        c: &[f32; 16],
-    ) -> Vec<f32> {
-        let mut b = KernelBuilder::new("harness");
-        let aa = b.input("A", 16);
-        let cc = b.input("B", 16);
-        let oo = b.output("O", 16);
-        let mut regs_a = [0; 4];
-        let mut regs_c = [0; 4];
-        for r in 0..4 {
-            regs_a[r] = b.load(
-                aa,
-                AffineExpr::constant(4 * r as i64),
-                MemMap::horizontal(4),
-            );
-            regs_c[r] = b.load(
-                cc,
-                AffineExpr::constant(4 * r as i64),
-                MemMap::horizontal(4),
-            );
-        }
-        let out = f(&mut b, &regs_a, &regs_c);
-        for (r, reg) in out.iter().enumerate() {
-            b.store(
-                *reg,
-                oo,
-                AffineExpr::constant(4 * r as i64),
-                MemMap::horizontal(4),
-            );
-        }
-        let k = b.finish(0);
-        let layout = MemLayout::aligned(&k);
-        let mut va = a.to_vec();
-        let mut vc = c.to_vec();
-        let mut vo = vec![0.0f32; 16];
-        run_kernel(
-            &k,
-            &mut [&mut va, &mut vc, &mut vo],
-            &layout,
-            isa,
-            &mut NullSink,
-        )
-        .unwrap();
-        vo
-    }
-
-    fn naive_mm(a: &[f32; 16], c: &[f32; 16]) -> Vec<f32> {
-        let mut o = vec![0.0f32; 16];
-        for i in 0..4 {
-            for j in 0..4 {
-                for k in 0..4 {
-                    o[4 * i + j] += a[4 * i + k] * c[4 * k + j];
-                }
-            }
-        }
-        o
-    }
-
-    fn test_inputs() -> ([f32; 16], [f32; 16]) {
-        let mut a = [0.0f32; 16];
-        let mut c = [0.0f32; 16];
-        for i in 0..16 {
-            a[i] = (i as f32) * 0.5 - 3.0;
-            c[i] = 7.0 - (i as f32) * 0.25;
-        }
-        (a, c)
-    }
-
-    #[test]
-    fn mul_mm_matches_reference_on_both_isas() {
-        let (a, c) = test_inputs();
-        let expected = naive_mm(&a, &c);
-        for isa in [VectorIsa::Ssse3, VectorIsa::Neon] {
-            assert_eq!(run_mm(isa, mul_mm, &a, &c), expected, "{isa}");
-        }
-    }
-
-    #[test]
-    fn add_mm_matches_reference() {
-        let (a, c) = test_inputs();
-        let expected: Vec<f32> = a.iter().zip(&c).map(|(x, y)| x + y).collect();
-        assert_eq!(run_mm(VectorIsa::Ssse3, add_mm, &a, &c), expected);
-    }
-
-    #[test]
-    fn trans_m_matches_reference() {
-        let (a, _) = test_inputs();
-        let mut expected = vec![0.0f32; 16];
-        for i in 0..4 {
-            for j in 0..4 {
-                expected[4 * j + i] = a[4 * i + j];
-            }
-        }
-        let got = run_mm(VectorIsa::Ssse3, |b, a, _| trans_m(b, a), &a, &a);
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn outer_product_matches_reference() {
-        let (a, c) = test_inputs();
-        // v = first row of a, w = first row of c.
-        let mut expected = vec![0.0f32; 16];
-        for i in 0..4 {
-            for j in 0..4 {
-                expected[4 * i + j] = a[i] * c[j];
-            }
-        }
-        let got = run_mm(VectorIsa::Neon, |b, ra, rc| mul_vr(b, ra[0], rc[0]), &a, &c);
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn scalar_multiplication_family_matches_reference() {
-        let (a, c) = test_inputs();
-        // s = c[0] broadcast; expected: s * a elementwise.
-        let s = c[0];
-        let expected: Vec<f32> = a.iter().map(|x| s * x).collect();
-        let got = run_mm(
-            VectorIsa::Neon,
-            |b, ra, rc| {
-                // Broadcast rc[0] lane 0 into a register, then smul_m.
-                let sp = b.mov_op(lgen_cir::VMove::Splat(0), rc[0], 0);
-                smul_m(b, sp, ra)
-            },
-            &a,
-            &c,
-        );
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn vector_addition_and_scaling_match_reference() {
-        let (a, c) = test_inputs();
-        let got = run_mm(
-            VectorIsa::Ssse3,
-            |b, ra, rc| {
-                let sum = add_vv(b, ra[0], rc[0]);
-                let sp = b.mov_op(lgen_cir::VMove::Splat(1), rc[0], 0);
-                let scaled = smul_v(b, sp, ra[1]);
-                let ss = smul_s(b, ra[0], rc[0]);
-                let moved = trans_v(b, ra[2]);
-                [sum, scaled, ss, moved]
-            },
-            &a,
-            &c,
-        );
-        for j in 0..4 {
-            assert_eq!(got[j], a[j] + c[j], "add_vv lane {j}");
-            assert_eq!(got[4 + j], a[4 + j] * c[1], "smul_v lane {j}");
-            assert_eq!(got[12 + j], a[8 + j], "trans_v lane {j}");
-        }
-        // smul_s only defines lane 0.
-        assert_eq!(got[8], a[0] * c[0]);
-    }
-
-    #[test]
-    fn row_times_matrix_matches_reference() {
-        let (a, c) = test_inputs();
-        // x = a row 0 (1×4); result xᵀC row vector.
-        let got = run_mm(
-            VectorIsa::Neon,
-            |b, ra, rc| {
-                let r = mul_rm(b, ra[0], rc);
-                let z = b.zero();
-                [r, z, z, z]
-            },
-            &a,
-            &c,
-        );
-        for j in 0..4 {
-            let expect: f32 = (0..4).map(|k| a[k] * c[4 * k + j]).sum();
-            assert!((got[j] - expect).abs() < 1e-4, "col {j}");
-        }
-    }
-
-    #[test]
-    fn mvm_and_dot_match_reference() {
-        let (a, c) = test_inputs();
-        // y = A·x with x = first row of c (as a column).
-        let got = run_mm(
-            VectorIsa::Ssse3,
-            |b, ra, rc| {
-                let y = mul_mv(b, ra, rc[0]);
-                let d = mul_rv(b, rc[0], rc[0]);
-                let z = b.zero();
-                [y, d, z, z]
-            },
-            &a,
-            &c,
-        );
-        for i in 0..4 {
-            let expect: f32 = (0..4).map(|k| a[4 * i + k] * c[k]).sum();
-            assert!(
-                (got[i] - expect).abs() < 1e-4,
-                "row {i}: {} vs {expect}",
-                got[i]
-            );
-        }
-        let dot: f32 = (0..4).map(|k| c[k] * c[k]).sum();
-        assert!((got[4] - dot).abs() < 1e-4);
     }
 }

@@ -112,7 +112,7 @@ impl Mat {
 /// Multiplying `G A` from the left extracts rows; `A Gᵀ`-shaped right
 /// multiplication (the paper writes the right gather with the transposed
 /// layout) extracts columns — see [`gather_right`].
-pub fn gather_left(start: usize, size: usize, of: usize) -> Mat {
+pub(crate) fn gather_left(start: usize, size: usize, of: usize) -> Mat {
     let mut g = Mat::zeros(size, of);
     for r in 0..size {
         g.set(r, start + r, 1.0);
@@ -122,18 +122,18 @@ pub fn gather_left(start: usize, size: usize, of: usize) -> Mat {
 
 /// The right gather matrix (an `of×size` 0/1 matrix): `A · G` extracts
 /// `size` columns of `A` starting at column `start`.
-pub fn gather_right(start: usize, size: usize, of: usize) -> Mat {
+pub(crate) fn gather_right(start: usize, size: usize, of: usize) -> Mat {
     gather_left(start, size, of).t()
 }
 
 /// The left scatter matrix `S = Gᵀ` embedding `size` rows at `start` into
 /// `of` rows.
-pub fn scatter_left(start: usize, size: usize, of: usize) -> Mat {
+pub(crate) fn scatter_left(start: usize, size: usize, of: usize) -> Mat {
     gather_left(start, size, of).t()
 }
 
 /// The right scatter matrix: `A · S` embeds columns.
-pub fn scatter_right(start: usize, size: usize, of: usize) -> Mat {
+pub(crate) fn scatter_right(start: usize, size: usize, of: usize) -> Mat {
     gather_left(start, size, of)
 }
 

@@ -12,8 +12,8 @@
 //! combination takes the `OnceLock` initialization path; every later
 //! lookup is an atomic load plus a short string comparison.
 //!
-//! **Cardinality rules.** A family holds at most [`MAX_SERIES`] distinct
-//! label combinations (the table has [`SLOTS`] slots to keep probe
+//! **Cardinality rules.** A family holds at most `MAX_SERIES` distinct
+//! label combinations (the table has `SLOTS` slots to keep probe
 //! chains short). Combinations beyond the cap are routed to a single
 //! synthetic overflow series (label values `__overflow__`) and counted,
 //! so an unbounded label (a client-controlled tenant id, say) degrades
@@ -26,14 +26,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Open-addressed slots per family (fixed, so lookup never reallocates).
-pub const SLOTS: usize = 128;
+pub(crate) const SLOTS: usize = 128;
 
 /// Maximum distinct label combinations per family; excess observations
 /// are routed to the synthetic overflow series.
-pub const MAX_SERIES: usize = 64;
+pub(crate) const MAX_SERIES: usize = 64;
 
 /// The label values of the synthetic overflow series.
-pub const OVERFLOW_VALUE: &str = "__overflow__";
+pub(crate) const OVERFLOW_VALUE: &str = "__overflow__";
 
 /// One interned label combination and its metric.
 struct Series<T> {
@@ -118,7 +118,7 @@ impl<T: Default + 'static> Family<T> {
 
     /// Observations routed to the overflow series because the family hit
     /// [`MAX_SERIES`].
-    pub fn overflowed(&self) -> u64 {
+    pub(crate) fn overflowed(&self) -> u64 {
         self.overflowed.load(Ordering::Relaxed)
     }
 
@@ -235,7 +235,7 @@ pub struct FamilySnapshot<V> {
 
 impl<V> FamilySnapshot<V> {
     /// Renders one series' labels as `{k=v,k2=v2}` in key order.
-    pub fn label_string(&self, values: &[String]) -> String {
+    pub(crate) fn label_string(&self, values: &[String]) -> String {
         let mut s = String::from("{");
         for (i, (k, v)) in self.keys.iter().zip(values).enumerate() {
             if i > 0 {
@@ -266,17 +266,6 @@ macro_rules! metric_counter_family {
         static HANDLE: ::std::sync::OnceLock<&'static $crate::Family<$crate::Counter>> =
             ::std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::counter_family($name, &[$($key),+]))
-    }};
-}
-
-/// A `&'static Family<Gauge>` resolved once per call site (see
-/// [`crate::metric_counter_family!`]).
-#[macro_export]
-macro_rules! metric_gauge_family {
-    ($name:expr, $($key:expr),+ $(,)?) => {{
-        static HANDLE: ::std::sync::OnceLock<&'static $crate::Family<$crate::Gauge>> =
-            ::std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::gauge_family($name, &[$($key),+]))
     }};
 }
 

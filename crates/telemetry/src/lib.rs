@@ -36,11 +36,10 @@ pub use chrome::chrome_trace;
 pub use json::{json_string, metrics_json};
 pub use labels::{Family, FamilySnapshot};
 pub use metrics::{
-    counter, counter_family, gauge, gauge_family, histogram, histogram_family, registry, Counter,
-    Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Percentiles,
+    counter, counter_family, gauge, histogram, histogram_family, registry, Counter, Gauge,
+    Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use span::{
-    enabled, global, scoped_collector, set_enabled, span, CollectorScope, SpanGuard, SpanRecord,
-    Telemetry,
+    global, scoped_collector, set_enabled, span, CollectorScope, SpanGuard, SpanRecord, Telemetry,
 };
-pub use summary::{format_metrics, summary_tree, summary_tree_with_drops};
+pub use summary::{format_metrics, summary_tree};

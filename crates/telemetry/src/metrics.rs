@@ -21,7 +21,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// Histogram bucket upper bounds: powers of two from 1 µs to ~1 s, plus
 /// an overflow bucket. Fixed so concurrent recording is a single
 /// `fetch_add` with no resizing.
-pub const BUCKET_BOUNDS: [u64; 20] = [
+pub(crate) const BUCKET_BOUNDS: [u64; 20] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536, 262144, 1048576,
     4194304, 16777216,
 ];
@@ -69,7 +69,7 @@ impl Gauge {
 }
 
 /// A fixed-bucket latency histogram (bucket bounds in
-/// [`BUCKET_BOUNDS`], values in the metric's unit — microseconds by
+/// `BUCKET_BOUNDS`, values in the metric's unit — microseconds by
 /// convention).
 #[derive(Debug)]
 pub struct Histogram {
@@ -172,7 +172,7 @@ impl HistogramSnapshot {
     /// The standard reporting quantiles in one pass (all 0 when empty).
     /// Each is an upper bucket bound — an approximation from above — and
     /// observations past the last bound report [`Self::max`].
-    pub fn percentiles(&self) -> Percentiles {
+    pub(crate) fn percentiles(&self) -> Percentiles {
         Percentiles {
             p50: self.quantile(0.50),
             p90: self.quantile(0.90),
@@ -185,7 +185,7 @@ impl HistogramSnapshot {
 /// The p50/p90/p99/p999 upper bounds of a [`HistogramSnapshot`], in the
 /// histogram's unit (microseconds by convention).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Percentiles {
+pub(crate) struct Percentiles {
     /// Median upper bound.
     pub p50: u64,
     /// 90th-percentile upper bound.
@@ -230,12 +230,6 @@ impl MetricsRegistry {
     /// an existing family returns the original registration.
     pub fn counter_family(&self, name: &str, keys: &[&str]) -> &'static Family<Counter> {
         Self::intern_family(&self.counter_families, name, keys)
-    }
-
-    /// The labeled gauge family named `name` (see
-    /// [`Self::counter_family`]).
-    pub fn gauge_family(&self, name: &str, keys: &[&str]) -> &'static Family<Gauge> {
-        Self::intern_family(&self.gauge_families, name, keys)
     }
 
     /// The labeled histogram family named `name` (see
@@ -391,11 +385,6 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// The process-global labeled counter family named `name`.
 pub fn counter_family(name: &str, keys: &[&str]) -> &'static Family<Counter> {
     registry().counter_family(name, keys)
-}
-
-/// The process-global labeled gauge family named `name`.
-pub fn gauge_family(name: &str, keys: &[&str]) -> &'static Family<Gauge> {
-    registry().gauge_family(name, keys)
 }
 
 /// The process-global labeled histogram family named `name`.

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 /// Hard cap on buffered spans per collector: a runaway trace stops
 /// recording (and counts drops) instead of exhausting memory.
-pub const MAX_SPANS: usize = 1 << 20;
+pub(crate) const MAX_SPANS: usize = 1 << 20;
 
 /// One finished span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl Telemetry {
     }
 
     /// Whether spans are being recorded.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -163,7 +163,7 @@ impl Telemetry {
     }
 
     /// Microseconds since this collector's epoch.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
@@ -185,7 +185,7 @@ impl Telemetry {
         )
     }
 
-    /// Spans discarded because the buffer hit [`MAX_SPANS`].
+    /// Spans discarded because the buffer hit `MAX_SPANS`.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -308,11 +308,6 @@ impl Drop for CollectorScope {
 /// Enables or disables the process-global collector.
 pub fn set_enabled(on: bool) {
     global().set_enabled(on);
-}
-
-/// Whether the process-global collector is recording.
-pub fn enabled() -> bool {
-    global().enabled()
 }
 
 #[cfg(test)]

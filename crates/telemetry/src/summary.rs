@@ -22,7 +22,7 @@ pub fn summary_tree(spans: &[SpanRecord]) -> String {
 /// cap]` line when `dropped > 0`, so silent trace truncation
 /// ([`crate::span::MAX_SPANS`]) is visible in the rendered output. Pass
 /// [`crate::Telemetry::dropped`] for `dropped`.
-pub fn summary_tree_with_drops(spans: &[SpanRecord], dropped: u64) -> String {
+pub(crate) fn summary_tree_with_drops(spans: &[SpanRecord], dropped: u64) -> String {
     let mut out = String::new();
     let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
     tids.sort_unstable();
