@@ -6,22 +6,25 @@
 //! be deliberate. The static predictor's output over the same kernels
 //! (`analyze_kernel`, which ranks pruned tunes) is pinned alongside, and
 //! so are the kernel codec's bytes, which disk caches written by earlier
-//! builds must keep decoding.
+//! builds must keep decoding. Every autotuner setting's result is pinned
+//! too: winner, schedule, samples and pruning audit per strategy.
 //!
 //! One FNV-1a line per kernel in `tests/golden/sim_corpus.digest`,
 //! `tests/golden/static_cost.digest` and `tests/golden/codec_corpus.digest`,
-//! so a mismatch names the kernel. To regenerate after an intentional
-//! change:
+//! and per (core, input, tuner setting) in
+//! `tests/golden/tune_strategies.digest`, so a mismatch names the kernel.
+//! To regenerate after an intentional change:
 //! `LGEN_BLESS=1 cargo test --test sim_corpus`.
 
 mod common;
 
 use common::{arch_name, check_digest, fnv1a, paper_families, versioning_is_small, PROGRAMS};
 use lgen::cir::{decode_kernel, encode_kernel, run_kernel, Kernel, MemLayout};
-use lgen::core::ProgramTuner;
+use lgen::core::{KernelCache, Objective, ProgramTuner, SearchStrategy};
 use lgen::ll::reference::test_data_for;
 use lgen::machine::Measurement;
 use lgen::prelude::*;
+use std::sync::Arc;
 
 /// Cache `(hits, misses)` after one scheduled warm run and after a timed
 /// run on the warm cache, with `bufs` as the parameter arrays.
@@ -201,6 +204,87 @@ fn codec_corpus() -> String {
     out
 }
 
+/// The tuner settings `tune_strategies.digest` pins: every strategy, the
+/// non-default objectives, pass-order search, both pruning policies and a
+/// multi-threaded pruned pass-order search.
+fn tune_settings(cfg: &CompileConfig) -> [(&'static str, Autotuner); 9] {
+    use SearchStrategy::{Exhaustive, Guided, Random};
+    let tuner = |strategy| Autotuner::new(cfg.clone()).with_strategy(strategy);
+    let topk = |k| PrunePolicy::TopK(k);
+    [
+        ("random10", tuner(Random(10))),
+        ("exhaustive", tuner(Exhaustive)),
+        ("guided", tuner(Guided)),
+        (
+            "guided_energy",
+            tuner(Guided).with_objective(Objective::Energy),
+        ),
+        ("guided_passes", tuner(Guided).with_pipeline_search()),
+        (
+            "exhaustive_passes",
+            tuner(Exhaustive).with_pipeline_search(),
+        ),
+        ("topk4", tuner(Random(10)).with_prune(topk(4))),
+        (
+            "frac0.3_edp",
+            tuner(Random(10))
+                .with_prune(PrunePolicy::Frac(0.3))
+                .with_objective(Objective::EnergyDelay),
+        ),
+        (
+            "random30_passes_topk2_j2",
+            tuner(Random(30))
+                .with_pipeline_search()
+                .with_prune(topk(2))
+                .with_threads(2),
+        ),
+    ]
+}
+
+/// One line per (core, input, setting) over the micro and leftover paper
+/// BLACs and the programs: the winning decision, its schedule, cycles and
+/// energy, every sample, the failure count and the pruning audit.
+fn tune_strategies() -> String {
+    let families = paper_families();
+    let programs = PROGRAMS.map(|(label, src)| (label, parse_program(src).unwrap()));
+    let blacs = families.iter().flat_map(|f| &f[..2]);
+    let inputs: Vec<(&str, Source)> = blacs
+        .map(|(label, blac)| (*label, Source::Blac(blac)))
+        .chain(programs.iter().map(|(l, p)| (*l, Source::Program(p))))
+        .collect();
+    let tail = |pipeline: &PassPipeline, m: &Measurement, failures: usize, pruned: usize| {
+        let spec = pipeline.to_spec();
+        format!("{spec} {} {} {failures} {pruned}", m.cycles, m.energy_pj)
+    };
+    let mut out = String::new();
+    for arch in Microarch::EVALUATED {
+        for (label, source) in &inputs {
+            // One cache per input: the settings share its compiles.
+            let cache = Arc::new(KernelCache::new());
+            for (setting, tuner) in tune_settings(&CompileConfig::full(arch)) {
+                let tuner = tuner.with_cache(cache.clone());
+                let record = match source {
+                    Source::Blac(blac) => {
+                        let t = tuner.tune(blac, label);
+                        let tail = tail(&t.pipeline, &t.measurement, t.failures.len(), t.pruned);
+                        let rho = t.rank_correlation.map(|r| (r * 1e6).round() as i64);
+                        format!("{:?} {:?} {tail} {rho:?}", t.unroll, t.samples)
+                    }
+                    Source::Program(program) => {
+                        let t = tuner.try_tune_program(program, label).unwrap();
+                        let tail = tail(&t.pipeline, &t.measurement, t.failures.len(), t.pruned);
+                        let rho = t.rank_correlation.map(|r| (r * 1e6).round() as i64);
+                        format!("{:?} {:?} {tail} {rho:?}", t.policies, t.samples)
+                    }
+                };
+                let name = format!("{label}_{}_{setting}", arch_name(arch));
+                out += &format!("{name} {:016x}\n", fnv1a(record.as_bytes()));
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn golden_sim_corpus() {
     check_digest("sim_corpus.digest", &sim_corpus());
@@ -214,4 +298,9 @@ fn golden_static_cost_corpus() {
 #[test]
 fn golden_codec_corpus() {
     check_digest("codec_corpus.digest", &codec_corpus());
+}
+
+#[test]
+fn golden_tune_strategies() {
+    check_digest("tune_strategies.digest", &tune_strategies());
 }
