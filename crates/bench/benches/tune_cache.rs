@@ -29,19 +29,27 @@ fn bench_tune(c: &mut Criterion) {
     g.bench_function(format!("sequential/sample-{SAMPLE}").as_str(), |b| {
         b.iter(|| {
             let tuner = Autotuner::new(cfg.clone())
-                .with_sample_size(SAMPLE)
+                .with_strategy(SearchStrategy::Random(SAMPLE))
                 .with_threads(1)
                 .with_cache(Arc::new(KernelCache::new()));
-            black_box(tuner.tune_many(&jobs))
+            black_box(
+                jobs.iter()
+                    .map(|(blac, name)| tuner.tune(blac, name))
+                    .collect::<Vec<_>>(),
+            )
         })
     });
     g.bench_function(format!("parallel/sample-{SAMPLE}").as_str(), |b| {
         b.iter(|| {
             let tuner = Autotuner::new(cfg.clone())
-                .with_sample_size(SAMPLE)
+                .with_strategy(SearchStrategy::Random(SAMPLE))
                 .with_threads(0) // one worker per available core
                 .with_cache(Arc::new(KernelCache::new()));
-            black_box(tuner.tune_many(&jobs))
+            black_box(
+                jobs.iter()
+                    .map(|(blac, name)| tuner.tune(blac, name))
+                    .collect::<Vec<_>>(),
+            )
         })
     });
     g.finish();

@@ -2,7 +2,7 @@
 
 use crate::series::{Figure, Series};
 use lgen_baselines::{compile_baseline, Competitor};
-use lgen_core::{compile, measure_blac, Autotuner, CompileConfig, Variant};
+use lgen_core::{compile, measure_blac, Autotuner, CompileConfig, SearchStrategy, Variant};
 use lgen_isa::Microarch;
 use lgen_ll::Blac;
 
@@ -19,7 +19,7 @@ pub(crate) const TUNE_SAMPLES: usize = 6;
 pub fn measure_lgen(blac: &Blac, arch: Microarch, variant: Variant) -> f64 {
     let cfg = CompileConfig::variant(arch, variant);
     let tuned = Autotuner::new(cfg)
-        .with_sample_size(TUNE_SAMPLES)
+        .with_strategy(SearchStrategy::Random(TUNE_SAMPLES))
         .tune(blac, "lgen");
     tuned.measurement.flops_per_cycle()
 }

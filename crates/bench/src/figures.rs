@@ -1093,7 +1093,7 @@ fn ext_search() -> String {
         let blac = paper::gemv(4, n);
         let cfg = CompileConfig::full(Microarch::Arm1176);
         let r = Autotuner::new(cfg.clone())
-            .with_sample_size(3)
+            .with_strategy(SearchStrategy::Random(3))
             .tune(&blac, "k");
         let g = Autotuner::new(cfg.clone())
             .with_strategy(SearchStrategy::Guided)

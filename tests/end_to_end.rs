@@ -2,6 +2,7 @@
 //! through the full compile pipeline, validated against the naive
 //! reference and measured on the simulator.
 
+use lgen::core::SearchStrategy;
 use lgen::ll::paper;
 use lgen::ll::Blac;
 use lgen::prelude::*;
@@ -83,7 +84,7 @@ fn autotuner_improves_or_matches_every_paper_blac_on_atom() {
     for (name, blac) in suite() {
         let cfg = CompileConfig::full(Microarch::Atom);
         let tuned = Autotuner::new(cfg.clone())
-            .with_sample_size(6)
+            .with_strategy(SearchStrategy::Random(6))
             .tune(&blac, "k");
         let default = compile(&blac, "k", &cfg);
         let dm = measure_blac(
@@ -119,7 +120,7 @@ fn headline_claim_lgen_full_beats_every_competitor() {
     ];
     for (arch, blac) in cases {
         let kernel = Autotuner::new(CompileConfig::full(arch))
-            .with_sample_size(6)
+            .with_strategy(SearchStrategy::Random(6))
             .tune(&blac, "k");
         let lgen_fc = kernel.measurement.flops_per_cycle();
         for comp in Competitor::ALL {
@@ -144,7 +145,7 @@ fn variant_ordering_on_atom_mvm() {
     let blac = paper::mvm(4, 64);
     let fc = |v: Variant| {
         let t = Autotuner::new(CompileConfig::variant(Microarch::Atom, v))
-            .with_sample_size(6)
+            .with_strategy(SearchStrategy::Random(6))
             .tune(&blac, "k");
         t.measurement.flops_per_cycle()
     };

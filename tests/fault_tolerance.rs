@@ -239,36 +239,27 @@ fn program_tune_losing_every_genome_is_a_typed_error() {
 
 #[test]
 fn tune_many_degrades_per_entry() {
-    // One batch entry loses every candidate, its sibling none: the batch
-    // reports one typed error and one winner instead of aborting.
-    let jobs = vec![
-        (lgen::ll::paper::gemv(4, 8), "doomed".to_string()),
-        (lgen::ll::paper::gemv(4, 8), "fine".to_string()),
-    ];
+    // A batch tunes entry by entry on one tuner: fault indices address
+    // each entry's own candidate list, so a plan that faults the whole
+    // space fails every entry with a typed error, and a one-panic plan
+    // costs every entry exactly that candidate.
+    let jobs = [lgen::ll::paper::gemv(4, 8), lgen::ll::paper::axpy(8)];
     let cfg = CompileConfig::full(Microarch::Atom);
-    // Fault indices address each entry's candidate list; with the whole
-    // space faulted the first entry of the flattened grid fails — but so
-    // would the second, so instead restrict the sample to prove per-entry
-    // isolation via panics on a shared prefix.
     let space = Autotuner::search_space().len();
     let mut plan = FaultPlan::none();
     for i in 0..space {
         plan = plan.panic_at(i);
     }
-    // Same plan for both entries: both fail. Now check the Ok/Err split
-    // with a partial plan.
-    let results = exhaustive(cfg.clone())
-        .with_threads(4)
-        .with_faults(plan)
-        .try_tune_many(&jobs);
-    assert!(results.iter().all(Result::is_err));
+    let doomed = exhaustive(cfg.clone()).with_threads(4).with_faults(plan);
+    assert!(jobs.iter().all(|blac| doomed.try_tune(blac, "k").is_err()));
 
     let partial = exhaustive(cfg)
         .with_threads(4)
-        .with_faults(FaultPlan::none().panic_at(0))
-        .try_tune_many(&jobs);
-    for r in &partial {
-        let tuned = r.as_ref().expect("one panic per entry is survivable");
+        .with_faults(FaultPlan::none().panic_at(0));
+    for blac in &jobs {
+        let tuned = partial
+            .try_tune(blac, "k")
+            .expect("one panic per entry is survivable");
         assert_eq!(tuned.panicked(), 1);
         assert_eq!(tuned.samples.len(), space - 1);
     }

@@ -2,7 +2,7 @@
 //! structural BLAC identity it keys on.
 
 use lgen::cir::Kernel;
-use lgen::core::{Autotuner, KernelCache};
+use lgen::core::{Autotuner, KernelCache, SearchStrategy};
 use lgen::ll::blac::{Blac, Dims, Expr, OperandId};
 use lgen::prelude::*;
 use proptest::prelude::*;
@@ -223,11 +223,13 @@ fn tuned_winner_survives_a_cache_round_trip() {
     let cfg = CompileConfig::full(Microarch::CortexA9);
     let cache = Arc::new(KernelCache::new());
     let cached = Autotuner::new(cfg.clone())
-        .with_sample_size(16)
+        .with_strategy(SearchStrategy::Random(16))
         .with_threads(2)
         .with_cache(cache.clone())
         .tune(&blac, "k");
-    let uncached = Autotuner::new(cfg).with_sample_size(16).tune(&blac, "k");
+    let uncached = Autotuner::new(cfg)
+        .with_strategy(SearchStrategy::Random(16))
+        .tune(&blac, "k");
     assert_eq!(cached.unroll, uncached.unroll);
     assert_eq!(cached.samples, uncached.samples);
     assert_eq!(cached.kernel, uncached.kernel);
