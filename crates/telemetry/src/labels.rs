@@ -1,4 +1,4 @@
-//! Labeled metric families: counters, gauges, and histograms keyed by a
+//! Labeled metric families: counters and histograms keyed by a
 //! small, fixed set of label *keys* (declared at registration) and a
 //! bounded set of label *values* (interned on first use).
 //!
@@ -21,7 +21,7 @@
 //! are rendered verbatim into `name{key=value}` rows; keep them to
 //! `[A-Za-z0-9._-]` by convention (tenant names, verbs, outcome tokens).
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{Counter, Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -55,7 +55,7 @@ impl<T: Default> Series<T> {
 }
 
 /// A labeled metric family (see module docs). `T` is one of the plain
-/// registry metrics: [`Counter`], [`Gauge`], or [`Histogram`].
+/// registry metrics: [`Counter`] or [`Histogram`].
 pub struct Family<T: 'static> {
     name: String,
     keys: Box<[String]>,
@@ -190,13 +190,6 @@ impl Family<Counter> {
     /// A point-in-time copy of every series.
     pub fn snapshot(&self) -> FamilySnapshot<u64> {
         self.snap(|c| c.get())
-    }
-}
-
-impl Family<Gauge> {
-    /// A point-in-time copy of every series.
-    pub fn snapshot(&self) -> FamilySnapshot<i64> {
-        self.snap(|g| g.get())
     }
 }
 

@@ -205,7 +205,6 @@ pub struct MetricsRegistry {
     gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
     counter_families: Mutex<BTreeMap<String, &'static Family<Counter>>>,
-    gauge_families: Mutex<BTreeMap<String, &'static Family<Gauge>>>,
     histogram_families: Mutex<BTreeMap<String, &'static Family<Histogram>>>,
 }
 
@@ -249,7 +248,6 @@ impl MetricsRegistry {
             + n(&self.gauges)
             + n(&self.histograms)
             + n(&self.counter_families)
-            + n(&self.gauge_families)
             + n(&self.histogram_families)
     }
 
@@ -321,13 +319,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(n, f)| (n.clone(), f.snapshot()))
                 .collect(),
-            gauge_families: self
-                .gauge_families
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|(n, f)| (n.clone(), f.snapshot()))
-                .collect(),
             histogram_families: self
                 .histogram_families
                 .lock()
@@ -353,8 +344,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
     /// `(name, snapshot)` for every labeled counter family.
     pub counter_families: Vec<(String, FamilySnapshot<u64>)>,
-    /// `(name, snapshot)` for every labeled gauge family.
-    pub gauge_families: Vec<(String, FamilySnapshot<i64>)>,
     /// `(name, snapshot)` for every labeled histogram family.
     pub histogram_families: Vec<(String, FamilySnapshot<HistogramSnapshot>)>,
     /// Registered metric names across every table at snapshot time.

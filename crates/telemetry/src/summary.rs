@@ -89,14 +89,6 @@ pub fn format_metrics(snapshot: &MetricsSnapshot) -> String {
     for (name, value) in &snapshot.gauges {
         let _ = writeln!(out, "{name} {value}");
     }
-    for (name, fam) in &snapshot.gauge_families {
-        for (values, v) in &fam.series {
-            let _ = writeln!(out, "{name}{} {v}", fam.label_string(values));
-        }
-        if fam.overflowed > 0 {
-            let _ = writeln!(out, "{name}.overflowed {}", fam.overflowed);
-        }
-    }
     for (name, h) in &snapshot.histograms {
         write_histogram(&mut out, name, "", h);
     }
