@@ -18,6 +18,7 @@
 
 use crate::client::Client;
 use crate::proto::{Request, Verb};
+use lgen_telemetry::{json_section, json_u64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -332,9 +333,9 @@ pub fn replay(config: &ReplayConfig) -> io::Result<ReplayReport> {
 fn audit_stats_json(body: &str, report: &mut ReplayReport) -> io::Result<()> {
     let wall = json_section(body, "\"lgen.serve.request_wall_us\":{")
         .ok_or_else(|| io::Error::other("stats json: missing request_wall_us histogram"))?;
-    report.p50_us = json_u64(wall, "\"p50\":").unwrap_or(0);
-    report.p99_us = json_u64(wall, "\"p99\":").unwrap_or(0);
-    report.daemon_requests_total = json_u64(body, "\"requests_total\":")
+    report.p50_us = json_u64(wall, "p50").unwrap_or(0);
+    report.p99_us = json_u64(wall, "p99").unwrap_or(0);
+    report.daemon_requests_total = json_u64(body, "requests_total")
         .ok_or_else(|| io::Error::other("stats json: missing requests_total"))?;
 
     let by_tenant = json_section(body, "\"by_tenant\":{")
@@ -352,9 +353,9 @@ fn audit_stats_json(body: &str, report: &mut ReplayReport) -> io::Result<()> {
         let Some(section) = json_section(after, ":{") else {
             break;
         };
-        let requests = json_u64(section, "\"requests\":").unwrap_or(0);
+        let requests = json_u64(section, "requests").unwrap_or(0);
         let p99 = json_section(section, "\"service_us\":{")
-            .and_then(|h| json_u64(h, "\"p99\":"))
+            .and_then(|h| json_u64(h, "p99"))
             .unwrap_or(0);
         tenant_sum += requests;
         report.tenants.push((tenant, requests, p99));
@@ -372,47 +373,6 @@ fn audit_stats_json(body: &str, report: &mut ReplayReport) -> io::Result<()> {
         )));
     }
     Ok(())
-}
-
-/// Finds `marker` (which must end in `{`) and returns the text of the
-/// balanced `{...}` object that starts there, braces excluded.
-fn json_section<'a>(s: &'a str, marker: &str) -> Option<&'a str> {
-    debug_assert!(marker.ends_with('{'));
-    let start = s.find(marker)? + marker.len();
-    let mut depth = 1usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, b) in s[start..].bytes().enumerate() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escaped = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => depth += 1,
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&s[start..start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Parses the unsigned integer immediately following the first
-/// occurrence of `key` (e.g. `"\"p99\":"`).
-fn json_u64(s: &str, key: &str) -> Option<u64> {
-    let at = s.find(key)? + key.len();
-    let digits: String = s[at..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 /// Replays one connection's shots in order, retrying `busy` once after a
@@ -559,14 +519,5 @@ mod tests {
         let mut report = ReplayReport::default();
         let err = audit_stats_json(&fake_stats(11, 6, 4), &mut report).unwrap_err();
         assert!(err.to_string().contains("diverged"), "{err}");
-    }
-
-    #[test]
-    fn json_section_balances_nested_braces_and_strings() {
-        let s = r#"{"outer":{"inner":{"x":1},"s":"a}b{c","y":2},"tail":3}"#;
-        let sec = json_section(s, "\"outer\":{").unwrap();
-        assert!(sec.contains("\"y\":2"));
-        assert!(!sec.contains("tail"));
-        assert_eq!(json_u64(sec, "\"y\":"), Some(2));
     }
 }

@@ -33,7 +33,7 @@ pub mod span;
 pub mod summary;
 
 pub use chrome::chrome_trace;
-pub use json::{json_string, metrics_json};
+pub use json::{json_objects, json_section, json_str, json_string, json_u64, metrics_json};
 pub use labels::{Family, FamilySnapshot};
 pub use metrics::{
     counter, counter_family, gauge, histogram, histogram_family, registry, Counter, Gauge,
