@@ -521,7 +521,7 @@ impl KernelCache {
     /// One coherent snapshot of the behaviour counters *and* the per-pass
     /// timing rows, read back-to-back so `--cache-stats` cannot show a
     /// counter total and a pass table from different moments of a running
-    /// `tune_many`.
+    /// tune.
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
             stats: self.stats(),

@@ -7,7 +7,7 @@
 //! thread becomes its child, which is exactly the call-tree shape the
 //! compile pipeline produces (compile → codegen → each pass). Worker
 //! threads get stable numeric track ids ([`SpanRecord::tid`]), so a
-//! multi-threaded `tune_many` renders one Perfetto track per worker.
+//! multi-threaded tune renders one Perfetto track per worker.
 //!
 //! **Zero overhead when disabled.** [`Telemetry::span`] reads one relaxed
 //! atomic; when collection is off it returns an inert guard without
