@@ -10,7 +10,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> allocation guards (compile_hot: warm unparse, one-pass DCE, candidate evaluation, per-kernel program tune)"
+echo "==> allocation guards (compile_hot: warm unparse, one-pass DCE, candidate evaluation on both measurement paths, per-kernel program tune)"
 cargo bench -q --offline -p lgen-bench --bench compile_hot
 
 echo "==> pruning economics (static_cost: analysis >=50x cheaper than one evaluation)"

@@ -75,6 +75,14 @@ impl MemLayout {
         }
     }
 
+    /// Bytes the layout spans from address 0: every array with its
+    /// padding. No access of a run over this layout reaches past it: the
+    /// interpreter checks every machine access, whole, against its array
+    /// and padding.
+    pub fn bytes(&self) -> usize {
+        self.total_floats * 4
+    }
+
     /// Base offset of array `i` in floats modulo `nu`.
     pub fn float_offset_mod(&self, arr: usize, nu: usize) -> usize {
         (self.bases[arr] / 4) % nu
@@ -345,6 +353,27 @@ impl Exec<'_, '_> {
         Ok(self.layout.bases[arr.0] / 4 + fidx as usize)
     }
 
+    /// Emits the lowered machine ops of a load or store of `arr` at float
+    /// index `base` (absolute float index `abs`), after checking that
+    /// every machine access, whole, stays within the array and its
+    /// padding: NEON's "load 4, keep 3" reads a float its map does not
+    /// name.
+    fn emit_access(
+        &mut self,
+        seq: &[LoweredOp],
+        arr: crate::ir::ArrayId,
+        base: i64,
+        abs: usize,
+    ) -> Result<(), ExecError> {
+        for l in seq {
+            if let Some(off) = l.mem_off {
+                self.check(arr, base + off + (l.op.access_bytes() as i64 - 1) / 4)?;
+            }
+        }
+        self.emit_lowered(seq, Some(abs));
+        Ok(())
+    }
+
     /// Emits the lowered machine ops for a C-IR instruction whose base
     /// address (in floats, absolute) is `abs_base`.
     fn emit_lowered(&mut self, seq: &[LoweredOp], abs_base: Option<usize>) {
@@ -395,7 +424,7 @@ impl Exec<'_, '_> {
                 }
                 self.set_reg(*dst, v);
                 let seq = lower::lower_load(self.isa, *dst, map, *aligned);
-                self.emit_lowered(&seq, Some(abs));
+                self.emit_access(&seq, *arr, base, abs)?;
             }
             AInst::GStore {
                 src,
@@ -414,7 +443,7 @@ impl Exec<'_, '_> {
                     self.mem[idx] = v[lane as usize];
                 }
                 let seq = lower::lower_store(self.isa, *src, map, *aligned);
-                self.emit_lowered(&seq, Some(abs));
+                self.emit_access(&seq, *arr, base, abs)?;
             }
             AInst::Arith { op, dst, a, b } => {
                 let va = self.reg(*a);

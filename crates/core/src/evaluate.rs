@@ -2,15 +2,19 @@
 //!
 //! An [`Evaluator`] is built once per tune from the program under tuning
 //! (a BLAC through `Program::from`). It holds the seeded test data and the
-//! reference result, so a candidate costs two interpretations and one
-//! schedule:
+//! reference result, so a candidate costs one scheduled interpretation
+//! when its memory layout fits in the core's L1, and two interpretations
+//! and one schedule when it does not:
 //!
-//! 1. the validation run executes the kernel on the test data through a
-//!    cache-warming sink ([`Simulator::warming`]), which is also the
-//!    warm-up of the §5.1.4 protocol, and takes the largest difference
-//!    from the reference;
-//! 2. the timed run executes it again on restored inputs, scheduled on
-//!    the warm cache.
+//! - the validation run executes the kernel on the test data and takes
+//!   the largest difference from the reference;
+//! - if the layout fits ([`Simulator::prefilled`]), the validation run is
+//!   scheduled on a simulator whose L1 already holds the layout, and is
+//!   the timed run of the §5.1.4 protocol;
+//! - otherwise it streams through a cache-warming sink
+//!   ([`Simulator::warming`]) as the protocol's warm-up, and the timed run
+//!   executes the kernel again on restored inputs, scheduled on the warm
+//!   cache.
 //!
 //! The trace depends only on the kernel, the layout and the ISA, never on
 //! the data (see `lgen_machine::measure`), so the measurement equals
@@ -94,9 +98,10 @@ impl Evaluator {
         Ok((bufs, diff))
     }
 
-    /// The validation run: executes `kernel` on the test data, warming a
-    /// fresh `arch` simulator's cache on the way, and compares every
-    /// parameter with the reference.
+    /// The validation run: executes `kernel` on the test data, which is
+    /// the timed run when the layout fits in `arch`'s L1 and the warm-up
+    /// of a fresh `arch` simulator's cache when it does not, and compares
+    /// every parameter with the reference.
     ///
     /// # Errors
     ///
@@ -107,15 +112,24 @@ impl Evaluator {
         arch: Microarch,
     ) -> Result<Validated<'a>, ExecError> {
         let layout = MemLayout::aligned(kernel);
-        let mut sim = Simulator::new(arch);
-        let (bufs, diff) = self.run(kernel, &layout, arch.vector_isa(), &mut sim.warming())?;
+        let isa = arch.vector_isa();
+        let (sim, diff, warmed) = match Simulator::prefilled(arch, &layout) {
+            Some(mut sim) => {
+                let (_, diff) = self.run(kernel, &layout, isa, &mut sim)?;
+                (sim, diff, None)
+            }
+            None => {
+                let mut sim = Simulator::new(arch);
+                let (bufs, diff) = self.run(kernel, &layout, isa, &mut sim.warming())?;
+                (sim, diff, Some((layout, bufs)))
+            }
+        };
         Ok(Validated {
             evaluator: self,
             kernel,
-            layout,
-            bufs,
             sim,
             diff,
+            warmed,
         })
     }
 
@@ -156,16 +170,18 @@ pub fn check_program(
     Ok(run?.1)
 }
 
-/// A kernel after its validation run, holding the simulator whose cache
-/// that run warmed.
+/// A kernel after its validation run, holding the simulator that run
+/// scheduled or warmed.
 #[derive(Debug)]
 pub struct Validated<'a> {
     evaluator: &'a Evaluator,
     kernel: &'a Kernel,
-    layout: MemLayout,
-    bufs: Vec<Vec<f32>>,
     sim: Simulator,
     diff: f32,
+    /// The layout and the parameters after the validation run when the
+    /// layout does not fit in L1: that run only warmed `sim`'s cache.
+    /// `None` when it was the timed run.
+    warmed: Option<(MemLayout, Vec<Vec<f32>>)>,
 }
 
 impl Validated<'_> {
@@ -175,21 +191,20 @@ impl Validated<'_> {
         self.diff
     }
 
-    /// The timed run: restores the inputs and schedules one execution on
-    /// the cache the validation run warmed.
+    /// The measurement: the validation run's when it was the timed run,
+    /// else one more execution on restored inputs, scheduled on the cache
+    /// the validation run warmed.
     ///
     /// # Errors
     ///
     /// Propagates [`ExecError`] from the interpreter.
     pub fn measure(mut self) -> Result<Measurement, ExecError> {
-        let mut refs: Vec<&mut [f32]> = self.bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-        timed_run(
-            &mut self.sim,
-            self.kernel,
-            &mut refs,
-            &self.evaluator.inputs,
-            &self.layout,
-        )
+        let Some((layout, mut bufs)) = self.warmed else {
+            return Ok(Measurement::of_run(&self.sim, self.kernel.flops));
+        };
+        let mut refs: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+        let inputs = &self.evaluator.inputs;
+        timed_run(&mut self.sim, self.kernel, &mut refs, inputs, &layout)
     }
 }
 

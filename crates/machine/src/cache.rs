@@ -58,6 +58,21 @@ impl L1Cache {
         }
     }
 
+    /// Makes lines `0..lines` resident, as touching them in order on the
+    /// empty cache would, but counting neither hits nor misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is not empty or cannot hold `lines`.
+    pub(crate) fn prefill(&mut self, lines: usize) {
+        assert!(self.lines.is_empty() && lines <= self.capacity_lines);
+        let slots = u32::try_from(lines).expect("slot fits u32");
+        self.lines.extend(0..lines);
+        self.stamps.extend(1..=lines as u64);
+        self.dense.extend(1..=slots);
+        self.stamp = lines as u64;
+    }
+
     /// Touches `bytes` at `addr`; returns `(missed_lines,
     /// crossed_line_boundary)`.
     pub fn access(&mut self, addr: usize, bytes: usize) -> (u32, bool) {
@@ -179,6 +194,27 @@ mod tests {
             }
         }
         assert_eq!(c.misses(), 64);
+    }
+
+    #[test]
+    fn prefill_equals_touching_the_lines_in_order() {
+        let mut touched = L1Cache::new(8 * 64, 64);
+        for line in 0..6 {
+            touched.access(line * 64, 4);
+        }
+        let mut filled = L1Cache::new(8 * 64, 64);
+        filled.prefill(6);
+        assert_eq!((filled.hits(), filled.misses()), (0, 0));
+        // Same residency and LRU order: two new lines fill the cache and
+        // a third evicts line 0 in both.
+        for c in [&mut touched, &mut filled] {
+            for line in [6, 7, 8, 0] {
+                c.access(line * 64, 4);
+            }
+        }
+        assert_eq!(filled.misses(), 4);
+        assert_eq!(touched.misses(), 6 + 4);
+        assert_eq!(filled.resident_lines(), 8);
     }
 
     #[test]

@@ -3,10 +3,19 @@
 //! Flops are deduced from the BLAC (carried on the kernel); cycles come
 //! from the scheduler. Kernels are measured warm, as in the paper ("the
 //! generated kernel is executed a few times before starting measuring"):
-//! one untimed run fills the simulated L1 through
-//! [`Simulator::warming`], which touches the cache in trace order and
-//! schedules nothing, and then one timed run is scheduled on the warm
-//! cache.
+//! one timed run is scheduled on a warm cache.
+//!
+//! How the cache gets warm depends on the memory layout. When every line
+//! the layout spans fits in the core's L1, [`Simulator::prefilled`]
+//! starts the simulator with those lines resident and the one run of the
+//! kernel is the timed run. This equals a warm-up followed by a timed
+//! run: no access reaches past the layout (`MemLayout::bytes`), so a run
+//! over it can never evict a line; after any warm-up, every access of the
+//! timed run hits in both protocols; and the scheduler's own state
+//! starts empty in both. When the layout does not fit, one untimed run
+//! fills the simulated L1 through [`Simulator::warming`], which touches
+//! the cache in trace order and schedules nothing, and [`timed_run`] then
+//! schedules the kernel again on restored inputs.
 //!
 //! One timed run is the whole sample. The trace depends only on the
 //! kernel, the memory layout and the ISA, never on the data: loop bounds
@@ -14,9 +23,10 @@
 //! instruction branches on a value. The simulator is exact, so every
 //! repetition would schedule the same trace from the same cache state;
 //! the median and both quartiles collapse onto the one timed run, which
-//! EXPERIMENTS.md records. The same argument lets the autotuner take its
-//! warm-up from the validation run (`lgen-core`'s evaluator): the numbers
-//! the validation data leaves behind cannot move a simulated statistic.
+//! EXPERIMENTS.md records. The same argument lets the autotuner's
+//! evaluator (in `lgen-core`) validate on the run it times, or on the
+//! warm-up when the layout does not fit: the numbers the validation data
+//! leaves behind cannot move a simulated statistic.
 
 use crate::sched::Simulator;
 use lgen_cir::{run_kernel, ExecError, Kernel, MemLayout};
@@ -48,7 +58,7 @@ pub struct Measurement {
 impl Measurement {
     /// The measurement of the run `sim` has just scheduled, for a kernel
     /// of `flops` useful flops.
-    pub(crate) fn of_run(sim: &Simulator, flops: u64) -> Self {
+    pub fn of_run(sim: &Simulator, flops: u64) -> Self {
         let cycles = sim.cycles();
         Measurement {
             cycles,
@@ -90,9 +100,10 @@ impl Measurement {
 /// module docs), so one timed run stands for all `reps`; the parameter
 /// states the protocol a call site follows.
 ///
-/// `args` are the kernel's parameter arrays (declaration order); the
-/// kernel runs twice, so they are snapshotted and restored between the
-/// warm-up and the timed run, and hold one run's results afterwards.
+/// `args` are the kernel's parameter arrays (declaration order). When the
+/// layout does not fit in L1 the kernel runs twice, so they are
+/// snapshotted and restored between the warm-up and the timed run; either
+/// way they hold one run's results afterwards.
 ///
 /// # Errors
 ///
@@ -105,6 +116,10 @@ pub fn measure_protocol(
     reps: usize,
 ) -> Result<Measurement, ExecError> {
     assert!(reps >= 1);
+    if let Some(mut sim) = Simulator::prefilled(arch, layout) {
+        run_kernel(kernel, args, layout, arch.vector_isa(), &mut sim)?;
+        return Ok(Measurement::of_run(&sim, kernel.flops));
+    }
     let snapshot: Vec<Vec<f32>> = args.iter().map(|a| a.to_vec()).collect();
     let mut sim = Simulator::new(arch);
     run_kernel(kernel, args, layout, arch.vector_isa(), &mut sim.warming())?;
