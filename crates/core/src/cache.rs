@@ -30,6 +30,7 @@
 //! return the same `Arc`.
 
 use crate::config::CompileConfig;
+use crate::hashed::{HashedTable, Lookup};
 use crate::memo::CompileMemo;
 use crate::persist::{stable_fingerprint, DiskCache};
 use crate::pipeline::compile_with;
@@ -38,9 +39,9 @@ use lgen_cir::{Kernel, VerifyFailure};
 use lgen_ll::{Blac, Program};
 use lgen_telemetry::metric_counter;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,6 +64,49 @@ pub struct ProgramCacheKey {
     /// Joint per-statement unroll genome, if the caller tunes one.
     pub policies: Option<Vec<UnrollPolicy>>,
 }
+
+impl ProgramCacheKey {
+    fn parts(&self) -> KeyParts<'_> {
+        KeyParts {
+            program: &self.program,
+            name: &self.name,
+            cfg: &self.cfg,
+            policies: self.policies.as_deref(),
+        }
+    }
+}
+
+/// A [`ProgramCacheKey`] as a lookup borrows it: every lookup hashes
+/// this form, so one with an owned key goes through
+/// [`ProgramCacheKey::parts`].
+#[derive(Clone, Copy, Hash)]
+struct KeyParts<'a> {
+    program: &'a Program,
+    name: &'a str,
+    cfg: &'a CompileConfig,
+    policies: Option<&'a [UnrollPolicy]>,
+}
+
+impl Lookup<ProgramCacheKey> for KeyParts<'_> {
+    fn is(&self, k: &ProgramCacheKey) -> bool {
+        k.name == self.name
+            && k.cfg == *self.cfg
+            && k.policies.as_deref() == self.policies
+            && k.program == *self.program
+    }
+
+    fn into_key(self) -> ProgramCacheKey {
+        ProgramCacheKey {
+            program: self.program.clone(),
+            name: self.name.to_string(),
+            cfg: self.cfg.clone(),
+            policies: self.policies.map(<[_]>::to_vec),
+        }
+    }
+}
+
+/// One shard of the in-memory map.
+type Shard = Mutex<HashedTable<ProgramCacheKey, Arc<Kernel>>>;
 
 /// Monotonic counters describing cache behaviour; cheap to read at any
 /// time (used by `lgenc --cache-stats` and the benchmarks, and the hook
@@ -174,7 +218,10 @@ impl CompileOutcome {
 
 /// A concurrent map from [`ProgramCacheKey`] to the compiled kernel.
 pub struct KernelCache {
-    shards: Vec<Mutex<HashMap<ProgramCacheKey, Arc<Kernel>>>>,
+    /// The keyed hash of every lookup, computed once to pick the shard
+    /// and the bucket.
+    state: RandomState,
+    shards: Vec<Shard>,
     /// Optional persistent tier consulted on memory misses and filled on
     /// fresh compiles (see [`KernelCache::with_disk`]).
     disk: Option<Arc<DiskCache>>,
@@ -216,7 +263,8 @@ impl KernelCache {
             lgen_telemetry::counter(name);
         }
         KernelCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            state: RandomState::new(),
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             disk: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -247,15 +295,18 @@ impl KernelCache {
         self.disk.as_ref()
     }
 
-    fn shard(&self, key: &ProgramCacheKey) -> &Mutex<HashMap<ProgramCacheKey, Arc<Kernel>>> {
-        let mut h = std::hash::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[h.finish() as usize & (SHARDS - 1)]
+    /// The hash of `key` and the shard it lives in. The shard takes bits
+    /// the shard's table does not index by (it uses the low bits for the
+    /// slot and the top ones for a tag).
+    fn shard(&self, key: KeyParts<'_>) -> (u64, &Shard) {
+        let hash = self.state.hash_one(key);
+        (hash, &self.shards[(hash >> 32) as usize & (SHARDS - 1)])
     }
 
     /// Looks up a kernel without compiling. Counts a hit or a miss.
     pub fn get(&self, key: &ProgramCacheKey) -> Option<Arc<Kernel>> {
-        let found = self.shard(key).lock().get(key).cloned();
+        let (hash, shard) = self.shard(key.parts());
+        let found = shard.lock().get(hash, &key.parts()).cloned();
         match &found {
             Some(_) => self.record_hit(),
             None => self.record_miss(),
@@ -296,10 +347,11 @@ impl KernelCache {
         name: &str,
         cfg: &CompileConfig,
     ) -> Result<Arc<Kernel>, VerifyFailure> {
-        self.lookup(ProgramCacheKey {
-            program: Program::from(blac),
-            name: name.to_string(),
-            cfg: cfg.clone(),
+        let program = Program::from(blac);
+        self.lookup(KeyParts {
+            program: &program,
+            name,
+            cfg,
             policies: None,
         })
         .map(|(k, _)| k)
@@ -351,11 +403,11 @@ impl KernelCache {
         cfg: &CompileConfig,
         policies: Option<&[UnrollPolicy]>,
     ) -> Result<(Arc<Kernel>, CompileOutcome), VerifyFailure> {
-        self.lookup(ProgramCacheKey {
-            program: program.clone(),
-            name: name.to_string(),
-            cfg: cfg.clone(),
-            policies: policies.map(|p| p.to_vec()),
+        self.lookup(KeyParts {
+            program,
+            name,
+            cfg,
+            policies,
         })
     }
 
@@ -365,29 +417,33 @@ impl KernelCache {
     /// optimized kernel may be shared with an equivalent candidate, and
     /// the returned `Arc` is then the *same allocation* across all of
     /// them, which the autotuner's evaluation dedup relies on).
-    fn lookup(&self, key: ProgramCacheKey) -> Result<(Arc<Kernel>, CompileOutcome), VerifyFailure> {
-        if let Some(k) = self.shard(&key).lock().get(&key) {
+    ///
+    /// The key is hashed once and cloned only to insert (and, with a
+    /// disk tier, to name the file).
+    fn lookup(&self, key: KeyParts<'_>) -> Result<(Arc<Kernel>, CompileOutcome), VerifyFailure> {
+        let (hash, shard) = self.shard(key);
+        if let Some(k) = shard.lock().get(hash, &key) {
             self.record_hit();
             return Ok((k.clone(), CompileOutcome::Memory));
         }
         self.record_miss();
         // Consult the persistent tier before paying for the pipeline; a
         // verified disk entry is promoted into the memory map.
-        let disk_id = self
-            .disk
-            .as_ref()
-            .map(|d| (d.clone(), stable_fingerprint(&key), format!("{key:?}")));
+        let disk_id = self.disk.as_ref().map(|d| {
+            let key = key.into_key();
+            (d.clone(), stable_fingerprint(&key), format!("{key:?}"))
+        });
         if let Some((disk, fp, desc)) = &disk_id {
             if let Some(kernel) = disk.load(*fp, desc) {
-                let k = self.promote(key, Arc::new(kernel));
+                let k = self.promote(hash, shard, key, Arc::new(kernel));
                 return Ok((k, CompileOutcome::Disk));
             }
         }
         let compiled = compile_with(
-            &key.program,
-            &key.name,
-            &key.cfg,
-            key.policies.as_deref(),
+            key.program,
+            key.name,
+            key.cfg,
+            key.policies,
             Some(&self.stages),
             None,
             Some(&self.memo),
@@ -402,27 +458,34 @@ impl KernelCache {
         if let Some((disk, fp, desc)) = &disk_id {
             disk.store(*fp, desc, &kernel);
         }
-        Ok((self.promote(key, kernel), CompileOutcome::Compiled))
+        Ok((
+            self.promote(hash, shard, key, kernel),
+            CompileOutcome::Compiled,
+        ))
     }
 
-    /// Installs a kernel for `key`, deferring to a racing insert (both
-    /// kernels are identical; everyone shares the incumbent `Arc`).
-    fn promote(&self, key: ProgramCacheKey, kernel: Arc<Kernel>) -> Arc<Kernel> {
-        let mut shard = self.shard(&key).lock();
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                // Another thread compiled the same point concurrently;
-                // everyone shares its (identical) kernel.
-                self.races.fetch_add(1, Ordering::Relaxed);
-                metric_counter!("lgen.cache.races").inc();
-                e.get().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.inserts.fetch_add(1, Ordering::Relaxed);
-                metric_counter!("lgen.cache.inserts").inc();
-                e.insert(kernel).clone()
-            }
+    /// Installs a kernel for `key` (hash `hash`, in `shard`), deferring to
+    /// a racing insert (both kernels are identical; everyone shares the
+    /// incumbent `Arc`).
+    fn promote(
+        &self,
+        hash: u64,
+        shard: &Shard,
+        key: KeyParts<'_>,
+        kernel: Arc<Kernel>,
+    ) -> Arc<Kernel> {
+        let mut shard = shard.lock();
+        let (k, inserted) = shard.get_or_insert(hash, key, || kernel);
+        if inserted {
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+            metric_counter!("lgen.cache.inserts").inc();
+        } else {
+            // Another thread compiled the same point concurrently;
+            // everyone shares its (identical) kernel.
+            self.races.fetch_add(1, Ordering::Relaxed);
+            metric_counter!("lgen.cache.races").inc();
         }
+        k.clone()
     }
 
     /// Inserts a pre-built kernel under an explicit key, replacing any
@@ -432,7 +495,8 @@ impl KernelCache {
     pub fn insert(&self, key: ProgramCacheKey, kernel: Arc<Kernel>) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         metric_counter!("lgen.cache.inserts").inc();
-        self.shard(&key).lock().insert(key, kernel);
+        let (hash, shard) = self.shard(key.parts());
+        shard.lock().insert(hash, key, kernel);
     }
 
     /// Counts a verification rejection decided outside the cache (the

@@ -27,6 +27,7 @@ pub mod config;
 pub mod evaluate;
 pub mod exec;
 pub mod fault;
+mod hashed;
 pub mod memo;
 pub mod persist;
 pub mod pipeline;
