@@ -1,7 +1,8 @@
 //! Stable-field-order JSON export of a [`MetricsSnapshot`];
 //! [`json_string`], the workspace's one JSON string escaper; and the one
 //! key scanner that reads such fixed-order JSON back ([`json_section`],
-//! [`json_objects`], [`json_u64`], [`json_str`]).
+//! [`json_objects`], [`json_u64`], and [`json_str`], which decodes what
+//! `json_string` escapes).
 //!
 //! Hand-rolled like [`crate::chrome`] (this crate has no dependencies):
 //! metric names come out in the registry's sorted order and every object
@@ -217,12 +218,50 @@ pub fn json_u64(s: &str, key: &str) -> Option<u64> {
     rest[..digits].parse().ok()
 }
 
-/// The string after the first `"key":"` in `s`, up to the next quote
-/// (escapes are not decoded).
-pub fn json_str<'a>(s: &'a str, key: &str) -> Option<&'a str> {
+/// The string value after the first `"key":"` in `s`, with its escapes
+/// decoded (`\" \\ \/ \b \f \n \r \t \uXXXX`, surrogate pairs included);
+/// `None` if the key is missing, or the string is unterminated or holds a
+/// bad escape.
+pub fn json_str(s: &str, key: &str) -> Option<String> {
     let pattern = format!("\"{key}\":\"");
-    let rest = &s[s.find(&pattern)? + pattern.len()..];
-    Some(&rest[..rest.find('"')?])
+    let mut chars = s[s.find(&pattern)? + pattern.len()..].chars();
+    let mut out = String::new();
+    loop {
+        let c = match chars.next()? {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                c @ ('"' | '\\' | '/') => c,
+                'b' => '\u{8}',
+                'f' => '\u{c}',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => unicode_escape(&mut chars)?,
+                _ => return None,
+            },
+            c => c,
+        };
+        out.push(c);
+    }
+}
+
+/// The character of a `\uXXXX` escape whose `\u` `chars` has just
+/// passed, reading the low half of a surrogate pair too.
+fn unicode_escape(chars: &mut std::str::Chars<'_>) -> Option<char> {
+    let hi = hex4(chars)?;
+    if !(0xd800..0xdc00).contains(&hi) {
+        return char::from_u32(hi);
+    }
+    if (chars.next()?, chars.next()?) != ('\\', 'u') {
+        return None;
+    }
+    let lo = hex4(chars).filter(|lo| (0xdc00..0xe000).contains(lo))?;
+    char::from_u32(0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00))
+}
+
+/// The value of the next four hex digits of `chars`.
+fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
+    (0..4).try_fold(0, |n, _| Some(n * 16 + chars.next()?.to_digit(16)?))
 }
 
 #[cfg(test)]
@@ -271,13 +310,36 @@ mod tests {
     }
 
     #[test]
+    fn json_str_decodes_every_escape_json_string_writes() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for value in ["t\"0", "a\\b", "\n\r\t", &controls, "π ✓ 😀", "", "\\\""] {
+            let doc = format!("{{\"tenant\":{},\"verb\":\"compile\"}}", json_string(value));
+            assert_eq!(json_str(&doc, "tenant").as_deref(), Some(value), "{doc}");
+            assert_eq!(json_str(&doc, "verb").as_deref(), Some("compile"));
+        }
+        // Escapes other writers use: `\/`, `\b`, `\f`, upper-case hex and
+        // a surrogate pair.
+        let doc = r#"{"s":"\/\b\f\u00E9\ud83d\ude00"}"#;
+        assert_eq!(json_str(doc, "s").as_deref(), Some("/\u{8}\u{c}é😀"));
+        for bad in [
+            r#"{"s":"\x"}"#,
+            r#"{"s":"\ud83d"}"#,
+            r#"{"s":"\u12"}"#,
+            r#"{"s":"open"#,
+        ] {
+            assert_eq!(json_str(bad, "s"), None, "{bad}");
+        }
+        assert_eq!(json_str(r#"{"s":"x"}"#, "t"), None);
+    }
+
+    #[test]
     fn json_section_balances_nested_braces_and_strings() {
         let s = r#"{"outer":{"inner":{"x":1},"s":"a}b{c","y":2},"tail":3}"#;
         let sec = json_section(s, "\"outer\":{").unwrap();
         assert!(sec.contains("\"y\":2"));
         assert!(!sec.contains("tail"));
         assert_eq!(json_u64(sec, "y"), Some(2));
-        assert_eq!(json_str(sec, "s"), Some("a}b{c"));
+        assert_eq!(json_str(sec, "s").as_deref(), Some("a}b{c"));
         let list = r#"{"records":[{"a":{"b":"}"}}, {"c":1}],"d":[{}]}"#;
         let objects = json_objects(list, "\"records\":[");
         assert_eq!(objects, [r#"{"a":{"b":"}"}}"#, r#"{"c":1}"#]);

@@ -291,15 +291,15 @@ fn render_flight_dump(body: &str) {
         println!(
             "{:>8}  {:<12} {:<8} {:<10} {:<8} {:<8} {:>10} {:>11}  {:<6} {}",
             json_u64(obj, "seq").unwrap_or(0),
-            json_str(obj, "tenant").unwrap_or(""),
-            json_str(obj, "verb").unwrap_or(""),
-            json_str(obj, "outcome").unwrap_or(""),
-            json_str(obj, "tier").unwrap_or(""),
-            json_str(obj, "role").unwrap_or(""),
+            json_str(obj, "tenant").unwrap_or_default(),
+            json_str(obj, "verb").unwrap_or_default(),
+            json_str(obj, "outcome").unwrap_or_default(),
+            json_str(obj, "tier").unwrap_or_default(),
+            json_str(obj, "role").unwrap_or_default(),
             json_u64(obj, "queue_wait_ns").unwrap_or(0) / 1_000,
             json_u64(obj, "service_ns").unwrap_or(0) / 1_000,
             json_u64(obj, "worker").unwrap_or(0),
-            json_str(obj, "fingerprint").unwrap_or(""),
+            json_str(obj, "fingerprint").unwrap_or_default(),
         );
     }
 }
