@@ -158,13 +158,22 @@ if ! grep -q "lgen.cache.hits" <<<"$metrics"; then
     echo "$metrics" >&2
     exit 1
 fi
-# The exhaustive tune compiles 18 unroll policies that collapse onto a
-# handful of distinct decision vectors — the cross-candidate memo must
-# report hits, and they must be visible in the metrics dump.
-memo_hits=$(awk '$1 == "cir.memo_hits" { print $2 }' <<<"$metrics")
-if [ -z "$memo_hits" ] || [ "$memo_hits" -eq 0 ]; then
-    echo "error: tuning sweep produced no cir.memo_hits (got: '${memo_hits:-missing}')" >&2
-    echo "$metrics" >&2
+# The exhaustive tune's 18 unroll policies collapse onto a handful of
+# distinct kernels, and the tuner runs one job per distinct kernel: a
+# cold sweep evaluates fewer kernels than it has candidates, and
+# compiles, optimizes (memo misses) and evaluates each of them once.
+stats=$(./target/release/lgenc "$blacfile" --tune --cache-stats 2>&1 >/dev/null)
+candidates=$(sed -nE 's/^lgenc: autotuned to .* over ([0-9]+) candidates\)$/\1/p' <<<"$stats")
+evaluations=$(sed -nE 's/^lgenc: cache: .* ([0-9]+) evaluations.*/\1/p' <<<"$stats")
+compiles=$(sed -nE 's/^lgenc: compiles: ([0-9]+)$/\1/p' <<<"$stats")
+misses=$(sed -nE 's/^lgenc: memo: [0-9]+ hits \/ ([0-9]+) misses$/\1/p' <<<"$stats")
+if [ -z "$candidates" ] || [ -z "$evaluations" ] || [ "$evaluations" -ge "$candidates" ] \
+    || [ "$evaluations" != "$misses" ] || [ "$compiles" != "$misses" ]; then
+    echo "error: expected one compile, memo miss and evaluation per distinct kernel," \
+        "fewer than the candidates (got: candidates=${candidates:-missing}" \
+        "evaluations=${evaluations:-missing} compiles=${compiles:-missing}" \
+        "memo misses=${misses:-missing})" >&2
+    echo "$stats" >&2
     exit 1
 fi
 

@@ -419,7 +419,14 @@ fn supervise<T: Send + 'static, F: JobFn<T>, S: StopFn>(
                 head_started = Instant::now();
                 match payload {
                     Some((caught, dur)) => {
-                        call.put(i, outcome_of(caught));
+                        // A job that panicked past its deadline (the tuner's
+                        // candidates stop themselves there) timed out, even
+                        // when its panic beat this clock.
+                        let outcome = match caught {
+                            Err(_) if dur >= deadline => JobOutcome::TimedOut,
+                            caught => outcome_of(caught),
+                        };
+                        call.put(i, outcome);
                         limit = if dur < FAST { MAX_AHEAD } else { 1 };
                     }
                     None => call.put(i, JobOutcome::TimedOut),
@@ -747,6 +754,30 @@ mod tests {
             start.elapsed() < Duration::from_millis(400),
             "the pool must not wait for the hung job"
         );
+    }
+
+    #[test]
+    fn a_job_that_panics_past_its_deadline_timed_out() {
+        // Every job stops itself at its (zero) deadline, which may beat
+        // the worker's clock: each is still reported timed out.
+        for threads in [1, 2] {
+            let out: Vec<JobOutcome<usize>> = run_outcomes(
+                (0..20).collect(),
+                threads,
+                Some(Duration::ZERO),
+                || false,
+                Arc::new(|i, deadline: Option<Instant>| {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        panic!("job {i} abandoned at its deadline");
+                    }
+                    Ok(i)
+                }),
+            );
+            assert!(
+                out.iter().all(|o| matches!(o, JobOutcome::TimedOut)),
+                "{threads} workers: {out:?}"
+            );
+        }
     }
 
     #[test]

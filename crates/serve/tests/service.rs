@@ -200,7 +200,9 @@ fn tune_returns_the_in_process_winner() {
     // The daemon's tune verb is the one tuner at its fixed settings
     // (exhaustive, 4 mixed genomes, top-4 pruning, Atom `full`): its reply
     // is the C of the winner an in-process tune picks, for a program and
-    // for a single BLAC.
+    // for a single BLAC. The winner is a candidate the tune compiled
+    // through the daemon's cache, so the reply's compile of its genome is
+    // a memory hit.
     const KALMAN: &str = "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
          x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
          P_next = matrix(4, 4)\n\
@@ -214,6 +216,8 @@ fn tune_returns_the_in_process_winner() {
             .request(&Request::new(Verb::Tune).with("name", name).with_body(src))
             .unwrap();
         assert!(resp.is_ok(), "{name}: {:?} {}", resp.error, resp.body);
+        let outcome = resp.headers.get("outcome").map(String::as_str);
+        assert_eq!(outcome, Some("memory"), "{name}");
         let tuned = Autotuner::new(cfg.clone())
             .with_strategy(SearchStrategy::Exhaustive)
             .with_cache(std::sync::Arc::new(KernelCache::new()))
