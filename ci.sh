@@ -97,12 +97,19 @@ fi
 echo "==> fault-injection suite under LGEN_VERIFY=paranoid"
 LGEN_VERIFY=paranoid cargo test -q --release --test fault_tolerance
 
+# y = A*x + y with A 9x23: the 18 unroll policies collapse onto 4 kernels,
+# the tuner's candidates.
+widthfile=$(mktemp --suffix=.blac)
+printf 'A = matrix(9, 23)\nx = vector(23)\ny = vector(9)\ny = A * x + y\n' > "$widthfile"
+
 echo "==> lgenc degrades gracefully under injected faults"
-summary=$(LGEN_FAULTS="panic@1,corrupt@3,hang@5:300ms" \
-    ./target/release/lgenc "$blacfile" --tune --tune-deadline 100ms \
+# Fault indices name candidates, so each of the three names one of the
+# 4 kernels.
+summary=$(LGEN_FAULTS="panic@1,corrupt@2,hang@3:300ms" \
+    ./target/release/lgenc "$widthfile" --tune --tune-deadline 100ms \
     --cache-stats 2>&1 >/dev/null)
-if ! grep -q "candidate(s) failed: .* verify-rejected, .* panicked, .* timed out" <<<"$summary"; then
-    echo "error: lgenc failure summary missing under LGEN_FAULTS" >&2
+if ! grep -q "candidate(s) failed: [1-9][0-9]* verify-rejected, [1-9][0-9]* panicked, [1-9][0-9]* timed out" <<<"$summary"; then
+    echo "error: lgenc failure summary missing or short of a failure mode under LGEN_FAULTS" >&2
     echo "$summary" >&2
     exit 1
 fi
@@ -113,9 +120,6 @@ if ! grep -q "autotuned to" <<<"$summary"; then
 fi
 
 echo "==> width parity: every tuning width compiles and evaluates each distinct kernel once"
-widthfile=$(mktemp --suffix=.blac)
-# y = A*x + y with A 9x23: the 18 unroll policies collapse onto 4 kernels.
-printf 'A = matrix(9, 23)\nx = vector(23)\ny = vector(9)\ny = A * x + y\n' > "$widthfile"
 width_rows=""
 for j in 1 2 4; do
     rows=$(./target/release/lgenc "$widthfile" --tune -j "$j" --cache-stats 2>&1 >/dev/null \
@@ -158,19 +162,19 @@ if ! grep -q "lgen.cache.hits" <<<"$metrics"; then
     echo "$metrics" >&2
     exit 1
 fi
-# The exhaustive tune's 18 unroll policies collapse onto a handful of
-# distinct kernels, and the tuner runs one job per distinct kernel: a
-# cold sweep evaluates fewer kernels than it has candidates, and
-# compiles, optimizes (memo misses) and evaluates each of them once.
+# The 18 unroll policies collapse onto a handful of distinct kernels,
+# which are the tuner's candidates: a cold sweep has fewer candidates than
+# policies, and compiles, optimizes (memo misses) and evaluates each of
+# them once.
 stats=$(./target/release/lgenc "$blacfile" --tune --cache-stats 2>&1 >/dev/null)
 candidates=$(sed -nE 's/^lgenc: autotuned to .* over ([0-9]+) candidates\)$/\1/p' <<<"$stats")
 evaluations=$(sed -nE 's/^lgenc: cache: .* ([0-9]+) evaluations.*/\1/p' <<<"$stats")
 compiles=$(sed -nE 's/^lgenc: compiles: ([0-9]+)$/\1/p' <<<"$stats")
 misses=$(sed -nE 's/^lgenc: memo: [0-9]+ hits \/ ([0-9]+) misses$/\1/p' <<<"$stats")
-if [ -z "$candidates" ] || [ -z "$evaluations" ] || [ "$evaluations" -ge "$candidates" ] \
+if [ -z "$candidates" ] || [ "$candidates" -ge 18 ] || [ "$evaluations" != "$candidates" ] \
     || [ "$evaluations" != "$misses" ] || [ "$compiles" != "$misses" ]; then
-    echo "error: expected one compile, memo miss and evaluation per distinct kernel," \
-        "fewer than the candidates (got: candidates=${candidates:-missing}" \
+    echo "error: expected one candidate, compile, memo miss and evaluation per" \
+        "distinct kernel, fewer than the 18 policies (got: candidates=${candidates:-missing}" \
         "evaluations=${evaluations:-missing} compiles=${compiles:-missing}" \
         "memo misses=${misses:-missing})" >&2
     echo "$stats" >&2
@@ -224,8 +228,8 @@ y = vector(4)
 y = alpha * (A * x) + y
 EOF
 full_out=$(./target/release/lgenc "$prunefile" --tune --prune=off 2>&1 >/dev/null)
-# topk:4 of the 18-candidate space simulates ~22% of the candidates.
-pruned_out=$(./target/release/lgenc "$prunefile" --tune --prune=topk:4 \
+# The 18 policies make 4 kernels here: topk:3 simulates 3 of them.
+pruned_out=$(./target/release/lgenc "$prunefile" --tune --prune=topk:3 \
     --metrics 2>&1 >/dev/null)
 cycles_of() { sed -n 's/.*autotuned to .*(\([0-9][0-9]*\) cycles.*/\1/p' <<<"$1"; }
 full_cycles=$(cycles_of "$full_out")
@@ -246,7 +250,7 @@ if [ -z "$rank_milli" ] || [ "$rank_milli" -lt 700 ]; then
     exit 1
 fi
 if [ -z "$candidates_pruned" ] || [ "$candidates_pruned" -eq 0 ]; then
-    echo "error: topk:4 tune pruned no candidates" >&2
+    echo "error: topk:3 tune pruned no candidates" >&2
     echo "$pruned_out" >&2
     exit 1
 fi

@@ -102,9 +102,10 @@ fn bench_sweep_32(c: &mut Criterion) {
     let cfg = CompileConfig::full(Microarch::Atom);
     let cache = Arc::new(KernelCache::new());
     let sweep = |cache: &Arc<KernelCache>| {
-        // Random(32) over the 90-point unroll x pass-schedule space: a
-        // 32-candidate sweep, every compile flowing through the subtree
-        // memo once the cache is warm.
+        // Random(32) over the 90-point unroll x pass-schedule space, whose
+        // distinct kernels are fewer than 32: a sweep of every kernel,
+        // every compile flowing through the subtree memo once the cache
+        // is warm.
         Autotuner::new(cfg.clone())
             .with_strategy(SearchStrategy::Random(32))
             .with_pipeline_search()
@@ -113,21 +114,19 @@ fn bench_sweep_32(c: &mut Criterion) {
             .tune(&blac, "k")
     };
 
-    // Warm every decision vector (the random strategy reshuffles, so one
-    // full-space pass warms all 90), then budget the steady state.
+    // Warm every kernel, then budget the steady state.
     let full = Autotuner::new(cfg.clone())
         .with_strategy(SearchStrategy::Exhaustive)
         .with_pipeline_search()
         .with_threads(1)
         .with_cache(Arc::clone(&cache))
         .tune(&blac, "k");
-    assert!(
-        full.samples.len() >= 32,
-        "search space smaller than a sweep"
-    );
 
     let (tuned, sweep_allocs) = allocs_during(|| sweep(&cache));
-    assert_eq!(tuned.samples.len(), 32, "expected a 32-candidate sweep");
+    assert_eq!(
+        tuned.samples, full.samples,
+        "expected a sweep of every kernel"
+    );
     // Warm sweeps still allocate per candidate (measurement buffers,
     // sample bookkeeping) but must not re-lower or re-optimize: the
     // budget of ~200 allocations/candidate holds only when compiles are
@@ -135,7 +134,8 @@ fn bench_sweep_32(c: &mut Criterion) {
     let budget = 200 * tuned.samples.len() as u64;
     assert!(
         sweep_allocs <= budget,
-        "warm 32-candidate sweep made {sweep_allocs} allocations (budget {budget})"
+        "warm {}-kernel sweep made {sweep_allocs} allocations (budget {budget})",
+        tuned.samples.len()
     );
 
     let mut g = c.benchmark_group("compile-hot");

@@ -414,9 +414,9 @@ impl KernelCache {
     /// The one lookup: memory, then the persistent tier, then a compile
     /// through the cross-candidate memo (for [`CompileMemo::eligible`]
     /// configs — the exact key missed, but the lowering and often the
-    /// optimized kernel may be shared with an equivalent candidate, and
+    /// optimized kernel may be shared with an equivalent request, and
     /// the returned `Arc` is then the *same allocation* across all of
-    /// them, which the autotuner's evaluation dedup relies on).
+    /// them).
     ///
     /// The key is hashed once and cloned only to insert (and, with a
     /// disk tier, to name the file).

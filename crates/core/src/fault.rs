@@ -5,12 +5,12 @@
 //! degrade the search, not abort it. This module provides the test
 //! harness that *proves* that: a [`FaultPlan`] deterministically makes
 //! chosen candidates panic, hang, or produce corrupt C-IR, keyed by the
-//! candidate's index in the search space — the same index the worker pool
-//! uses, so injection is identical for every thread count.
+//! candidate's index in the tuner's list of distinct kernels — the same
+//! index the worker pool uses, so injection is identical for any width.
 //!
 //! Like static verification (`LGEN_VERIFY`), injection is env-gated:
-//! `LGEN_FAULTS="panic@1,corrupt@3,hang@5:250ms"` makes candidate 1
-//! panic, candidate 3 compile to out-of-bounds C-IR, and candidate 5
+//! `LGEN_FAULTS="panic@1,corrupt@2,hang@3:250ms"` makes candidate 1
+//! panic, candidate 2 compile to out-of-bounds C-IR, and candidate 3
 //! stall for 250 ms before evaluating. CI drives `lgenc --tune` under
 //! such a plan and greps the failure summary, keeping the degradation
 //! path wired end to end.

@@ -6,8 +6,8 @@
 //!    tranche) the pruned code path is byte-identical to `off` for
 //!    random BLACs, across thread counts.
 //! 2. A fixture: on the paper's four BLACs × the four evaluated
-//!    microarchitectures, pruning to `topk:4` of 18 candidates (~22%)
-//!    reproduces the exhaustive search's winner quality exactly.
+//!    microarchitectures, pruning to `topk:3` of the 4 to 6 distinct
+//!    kernels reproduces the exhaustive search's winner quality exactly.
 //! 3. The audit itself: over the *fully* measured space, the model's
 //!    predicted ranking agrees with the simulator's (Spearman ≥ 0.7),
 //!    and its dynamic-energy prediction lands within a constant factor
@@ -38,12 +38,9 @@ fn tuner(arch: Microarch, prune: PrunePolicy) -> Autotuner {
 
 #[test]
 fn pruned_tuning_reproduces_the_exhaustive_winner_on_the_paper_suite() {
-    let k = 4;
-    let space = Autotuner::search_space().len();
-    assert!(
-        k * 4 <= space,
-        "topk:{k} must prune at least 75% of {space}"
-    );
+    // Every input has 4 to 6 distinct kernels, so `topk:3` leaves some
+    // of them unmeasured on every one.
+    let k = 3;
     for arch in Microarch::EVALUATED {
         for (name, blac) in paper_suite() {
             let full = tuner(arch, PrunePolicy::Off).tune(&blac, name);

@@ -1,10 +1,9 @@
 //! Tuning width parity: a tune on 1, 2 or 4 workers picks byte-identical
-//! winners from identical samples, and does the same work. The tuner
-//! groups the candidates that make one kernel before dispatch and runs
-//! one job per group, so a cold exhaustive tune compiles through the
-//! cache (`compiles`), runs the pass pipeline (`memo_misses`) and
-//! validates and measures (`evaluations`) each distinct kernel exactly
-//! once, at any width.
+//! winners from identical samples, and does the same work. The tuner's
+//! candidates are the distinct kernels, so a cold exhaustive tune compiles
+//! through the cache (`compiles`), runs the pass pipeline (`memo_misses`)
+//! and validates and measures (`evaluations`) each of them exactly once,
+//! at any width.
 
 #[allow(dead_code)]
 mod common;
