@@ -211,9 +211,8 @@ fn autotuner_rejects_corrupt_cached_candidate() {
         .with_strategy(SearchStrategy::Exhaustive)
         .with_cache(cache.clone())
         .tune(&blac, "k");
-    let space = Autotuner::search_space().len();
     assert_eq!(tuned.rejected, 1, "exactly the poisoned candidate");
-    assert_eq!(tuned.samples.len(), space - 1);
+    assert_eq!(tuned.samples.len(), 1, "2 kernels, less the poisoned one");
     assert_ne!(
         tuned.unroll,
         UnrollPolicy::None,
