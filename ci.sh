@@ -215,7 +215,7 @@ assert out["tune_wall_us"]["count"], "no tune wall-time histogram in dump"
 print(json.dumps(out, indent=2))
 EOF
 
-echo "==> pruned vs full tuning: winner parity and model audit"
+echo "==> pruned vs full tuning: winner parity and model correlation floor"
 # A larger GEMV, so candidates measure *distinct* cycle counts and the
 # predicted-vs-measured rank correlation is well-defined.
 prunefile=$(mktemp --suffix=.blac)
@@ -245,7 +245,7 @@ rank_milli=$(awk '$1 == "lgen.tune.rank_correlation_milli" { print $2 }' <<<"$pr
 candidates_pruned=$(awk '$1 == "lgen.tune.candidates_pruned" { print $2 }' <<<"$pruned_out")
 if [ -z "$rank_milli" ] || [ "$rank_milli" -lt 700 ]; then
     echo "error: predicted-vs-measured rank correlation" \
-        "${rank_milli:-missing} (milli) below the 0.7 audit floor" >&2
+        "${rank_milli:-missing} (milli) below the 0.7 correlation floor" >&2
     echo "$pruned_out" >&2
     exit 1
 fi
@@ -254,8 +254,18 @@ if [ -z "$candidates_pruned" ] || [ "$candidates_pruned" -eq 0 ]; then
     echo "$pruned_out" >&2
     exit 1
 fi
+# topk:inf keeps every kernel, so it cuts nothing: the unpruned search.
+inf_out=$(./target/release/lgenc "$prunefile" --tune --prune=topk:inf 2>&1 >/dev/null)
+winner_of() { grep 'autotuned to' <<<"$1"; }
+if [ "$(winner_of "$inf_out")" != "$(winner_of "$full_out")" ] \
+    || ! grep -q '0 candidate(s) skipped' <<<"$inf_out"; then
+    echo "error: --prune=topk:inf is not the unpruned search" >&2
+    echo "$inf_out" >&2
+    exit 1
+fi
 echo "    winner parity at ${pruned_cycles} cycles," \
-    "${candidates_pruned} candidate(s) pruned, rank correlation ${rank_milli}m"
+    "${candidates_pruned} candidate(s) pruned, rank correlation ${rank_milli}m;" \
+    "topk:inf = off"
 python3 - "$rank_milli" "$candidates_pruned" <<EOF > BENCH_compile.json.tmp
 import json, sys
 metrics = {}

@@ -15,14 +15,14 @@
 //!   would execute (C-IR ops → machine ops via the lowering tables, loop
 //!   bodies weighted by their trip product, loop/dispatch bookkeeping
 //!   charged exactly as the interpreter emits it);
-//! * [`StaticCost`] — cycle *bounds* (port-throughput and
+//! * [`StaticCost`] — cycle estimates (port throughput and
 //!   dependence-chain latency) and a first-order energy estimate,
 //!   computed from the mix. This is the first first-class consumer of the
 //!   `energy.rs` tables outside the simulator.
 //!
 //! The prediction is a ranking signal, not a simulator replacement: the
 //! autotuner uses it to order candidates before measuring the best few,
-//! and *audits* it by rank correlation against the measurements it does
+//! and reports its rank correlation against the measurements it does
 //! take (see `lgen-core`'s pruning support). Accuracy therefore matters
 //! monotonically — a model that ranks well prunes well — and the model
 //! stays deliberately simple: warm caches, perfectly predicted branches,
@@ -114,10 +114,13 @@ impl MixHistogram {
 
 /// The static cost prediction for one kernel on one core.
 ///
-/// Both cycle fields are *lower bounds* under an idealized machine (warm
-/// cache, perfect branch prediction, unbounded scheduling window); the
-/// achievable cycle count is at least their maximum
-/// ([`predicted_cycles`](Self::predicted_cycles)).
+/// Both cycle fields are estimates under an idealized machine (warm
+/// cache, perfect branch prediction, unbounded scheduling window), not
+/// lower bounds: the simulator can beat either. mvm 4×32 on Cortex-A8
+/// (`base` variant, no unrolling) has a latency field of 197 against 155
+/// simulated cycles, so neither field nor their maximum
+/// ([`predicted_cycles`](Self::predicted_cycles)) may prune a candidate
+/// as provably slower.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StaticCost {
     /// Cycles forced by issue-port contention: for every subset of the

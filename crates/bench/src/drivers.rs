@@ -2,25 +2,20 @@
 
 use crate::series::{Figure, Series};
 use lgen_baselines::{compile_baseline, Competitor};
-use lgen_core::{compile, measure_blac, Autotuner, CompileConfig, SearchStrategy, Variant};
+use lgen_core::{compile, measure_blac, Autotuner, CompileConfig, Variant};
 use lgen_isa::Microarch;
 use lgen_ll::Blac;
 
 /// Repetitions for the median (the simulator is deterministic, so 3 ≡ 15).
 pub(crate) const REPS: usize = 3;
 
-/// Autotuner sample size used by the sweep drivers (the paper uses 10; the
-/// space here has 9 points, so 6 random samples cover it well at a fraction
-/// of the time).
-pub(crate) const TUNE_SAMPLES: usize = 6;
-
-/// Measures an LGen variant on a BLAC: autotunes (random search, §5.1.5)
-/// and returns flops/cycle of the best kernel.
+/// Measures an LGen variant on a BLAC: autotunes (the paper's random
+/// search with sample size 10, §5.1.5, which takes every kernel of an
+/// input with at most 10 distinct kernels) and returns flops/cycle of the
+/// best kernel.
 pub fn measure_lgen(blac: &Blac, arch: Microarch, variant: Variant) -> f64 {
     let cfg = CompileConfig::variant(arch, variant);
-    let tuned = Autotuner::new(cfg)
-        .with_strategy(SearchStrategy::Random(TUNE_SAMPLES))
-        .tune(blac, "lgen");
+    let tuned = Autotuner::new(cfg).tune(blac, "lgen");
     tuned.measurement.flops_per_cycle()
 }
 

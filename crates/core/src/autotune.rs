@@ -33,7 +33,7 @@
 //! strategy names the next batch of candidate indices from the outcomes
 //! so far, and the search ends when it names none or the [`TuneBudget`]
 //! total is spent. Exhaustive and random search are one round;
-//! model-guided pruning is ranked tranches; guided search is seed probes,
+//! model-guided pruning is one ranked round; guided search is seed probes,
 //! then neighbour rounds, one hill climb per schedule. Each round
 //! (compile → validate → measure, through one [`Evaluator`] per tune) fans
 //! out over the persistent worker pool ([`crate::pool`]) as one job per
@@ -57,9 +57,9 @@
 //! **Model-guided pruning.** With a [`PrunePolicy`] other than `Off`, the
 //! tuner ranks every candidate with the static cost predictor
 //! (`lgen-analysis`; no execution) and simulates only the best few (§6's
-//! "heuristics to prune the search space"). The Spearman correlation
-//! between predicted and measured scores audits the model; below the
-//! audit threshold the search widens toward full measurement.
+//! "heuristics to prune the search space"): one ranked cut, made once.
+//! The Spearman correlation between the survivors' predicted and measured
+//! scores is reported afterwards; it never steers the search.
 
 use crate::cache::{CompileOutcome, KernelCache};
 use crate::config::CompileConfig;
@@ -207,7 +207,7 @@ pub struct TuneBudget {
 /// How many candidates survive static ranking into full simulation.
 ///
 /// Parsed from the `--prune=` CLI syntax: `off`, `topk:N` (`topk:inf`
-/// keeps everything, useful for parity testing), or `frac:F` with
+/// keeps everything, so it is the unpruned search), or `frac:F` with
 /// `0 < F <= 1`. At least one candidate always survives. Candidates are
 /// a tune's distinct kernels, not its decisions, so `N` and `F` count
 /// kernels: `topk:4` prunes nothing on an input with at most 4 kernels,
@@ -417,10 +417,11 @@ pub struct TunedKernel {
     /// worth simulating). Zero unless a [`PrunePolicy`] was set.
     pub pruned: usize,
     /// Spearman rank correlation between the static model's scores and
-    /// the measured objective over the candidates that *were* measured.
-    /// `None` for an unpruned search, when fewer than two candidates were
-    /// measured, or when either ranking is constant — the model-audit
-    /// signal behind graceful widening.
+    /// the measured objective over the candidates that *were* measured: a
+    /// report on the model's quality, computed after the search. `None`
+    /// when nothing was cut (an unpruned search, or a policy that keeps
+    /// every candidate), when fewer than two candidates were measured, or
+    /// when either ranking is constant.
     pub rank_correlation: Option<f64>,
 }
 
@@ -463,7 +464,8 @@ pub struct TunedProgram {
     pub failures: Vec<CandidateFailure>,
     /// Candidates the static cost model pruned from the measured set.
     pub pruned: usize,
-    /// The pruning audit's rank correlation (`None` when unpruned).
+    /// The pruned search's rank correlation (`None` when nothing was
+    /// cut).
     pub rank_correlation: Option<f64>,
 }
 
@@ -526,9 +528,6 @@ pub struct Autotuner {
     budget: TuneBudget,
     faults: FaultPlan,
     prune: PrunePolicy,
-    /// Minimum predicted-vs-measured Spearman correlation before the
-    /// pruned search widens toward full measurement.
-    audit_threshold: f64,
 }
 
 impl Autotuner {
@@ -550,27 +549,17 @@ impl Autotuner {
             budget: TuneBudget::default(),
             faults: FaultPlan::from_env(),
             prune: PrunePolicy::Off,
-            audit_threshold: 0.5,
         }
     }
 
     /// Sets the model-guided pruning policy: rank all candidates with the
-    /// static cost predictor, simulate only the best
-    /// [`survivors`](PrunePolicy::survivors), and widen toward full
-    /// measurement whenever the predicted-vs-measured rank correlation
-    /// drops below the audit threshold. `Guided` search ignores pruning.
+    /// static cost predictor and simulate only the best
+    /// [`survivors`](PrunePolicy::survivors). A policy that keeps every
+    /// candidate scores nothing and is the unpruned search. `Guided`
+    /// search ignores pruning.
     #[must_use]
     pub fn with_prune(mut self, prune: PrunePolicy) -> Self {
         self.prune = prune;
-        self
-    }
-
-    /// Sets the Spearman-correlation floor below which a pruned search
-    /// stops trusting the static model and widens (default `0.5`).
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_audit_threshold(mut self, threshold: f64) -> Self {
-        self.audit_threshold = threshold;
         self
     }
 
@@ -1134,7 +1123,7 @@ impl Autotuner {
         }
         let (candidates, kernel_of) = self.candidates(&subject, unrolls);
         let candidates = Arc::new(candidates);
-        let mut rounds = Rounds::new(self, &subject, &candidates, &kernel_of);
+        let (mut rounds, scores) = Rounds::new(self, &subject, &candidates, &kernel_of);
         let mut slots: Vec<Option<JobOutcome<Eval>>> = candidates.iter().map(|_| None).collect();
         let mut visited = Vec::new();
         let mut round = rounds.next(self, &slots, &[]);
@@ -1152,19 +1141,26 @@ impl Autotuner {
         if !matches!(rounds, Rounds::Guided { .. }) {
             visited.sort_unstable();
         }
-        let (pruned, rho) = match rounds {
-            Rounds::Pruned { rho, .. } => (candidates.len() - visited.len(), rho),
-            _ => (0, None),
-        };
-        if let Rounds::Pruned { .. } = rounds {
+        let (mut pruned, mut rho) = (0, None);
+        if let Some(scores) = scores {
+            pruned = candidates.len() - visited.len();
             match &self.cache {
                 Some(cache) => cache.record_tune_pruned(pruned as u64),
                 None => lgen_telemetry::metric_counter!("lgen.tune.candidates_pruned")
                     .add(pruned as u64),
             }
+            // The model's report: how well it ranked what was measured.
+            let (predicted, measured): (Vec<u128>, Vec<u128>) = visited
+                .iter()
+                .filter_map(|&i| match &slots[i] {
+                    Some(JobOutcome::Ok((_, m))) => Some((scores[i], self.objective.score(m))),
+                    _ => None,
+                })
+                .unzip();
+            rho = spearman(&predicted, &measured);
         }
         if let Some(rho) = rho {
-            // Gauges are integral; store the audit in milli-units (ρ·1000).
+            // Gauges are integral; store ρ in milli-units (ρ·1000).
             lgen_telemetry::gauge("lgen.tune.rank_correlation_milli").set((rho * 1000.0) as i64);
         }
         let result = self.reduce(&candidates, slots, &visited, pruned, rho);
@@ -1252,31 +1248,22 @@ enum Rounds {
     /// Every candidate in one round (`Exhaustive`, `Random`).
     All,
     /// Model-guided pruning (§6: "heuristics to prune the search space"):
-    /// the statically best [`PrunePolicy::survivors`], then doubling
-    /// tranches down the ranking while the audit is unhealthy — the
-    /// Spearman correlation of predicted against measured scores is below
-    /// the threshold.
+    /// one round of the statically best [`PrunePolicy::survivors`], made
+    /// only when they are fewer than the candidates. The search goes down
+    /// the ranking only while nothing has been measured (every survivor
+    /// failed), in tranches of `survivors`, then twice the previous one.
     ///
-    /// The widening catches a model that ranks the measured tranche badly,
-    /// not one that leaves the winner out of it: a tranche the model
-    /// orders well, or whose measurements all tie (undefined ρ, counted as
-    /// healthy), stops the search, and the exhaustive winner can be lost
-    /// whenever there are more kernels than survivors (ROADMAP item 2
-    /// replaces the audit with bound-based pruning that keeps it).
-    /// `topk:4` kept it in all 120 `paper_families()` tunes (at most 6
-    /// kernels each) and in all 317 pruned tunes of the seed-1 benchmark
-    /// `tune` pool; ranking the 18 policies instead of their kernels, it
-    /// lost 8 and 13. `topk:inf` puts everything in the first round,
-    /// making the result byte-identical to the unpruned search.
+    /// The cut is a heuristic: the exhaustive winner is lost whenever the
+    /// model ranks it outside the survivors (ROADMAP item 2 replaces the
+    /// cut with bound-based pruning that keeps it). `topk:4` kept it in
+    /// all 120 `paper_families()` tunes (at most 6 kernels each) and in
+    /// all 317 pruned tunes of the seed-1 benchmark `tune` pool; ranking
+    /// the 18 policies instead of their kernels, it lost 8 and 13.
     Pruned {
-        /// Each candidate's static score.
-        scores: Vec<u128>,
         /// Candidate indices, statically best first (index breaks ties).
         ranked: Vec<usize>,
         /// How many of `ranked` have been evaluated.
         taken: usize,
-        /// The audit over everything measured so far.
-        rho: Option<f64>,
     },
     /// Greedy hill climbing, one climb per schedule in turn over that
     /// schedule's distinct kernels in decision order: probe the kernels of
@@ -1295,14 +1282,15 @@ enum Rounds {
 }
 
 impl Rounds {
-    /// The configured strategy, before its first round. `kernel_of` maps
-    /// each decision of the unsampled space to its candidate.
+    /// The configured strategy, before its first round, with each
+    /// candidate's static score when it prunes. `kernel_of` maps each
+    /// decision of the unsampled space to its candidate.
     fn new(
         tuner: &Autotuner,
         subject: &Subject,
         candidates: &[Candidate],
         kernel_of: &[usize],
-    ) -> Rounds {
+    ) -> (Rounds, Option<Vec<u128>>) {
         if tuner.strategy == SearchStrategy::Guided {
             let schedules = tuner.pipelines.len().max(1);
             let width = kernel_of.len() / schedules;
@@ -1332,24 +1320,22 @@ impl Rounds {
                 .rev()
                 .map(|s| (kernels(&every, s), kernels(&seeds, s)))
                 .collect();
-            return Rounds::Guided {
+            let guided = Rounds::Guided {
                 climbs,
                 axis: Vec::new(),
                 best: None,
             };
+            return (guided, None);
         }
-        if tuner.prune.is_off() {
-            return Rounds::All;
+        let n = candidates.len();
+        if tuner.prune.survivors(n) >= n {
+            // Nothing to cut: the unpruned search, which scores nothing.
+            return (Rounds::All, None);
         }
         let scores = tuner.static_scores(subject, candidates);
-        let mut ranked: Vec<usize> = (0..candidates.len()).collect();
+        let mut ranked: Vec<usize> = (0..n).collect();
         ranked.sort_by_key(|&i| (scores[i], i));
-        Rounds::Pruned {
-            scores,
-            ranked,
-            taken: 0,
-            rho: None,
-        }
+        (Rounds::Pruned { ranked, taken: 0 }, Some(scores))
     }
 
     /// The round after `last`, given every outcome so far (`None` = not
@@ -1367,26 +1353,12 @@ impl Rounds {
         let unevaluated = |i: &usize| slots[*i].is_none();
         match self {
             Rounds::All => (0..slots.len()).filter(unevaluated).collect(),
-            Rounds::Pruned {
-                scores,
-                ranked,
-                taken,
-                rho,
-            } => {
+            Rounds::Pruned { ranked, taken } => {
                 let n = ranked.len();
-                if *taken > 0 {
-                    let (predicted, measured): (Vec<u128>, Vec<u128>) =
-                        (0..n).filter_map(|i| Some((scores[i], score(i)?))).unzip();
-                    *rho = spearman(&predicted, &measured);
-                    // A degenerate audit (one survivor, constant ranks)
-                    // cannot contradict the model, so it counts as healthy;
-                    // an empty measured set (every survivor failed) cannot
-                    // pick a winner, so it widens.
-                    let healthy =
-                        !measured.is_empty() && rho.is_none_or(|r| r >= tuner.audit_threshold);
-                    if *taken == n || healthy {
-                        return Vec::new();
-                    }
+                // A measured candidate ends the search: it can pick a
+                // winner. (Every earlier round measured nothing.)
+                if *taken == n || last.iter().any(|&i| score(i).is_some()) {
+                    return Vec::new();
                 }
                 // Tranches of `survivors`, then twice the previous one.
                 let end = (2 * *taken + tuner.prune.survivors(n)).min(n);
@@ -1864,8 +1836,8 @@ mod tests {
 
     #[test]
     fn topk_inf_is_byte_identical_to_off() {
-        // Everything survives the first tranche, so the pruned path must
-        // reproduce the unpruned search exactly — winner, samples, counts.
+        // Everything survives, so nothing is cut and the search is the
+        // unpruned one exactly — winner, samples, counts, correlation.
         let blac = paper::gemv(4, 48);
         let cfg = CompileConfig::full(Microarch::Atom);
         let base = Autotuner::new(cfg)
@@ -1881,7 +1853,7 @@ mod tests {
         assert_eq!(off.measurement, inf.measurement);
         assert_eq!(off.kernel, inf.kernel);
         assert_eq!(inf.pruned, 0);
-        assert!(inf.rank_correlation.is_some());
+        assert_eq!(inf.rank_correlation, off.rank_correlation);
 
         // The same parity for a program's genomes.
         let program = kalman_predict();
@@ -1895,8 +1867,7 @@ mod tests {
         assert_eq!(off.measurement, inf.measurement);
         assert_eq!(off.kernel, inf.kernel);
         assert_eq!(inf.pruned, 0);
-        assert!(off.rank_correlation.is_none(), "no audit without pruning");
-        assert!(inf.rank_correlation.is_some());
+        assert_eq!(inf.rank_correlation, off.rank_correlation);
     }
 
     #[test]
@@ -1911,10 +1882,7 @@ mod tests {
             let pruned = base.with_prune(PrunePolicy::TopK(2)).tune(blac, "k");
             assert_eq!(pruned.unroll, full.unroll);
             assert_eq!(pruned.measurement, full.measurement);
-            assert!(
-                pruned.pruned > 0,
-                "a healthy model should have skipped candidates"
-            );
+            assert!(pruned.pruned > 0, "topk:2 should have skipped candidates");
             assert!(pruned.samples.len() < full.samples.len());
         }
     }
@@ -2022,35 +1990,32 @@ mod tests {
     }
 
     #[test]
-    fn hostile_audit_threshold_widens_to_full_measurement() {
-        // An unattainable audit threshold (> 1) keeps the search widening
-        // until every candidate is measured — the graceful-degradation
-        // path: a distrusted model costs throughput, and full measurement
-        // finds the exhaustive winner. (A trusted model can still lose it;
-        // see `Rounds::Pruned` and ROADMAP item 2.) The default threshold
-        // trusts the first tranche of two, whose ρ is defined, and skips
-        // the rest: a BLAC's third kernel, and three of Kalman's five.
+    fn pruned_search_goes_down_the_ranking_when_every_survivor_fails() {
+        // mvm 4x32 on Atom makes 3 kernels. `topk:1` measures the
+        // statically best; when it panics, nothing is measured, so the
+        // next tranche (2) takes the other two and the best of them wins.
+        let blac = paper::mvm(4, 32);
         let base = Autotuner::new(CompileConfig::full(Microarch::Atom))
             .with_strategy(SearchStrategy::Exhaustive);
-        let pruned = base.clone().with_prune(PrunePolicy::TopK(2));
-        let blac = paper::gemv(4, 48);
         let full = base.clone().tune(&blac, "k");
-        assert!(pruned.clone().tune(&blac, "k").pruned > 0);
-        let widened = pruned.clone().with_audit_threshold(2.0).tune(&blac, "k");
-        assert_eq!(widened.pruned, 0);
-        assert_eq!(widened.samples, full.samples);
-        assert_eq!(widened.unroll, full.unroll);
-
-        let program = kalman_predict();
-        let full = base.try_tune_program(&program, "kp").unwrap();
-        let trusted = pruned.clone().try_tune_program(&program, "kp").unwrap();
-        assert!(trusted.pruned > 0);
-        let widened = pruned
-            .with_audit_threshold(2.0)
-            .try_tune_program(&program, "kp")
+        assert_eq!(full.samples.len(), 3);
+        let pruned = base.with_prune(PrunePolicy::TopK(1));
+        let subject = Subject::new(Program::from(&blac), "k", Some(CompileMemo::new()));
+        let (candidates, _) = pruned.candidates(&subject, policies());
+        let scores = pruned.static_scores(&subject, &candidates);
+        let best = (0..scores.len()).min_by_key(|&i| (scores[i], i)).unwrap();
+        let tuned = pruned
+            .with_faults(FaultPlan::none().panic_at(best))
+            .tune(&blac, "k");
+        assert_eq!(tuned.panicked(), 1);
+        assert_eq!(tuned.failures.len(), 1);
+        assert_eq!(tuned.pruned, 0);
+        assert_eq!(tuned.samples.len(), 2);
+        let (unroll, cycles) = (0..full.samples.len())
+            .filter(|&i| i != best)
+            .map(|i| full.samples[i])
+            .min_by_key(|&(_, cycles)| cycles)
             .unwrap();
-        assert_eq!(widened.pruned, 0);
-        assert_eq!(widened.samples, full.samples);
-        assert_eq!(widened.policies, full.policies);
+        assert_eq!((tuned.unroll, tuned.measurement.cycles), (unroll, cycles));
     }
 }

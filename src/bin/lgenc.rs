@@ -64,8 +64,8 @@ fn usage() -> ! {
          \x20                     (steady-state tuning throughput; telemetry records each sweep)\n\
          \x20 --prune <policy>    model-guided pruning: rank candidates with the static cost\n\
          \x20                     predictor and simulate only the best (topk:N or frac:F,\n\
-         \x20                     default off); widens when the model's rank correlation drops;\n\
-         \x20                     N and F count distinct kernels, not unroll policies\n\
+         \x20                     default off); N and F count distinct kernels, not unroll\n\
+         \x20                     policies; reports the model's rank correlation\n\
          \x20 --verify            statically verify the kernel at pipeline boundaries\n\
          \x20 --verify=paranoid   verify between every optimization pass\n\
          \x20 --threads N, -j N   worker threads for tuning/compilation (0 = one per core)\n\
@@ -331,10 +331,7 @@ fn tuner(cfg: &CompileConfig, o: &Opts, cache: &Arc<KernelCache>) -> Autotuner {
     if let Some(b) = o.tune_budget {
         tuner = tuner.with_budget(b);
     }
-    if !o.prune.is_off() {
-        tuner = tuner.with_prune(o.prune);
-    }
-    tuner
+    tuner.with_prune(o.prune)
 }
 
 /// Prints the pruning line of a pruned tune.

@@ -7,7 +7,7 @@
 //! (`analyze_kernel`, which ranks pruned tunes) is pinned alongside, and
 //! so are the kernel codec's bytes, which disk caches written by earlier
 //! builds must keep decoding. Every autotuner setting's result is pinned
-//! too: winner, schedule, samples and pruning audit per strategy.
+//! too: winner, schedule, samples and pruning report per strategy.
 //!
 //! One FNV-1a line per kernel in `tests/golden/sim_corpus.digest`,
 //! `tests/golden/static_cost.digest` and `tests/golden/codec_corpus.digest`,
@@ -239,7 +239,8 @@ fn tune_settings(cfg: &CompileConfig) -> [(&'static str, Autotuner); 9] {
 
 /// One line per (core, input, setting) over the micro and leftover paper
 /// BLACs and the programs: the winning decision, its schedule, cycles and
-/// energy, every sample, the failure count and the pruning audit.
+/// energy, every sample, the failure count, the pruned count and the
+/// rank correlation.
 fn tune_strategies() -> String {
     let families = paper_families();
     let programs = PROGRAMS.map(|(label, src)| (label, parse_program(src).unwrap()));

@@ -2,7 +2,7 @@
 //! on two workers and a one-worker tune without a cache, which keys its
 //! candidates with a compile memo of its own, settle every candidate the
 //! same way: for each search strategy the two agree on the winner's C,
-//! every sample, the measurement, the pruning count and audit, and every
+//! every sample, the measurement, the pruning count and correlation, and every
 //! failure with its reason. So does a verifying tune, cached or not. And
 //! a random sample that covers every distinct kernel is the exhaustive
 //! search.
