@@ -254,9 +254,25 @@ if [ -z "$candidates_pruned" ] || [ "$candidates_pruned" -eq 0 ]; then
     echo "$pruned_out" >&2
     exit 1
 fi
+winner_of() { grep 'autotuned to' <<<"$1"; }
+# Static scoring runs on the worker pool: the cut must not depend on its
+# width, so one and two workers print the same winner, cut and ranking.
+for j in 1 2; do
+    width_out=$(./target/release/lgenc "$prunefile" --tune --prune=topk:3 -j "$j" \
+        --metrics 2>&1 >/dev/null)
+    width_rank=$(awk '$1 == "lgen.tune.rank_correlation_milli" { print $2 }' <<<"$width_out")
+    width_pruned=$(awk '$1 == "lgen.tune.candidates_pruned" { print $2 }' <<<"$width_out")
+    if [ "$(winner_of "$width_out")" != "$(winner_of "$pruned_out")" ] \
+        || [ "$width_pruned" != "$candidates_pruned" ] || [ "$width_rank" != "$rank_milli" ]; then
+        echo "error: topk:3 at -j $j differs from the default width" \
+            "(pruned ${width_pruned:-?} vs $candidates_pruned," \
+            "rank ${width_rank:-?}m vs ${rank_milli}m)" >&2
+        echo "$width_out" >&2
+        exit 1
+    fi
+done
 # topk:inf keeps every kernel, so it cuts nothing: the unpruned search.
 inf_out=$(./target/release/lgenc "$prunefile" --tune --prune=topk:inf 2>&1 >/dev/null)
-winner_of() { grep 'autotuned to' <<<"$1"; }
 if [ "$(winner_of "$inf_out")" != "$(winner_of "$full_out")" ] \
     || ! grep -q '0 candidate(s) skipped' <<<"$inf_out"; then
     echo "error: --prune=topk:inf is not the unpruned search" >&2
@@ -264,8 +280,8 @@ if [ "$(winner_of "$inf_out")" != "$(winner_of "$full_out")" ] \
     exit 1
 fi
 echo "    winner parity at ${pruned_cycles} cycles," \
-    "${candidates_pruned} candidate(s) pruned, rank correlation ${rank_milli}m;" \
-    "topk:inf = off"
+    "${candidates_pruned} candidate(s) pruned, rank correlation ${rank_milli}m" \
+    "at -j 1, 2 and the default; topk:inf = off"
 python3 - "$rank_milli" "$candidates_pruned" <<EOF > BENCH_compile.json.tmp
 import json, sys
 metrics = {}

@@ -11,8 +11,8 @@
 //! candidate, a cold compile never converts its IR, dead-code elimination
 //! allocates its tables once rather than per round, and unparsing
 //! allocates nothing at all. Evaluating a tuning
-//! candidate (validate, then measure) allocates per run, never per
-//! dynamic instruction, and a program tune runs the pass pipeline once
+//! candidate (validate, then measure) allocates per run and per static
+//! instruction, never per dynamic instruction, and a program tune runs the pass pipeline once
 //! per distinct kernel, not once per genome.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -235,14 +235,18 @@ fn bench_unparse(c: &mut Criterion) {
 }
 
 fn bench_evaluate(c: &mut Criterion) {
-    // The interpreter emits a heap-free trace and the scheduler's tables
-    // are sized by the kernel's registers and memory layout, not its
-    // dynamic instructions, so one evaluation makes a bounded number of
-    // allocations however long the trace: the ARM1176 mmm runs tens of
+    // The interpreter lowers each instruction of the dispatched version
+    // once per run into a tape of trace-ready machine ops (a loop nest
+    // whole, as it is first reached) and replays it on every iteration;
+    // the tape grows with the static instructions and the scheduler's
+    // tables with the kernel's registers and memory layout, never with
+    // the dynamic instructions. So one evaluation makes a bounded number
+    // of allocations however long the trace: the ARM1176 mmm runs tens of
     // thousands of scalar instructions. Both measurement paths are
-    // guarded: the gemv and mmm layouts fit in L1, so their validation
-    // run is the timed run on a prefilled cache; axpy 3782 spans 30 KB
-    // against the Atom's 24 KB, so it takes a warm-up run and a timed run.
+    // guarded and timed: the gemv and mmm layouts fit in L1, so their
+    // validation run is the timed run on a prefilled cache; axpy 3782
+    // spans 30 KB against the Atom's 24 KB, so it takes a warm-up run and
+    // a timed run.
     let guarded = [
         ("gemv-24x24-atom", paper::gemv(24, 24), Microarch::Atom),
         (
@@ -251,36 +255,30 @@ fn bench_evaluate(c: &mut Criterion) {
             Microarch::Arm1176,
         ),
         ("axpy-3782-atom", paper::axpy(3782), Microarch::Atom),
-    ];
-    for (label, blac, arch) in &guarded {
-        let kernel = compile(blac, "k", &CompileConfig::full(*arch));
-        let evaluator = Evaluator::new(&Program::from(blac));
-        let (_, allocs) = allocs_during(|| black_box(evaluator.evaluate(&kernel, *arch)));
+    ]
+    .map(|(label, blac, arch)| {
+        let kernel = compile(&blac, "k", &CompileConfig::full(arch));
+        (label, kernel, Evaluator::new(&Program::from(&blac)), arch)
+    });
+    for (label, kernel, evaluator, arch) in &guarded {
+        let (_, allocs) = allocs_during(|| black_box(evaluator.evaluate(kernel, *arch)));
         assert!(
             allocs <= 128,
             "evaluating {label} made {allocs} allocations (budget 128)"
         );
     }
 
-    let atom = CompileConfig::full(Microarch::Atom);
-    let gemv = paper::gemv(24, 24);
-    let gemv_kernel = compile(&gemv, "k", &atom);
-    let gemv_eval = Evaluator::new(&Program::from(&gemv));
-    let axpy = paper::axpy(3782);
-    let axpy_kernel = compile(&axpy, "k", &atom);
-    let axpy_eval = Evaluator::new(&Program::from(&axpy));
     let kalman4 = kalman(4);
     let a9 = CompileConfig::full(Microarch::CortexA9);
     let kalman_kernel = compile_program(&kalman4, "k", &a9).kernel;
     let kalman_eval = Evaluator::new(&kalman4);
     let mut g = c.benchmark_group("compile-hot");
     g.sample_size(20);
-    g.bench_function("evaluate/gemv-24x24-atom", |b| {
-        b.iter(|| black_box(gemv_eval.evaluate(&gemv_kernel, Microarch::Atom)))
-    });
-    g.bench_function("evaluate/axpy-3782-atom", |b| {
-        b.iter(|| black_box(axpy_eval.evaluate(&axpy_kernel, Microarch::Atom)))
-    });
+    for (label, kernel, evaluator, arch) in &guarded {
+        g.bench_function(format!("evaluate/{label}"), |b| {
+            b.iter(|| black_box(evaluator.evaluate(kernel, *arch)))
+        });
+    }
     g.bench_function("evaluate/kalman-4-a9", |b| {
         b.iter(|| black_box(kalman_eval.evaluate(&kalman_kernel, Microarch::CortexA9)))
     });

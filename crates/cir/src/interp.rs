@@ -6,6 +6,18 @@
 //! lowering of each C-IR instruction to machine opcodes is shared with the C
 //! unparser, so the measured instruction stream is the printed one.
 //!
+//! Each instruction of the dispatched version is lowered once per run.
+//! An instruction outside every loop runs once: it is lowered, checked,
+//! executed and emitted in place. A top-level loop is first decoded with
+//! its whole nest into a tape: per instruction, its machine ops with the
+//! trace register ids resolved and each memory op's float offset, plus
+//! the float range its bounds checks reach. Every iteration replays the
+//! tape: one range check per access over that reach (the per-float checks
+//! run only when it fails, so they name the same error), the values in
+//! C-IR semantics, and the ops with their addresses filled in. The tape
+//! grows with the static instructions of one loop nest, never with the
+//! dynamic ones, and its buffers serve every nest of the run.
+//!
 //! Register ids in the trace are compact: the kernel's registers keep
 //! their ids `0..nreg`, the temporaries of lowered sequences take
 //! `nreg..nreg + MAX_LOWERED_OPS`, and the counter of loop variable `v`
@@ -14,8 +26,8 @@
 //! ids: a read always sees its own sequence's write.
 
 use crate::arena::{AInst, Arena, BlockId, ExprId};
-use crate::ir::{ArrayKind, Kernel, KernelVersion, VArith, VMove};
-use crate::lower::{self, LoweredOp, Slot, MAX_LOWERED_OPS};
+use crate::ir::{ArrayId, ArrayKind, Kernel, KernelVersion, OverheadKind, VArith, VMove, VReg};
+use crate::lower::{self, LoweredOp, LoweredSeq, Slot, MAX_LOWERED_OPS};
 use crate::map::MemMap;
 use lgen_isa::{MOp, MachInst, MemRef, Srcs, TraceSink, VectorIsa, MAX_SRCS};
 
@@ -165,6 +177,93 @@ struct Exec<'a, 'b> {
     regs: Vec<[f32; 4]>,
     /// Loop-variable values, indexed by variable (`None` = unbound).
     env: Vec<Option<i64>>,
+    /// The loop nest being run, decoded in pre-order: each loop's step
+    /// comes before its body's.
+    steps: Vec<Step<'a>>,
+    /// The machine ops of `steps`, trace-ready.
+    ops: Vec<TapeOp>,
+}
+
+/// One lowered machine op with its trace register ids resolved. A memory
+/// op's address is `4 * (abs + off)` for the access's absolute float
+/// index `abs`, filled in on each execution.
+#[derive(Clone, Copy, Debug)]
+struct TapeOp {
+    inst: MachInst,
+    off: i64,
+}
+
+impl TapeOp {
+    /// The op of an access at absolute float index `abs`.
+    fn at(&self, abs: usize) -> MachInst {
+        let mut inst = self.inst;
+        if let Some(m) = &mut inst.mem {
+            m.addr = ((abs as i64 + self.off) * 4) as usize;
+        }
+        inst
+    }
+}
+
+/// Where a step's machine ops lie in [`Exec::ops`].
+#[derive(Clone, Copy, Debug)]
+struct Ops {
+    start: u32,
+    end: u32,
+}
+
+/// A decoded load or store.
+#[derive(Clone, Copy, Debug)]
+struct Access<'a> {
+    /// A load into `reg`, or a store of it.
+    load: bool,
+    reg: VReg,
+    arr: ArrayId,
+    addr: ExprId,
+    map: &'a MemMap,
+    /// Whether the access is subject to the dynamic alignment check (see
+    /// [`Exec::validate_alignment`]).
+    check_alignment: bool,
+    /// The float range the per-float checks ([`Exec::checks`]) name (see
+    /// [`reach`]): one range check over it passes exactly when all of
+    /// them do.
+    reach: (i64, i64),
+    ops: Ops,
+}
+
+/// One C-IR instruction of a loop nest, decoded once per run and
+/// executed as often as its loops run it.
+#[derive(Clone, Copy, Debug)]
+enum Step<'a> {
+    Access(Access<'a>),
+    Arith {
+        op: VArith,
+        dst: VReg,
+        a: VReg,
+        b: VReg,
+        ops: Ops,
+    },
+    Move {
+        op: VMove,
+        dst: VReg,
+        a: VReg,
+        b: VReg,
+        ops: Ops,
+    },
+    /// `count` copies of its one op.
+    Overhead {
+        count: u16,
+        ops: Ops,
+    },
+    /// A loop whose body is the steps after it up to `body_end`; its ops
+    /// are the counter increment and the branch closing each iteration.
+    Loop {
+        var: usize,
+        start: i64,
+        end: i64,
+        step: i64,
+        body_end: usize,
+        ops: Ops,
+    },
 }
 
 /// Runs `kernel` on `args` (one mutable slice per parameter array, in
@@ -239,6 +338,8 @@ pub fn run_kernel(
         mem: vec![0.0; layout.total_floats],
         regs: vec![[0.0; 4]; kernel.nreg as usize],
         env: Vec::new(),
+        steps: Vec::new(),
+        ops: Vec::new(),
     };
 
     // Copy inputs into the flat memory.
@@ -249,7 +350,7 @@ pub fn run_kernel(
         }
     }
 
-    exec.block(body.root)?;
+    exec.run(body.root)?;
 
     // Copy outputs back.
     for (slot, &arr) in args.iter_mut().zip(&params) {
@@ -297,13 +398,319 @@ fn select_version(
     kernel.versions.len() - 1
 }
 
-impl Exec<'_, '_> {
-    fn block(&mut self, block: BlockId) -> Result<(), ExecError> {
+impl<'a> Exec<'a, '_> {
+    /// Runs each instruction of the top-level block, which runs once:
+    /// anything but a loop is lowered and run in place. A loop is decoded
+    /// with its whole nest into the tape, and its iterations replay the
+    /// tape; the next loop's nest replaces it.
+    fn run(&mut self, root: BlockId) -> Result<(), ExecError> {
         let arena = self.arena;
-        for &id in arena.block(block) {
-            self.inst(arena.inst(id))?;
+        for &id in arena.block(root) {
+            self.run_once(arena.inst(id))?;
         }
         Ok(())
+    }
+
+    fn run_once(&mut self, inst: &AInst) -> Result<(), ExecError> {
+        let isa = self.isa;
+        match *inst {
+            AInst::GLoad {
+                dst: reg,
+                arr,
+                addr,
+                map,
+                aligned,
+            }
+            | AInst::GStore {
+                src: reg,
+                arr,
+                addr,
+                map,
+                aligned,
+            } => {
+                let load = matches!(inst, AInst::GLoad { .. });
+                let map = self.arena.maps.get(map);
+                let seq = lower_access(isa, load, reg, map, aligned);
+                let base = self.addr_value(addr);
+                let check_alignment = check_alignment(map, aligned);
+                let abs = self.checks(load, arr, base, map, check_alignment, mem_ops(&seq))?;
+                self.move_lanes(load, reg, map, abs);
+                self.emit_lowered(&seq, abs);
+            }
+            AInst::Arith { op, dst, a, b } => {
+                self.arith(op, dst, a, b);
+                self.emit_lowered(&lower::lower_arith(isa, op, dst, a, b), 0);
+            }
+            AInst::Move { op, dst, a, b } => {
+                self.mov(op, dst, a, b);
+                self.emit_lowered(&lower::lower_move(isa, op, dst, a, b), 0);
+            }
+            AInst::Overhead { kind, count } => {
+                let inst = MachInst::reg(overhead_op(kind), None, &[]);
+                for _ in 0..count {
+                    self.sink.emit(&inst);
+                }
+            }
+            AInst::Loop { .. } => {
+                self.steps.clear();
+                self.ops.clear();
+                self.decode(inst);
+                self.exec(0, self.steps.len())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends `ops` to the tape.
+    fn push(&mut self, ops: impl IntoIterator<Item = TapeOp>) -> Ops {
+        let start = self.ops.len() as u32;
+        self.ops.extend(ops);
+        Ops {
+            start,
+            end: self.ops.len() as u32,
+        }
+    }
+
+    /// Appends a lowered sequence to the tape.
+    fn push_lowered(&mut self, seq: &[LoweredOp]) -> Ops {
+        let nreg = self.kernel.nreg;
+        self.push(seq.iter().map(|l| tape_op(nreg, l)))
+    }
+
+    /// Appends the steps of `inst`, and of its body for a loop.
+    fn decode(&mut self, inst: &AInst) {
+        let isa = self.isa;
+        let step = match *inst {
+            AInst::GLoad {
+                dst: reg,
+                arr,
+                addr,
+                map,
+                aligned,
+            }
+            | AInst::GStore {
+                src: reg,
+                arr,
+                addr,
+                map,
+                aligned,
+            } => {
+                let load = matches!(inst, AInst::GLoad { .. });
+                let map = self.arena.maps.get(map);
+                let seq = lower_access(isa, load, reg, map, aligned);
+                Step::Access(Access {
+                    load,
+                    reg,
+                    arr,
+                    addr,
+                    map,
+                    check_alignment: check_alignment(map, aligned),
+                    reach: reach(map, &seq),
+                    ops: self.push_lowered(&seq),
+                })
+            }
+            AInst::Arith { op, dst, a, b } => Step::Arith {
+                op,
+                dst,
+                a,
+                b,
+                ops: self.push_lowered(&lower::lower_arith(isa, op, dst, a, b)),
+            },
+            AInst::Move { op, dst, a, b } => Step::Move {
+                op,
+                dst,
+                a,
+                b,
+                ops: self.push_lowered(&lower::lower_move(isa, op, dst, a, b)),
+            },
+            AInst::Overhead { kind, count } => {
+                let inst = MachInst::reg(overhead_op(kind), None, &[]);
+                let ops = self.push([TapeOp { inst, off: 0 }]);
+                Step::Overhead { count, ops }
+            }
+            AInst::Loop {
+                var,
+                start,
+                end,
+                step,
+                body,
+                ..
+            } => {
+                // Loop bookkeeping: increment + compare-and-branch.
+                let counter = self.kernel.nreg + (MAX_LOWERED_OPS + var) as u32;
+                let ops = self.push(
+                    [
+                        MachInst::reg(MOp::IAddr, Some(counter), &[counter]),
+                        MachInst::reg(MOp::Branch, None, &[counter]),
+                    ]
+                    .map(|inst| TapeOp { inst, off: 0 }),
+                );
+                let at = self.steps.len();
+                self.steps.push(Step::Loop {
+                    var,
+                    start,
+                    end,
+                    step,
+                    body_end: at,
+                    ops,
+                });
+                let arena = self.arena;
+                for &id in arena.block(body) {
+                    self.decode(arena.inst(id));
+                }
+                let done = self.steps.len();
+                if let Step::Loop { body_end, .. } = &mut self.steps[at] {
+                    *body_end = done;
+                }
+                return;
+            }
+        };
+        self.steps.push(step);
+    }
+
+    /// Executes the steps `from..to` of the tape.
+    fn exec(&mut self, from: usize, to: usize) -> Result<(), ExecError> {
+        let mut i = from;
+        while i < to {
+            let step = self.steps[i];
+            i += 1;
+            match step {
+                Step::Access(access) => {
+                    let abs = self.locate(&access)?;
+                    self.move_lanes(access.load, access.reg, access.map, abs);
+                    self.emit(access.ops, abs);
+                }
+                Step::Arith { op, dst, a, b, ops } => {
+                    self.arith(op, dst, a, b);
+                    self.emit(ops, 0);
+                }
+                Step::Move { op, dst, a, b, ops } => {
+                    self.mov(op, dst, a, b);
+                    self.emit(ops, 0);
+                }
+                Step::Overhead { count, ops } => {
+                    for _ in 0..count {
+                        self.emit(ops, 0);
+                    }
+                }
+                Step::Loop {
+                    var,
+                    start,
+                    end,
+                    step,
+                    body_end,
+                    ops,
+                } => {
+                    let mut k = start;
+                    while k < end {
+                        self.bind(var, k);
+                        self.exec(i, body_end)?;
+                        self.emit(ops, 0);
+                        k += step;
+                    }
+                    i = body_end;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Streams tape ops into the sink, placing memory ops at absolute
+    /// float index `abs`.
+    fn emit(&mut self, ops: Ops, abs: usize) {
+        for t in &self.ops[ops.start as usize..ops.end as usize] {
+            self.sink.emit(&t.at(abs));
+        }
+    }
+
+    /// Streams a lowered sequence into the sink, as [`emit`](Self::emit)
+    /// would from the tape.
+    fn emit_lowered(&mut self, seq: &[LoweredOp], abs: usize) {
+        for l in seq {
+            self.sink.emit(&tape_op(self.kernel.nreg, l).at(abs));
+        }
+    }
+
+    /// `dst = op(a, b)`, in C-IR semantics.
+    fn arith(&mut self, op: VArith, dst: VReg, a: VReg, b: VReg) {
+        let va = self.reg(a);
+        let vb = self.reg(b);
+        let mut vd = self.reg(dst);
+        eval_arith(op, &mut vd, va, vb);
+        self.set_reg(dst, vd);
+    }
+
+    /// `dst = op(a, b)` for a register move, in C-IR semantics.
+    fn mov(&mut self, op: VMove, dst: VReg, a: VReg, b: VReg) {
+        let va = self.reg(a);
+        let vb = self.reg(b);
+        self.set_reg(dst, eval_move(op, va, vb));
+    }
+
+    /// A load gathers the lanes of `map` at absolute float index `abs`
+    /// into `reg` (unmapped lanes are zero); a store scatters `reg`'s
+    /// lanes there.
+    fn move_lanes(&mut self, load: bool, reg: VReg, map: &MemMap, abs: usize) {
+        let at = |off: i64| (abs as i64 + off) as usize;
+        if load {
+            let mut v = [0.0f32; 4];
+            for &(off, lane) in map.entries() {
+                v[lane as usize] = self.mem[at(off)];
+            }
+            self.set_reg(reg, v);
+        } else {
+            let v = self.reg(reg);
+            for &(off, lane) in map.entries() {
+                self.mem[at(off)] = v[lane as usize];
+            }
+        }
+    }
+
+    /// The absolute float index of a decoded access, after one range
+    /// check over its whole reach and the alignment check. When the
+    /// range check fails, the per-float checks name the error.
+    fn locate(&self, access: &Access) -> Result<usize, ExecError> {
+        let base = self.addr_value(access.addr);
+        let (lo, hi) = access.reach;
+        let len = (self.kernel.arrays[access.arr.0].len + ARRAY_PAD) as i64;
+        if base + lo < 0 || base + hi >= len {
+            let ops = &self.ops[access.ops.start as usize..access.ops.end as usize];
+            let mem_ops = ops.iter().filter_map(|t| Some((t.off, t.inst.mem?.bytes)));
+            let (arr, map, align) = (access.arr, access.map, access.check_alignment);
+            return self.checks(access.load, arr, base, map, align, mem_ops);
+        }
+        let abs = self.layout.bases[access.arr.0] / 4 + base as usize;
+        self.validate_alignment(access.arr, abs, access.check_alignment)?;
+        Ok(abs)
+    }
+
+    /// An access's checks, one float at a time, in the order that names
+    /// its error: a load's last lane, the address, the alignment, each
+    /// lane, and the last float of each machine access (`(float offset,
+    /// bytes)` in `mem_ops`) — NEON's "load 4, keep 3" reads a float its
+    /// map does not name. Returns the absolute float index of the
+    /// address.
+    fn checks(
+        &self,
+        load: bool,
+        arr: ArrayId,
+        base: i64,
+        map: &MemMap,
+        check_alignment: bool,
+        mem_ops: impl Iterator<Item = (i64, usize)>,
+    ) -> Result<usize, ExecError> {
+        if load {
+            self.check(arr, base + map.max_offset())?;
+        }
+        let abs = self.check(arr, base)?;
+        self.validate_alignment(arr, abs, check_alignment)?;
+        for &(off, _) in map.entries() {
+            self.check(arr, base + off)?;
+        }
+        for (off, bytes) in mem_ops {
+            self.check(arr, base + off + (bytes as i64 - 1) / 4)?;
+        }
+        Ok(abs)
     }
 
     fn addr_value(&self, e: ExprId) -> i64 {
@@ -342,7 +749,7 @@ impl Exec<'_, '_> {
     }
 
     /// Checks bounds and returns the absolute float index of `arr[fidx]`.
-    fn check(&self, arr: crate::ir::ArrayId, fidx: i64) -> Result<usize, ExecError> {
+    fn check(&self, arr: ArrayId, fidx: i64) -> Result<usize, ExecError> {
         let decl = &self.kernel.arrays[arr.0];
         if fidx < 0 || fidx as usize >= decl.len + ARRAY_PAD {
             return Err(ExecError::OutOfBounds {
@@ -353,166 +760,87 @@ impl Exec<'_, '_> {
         Ok(self.layout.bases[arr.0] / 4 + fidx as usize)
     }
 
-    /// Emits the lowered machine ops of a load or store of `arr` at float
-    /// index `base` (absolute float index `abs`), after checking that
-    /// every machine access, whole, stays within the array and its
-    /// padding: NEON's "load 4, keep 3" reads a float its map does not
-    /// name.
-    fn emit_access(
-        &mut self,
-        seq: &[LoweredOp],
-        arr: crate::ir::ArrayId,
-        base: i64,
-        abs: usize,
-    ) -> Result<(), ExecError> {
-        for l in seq {
-            if let Some(off) = l.mem_off {
-                self.check(arr, base + off + (l.op.access_bytes() as i64 - 1) / 4)?;
-            }
-        }
-        self.emit_lowered(seq, Some(abs));
-        Ok(())
-    }
-
-    /// Emits the lowered machine ops for a C-IR instruction whose base
-    /// address (in floats, absolute) is `abs_base`.
-    fn emit_lowered(&mut self, seq: &[LoweredOp], abs_base: Option<usize>) {
-        let tmp_base = self.kernel.nreg;
-        let slot_id = |s: &Slot| match *s {
-            Slot::Reg(r) => r,
-            Slot::Tmp(t) => tmp_base + t,
-        };
-        for l in seq {
-            let mut srcs = [0; MAX_SRCS];
-            for (id, s) in srcs.iter_mut().zip(l.srcs()) {
-                *id = slot_id(s);
-            }
-            let mem = l.mem_off.map(|off| {
-                let base = abs_base.expect("memory op without address") as i64;
-                MemRef {
-                    addr: ((base + off) * 4) as usize,
-                    bytes: l.op.access_bytes(),
-                }
-            });
-            self.sink.emit(&MachInst {
-                op: l.op,
-                dst: l.dst.as_ref().map(slot_id),
-                srcs: Srcs::new(&srcs[..l.srcs().len()]),
-                mem,
-            });
-        }
-    }
-
-    fn inst(&mut self, inst: &AInst) -> Result<(), ExecError> {
-        match inst {
-            AInst::GLoad {
-                dst,
-                arr,
-                addr,
-                map,
-                aligned,
-            } => {
-                let map = self.arena.maps.get(*map);
-                let base = self.addr_value(*addr);
-                let abs = self.check(*arr, base + map.max_offset())? - map.max_offset() as usize;
-                self.check(*arr, base)?;
-                self.validate_alignment(*arr, abs, map, *aligned)?;
-                let mut v = [0.0f32; 4];
-                for &(off, lane) in map.entries() {
-                    let idx = self.check(*arr, base + off)?;
-                    v[lane as usize] = self.mem[idx];
-                }
-                self.set_reg(*dst, v);
-                let seq = lower::lower_load(self.isa, *dst, map, *aligned);
-                self.emit_access(&seq, *arr, base, abs)?;
-            }
-            AInst::GStore {
-                src,
-                arr,
-                addr,
-                map,
-                aligned,
-            } => {
-                let map = self.arena.maps.get(*map);
-                let base = self.addr_value(*addr);
-                let abs = self.check(*arr, base)?;
-                self.validate_alignment(*arr, abs, map, *aligned)?;
-                let v = self.reg(*src);
-                for &(off, lane) in map.entries() {
-                    let idx = self.check(*arr, base + off)?;
-                    self.mem[idx] = v[lane as usize];
-                }
-                let seq = lower::lower_store(self.isa, *src, map, *aligned);
-                self.emit_access(&seq, *arr, base, abs)?;
-            }
-            AInst::Arith { op, dst, a, b } => {
-                let va = self.reg(*a);
-                let vb = self.reg(*b);
-                let mut vd = self.reg(*dst);
-                eval_arith(*op, &mut vd, va, vb);
-                self.set_reg(*dst, vd);
-                let seq = lower::lower_arith(self.isa, *op, *dst, *a, *b);
-                self.emit_lowered(&seq, None);
-            }
-            AInst::Move { op, dst, a, b } => {
-                let va = self.reg(*a);
-                let vb = self.reg(*b);
-                let vd = eval_move(*op, va, vb);
-                self.set_reg(*dst, vd);
-                let seq = lower::lower_move(self.isa, *op, *dst, *a, *b);
-                self.emit_lowered(&seq, None);
-            }
-            AInst::Overhead { kind, count } => {
-                let op = match kind {
-                    crate::ir::OverheadKind::Addr => MOp::IAddr,
-                    crate::ir::OverheadKind::Branch => MOp::Branch,
-                    crate::ir::OverheadKind::Call => MOp::CallOverhead,
-                };
-                for _ in 0..*count {
-                    self.sink.emit(&MachInst::reg(op, None, &[]));
-                }
-            }
-            AInst::Loop {
-                var,
-                start,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                let counter = self.kernel.nreg + (MAX_LOWERED_OPS + *var) as u32;
-                let mut k = *start;
-                while k < *end {
-                    self.bind(*var, k);
-                    self.block(*body)?;
-                    // Loop bookkeeping: increment + compare-and-branch.
-                    self.sink
-                        .emit(&MachInst::reg(MOp::IAddr, Some(counter), &[counter]));
-                    self.sink
-                        .emit(&MachInst::reg(MOp::Branch, None, &[counter]));
-                    k += *step;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Validates the alignment-detection verdict dynamically (Theorem 3.1:
     /// an access marked aligned must never reach an unaligned address).
     fn validate_alignment(
         &self,
-        arr: crate::ir::ArrayId,
+        arr: ArrayId,
         abs_float: usize,
-        map: &MemMap,
-        aligned: bool,
+        check: bool,
     ) -> Result<(), ExecError> {
-        if aligned && map.contiguous_bytes() == Some(16) && !(abs_float * 4).is_multiple_of(16) {
+        if check && !(abs_float * 4).is_multiple_of(16) {
             return Err(ExecError::AlignmentViolation {
                 name: self.kernel.arrays[arr.0].name.clone(),
                 byte_addr: abs_float * 4,
             });
         }
         Ok(())
+    }
+}
+
+/// Whether an access is subject to the dynamic alignment check: it was
+/// marked aligned and moves one whole 16-byte vector.
+fn check_alignment(map: &MemMap, aligned: bool) -> bool {
+    aligned && map.contiguous_bytes() == Some(16)
+}
+
+/// The machine op of `l`, with its trace register ids resolved: a kernel
+/// register keeps its id, temporary `t` is `nreg + t`.
+fn tape_op(nreg: u32, l: &LoweredOp) -> TapeOp {
+    let slot_id = |s: &Slot| match *s {
+        Slot::Reg(r) => r,
+        Slot::Tmp(t) => nreg + t,
+    };
+    let mut srcs = [0; MAX_SRCS];
+    for (id, s) in srcs.iter_mut().zip(l.srcs()) {
+        *id = slot_id(s);
+    }
+    let mem = l.mem_off.map(|_| MemRef {
+        addr: 0,
+        bytes: l.op.access_bytes(),
+    });
+    TapeOp {
+        inst: MachInst {
+            op: l.op,
+            dst: l.dst.as_ref().map(slot_id),
+            srcs: Srcs::new(&srcs[..l.srcs().len()]),
+            mem,
+        },
+        off: l.mem_off.unwrap_or(0),
+    }
+}
+
+/// A load into `reg`, or a store of it, lowered to `isa`.
+fn lower_access(isa: VectorIsa, load: bool, reg: VReg, map: &MemMap, aligned: bool) -> LoweredSeq {
+    if load {
+        lower::lower_load(isa, reg, map, aligned)
+    } else {
+        lower::lower_store(isa, reg, map, aligned)
+    }
+}
+
+/// The lowest and highest float index, relative to the address, of an
+/// access of `map` lowered to `seq`: its lanes (their maximum included)
+/// and the last float of each machine access, around the address itself.
+fn reach(map: &MemMap, seq: &[LoweredOp]) -> (i64, i64) {
+    let lanes = map.entries().iter().map(|&(off, _)| off);
+    let last_floats = mem_ops(seq).map(|(off, bytes)| off + (bytes as i64 - 1) / 4);
+    lanes
+        .chain(last_floats)
+        .fold((0, 0), |(lo, hi), off| (lo.min(off), hi.max(off)))
+}
+
+/// The `(float offset, bytes)` of each machine access of `seq`.
+fn mem_ops(seq: &[LoweredOp]) -> impl Iterator<Item = (i64, usize)> + '_ {
+    seq.iter()
+        .filter_map(|l| Some((l.mem_off?, l.op.access_bytes())))
+}
+
+fn overhead_op(kind: OverheadKind) -> MOp {
+    match kind {
+        OverheadKind::Addr => MOp::IAddr,
+        OverheadKind::Branch => MOp::Branch,
+        OverheadKind::Call => MOp::CallOverhead,
     }
 }
 
@@ -716,6 +1044,77 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ExecError::OutOfBounds { .. }));
+    }
+
+    /// Runs a kernel that loads `x` (`n` floats) per `map` at `addr`,
+    /// inside `for i in 0..iters` when `iters` is set, and stores it to
+    /// `y` horizontally.
+    fn run_load(
+        isa: VectorIsa,
+        n: usize,
+        map: MemMap,
+        addr: impl Fn(usize) -> AffineExpr,
+        iters: Option<i64>,
+    ) -> Result<(), ExecError> {
+        let mut b = KernelBuilder::new("reach");
+        let x = b.input("x", n);
+        let y = b.output("y", 4);
+        let lanes = map.lanes();
+        let body = |b: &mut KernelBuilder, i| {
+            let v = b.load(x, addr(i), map.clone());
+            b.store(v, y, AffineExpr::constant(0), MemMap::horizontal(lanes));
+        };
+        match iters {
+            Some(end) => b.for_loop("i", 0, end, 1, body),
+            None => body(&mut b, 0),
+        }
+        let k = b.finish(0);
+        let layout = MemLayout::aligned(&k);
+        let (mut xv, mut yv) = (vec![1.0f32; n], vec![0.0f32; 4]);
+        run_kernel(&k, &mut [&mut xv, &mut yv], &layout, isa, &mut NullSink)
+    }
+
+    fn oob(name: &str, index: i64) -> Result<(), ExecError> {
+        Err(ExecError::OutOfBounds {
+            name: name.into(),
+            index,
+        })
+    }
+
+    /// NEON loads three floats with `vld1q`, which reads a fourth: the
+    /// bounds check covers that float, and names it when it is out of
+    /// bounds although every lane is in, in straight-line code and in
+    /// the loop iteration that first reaches it.
+    #[test]
+    fn neon_load_four_keep_three_is_checked_whole() {
+        // x has 5 floats and 4 of padding: valid indices are 0..9.
+        let at = |base: i64| move |_| AffineExpr::constant(base);
+        let h3 = MemMap::horizontal(3);
+        let neon = VectorIsa::Neon;
+        assert_eq!(run_load(neon, 5, h3.clone(), at(5), None), Ok(()));
+        assert_eq!(run_load(neon, 5, h3.clone(), at(6), None), oob("x", 9));
+        let var = |i| AffineExpr::var(i);
+        assert_eq!(run_load(neon, 5, h3.clone(), var, Some(6)), Ok(()));
+        assert_eq!(run_load(neon, 5, h3.clone(), var, Some(7)), oob("x", 9));
+        // SSSE3 reads exactly the three floats, so the same access is in.
+        assert_eq!(run_load(VectorIsa::Ssse3, 5, h3, at(6), None), Ok(()));
+    }
+
+    /// A vertical map whose last lane leaves the array reports that
+    /// lane's index, in straight-line code and in the loop iteration that
+    /// first reaches it.
+    #[test]
+    fn vertical_map_reports_its_last_lane() {
+        // x has 12 floats and 4 of padding: valid indices are 0..16.
+        let v3 = MemMap::vertical(3, 4);
+        let at = |base: i64| move |_| AffineExpr::constant(base);
+        for isa in [VectorIsa::Ssse3, VectorIsa::Neon] {
+            assert_eq!(run_load(isa, 12, v3.clone(), at(7), None), Ok(()));
+            assert_eq!(run_load(isa, 12, v3.clone(), at(9), None), oob("x", 17));
+            let var = |i| AffineExpr::var(i);
+            assert_eq!(run_load(isa, 12, v3.clone(), var, Some(8)), Ok(()));
+            assert_eq!(run_load(isa, 12, v3.clone(), var, Some(10)), oob("x", 16));
+        }
     }
 
     #[test]

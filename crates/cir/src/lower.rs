@@ -8,8 +8,9 @@
 //! unparser, so the code that is measured is the code that is printed.
 //!
 //! A lowered sequence is a fixed-capacity inline value ([`LoweredSeq`]):
-//! lowering never touches the heap, so the interpreter can lower once per
-//! dynamic instruction and the unparser once per printed one for free.
+//! lowering never touches the heap. The interpreter lowers each
+//! instruction once per run (a loop body into a tape it replays), and the
+//! unparser once per printed one.
 
 use crate::ir::{VArith, VMove, VReg, VWidth};
 use crate::map::MemMap;

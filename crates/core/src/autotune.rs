@@ -1075,25 +1075,36 @@ impl Autotuner {
         }
     }
 
-    /// Statically scores every candidate: compile (through the shared
-    /// cache or the subject's memo — the measurement pass then rides the
-    /// same memoized kernels) and run the `lgen-analysis` predictor. A
-    /// candidate whose compile fails or whose analysis panics scores `0` —
-    /// the *best* score — so it is always measured and its real failure
-    /// recorded by the normal evaluation path, keeping parity with the
-    /// unpruned search.
-    fn static_scores(&self, subject: &Subject, candidates: &[Candidate]) -> Vec<u128> {
-        let score = |candidate| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let cache = self.cache.as_deref();
-                let (kernel, _) = self.compile(subject, candidate, cache).ok()?;
-                Some(self.static_score(&analyze_kernel(&kernel, self.cfg.arch)))
-            }))
-            .ok()
-            .flatten()
-            .unwrap_or(0)
+    /// Statically scores every candidate on the worker pool, at the
+    /// tuner's width: compile (through the shared cache or the subject's
+    /// memo — the measurement pass then rides the same memoized kernels)
+    /// and run the `lgen-analysis` predictor. Scores are indexed by
+    /// candidate, so they do not depend on the width. A candidate whose
+    /// compile fails or whose analysis panics scores `0` — the *best*
+    /// score — so it is always measured and its real failure recorded by
+    /// the normal evaluation path, keeping parity with the unpruned
+    /// search.
+    fn static_scores(&self, subject: &Arc<Subject>, candidates: &Arc<Vec<Candidate>>) -> Vec<u128> {
+        let ctx = Arc::new(self.clone());
+        let (subject, list) = (subject.clone(), candidates.clone());
+        let outcomes = run_outcomes(
+            (0..list.len()).collect(),
+            self.threads,
+            None,
+            || false,
+            Arc::new(move |i: usize, _| {
+                let cache = ctx.cache.as_deref();
+                Ok(match ctx.compile(&subject, &list[i], cache) {
+                    Ok((kernel, _)) => ctx.static_score(&analyze_kernel(&kernel, ctx.cfg.arch)),
+                    Err(_) => 0,
+                })
+            }),
+        );
+        let score = |outcome| match outcome {
+            JobOutcome::Ok(score) => score,
+            _ => 0,
         };
-        candidates.iter().map(score).collect()
+        outcomes.into_iter().map(score).collect()
     }
 
     /// The feedback loop behind every tune: builds the candidate list of
@@ -1287,8 +1298,8 @@ impl Rounds {
     /// decision of the unsampled space to its candidate.
     fn new(
         tuner: &Autotuner,
-        subject: &Subject,
-        candidates: &[Candidate],
+        subject: &Arc<Subject>,
+        candidates: &Arc<Vec<Candidate>>,
         kernel_of: &[usize],
     ) -> (Rounds, Option<Vec<u128>>) {
         if tuner.strategy == SearchStrategy::Guided {
@@ -1910,7 +1921,7 @@ mod tests {
             ),
         ];
         for (subject, unrolls) in subjects {
-            let (candidates, _) = tuner.candidates(&subject, unrolls);
+            let candidates = Arc::new(tuner.candidates(&subject, unrolls).0);
             let scores = tuner.static_scores(&subject, &candidates);
             assert_eq!(scores.len(), candidates.len());
             for (candidate, &score) in candidates.iter().zip(&scores) {
@@ -2001,7 +2012,7 @@ mod tests {
         assert_eq!(full.samples.len(), 3);
         let pruned = base.with_prune(PrunePolicy::TopK(1));
         let subject = Subject::new(Program::from(&blac), "k", Some(CompileMemo::new()));
-        let (candidates, _) = pruned.candidates(&subject, policies());
+        let candidates = Arc::new(pruned.candidates(&subject, policies()).0);
         let scores = pruned.static_scores(&subject, &candidates);
         let best = (0..scores.len()).min_by_key(|&i| (scores[i], i)).unwrap();
         let tuned = pruned

@@ -367,6 +367,8 @@ mod tests {
             Branch,
             CallOverhead,
         ];
+        assert_eq!(all_ops.len(), MOp::COUNT, "every opcode is listed");
+        assert!(all_ops.iter().all(|&op| (op as usize) < MOp::COUNT));
         for arch in [
             Microarch::Atom,
             Microarch::CortexA8,

@@ -140,6 +140,10 @@ pub enum MOp {
 }
 
 impl MOp {
+    /// The number of opcodes: `op as usize` is below it for every `op`
+    /// (`CallOverhead` is the last variant).
+    pub const COUNT: usize = MOp::CallOverhead as usize + 1;
+
     /// The coarse class of this opcode.
     pub(crate) fn class(self) -> OpClass {
         use MOp::*;

@@ -3,12 +3,19 @@
 use crate::cache::L1Cache;
 use lgen_cir::MemLayout;
 use lgen_isa::cost::cost;
-use lgen_isa::{MachInst, Microarch, TraceSink, UarchParams};
+use lgen_isa::{MOp, MachInst, Microarch, TraceSink, UarchParams};
 use std::collections::{HashMap, VecDeque};
+use std::sync::LazyLock;
 
 /// Register ids from this one on fall back to a map, so a hand-built
 /// trace with ids near `u32::MAX` cannot size a table.
 const DENSE_REGS: u32 = 1 << 16;
+
+/// `LGEN_SCHED_TRACE` is set: dump the first scheduled instructions of
+/// every simulation to stderr. Read once per process; nothing sets it
+/// mid-process.
+static SCHED_TRACE: LazyLock<bool> =
+    LazyLock::new(|| std::env::var_os("LGEN_SCHED_TRACE").is_some());
 
 /// A set of busy cycles as a growable bitmap indexed by cycle number.
 ///
@@ -16,15 +23,45 @@ const DENSE_REGS: u32 = 1 << 16;
 /// the horizon, so a bitmap beats a hash set on every operation the hot
 /// loop performs (`emit` runs once per dynamic instruction of the timed
 /// run; the warm-up before it only touches the L1 model, through a
-/// [`Warming`] sink).
+/// [`Warming`] sink), and the issue search reads it 64 cycles at a time.
 #[derive(Clone, Debug, Default)]
 struct CycleSet(Vec<u64>);
 
 impl CycleSet {
+    /// Cycles `64 * w .. 64 * w + 64`, one bit each (0 past the end).
+    fn word(&self, w: usize) -> u64 {
+        self.0.get(w).copied().unwrap_or(0)
+    }
+
+    /// Bit `i` is set if a cycle of `64 * w + i .. 64 * w + i + len` is
+    /// in the set: the starts in word `w` that a `len`-cycle occupancy
+    /// cannot take. Any `len`: a span past one word is its first 64
+    /// cycles plus the rest, one word on.
+    fn blocked(&self, mut w: usize, mut len: u64) -> u64 {
+        if len == 1 {
+            return self.word(w);
+        }
+        let mut out = 0;
+        while len > 0 {
+            let span = len.min(64);
+            let v = self.word(w) as u128 | (self.word(w + 1) as u128) << 64;
+            // Smear each busy cycle down over the starts it blocks:
+            // after each step bit i is the OR of bits i..i + covered.
+            let (mut m, mut covered) = (v, 1);
+            while covered < span {
+                let step = covered.min(span - covered);
+                m |= m >> step;
+                covered += step;
+            }
+            out |= m as u64;
+            len -= span;
+            w += 1;
+        }
+        out
+    }
+
     fn contains(&self, c: u64) -> bool {
-        self.0
-            .get((c / 64) as usize)
-            .is_some_and(|w| w & (1 << (c % 64)) != 0)
+        self.word((c / 64) as usize) & (1 << (c % 64)) != 0
     }
 
     fn insert_range(&mut self, r: std::ops::Range<u64>) {
@@ -39,6 +76,37 @@ impl CycleSet {
 
     fn clear(&mut self) {
         self.0.clear();
+    }
+}
+
+/// What the scheduler needs of one opcode on one core: its
+/// [`cost`](lgen_isa::cost::cost) and
+/// [`op_energy_pj`](lgen_isa::energy::op_energy_pj), resolved once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Row {
+    latency: u64,
+    /// Cycles the chosen port (every port, if `blocks_all`) stays busy.
+    issue: u64,
+    energy_pj: u64,
+    /// Admissible ports, clipped to the core's port count.
+    mask: u8,
+    blocks_all: bool,
+    is_load: bool,
+    is_store: bool,
+}
+
+impl Row {
+    fn new(arch: Microarch, num_ports: u32, op: MOp) -> Self {
+        let k = cost(arch, op);
+        Row {
+            latency: k.latency as u64,
+            issue: k.issue as u64,
+            energy_pj: lgen_isa::energy::op_energy_pj(arch, op),
+            mask: k.ports.mask(num_ports),
+            blocks_all: k.ports.blocks_all(),
+            is_load: op.is_load(),
+            is_store: op.is_store(),
+        }
     }
 }
 
@@ -117,6 +185,8 @@ pub struct Simulator {
     arch: Microarch,
     params: UarchParams,
     cache: L1Cache,
+    /// Each opcode's row, resolved on its first use.
+    rows: [Option<Row>; MOp::COUNT],
     /// Busy cycles per port (gap-filling within the scheduling window).
     port_busy: Vec<CycleSet>,
     /// Ready time per register id.
@@ -124,8 +194,10 @@ pub struct Simulator {
     /// Completion time of the last store per 4-byte memory word
     /// (store→load forwarding dependency), dense by word index.
     mem_ready: Vec<u64>,
-    /// Instructions issued per cycle, dense by cycle.
-    issued_at: Vec<u32>,
+    /// Instructions issued per cycle, in unary: set `k` holds the cycles
+    /// that issued more than `k`. The last set holds the cycles whose
+    /// issue width is full.
+    issued: Vec<CycleSet>,
     /// Issue cycles of the last `window` instructions (order constraint).
     recent_issues: VecDeque<u64>,
     /// Completion time of the latest-finishing instruction.
@@ -134,9 +206,6 @@ pub struct Simulator {
     ninsts: u64,
     /// Dynamic (per-instruction) energy in picojoules.
     dyn_energy_pj: u64,
-    /// `LGEN_SCHED_TRACE` was set at construction (read once; an env
-    /// lookup per dynamic instruction is measurable).
-    sched_trace: bool,
 }
 
 impl Simulator {
@@ -151,15 +220,15 @@ impl Simulator {
             arch,
             params,
             cache: L1Cache::new(params.l1d_bytes, params.line_bytes),
+            rows: [None; MOp::COUNT],
             port_busy: vec![CycleSet::default(); params.num_ports as usize],
             reg_ready: RegReady::default(),
             mem_ready: Vec::new(),
-            issued_at: Vec::new(),
+            issued: vec![CycleSet::default(); params.issue_width.max(1) as usize],
             recent_issues: VecDeque::new(),
             horizon: 0,
             ninsts: 0,
             dyn_energy_pj: 0,
-            sched_trace: std::env::var_os("LGEN_SCHED_TRACE").is_some(),
         }
     }
 
@@ -221,7 +290,7 @@ impl Simulator {
         self.port_busy.iter_mut().for_each(|p| p.clear());
         self.reg_ready.clear();
         self.mem_ready.clear();
-        self.issued_at.clear();
+        self.issued.iter_mut().for_each(|s| s.clear());
         self.recent_issues.clear();
         self.horizon = 0;
         self.ninsts = 0;
@@ -256,21 +325,70 @@ impl Simulator {
         while self.recent_issues.len() > w {
             self.recent_issues.pop_front();
         }
-        let c = cycle as usize;
-        if self.issued_at.len() <= c {
-            self.issued_at.resize(c + 1, 0);
+        if let Some(count) = self.issued.iter_mut().find(|s| !s.contains(cycle)) {
+            count.insert_range(cycle..cycle + 1);
         }
-        self.issued_at[c] += 1;
     }
-}
 
-impl TraceSink for Simulator {
-    fn emit(&mut self, inst: &MachInst) {
+    fn row(&mut self, op: MOp) -> Row {
+        let (arch, ports) = (self.arch, self.params.num_ports);
+        *self.rows[op as usize].get_or_insert_with(|| Row::new(arch, ports, op))
+    }
+
+    /// The earliest cycle from `ready` on with a free issue slot and,
+    /// for `row.issue` cycles from it, a free admissible port (every
+    /// port, for an instruction that blocks all of them), and that port:
+    /// the lowest one, or `None` when all are taken. Gaps left by
+    /// earlier (program-order) instructions may be filled — the
+    /// reordering the compiler's static scheduling provides. Searches
+    /// 64 cycles per step.
+    fn earliest_issue(&self, ready: u64, row: &Row) -> (u64, Option<usize>) {
+        let mut w = (ready / 64) as usize;
+        let mut from = u64::MAX << (ready % 64);
+        // The mask is a `u8`: only the first 8 ports can be admissible.
+        let ports = self.port_busy.len().min(8);
+        // Per admissible port: the starts in word `w` it leaves open.
+        let mut open = [0u64; 8];
+        let full = self.issued.last().expect("issue width is at least 1");
+        loop {
+            let mut starts = !full.word(w) & from;
+            if starts != 0 && row.blocks_all {
+                for busy in &self.port_busy {
+                    starts &= !busy.blocked(w, row.issue);
+                }
+            } else if starts != 0 {
+                let mut any = 0;
+                for p in (0..ports).filter(|&p| row.mask & (1 << p) != 0) {
+                    open[p] = !self.port_busy[p].blocked(w, row.issue);
+                    any |= open[p];
+                }
+                starts &= any;
+            }
+            if starts != 0 {
+                let bit = starts.trailing_zeros();
+                let port = (!row.blocks_all).then(|| {
+                    (0..ports)
+                        .find(|&p| row.mask & (1 << p) != 0 && open[p] & (1 << bit) != 0)
+                        .expect("an open start has an open port")
+                });
+                return (64 * w as u64 + bit as u64, port);
+            }
+            w += 1;
+            from = u64::MAX;
+        }
+    }
+
+    /// Schedules `inst`, its issue cycle found by `search` (this
+    /// simulator's [`earliest_issue`](Self::earliest_issue) outside
+    /// tests), and returns that cycle.
+    fn schedule(
+        &mut self,
+        inst: &MachInst,
+        search: impl Fn(&Self, u64, &Row) -> (u64, Option<usize>),
+    ) -> u64 {
+        let row = self.row(inst.op);
         self.ninsts += 1;
-        self.dyn_energy_pj += lgen_isa::energy::op_energy_pj(self.arch, inst.op);
-        let k = cost(self.arch, inst.op);
-        let mask = k.ports.mask(self.params.num_ports);
-        let blocks_all = k.ports.blocks_all();
+        self.dyn_energy_pj += row.energy_pj;
 
         // Operand readiness (read-after-write).
         let mut ready = self.order_floor();
@@ -287,7 +405,7 @@ impl TraceSink for Simulator {
             if crossed {
                 mem_extra += self.params.cross_line_penalty as u64;
             }
-            if inst.op.is_load() {
+            if row.is_load {
                 for w in (m.addr / 4)..(m.addr + m.bytes.max(1)).div_ceil(4) {
                     if let Some(&t) = self.mem_ready.get(w) {
                         ready = ready.max(t);
@@ -296,44 +414,22 @@ impl TraceSink for Simulator {
             }
         }
 
-        // Find the earliest cycle with an admissible port and issue slot;
-        // gaps left by earlier (program-order) instructions may be filled —
-        // the reordering the compiler's static scheduling provides.
-        let issue_len = k.issue as u64;
-        let port_open = |busy: &CycleSet, c: u64| (c..c + issue_len).all(|t| !busy.contains(t));
-        let mut c = ready;
-        let (cycle, port) = loop {
-            let width_ok =
-                self.issued_at.get(c as usize).copied().unwrap_or(0) < self.params.issue_width;
-            if width_ok {
-                if blocks_all {
-                    if self.port_busy.iter().all(|b| port_open(b, c)) {
-                        break (c, None);
-                    }
-                } else if let Some(p) = (0..self.params.num_ports as usize)
-                    .find(|&p| mask & (1 << p) != 0 && port_open(&self.port_busy[p], c))
-                {
-                    break (c, Some(p));
-                }
-            }
-            c += 1;
-        };
+        let (cycle, port) = search(self, ready, &row);
 
         // Occupy the port(s).
+        let busy = cycle..cycle + row.issue;
         match port {
             None => {
                 for b in self.port_busy.iter_mut() {
-                    b.insert_range(cycle..cycle + issue_len);
+                    b.insert_range(busy.clone());
                 }
             }
-            Some(p) => {
-                self.port_busy[p].insert_range(cycle..cycle + issue_len);
-            }
+            Some(p) => self.port_busy[p].insert_range(busy),
         }
         self.note_issue(cycle);
 
-        let done = cycle + k.latency as u64 + mem_extra;
-        if self.sched_trace && self.ninsts < 60 {
+        let done = cycle + row.latency + mem_extra;
+        if *SCHED_TRACE && self.ninsts < 60 {
             eprintln!(
                 "#{:3} {:16} dst={:?} srcs={:?} ready={} issue={} done={}",
                 self.ninsts,
@@ -348,7 +444,7 @@ impl TraceSink for Simulator {
         if let Some(dst) = inst.dst {
             self.reg_ready.set(dst, done);
         }
-        if inst.op.is_store() {
+        if row.is_store {
             if let Some(m) = inst.mem {
                 let end = (m.addr + m.bytes.max(1)).div_ceil(4);
                 if self.mem_ready.len() < end {
@@ -360,13 +456,19 @@ impl TraceSink for Simulator {
             }
         }
         self.horizon = self.horizon.max(done);
+        cycle
+    }
+}
+
+impl TraceSink for Simulator {
+    fn emit(&mut self, inst: &MachInst) {
+        self.schedule(inst, Self::earliest_issue);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lgen_isa::MOp;
 
     fn add(dst: u32, a: u32, b: u32) -> MachInst {
         MachInst::reg(MOp::MmAddPs, Some(dst), &[a, b])
@@ -495,6 +597,141 @@ mod tests {
         let aligned = run(MOp::MmLoadAPs, 0);
         let unaligned = run(MOp::MmLoadUPs, 4);
         assert!(unaligned > aligned * 2, "{unaligned} vs {aligned}");
+    }
+
+    /// The cycle-by-cycle issue scan the bitmap search replaced, kept
+    /// as its oracle: from `ready`, the first cycle with a free issue
+    /// slot and a port free for the whole issue length.
+    fn scan_issue(sim: &Simulator, ready: u64, row: &Row) -> (u64, Option<usize>) {
+        let port_open = |busy: &CycleSet, c: u64| (c..c + row.issue).all(|t| !busy.contains(t));
+        let mut c = ready;
+        loop {
+            let issued = sim.issued.iter().filter(|s| s.contains(c)).count();
+            let width_ok = issued < sim.params.issue_width as usize;
+            if width_ok {
+                if row.blocks_all {
+                    if sim.port_busy.iter().all(|b| port_open(b, c)) {
+                        return (c, None);
+                    }
+                } else if let Some(p) = (0..sim.params.num_ports as usize)
+                    .find(|&p| row.mask & (1 << p) != 0 && port_open(&sim.port_busy[p], c))
+                {
+                    return (c, Some(p));
+                }
+            }
+            c += 1;
+        }
+    }
+
+    /// Opcodes of all four evaluated cores, with the long occupancies:
+    /// Atom's `hadd` holds both ports for 7 cycles, `CallOverhead` every
+    /// port for 48.
+    const VOCABULARY: [MOp; 20] = [
+        MOp::MmLoadAPs,
+        MOp::MmLoadUPs,
+        MOp::MmStoreUPs,
+        MOp::MmAddPs,
+        MOp::MmMulPs,
+        MOp::MmHaddPs,
+        MOp::MmShufPs,
+        MOp::VldQ,
+        MOp::VldD,
+        MOp::VstQ,
+        MOp::VaddQ,
+        MOp::VmlaQ,
+        MOp::VmlaD,
+        MOp::FLoad,
+        MOp::FStore,
+        MOp::FAdd,
+        MOp::FMul,
+        MOp::FMac,
+        MOp::IAddr,
+        MOp::Branch,
+    ];
+
+    /// A random instruction: mostly independent ones over a few dozen
+    /// registers, so traces fill the issue width, and one in fifty a
+    /// `CallOverhead`.
+    fn arb_inst() -> impl proptest::strategy::Strategy<Value = MachInst> {
+        use proptest::prelude::*;
+        (0usize..1000, 0u32..32, 0u32..32, 0u32..32, 0usize..256).prop_map(
+            |(pick, dst, a, b, word)| {
+                if pick < 20 {
+                    return MachInst::reg(MOp::CallOverhead, None, &[]);
+                }
+                let op = VOCABULARY[pick % VOCABULARY.len()];
+                if op.is_load() {
+                    MachInst::load(op, dst, word * 4)
+                } else if op.is_store() {
+                    MachInst::store(op, a, word * 4)
+                } else {
+                    MachInst::reg(op, Some(dst), &[a, b])
+                }
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// The bitmap search issues every instruction in the cycle the
+        /// scan does, so cycles and energy agree too; the energy is the
+        /// cost tables' own, independent of the resolved rows.
+        #[test]
+        fn bitmap_search_matches_the_scan(
+            trace in proptest::collection::vec(arb_inst(), 1..600)
+        ) {
+            for arch in Microarch::EVALUATED {
+                let (mut fast, mut scan) = (Simulator::new(arch), Simulator::new(arch));
+                let mut energy = 0;
+                for inst in &trace {
+                    let want = scan.schedule(inst, scan_issue);
+                    let got = fast.schedule(inst, Simulator::earliest_issue);
+                    proptest::prop_assert_eq!(got, want, "{} {:?}", arch, inst.op);
+                    energy += lgen_isa::energy::op_energy_pj(arch, inst.op);
+                }
+                proptest::prop_assert_eq!(fast.cycles(), scan.cycles());
+                proptest::prop_assert_eq!(fast.energy_pj(), scan.energy_pj());
+                proptest::prop_assert_eq!(fast.dyn_energy_pj(), energy);
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_starts_match_a_brute_force() {
+        let mut set = CycleSet::default();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..40 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            set.insert_range(x % 400..x % 400 + 1);
+        }
+        for len in [1, 2, 7, 48, 63, 64, 65, 100, 130] {
+            for w in 0..8 {
+                let want = (0..64).fold(0u64, |acc, i| {
+                    let c = 64 * w as u64 + i;
+                    let hit = (c..c + len).any(|t| set.contains(t));
+                    acc | (hit as u64) << i
+                });
+                assert_eq!(set.blocked(w, len), want, "word {w}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_are_the_cost_tables() {
+        for arch in Microarch::EVALUATED {
+            let mut sim = Simulator::new(arch);
+            for op in VOCABULARY.into_iter().chain([MOp::CallOverhead]) {
+                let k = cost(arch, op);
+                let row = sim.row(op);
+                assert_eq!(
+                    (row.latency, row.issue, row.blocks_all),
+                    (k.latency as u64, k.issue as u64, k.ports.blocks_all())
+                );
+                assert_eq!(row.mask, k.ports.mask(arch.params().num_ports));
+                assert_eq!(row.energy_pj, lgen_isa::energy::op_energy_pj(arch, op));
+            }
+        }
     }
 
     #[test]
