@@ -32,7 +32,7 @@ use lgen_cir::arena::trip_count;
 use lgen_cir::lower::{
     lower_arith, lower_load, lower_move, lower_store, LoweredOp, Slot, MAX_LOWERED_OPS,
 };
-use lgen_cir::{AInst, Arena, BlockId, Kernel, OverheadKind, VReg};
+use lgen_cir::{dispatch_version, overhead_mop, AInst, Arena, BlockId, Kernel, VReg};
 use lgen_isa::cost::cost;
 use lgen_isa::energy::{op_energy_pj, static_energy_pj_per_cycle};
 use lgen_isa::{MOp, Microarch, VectorIsa};
@@ -164,11 +164,8 @@ impl StaticCost {
 pub fn analyze_kernel(kernel: &Kernel, arch: Microarch) -> StaticCost {
     let isa = arch.vector_isa();
     let params = arch.params();
-    let (version, dispatch_iaddr, dispatch_branch) = dispatched_version(kernel);
-
     let mut mix = MixHistogram::default();
-    charge(&mut mix, MOp::IAddr, dispatch_iaddr);
-    charge(&mut mix, MOp::Branch, dispatch_branch);
+    let version = dispatch_version(kernel, |_| 0, |op| mix.add(op, 1));
     let v = &kernel.versions[version];
     let flow = walk_block(&v.arena, v.root, isa, arch, 1, &mut mix);
 
@@ -187,28 +184,6 @@ pub fn analyze_kernel(kernel: &Kernel, arch: Microarch) -> StaticCost {
         flops: kernel.flops,
         mix,
     }
-}
-
-/// Mirrors the interpreter's version dispatch under an all-aligned
-/// layout (base offsets ≡ 0 mod ν): returns the selected version index
-/// and the `IAddr`/`Branch` counts the tried predicates cost.
-fn dispatched_version(kernel: &Kernel) -> (usize, u64, u64) {
-    let mut iaddr = 0u64;
-    let mut branch = 0u64;
-    for (i, v) in kernel.versions.iter().enumerate() {
-        let matches = match &v.required_offsets {
-            None => true,
-            Some(reqs) => reqs.iter().flatten().all(|r| *r == 0),
-        };
-        if let Some(reqs) = &v.required_offsets {
-            iaddr += reqs.iter().flatten().count() as u64;
-            branch += 1;
-        }
-        if matches {
-            return (i, iaddr, branch);
-        }
-    }
-    (kernel.versions.len() - 1, iaddr, branch)
 }
 
 /// Charges `n` dynamic instances of `op` to the mix (a zero count adds
@@ -329,12 +304,7 @@ fn walk_block(
                 charge_seq(&seq, arch, weight, mix, &mut flow);
             }
             &AInst::Overhead { kind, count } => {
-                let op = match kind {
-                    OverheadKind::Addr => MOp::IAddr,
-                    OverheadKind::Branch => MOp::Branch,
-                    OverheadKind::Call => MOp::CallOverhead,
-                };
-                charge(mix, op, weight * count as u64);
+                charge(mix, overhead_mop(kind), weight * count as u64);
             }
             AInst::Loop {
                 start,

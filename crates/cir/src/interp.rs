@@ -26,7 +26,7 @@
 //! ids: a read always sees its own sequence's write.
 
 use crate::arena::{AInst, Arena, BlockId, ExprId};
-use crate::ir::{ArrayId, ArrayKind, Kernel, KernelVersion, OverheadKind, VArith, VMove, VReg};
+use crate::ir::{ArrayId, ArrayKind, Kernel, OverheadKind, VArith, VMove, VReg};
 use crate::lower::{self, LoweredOp, LoweredSeq, Slot, MAX_LOWERED_OPS};
 use crate::map::MemMap;
 use lgen_isa::{MOp, MachInst, MemRef, Srcs, TraceSink, VectorIsa, MAX_SRCS};
@@ -328,7 +328,11 @@ pub fn run_kernel(
         }
     }
 
-    let body = &kernel.versions[select_version(kernel, layout, &params, sink)];
+    let offset_mod = |j: usize| layout.float_offset_mod(params[j], 4);
+    let version = dispatch_version(kernel, offset_mod, |op| {
+        sink.emit(&MachInst::reg(op, None, &[]));
+    });
+    let body = &kernel.versions[version];
     let mut exec = Exec {
         kernel,
         arena: &body.arena,
@@ -365,37 +369,40 @@ pub fn run_kernel(
     Ok(())
 }
 
-/// Picks the first matching alignment version, charging the runtime checks
-/// of the dispatch chain (Listing 3.3) as overhead instructions.
-fn select_version(
+/// The alignment version of `kernel` that runs when parameter `j`'s base
+/// sits `offset_mod(j)` floats past a ν-float boundary: the first version
+/// whose requirements hold, or the unconditional fallback. Each tried
+/// version's runtime checks (the dispatch chain of Listing 3.3) go to
+/// `charge`: one `IAddr` per predicate, then one `Branch`. The
+/// interpreter dispatches through this function, and so does the static
+/// cost model (`lgen-analysis`, every offset 0).
+pub fn dispatch_version(
     kernel: &Kernel,
-    layout: &MemLayout,
-    params: &[usize],
-    sink: &mut dyn TraceSink,
+    offset_mod: impl Fn(usize) -> usize,
+    mut charge: impl FnMut(MOp),
 ) -> usize {
-    let matches = |v: &KernelVersion| -> bool {
-        match &v.required_offsets {
-            None => true,
-            Some(reqs) => reqs.iter().zip(params).all(|(req, &arr)| match req {
-                None => true,
-                Some(r) => layout.float_offset_mod(arr, 4) == *r,
-            }),
-        }
-    };
     for (i, v) in kernel.versions.iter().enumerate() {
-        // Each tried version evaluates its alignment predicates.
-        if let Some(reqs) = &v.required_offsets {
-            for req in reqs.iter().flatten() {
-                let _ = req;
-                sink.emit(&MachInst::reg(MOp::IAddr, None, &[]));
-            }
-            sink.emit(&MachInst::reg(MOp::Branch, None, &[]));
-        }
-        if matches(v) {
+        let Some(reqs) = &v.required_offsets else {
+            return i;
+        };
+        reqs.iter().flatten().for_each(|_| charge(MOp::IAddr));
+        charge(MOp::Branch);
+        let holds = |(j, req): (usize, &Option<usize>)| req.is_none_or(|r| offset_mod(j) == r);
+        if reqs.iter().enumerate().all(holds) {
             return i;
         }
     }
     kernel.versions.len() - 1
+}
+
+/// The machine op a schedule-only overhead instruction issues as, in the
+/// trace and in the static cost model alike.
+pub fn overhead_mop(kind: OverheadKind) -> MOp {
+    match kind {
+        OverheadKind::Addr => MOp::IAddr,
+        OverheadKind::Branch => MOp::Branch,
+        OverheadKind::Call => MOp::CallOverhead,
+    }
 }
 
 impl<'a> Exec<'a, '_> {
@@ -446,7 +453,7 @@ impl<'a> Exec<'a, '_> {
                 self.emit_lowered(&lower::lower_move(isa, op, dst, a, b), 0);
             }
             AInst::Overhead { kind, count } => {
-                let inst = MachInst::reg(overhead_op(kind), None, &[]);
+                let inst = MachInst::reg(overhead_mop(kind), None, &[]);
                 for _ in 0..count {
                     self.sink.emit(&inst);
                 }
@@ -524,7 +531,7 @@ impl<'a> Exec<'a, '_> {
                 ops: self.push_lowered(&lower::lower_move(isa, op, dst, a, b)),
             },
             AInst::Overhead { kind, count } => {
-                let inst = MachInst::reg(overhead_op(kind), None, &[]);
+                let inst = MachInst::reg(overhead_mop(kind), None, &[]);
                 let ops = self.push([TapeOp { inst, off: 0 }]);
                 Step::Overhead { count, ops }
             }
@@ -834,14 +841,6 @@ fn reach(map: &MemMap, seq: &[LoweredOp]) -> (i64, i64) {
 fn mem_ops(seq: &[LoweredOp]) -> impl Iterator<Item = (i64, usize)> + '_ {
     seq.iter()
         .filter_map(|l| Some((l.mem_off?, l.op.access_bytes())))
-}
-
-fn overhead_op(kind: OverheadKind) -> MOp {
-    match kind {
-        OverheadKind::Addr => MOp::IAddr,
-        OverheadKind::Branch => MOp::Branch,
-        OverheadKind::Call => MOp::CallOverhead,
-    }
 }
 
 fn eval_arith(op: VArith, d: &mut [f32; 4], a: [f32; 4], b: [f32; 4]) {

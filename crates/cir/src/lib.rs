@@ -49,7 +49,7 @@ pub use arena::{AInst, Arena, BlockId, ExprId, ExprPool, InstId, MapId, MapPool,
 pub use builder::KernelBuilder;
 pub use codec::{decode_kernel, encode_kernel, CodecError};
 pub use diag::{render, Check, Diagnostic};
-pub use interp::{run_kernel, ExecError, MemLayout};
+pub use interp::{dispatch_version, overhead_mop, run_kernel, ExecError, MemLayout};
 pub use ir::{
     merge_kernel_versions, ArrayDecl, ArrayId, ArrayKind, Kernel, KernelVersion, OverheadKind,
     VArith, VMove, VReg, VWidth,

@@ -2,46 +2,19 @@
 //! experiment drivers.
 
 use crate::evaluate::check_program;
-use lgen_cir::{run_kernel, ExecError, Kernel, MemLayout};
-use lgen_isa::inst::NullSink;
+use crate::program::measure_on;
+use lgen_cir::{ExecError, Kernel, MemLayout};
 use lgen_isa::Microarch;
-use lgen_ll::reference::{test_data_for, MatrixValue};
 use lgen_ll::{Blac, Program};
-use lgen_machine::{measure_protocol, Measurement};
-
-/// Runs a compiled kernel on explicit operand values and returns the output
-/// operand's value (arrays 16-byte aligned).
-///
-/// # Errors
-///
-/// Propagates [`ExecError`] from the interpreter.
-///
-/// # Panics
-///
-/// Panics if `values` does not match the BLAC's operand list.
-pub fn run_blac_kernel(
-    blac: &Blac,
-    kernel: &Kernel,
-    isa: lgen_isa::VectorIsa,
-    values: &[MatrixValue],
-) -> Result<MatrixValue, ExecError> {
-    assert_eq!(values.len(), blac.operands.len());
-    let mut bufs: Vec<Vec<f32>> = values.iter().map(|v| v.data.clone()).collect();
-    let layout = MemLayout::aligned(kernel);
-    {
-        let mut refs: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-        run_kernel(kernel, &mut refs, &layout, isa, &mut NullSink)?;
-    }
-    Ok(MatrixValue::new(
-        blac.dims(blac.output),
-        bufs[blac.output.0].clone(),
-    ))
-}
+use lgen_machine::Measurement;
 
 /// Validates a kernel against the naive reference on deterministic
 /// pseudo-random data (the §5.1.4 correctness check): [`check_program`]
 /// on the BLAC's one-statement program. Returns the maximum absolute
 /// difference.
+///
+/// It holds no logic of its own and keeps this signature because the
+/// benchmark calls it; new callers use [`check_program`].
 ///
 /// # Errors
 ///
@@ -63,7 +36,12 @@ pub fn tolerance(flops: u64) -> f32 {
 
 /// Measures a compiled kernel on `arch` with deterministic test data and
 /// per-parameter float offsets (the Fig. 5.9 misalignment protocol;
-/// all-zero offsets = the default aligned layout).
+/// all-zero offsets = the default aligned layout): the body of
+/// [`measure_program`](crate::measure_program) on the BLAC's one-statement
+/// program, over that layout.
+///
+/// It keeps this signature because the benchmark calls it; callers that
+/// measure the aligned layout use `measure_program`.
 ///
 /// # Errors
 ///
@@ -79,15 +57,8 @@ pub fn measure_blac(
     offsets: &[usize],
     reps: usize,
 ) -> Result<Measurement, ExecError> {
-    let mut bufs: Vec<Vec<f32>> = blac
-        .operands
-        .iter()
-        .enumerate()
-        .map(|(i, op)| test_data_for(op, 77 + i as u64).data)
-        .collect();
     let layout = MemLayout::with_float_offsets(kernel, offsets);
-    let mut refs: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-    measure_protocol(kernel, &mut refs, &layout, arch, reps)
+    measure_on(&Program::from(blac), kernel, arch, &layout, reps)
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub use cache::{CacheSnapshot, CacheStats, CompileOutcome, KernelCache, ProgramC
 pub use coalesce::Coalescer;
 pub use config::{CompileConfig, Variant};
 pub use evaluate::{check_program, Evaluator, Validated};
-pub use exec::{check_kernel, measure_blac, run_blac_kernel};
+pub use exec::{check_kernel, measure_blac};
 pub use fault::{parse_duration, FaultKind, FaultPlan};
 pub use lgen_cir::passes::UnrollDecision;
 pub use lgen_cir::{PassPipeline, PassStats, PassTrace, VerifyFailure, VerifyLevel};

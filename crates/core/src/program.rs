@@ -175,6 +175,19 @@ pub fn measure_program(
     arch: Microarch,
     reps: usize,
 ) -> Result<Measurement, ExecError> {
+    measure_on(program, kernel, arch, &MemLayout::aligned(kernel), reps)
+}
+
+/// The body of [`measure_program`] and
+/// [`measure_blac`](crate::measure_blac): the §5.1.4 protocol on `layout`,
+/// over the test data of seed 77.
+pub(crate) fn measure_on(
+    program: &Program,
+    kernel: &Kernel,
+    arch: Microarch,
+    layout: &MemLayout,
+    reps: usize,
+) -> Result<Measurement, ExecError> {
     let mut bufs: Vec<Vec<f32>> = program
         .operands
         .iter()
@@ -182,9 +195,8 @@ pub fn measure_program(
         .filter(|(i, _)| !program.temps[*i])
         .map(|(i, op)| test_data_for(op, 77 + i as u64).data)
         .collect();
-    let layout = MemLayout::aligned(kernel);
     let mut refs: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-    measure_protocol(kernel, &mut refs, &layout, arch, reps)
+    measure_protocol(kernel, &mut refs, layout, arch, reps)
 }
 
 /// The historical builder of program tunes: an [`Autotuner`] preset to

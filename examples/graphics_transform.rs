@@ -61,8 +61,9 @@ fn main() {
         "transform",
         &CompileConfig::full(Microarch::CortexA8),
     );
-    let got =
-        lgen::core::run_blac_kernel(&blac, &kernel, VectorIsa::Neon, &values).expect("kernel runs");
+    let got = run_program_kernel(&Program::from(&blac), &kernel, VectorIsa::Neon, &values)
+        .expect("kernel runs")
+        .swap_remove(blac.output.0);
     println!(
         "NEON kernel transforms a vertex with max|err| = {:.2e} vs the reference",
         max_abs_diff(&got, &expected)

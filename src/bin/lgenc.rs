@@ -3,21 +3,17 @@
 //! Reads an LL source file — a single BLAC (declarations + equation, see
 //! `lgen::ll::parse`) or a multi-statement program with structure
 //! annotations and `let`-bound temporaries — compiles it for a target
-//! processor, validates it against the naive reference, prints the
+//! processor, checks it against the naive reference, prints the
 //! generated C and the simulated performance. A program compiles to **one
 //! fused kernel**: single-use temporaries are substituted into their
-//! consumers before code generation.
+//! consumers before code generation; a single BLAC runs as its
+//! one-statement program.
 //!
-//! ```text
-//! lgenc <file.blac> [--target atom|cortex-a8|cortex-a9|arm1176]
-//!       [--variant base|align|mvm|full] [--passes <spec>]
-//!       [--tune] [--tune-passes] [--peel] [--version-align]
-//!       [--tune-deadline <dur>] [--tune-budget <dur>] [--tune-sweeps N]
-//!       [--prune off|topk:N|frac:F]
-//!       [--verify[=paranoid]] [--print-after-all]
-//!       [--threads N | -j N] [--cache-stats]
-//!       [--trace-out <file.json>] [--metrics]
-//! ```
+//! The check is the tuner's: a kernel whose largest difference from the
+//! reference reaches `tolerance(flops)` is a mismatch, and `lgenc` exits 1
+//! with `kernel does not match the reference` before printing any C.
+//!
+//! `lgenc --help` prints the options (see `usage` below).
 //!
 //! Telemetry: `--trace-out` records spans for the whole run and writes
 //! Chrome `trace_event` JSON (open in `chrome://tracing` or Perfetto);
@@ -26,9 +22,11 @@
 
 use lgen::cir::passes::align::{versioned_arrays, MAX_VERSIONED_ARRAYS};
 use lgen::cir::passes::UnrollPolicy;
+use lgen::cir::Kernel;
+use lgen::core::exec::tolerance;
 use lgen::core::{
-    parse_duration, try_compile_program_with, KernelCache, PassStats, PassTrace, PrunePolicy,
-    SearchStrategy, TuneError, VerifyFailure, VerifyLevel,
+    effective_threads, parse_duration, try_compile_program_with, KernelCache, PassStats, PassTrace,
+    PrunePolicy, SearchStrategy, TuneError, VerifyFailure, VerifyLevel,
 };
 use lgen::prelude::*;
 use std::sync::Arc;
@@ -74,6 +72,9 @@ fn usage() -> ! {
          \x20                     (open in chrome://tracing or Perfetto)\n\
          \x20 --metrics           dump the metrics registry (name value lines) at exit\n\
          \n\
+         The kernel is checked against the naive reference; a mismatch (max|err|\n\
+         past the tuner's tolerance) exits 1 before any C is printed.\n\
+         \n\
          example input file (single BLAC):\n\
          \x20 alpha = scalar\n\
          \x20 A = matrix(4, 8)\n\
@@ -92,13 +93,17 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parsed command-line options shared by the BLAC and program paths.
+/// The value of a flag, or the usage message (exit 2) when it is missing
+/// or malformed: the strict flag-value convention.
+fn or_usage<T>(value: Option<T>) -> T {
+    value.unwrap_or_else(|| usage())
+}
+
+/// Parsed command-line options the driver reads besides the compile
+/// configuration.
 struct Opts {
-    target: Microarch,
     tune: bool,
     tune_passes: bool,
-    peel: bool,
-    version_align: bool,
     print_after_all: bool,
     threads: usize,
     cache_stats: bool,
@@ -114,68 +119,43 @@ fn main() {
     let mut target = Microarch::Atom;
     let mut variant = Variant::Full;
     let mut passes: Option<PassPipeline> = None;
-    let mut tune = false;
-    let mut tune_passes = false;
     let mut peel = false;
     let mut version_align = false;
-    let mut print_after_all = false;
-    let mut threads = 0usize; // 0 = one worker per available core
-    let mut cache_stats = false;
     let mut verify = None;
-    let mut tune_deadline: Option<Duration> = None;
-    let mut tune_budget: Option<Duration> = None;
-    let mut tune_sweeps = 1usize;
-    let mut prune = PrunePolicy::Off;
     let mut trace_out: Option<String> = None;
     let mut metrics = false;
+    let mut o = Opts {
+        tune: false,
+        tune_passes: false,
+        print_after_all: false,
+        threads: 0, // one worker per available core
+        cache_stats: false,
+        tune_deadline: None,
+        tune_budget: None,
+        tune_sweeps: 1,
+        prune: PrunePolicy::Off,
+    };
 
     // Strict flag-value convention: a bad policy is a usage error (exit
     // 2), not a silent fall-back to `off`.
     let parse_prune = |v: Option<&str>| -> PrunePolicy {
-        match v.map(str::parse) {
-            Some(Ok(p)) => p,
-            Some(Err(e)) => {
-                eprintln!("lgenc: bad --prune value: {e}");
-                usage();
-            }
-            None => usage(),
-        }
+        or_usage(v).parse().unwrap_or_else(|e| {
+            eprintln!("lgenc: bad --prune value: {e}");
+            usage()
+        })
     };
+    let count = |v: Option<&String>| v.and_then(|v| v.parse().ok());
+    let duration = |v: Option<&String>| Some(or_usage(v.and_then(|v| parse_duration(v))));
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" | "-j" => {
-                threads = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => usage(),
-                }
-            }
-            "--tune-deadline" => {
-                tune_deadline = match it.next().and_then(|v| parse_duration(v)) {
-                    Some(d) => Some(d),
-                    None => usage(),
-                }
-            }
-            "--tune-budget" => {
-                tune_budget = match it.next().and_then(|v| parse_duration(v)) {
-                    Some(d) => Some(d),
-                    None => usage(),
-                }
-            }
-            "--tune-sweeps" => {
-                tune_sweeps = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => usage(),
-                }
-            }
-            "--cache-stats" => cache_stats = true,
-            "--trace-out" => {
-                trace_out = match it.next() {
-                    Some(path) => Some(path.clone()),
-                    None => usage(),
-                }
-            }
+            "--threads" | "-j" => o.threads = or_usage(count(it.next())),
+            "--tune-deadline" => o.tune_deadline = duration(it.next()),
+            "--tune-budget" => o.tune_budget = duration(it.next()),
+            "--tune-sweeps" => o.tune_sweeps = or_usage(count(it.next()).filter(|&n| n >= 1)),
+            "--cache-stats" => o.cache_stats = true,
+            "--trace-out" => trace_out = Some(or_usage(it.next()).clone()),
             "--metrics" => metrics = true,
             "--target" => {
                 target = match it.next().map(String::as_str) {
@@ -196,27 +176,24 @@ fn main() {
                 }
             }
             "--passes" => {
-                let Some(spec) = it.next() else { usage() };
-                passes = match spec.parse::<PassPipeline>() {
-                    Ok(p) => Some(p),
-                    Err(e) => {
-                        eprintln!("lgenc: bad --passes spec: {e}");
-                        std::process::exit(2);
-                    }
-                }
+                let spec = or_usage(it.next()).parse::<PassPipeline>();
+                passes = Some(spec.unwrap_or_else(|e| {
+                    eprintln!("lgenc: bad --passes spec: {e}");
+                    std::process::exit(2);
+                }));
             }
-            "--prune" => prune = parse_prune(it.next().map(String::as_str)),
+            "--prune" => o.prune = parse_prune(it.next().map(String::as_str)),
             other if other.starts_with("--prune=") => {
-                prune = parse_prune(other.strip_prefix("--prune="));
+                o.prune = parse_prune(other.strip_prefix("--prune="));
             }
-            "--tune" => tune = true,
+            "--tune" => o.tune = true,
             "--tune-passes" => {
-                tune = true;
-                tune_passes = true;
+                o.tune = true;
+                o.tune_passes = true;
             }
             "--peel" => peel = true,
             "--version-align" => version_align = true,
-            "--print-after-all" => print_after_all = true,
+            "--print-after-all" => o.print_after_all = true,
             "--verify" => verify = Some(VerifyLevel::Boundaries),
             "--verify=paranoid" | "--verify=every-pass" => verify = Some(VerifyLevel::EveryPass),
             "--help" | "-h" => usage(),
@@ -241,49 +218,20 @@ fn main() {
         std::process::exit(1);
     });
     // The program grammar is a strict superset of the single-BLAC one, so
-    // every input parses as a program; a one-statement file without
-    // temporaries then takes the original single-kernel path (where
-    // peeling, alignment versioning, and pass-schedule search apply).
+    // every input parses as a program; a single BLAC is its one-statement
+    // program.
     let program = lgen::ll::parse_program(&src).unwrap_or_else(|e| {
         eprintln!("lgenc: {e}");
         std::process::exit(1);
     });
-    let single = program.statements.len() == 1 && !program.temps.iter().any(|&t| t);
 
     let mut cfg = CompileConfig::variant(target, variant);
-    if let Some(p) = passes {
-        cfg = cfg.with_passes(p);
-    }
-    if peel {
-        cfg = cfg.with_peeling();
-    }
-    if version_align {
-        cfg = cfg.with_versioning();
-    }
+    cfg.pipeline = passes.unwrap_or(cfg.pipeline);
+    cfg.peeling = peel;
+    cfg.alignment_versioning = version_align;
     // --verify wins over LGEN_VERIFY (already folded in by `variant`).
-    if let Some(level) = verify {
-        cfg = cfg.with_verify(level);
-    }
-    let opts = Opts {
-        target,
-        tune,
-        tune_passes,
-        peel,
-        version_align,
-        print_after_all,
-        threads,
-        cache_stats,
-        tune_deadline,
-        tune_budget,
-        tune_sweeps,
-        prune,
-    };
-
-    let kernel = if single {
-        run_blac(&program.view(0), &cfg, &opts)
-    } else {
-        run_program(&program, cfg, &opts)
-    };
+    cfg.verify = verify.unwrap_or(cfg.verify);
+    let kernel = run(&program, cfg, &o);
 
     // The product: C on stdout.
     print!(
@@ -315,98 +263,87 @@ fn main() {
     }
 }
 
-/// The one tuner both paths run, configured from the tuning flags; extra
-/// `--tune-sweeps` re-run it against the same, now warm, kernel cache.
-fn tuner(cfg: &CompileConfig, o: &Opts, cache: &Arc<KernelCache>) -> Autotuner {
-    let mut tuner = Autotuner::new(cfg.clone())
-        .with_strategy(SearchStrategy::Exhaustive)
-        .with_threads(o.threads)
-        .with_cache(cache.clone());
-    if o.tune_passes {
-        tuner = tuner.with_pipeline_search();
-    }
-    if let Some(d) = o.tune_deadline {
-        tuner = tuner.with_deadline(d);
-    }
-    if let Some(b) = o.tune_budget {
-        tuner = tuner.with_budget(b);
-    }
-    tuner.with_prune(o.prune)
-}
-
-/// Prints the pruning line of a pruned tune.
-fn report_pruning(o: &Opts, pruned: usize, rank_correlation: Option<f64>) {
-    if !o.prune.is_off() {
+/// The driver: compiles (or autotunes) `program` to one kernel, checks it
+/// against the statement-by-statement reference, measures it and returns
+/// it. A single BLAC (one statement, no temporaries) runs as its
+/// one-statement program; it differs only in the lines it prints (its
+/// header and `tuning on` line, no fusion line), the peeling and
+/// versioning flags it keeps, and the tuner call it makes.
+fn run(program: &Program, mut cfg: CompileConfig, o: &Opts) -> Kernel {
+    let target = cfg.arch;
+    let single = program.statements.len() == 1 && !program.temps.iter().any(|&t| t);
+    if !single && (cfg.peeling || cfg.alignment_versioning) {
+        // Peeling and alignment versioning version a kernel on one BLAC's
+        // parameter alignment classes; they have no program analogue yet.
         eprintln!(
-            "lgenc: pruning ({}): {pruned} candidate(s) skipped, rank correlation {}",
-            o.prune,
-            rank_correlation.map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
+            "lgenc: --peel/--version-align are single-kernel transforms; ignored for programs"
         );
+        cfg.peeling = false;
+        cfg.alignment_versioning = false;
     }
-}
-
-/// Reports an all-candidates-failed tune and exits.
-fn tuning_failed(e: &TuneError) -> ! {
-    eprintln!("lgenc: tuning failed: {e}");
-    std::process::exit(1);
-}
-
-/// The original single-BLAC path: compile or autotune one kernel,
-/// validate it, measure it, return it.
-fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
-    let target = o.target;
+    // A BLAC's display is followed by three spaces, a program's count by one.
+    let subject = if single {
+        format!("{}  ", program.view(0))
+    } else {
+        format!("program of {} statement(s)", program.statements.len())
+    };
     eprintln!(
-        "lgenc: {blac}   ({} flops) for {target}, passes \"{}\"",
-        blac.flops(),
+        "lgenc: {subject} ({} flops) for {target}, passes \"{}\"",
+        program.flops(),
         cfg.pipeline
     );
     let cache = Arc::new(KernelCache::new());
-    let kernel = if o.tune {
-        eprintln!(
-            "lgenc: tuning on {} worker(s)",
-            lgen::core::effective_threads(o.threads)
-        );
+    let (kernel, fusions) = if o.tune {
+        if single {
+            eprintln!(
+                "lgenc: tuning on {} worker(s)",
+                effective_threads(o.threads)
+            );
+        }
         // Extra sweeps re-run the identical search against the
         // now-warm kernel cache: every sweep lands in the tune/compile
         // histograms, so the metrics dump captures steady-state
         // (memoized) tuning throughput, not just the cold first pass.
-        let mut last = None;
+        let mut tuned = None;
         for _ in 0..o.tune_sweeps {
-            match tuner(cfg, o, &cache).try_tune(blac, "kernel") {
-                Ok(tuned) => last = Some(tuned),
-                Err(e) => tuning_failed(&e),
-            }
+            tuned = Some(tune(program, single, &cfg, o, &cache).unwrap_or_else(|e| {
+                eprintln!("lgenc: tuning failed: {e}");
+                std::process::exit(1);
+            }));
         }
-        let tuned = last.expect("at least one tuning sweep");
+        let tuned = tuned.expect("at least one tuning sweep");
         eprintln!(
-            "lgenc: autotuned to {:?} under \"{}\" ({} cycles over {} candidates)",
-            tuned.unroll,
-            tuned.pipeline,
-            tuned.measurement.cycles,
-            tuned.samples.len()
+            "lgenc: autotuned to {} under \"{}\" ({} cycles over {} candidates)",
+            tuned.winner, tuned.replay.pipeline, tuned.cycles, tuned.candidates
         );
-        if let Some(summary) = tuned.failure_summary() {
+        if let Some(summary) = &tuned.failure_summary {
             eprintln!("lgenc: {summary}");
         }
-        report_pruning(o, tuned.pruned, tuned.rank_correlation);
+        if !o.prune.is_off() {
+            eprintln!(
+                "lgenc: pruning ({}): {} candidate(s) skipped, rank correlation {}",
+                o.prune,
+                tuned.pruned,
+                tuned
+                    .rank_correlation
+                    .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}")),
+            );
+        }
         if o.print_after_all {
             // Replay the winning compile with tracing on (outside the
             // cache, so snapshots reflect every pass).
-            let winner_cfg = cfg
-                .clone()
-                .with_unroll(tuned.unroll)
-                .with_passes(tuned.pipeline.clone());
-            compile_traced(&Program::from(blac), &winner_cfg, None, None);
+            compile_traced(program, &tuned.replay, tuned.genome.as_deref(), None);
         }
-        tuned.kernel
+        (tuned.kernel, tuned.fusions)
     } else if o.print_after_all {
-        let program = Program::from(blac);
-        compile_traced(&program, cfg, None, Some(cache.pass_stats())).kernel
+        let compiled = compile_traced(program, &cfg, None, Some(cache.pass_stats()));
+        (compiled.kernel, compiled.fusions)
     } else {
-        match cache.try_get_or_compile(blac, "kernel", cfg) {
+        let kernel = match cache.try_get_or_compile_program(program, "kernel", &cfg, None) {
             Ok(kernel) => (*kernel).clone(),
             Err(failure) => verification_failed(&failure),
-        }
+        };
+        (kernel, lgen::sigma::fuse_program(program).1)
     };
 
     if cfg.alignment_versioning && kernel.versions.len() == 1 {
@@ -418,7 +355,12 @@ fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
             MAX_VERSIONED_ARRAYS
         );
     }
-
+    if !single {
+        eprintln!(
+            "lgenc: {fusions} cross-statement fusion(s), kernel covers {} statement(s)",
+            program.statements.len() - fusions
+        );
+    }
     if o.cache_stats {
         // One coherent snapshot: counters and per-pass rows are read
         // together, so they cannot disagree mid-run.
@@ -427,104 +369,15 @@ fn run_blac(blac: &Blac, cfg: &CompileConfig, o: &Opts) -> lgen::cir::Kernel {
         }
     }
 
-    // Validate and measure.
-    match check_kernel(blac, &kernel, target.vector_isa(), 1) {
-        Ok(diff) => eprintln!("lgenc: validated, max|err| = {diff:.2e}"),
-        Err(e) => {
-            eprintln!("lgenc: kernel failed to execute: {e}");
-            std::process::exit(1);
-        }
-    }
-    let offsets = vec![0usize; blac.operands.len()];
-    match measure_blac(blac, &kernel, target, &offsets, 3) {
-        Ok(m) => eprintln!(
-            "lgenc: {} cycles, {:.3} flops/cycle (peak {:.1}), {:.2} nJ",
-            m.cycles,
-            m.flops_per_cycle(),
-            target.peak_flops_per_cycle(),
-            m.energy_pj as f64 / 1000.0
-        ),
-        Err(e) => eprintln!("lgenc: measurement failed: {e}"),
-    }
-    kernel
-}
-
-/// The program path: fuse, compile (or jointly tune) one kernel for the
-/// whole statement sequence, validate it against the statement-by-statement
-/// reference, measure it, return it.
-fn run_program(program: &Program, mut cfg: CompileConfig, o: &Opts) -> lgen::cir::Kernel {
-    let target = o.target;
-    if o.peel || o.version_align {
-        // Peeling and alignment versioning version a kernel on one BLAC's
-        // parameter alignment classes; they have no program analogue yet.
-        eprintln!(
-            "lgenc: --peel/--version-align are single-kernel transforms; ignored for programs"
-        );
-        cfg.peeling = false;
-        cfg.alignment_versioning = false;
-    }
-    eprintln!(
-        "lgenc: program of {} statement(s) ({} flops) for {target}, passes \"{}\"",
-        program.statements.len(),
-        program.flops(),
-        cfg.pipeline
-    );
-    let cache = Arc::new(KernelCache::new());
-    let (kernel, fusions) = if o.tune {
-        let mut last = None;
-        for _ in 0..o.tune_sweeps {
-            match tuner(&cfg, o, &cache).try_tune_program(program, "kernel") {
-                Ok(tuned) => last = Some(tuned),
-                Err(e) => tuning_failed(&e),
-            }
-        }
-        let tuned = last.expect("at least one tuning sweep");
-        eprintln!(
-            "lgenc: autotuned to {:?} under \"{}\" ({} cycles over {} candidates)",
-            tuned.policies,
-            tuned.pipeline,
-            tuned.measurement.cycles,
-            tuned.samples.len()
-        );
-        if let Some(summary) = tuned.failure_summary() {
-            eprintln!("lgenc: {summary}");
-        }
-        report_pruning(o, tuned.pruned, tuned.rank_correlation);
-        if o.print_after_all {
-            // Replay the winning genome and schedule with tracing on.
-            let winner_cfg = cfg.clone().with_passes(tuned.pipeline.clone());
-            compile_traced(program, &winner_cfg, Some(&tuned.policies), None);
-        }
-        (tuned.kernel, tuned.fusions)
-    } else if o.print_after_all {
-        let compiled = compile_traced(program, &cfg, None, Some(cache.pass_stats()));
-        (compiled.kernel, compiled.fusions)
-    } else {
-        let kernel = match cache.try_get_or_compile_program(program, "kernel", &cfg, None) {
-            Ok(kernel) => (*kernel).clone(),
-            Err(failure) => verification_failed(&failure),
-        };
-        let (_, fusions) = lgen::sigma::fuse_program(program);
-        (kernel, fusions)
-    };
-    eprintln!(
-        "lgenc: {fusions} cross-statement fusion(s), kernel covers {} statement(s)",
-        program.statements.len() - fusions
-    );
-
-    if o.cache_stats {
-        for line in cache.snapshot().to_string().lines() {
-            eprintln!("lgenc: {line}");
-        }
-    }
-
-    // Validate against the statement-by-statement reference and measure.
-    match check_program(program, &kernel, target.vector_isa(), 1) {
-        Ok(diff) => eprintln!("lgenc: validated, max|err| = {diff:.2e}"),
-        Err(e) => {
-            eprintln!("lgenc: kernel failed to execute: {e}");
-            std::process::exit(1);
-        }
+    // Check against the statement-by-statement reference, then measure.
+    let diff = check_program(program, &kernel, target.vector_isa(), 1).unwrap_or_else(|e| {
+        eprintln!("lgenc: kernel failed to execute: {e}");
+        std::process::exit(1);
+    });
+    let verdict = verdict(diff, program.flops());
+    eprintln!("lgenc: {}", verdict.as_ref().unwrap_or_else(|miss| miss));
+    if verdict.is_err() {
+        std::process::exit(1);
     }
     match measure_program(program, &kernel, target, 3) {
         Ok(m) => eprintln!(
@@ -537,6 +390,92 @@ fn run_program(program: &Program, mut cfg: CompileConfig, o: &Opts) -> lgen::cir
         Err(e) => eprintln!("lgenc: measurement failed: {e}"),
     }
     kernel
+}
+
+/// The check's verdict on a kernel whose largest difference from the
+/// reference is `diff`, by the tuner's own criterion: the line to print,
+/// as `Ok` when the kernel matches and as `Err` when it does not.
+fn verdict(diff: f32, flops: u64) -> Result<String, String> {
+    let tolerance = tolerance(flops);
+    if diff < tolerance {
+        Ok(format!("validated, max|err| = {diff:.2e}"))
+    } else {
+        Err(format!(
+            "kernel does not match the reference: max|err| = {diff:.2e} exceeds tolerance {tolerance:.2e}"
+        ))
+    }
+}
+
+/// A finished tune, from either tuner call, as the driver reports it.
+struct Tuned {
+    kernel: Kernel,
+    fusions: usize,
+    /// The winning unroll policy, or per-statement genome, as printed.
+    winner: String,
+    cycles: u64,
+    candidates: usize,
+    failure_summary: Option<String>,
+    pruned: usize,
+    rank_correlation: Option<f64>,
+    /// The configuration, winning schedule included, and the genome that
+    /// replay the winning compile.
+    replay: CompileConfig,
+    genome: Option<Vec<UnrollPolicy>>,
+}
+
+/// One tuning sweep on the one tuner, configured from the tuning flags. A
+/// single BLAC tunes through [`Autotuner::try_tune`], any other program
+/// through [`Autotuner::try_tune_program`].
+fn tune(
+    program: &Program,
+    single: bool,
+    cfg: &CompileConfig,
+    o: &Opts,
+    cache: &Arc<KernelCache>,
+) -> Result<Tuned, TuneError> {
+    let mut tuner = Autotuner::new(cfg.clone())
+        .with_strategy(SearchStrategy::Exhaustive)
+        .with_threads(o.threads)
+        .with_cache(cache.clone())
+        .with_prune(o.prune);
+    if o.tune_passes {
+        tuner = tuner.with_pipeline_search();
+    }
+    if let Some(d) = o.tune_deadline {
+        tuner = tuner.with_deadline(d);
+    }
+    if let Some(b) = o.tune_budget {
+        tuner = tuner.with_budget(b);
+    }
+    Ok(if single {
+        let t = tuner.try_tune(&program.view(0), "kernel")?;
+        Tuned {
+            winner: format!("{:?}", t.unroll),
+            cycles: t.measurement.cycles,
+            candidates: t.samples.len(),
+            failure_summary: t.failure_summary(),
+            pruned: t.pruned,
+            rank_correlation: t.rank_correlation,
+            replay: cfg.clone().with_unroll(t.unroll).with_passes(t.pipeline),
+            genome: None,
+            fusions: 0,
+            kernel: t.kernel,
+        }
+    } else {
+        let t = tuner.try_tune_program(program, "kernel")?;
+        Tuned {
+            winner: format!("{:?}", t.policies),
+            cycles: t.measurement.cycles,
+            candidates: t.samples.len(),
+            failure_summary: t.failure_summary(),
+            pruned: t.pruned,
+            rank_correlation: t.rank_correlation,
+            replay: cfg.clone().with_passes(t.pipeline),
+            genome: Some(t.policies),
+            fusions: t.fusions,
+            kernel: t.kernel,
+        }
+    })
 }
 
 /// Compiles outside the cache with `--print-after-all` tracing on and
@@ -562,4 +501,30 @@ fn verification_failed(failure: &VerifyFailure) -> ! {
     eprintln!("lgenc: verification failed after pass `{}`:", failure.pass);
     eprint!("{}", lgen::cir::render(&failure.diagnostics));
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verdict_accepts_within_tolerance_and_rejects_past_it() {
+        let flops = 72;
+        let tol = tolerance(flops);
+        assert_eq!(
+            verdict(2.98e-8, flops),
+            Ok("validated, max|err| = 2.98e-8".to_string())
+        );
+        let miss = 2.0 * tol;
+        assert_eq!(
+            verdict(miss, flops),
+            Err(format!(
+                "kernel does not match the reference: max|err| = {miss:.2e} \
+                 exceeds tolerance {tol:.2e}"
+            ))
+        );
+        // The tolerance itself is a miss, as in the tuner; so is a NaN.
+        assert!(verdict(tol, flops).is_err());
+        assert!(verdict(f32::NAN, flops).is_err());
+    }
 }

@@ -2,6 +2,8 @@
 //! must exit nonzero with the usage message, and the tuning failure
 //! summary must reach stderr (the line `ci.sh` greps).
 
+use lgen::cir::unparse::unparse;
+use lgen::prelude::*;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -12,16 +14,16 @@ fn temp_file(name: &str, text: &str) -> PathBuf {
     path
 }
 
+/// The usage example's BLAC.
+const GEMV: &str = "alpha = scalar\n\
+                    A = matrix(4, 8)\n\
+                    x = vector(8)\n\
+                    y = vector(4)\n\
+                    y = alpha * (A * x) + y\n";
+
 /// Writes the usage example's BLAC to a unique temp file.
 fn blac_file(tag: &str) -> PathBuf {
-    temp_file(
-        &format!("{tag}.blac"),
-        "alpha = scalar\n\
-         A = matrix(4, 8)\n\
-         x = vector(8)\n\
-         y = vector(4)\n\
-         y = alpha * (A * x) + y\n",
-    )
+    temp_file(&format!("{tag}.blac"), GEMV)
 }
 
 fn lgenc(args: &[&str]) -> Output {
@@ -29,6 +31,23 @@ fn lgenc(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("lgenc runs")
+}
+
+/// Runs `lgenc`, asserts that it exits 0, and returns its stdout and
+/// stderr.
+fn lgenc_ok(args: &[&str]) -> (String, String) {
+    let out = lgenc(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+    (String::from_utf8(out.stdout).unwrap(), stderr)
+}
+
+/// The `autotuned to …` line of a tuning run's stderr.
+fn winner_line(stderr: &str) -> &str {
+    stderr
+        .lines()
+        .find(|l| l.contains("autotuned to"))
+        .expect("winner line")
 }
 
 fn assert_usage_error(args: &[&str]) {
@@ -164,10 +183,7 @@ fn bad_passes_spec_exits_nonzero() {
 #[test]
 fn compiles_and_prints_c() {
     let file = blac_file("ok");
-    let out = lgenc(&[file.to_str().unwrap()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (stdout, stderr) = lgenc_ok(&[file.to_str().unwrap()]);
     assert!(stdout.contains("void kernel"), "no C emitted: {stdout}");
     assert!(stderr.contains("validated"), "{stderr}");
 }
@@ -176,14 +192,12 @@ fn compiles_and_prints_c() {
 fn trace_out_writes_a_chrome_trace_and_metrics_dump() {
     let file = blac_file("trace");
     let trace = std::env::temp_dir().join(format!("lgenc_cli_{}_trace.json", std::process::id()));
-    let out = lgenc(&[
+    let (_, stderr) = lgenc_ok(&[
         file.to_str().unwrap(),
         "--trace-out",
         trace.to_str().unwrap(),
         "--metrics",
     ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
     let json = std::fs::read_to_string(&trace).expect("trace file written");
     assert!(json.starts_with("{\"traceEvents\":["), "{json}");
     // One complete-event span per pipeline stage, at minimum.
@@ -220,25 +234,11 @@ fn lgen_trace_env_prints_the_span_tree() {
 fn pruned_tune_reports_skips_and_matches_the_full_winner() {
     let file = blac_file("prune");
     let file = file.to_str().unwrap();
-    let winner_line = |args: &[&str]| {
-        let out = lgenc(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-        stderr
-            .lines()
-            .find(|l| l.contains("autotuned to"))
-            .expect("winner line")
-            .to_string()
-    };
     // The BLAC's 18 policies make 2 kernels: topk:1 skips one.
-    let full = winner_line(&[file, "--tune", "--prune=off"]);
-    let out = lgenc(&[file, "--tune", "--prune=topk:1", "--metrics"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    let pruned = stderr
-        .lines()
-        .find(|l| l.contains("autotuned to"))
-        .expect("winner line");
+    let (_, full) = lgenc_ok(&[file, "--tune", "--prune=off"]);
+    let full = winner_line(&full);
+    let (_, stderr) = lgenc_ok(&[file, "--tune", "--prune=topk:1", "--metrics"]);
+    let pruned = winner_line(&stderr);
     // Winner parity is judged on the objective: the pruned search must
     // land on an equally-fast kernel. (Candidates can tie in measured
     // cycles, in which case the two searches may name different but
@@ -252,7 +252,7 @@ fn pruned_tune_reports_skips_and_matches_the_full_winner() {
             .unwrap()
             .to_string()
     };
-    assert_eq!(cycles(pruned), cycles(&full), "pruned: {pruned} vs {full}");
+    assert_eq!(cycles(pruned), cycles(full), "pruned: {pruned} vs {full}");
     assert!(
         stderr.contains("pruning (topk:1):"),
         "pruning stats line missing: {stderr}"
@@ -295,15 +295,15 @@ fn faulted_tune_prints_failure_summary_and_survives() {
     );
 }
 
+/// The Kalman filter's predict step as a three-statement program.
+const KALMAN: &str = "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
+                      x_next = vector(4)\nP = matrix(4, 4) symmetric\n\
+                      Q = matrix(4, 4) symmetric\nP_next = matrix(4, 4)\n\
+                      x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;\n";
+
 /// Writes the Kalman predict program to a unique temp file.
 fn kalman_file(tag: &str) -> PathBuf {
-    temp_file(
-        &format!("{tag}.ll"),
-        "F = matrix(4, 4)\nB = matrix(4, 2)\nu = vector(2)\nx = vector(4)\n\
-         x_next = vector(4)\nP = matrix(4, 4) symmetric\nQ = matrix(4, 4) symmetric\n\
-         P_next = matrix(4, 4)\n\
-         x_next = F * x + B * u;\nS = P * F';\nP_next = F * S + Q;\n",
-    )
+    temp_file(&format!("{tag}.ll"), KALMAN)
 }
 
 #[test]
@@ -312,20 +312,14 @@ fn program_tune_takes_the_tuning_flags() {
     // same at any worker count, and --tune-passes searches schedules.
     let path = kalman_file("tune");
     let file = path.to_str().unwrap();
-    let winner_line = |args: &[&str]| {
-        let out = lgenc(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let winner = |args: &[&str]| {
+        let (_, stderr) = lgenc_ok(args);
         assert!(!stderr.contains("not supported"), "{stderr}");
-        stderr
-            .lines()
-            .find(|l| l.contains("autotuned to"))
-            .expect("winner line")
-            .to_string()
+        winner_line(&stderr).to_string()
     };
-    let one = winner_line(&[file, "--tune", "--threads", "1"]);
-    assert_eq!(one, winner_line(&[file, "--tune", "--threads", "2"]));
-    let passes = winner_line(&[file, "--tune-passes", "--threads", "2"]);
+    let one = winner(&[file, "--tune", "--threads", "1"]);
+    assert_eq!(one, winner(&[file, "--tune", "--threads", "2"]));
+    let passes = winner(&[file, "--tune-passes", "--threads", "2"]);
     let cycles = |l: &str| -> u64 {
         let tail = l.rsplit('(').next().unwrap();
         tail.split(' ').next().unwrap().parse().unwrap()
@@ -342,9 +336,7 @@ fn print_after_all_traces_every_pass_of_a_program() {
     for extra in [&[][..], &["--tune"][..]] {
         let mut args = vec![path.to_str().unwrap(), "--print-after-all"];
         args.extend(extra);
-        let out = lgenc(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        let (_, stderr) = lgenc_ok(&args);
         let blocks: Vec<&str> = stderr
             .lines()
             .filter_map(|l| l.strip_prefix("== IR after ")?.strip_suffix(" =="))
@@ -359,19 +351,18 @@ fn print_after_all_traces_every_pass_of_a_program() {
     let _ = std::fs::remove_file(path);
 }
 
+/// `y = A*x + B*z`: five vector-sized arrays, past the three that
+/// alignment versioning accepts.
+const FIVE_ARRAYS: &str = "A = matrix(4, 8)\nx = vector(8)\nB = matrix(4, 8)\nz = vector(8)\n\
+                           y = vector(4)\ny = A * x + B * z\n";
+
 /// `--version-align` on a BLAC with more vector-sized arrays than
-/// versioning accepts (`y = A*x + B*z`: A, x, B, z and y, five arrays)
-/// compiles the kernel unversioned and says so, instead of aborting.
+/// versioning accepts compiles the kernel unversioned and says so,
+/// instead of aborting.
 #[test]
 fn version_align_past_the_array_limit_compiles_unversioned_with_a_note() {
-    let path = temp_file(
-        "five.blac",
-        "A = matrix(4, 8)\nx = vector(8)\nB = matrix(4, 8)\nz = vector(8)\ny = vector(4)\n\
-         y = A * x + B * z\n",
-    );
-    let out = lgenc(&[path.to_str().unwrap(), "--version-align"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let path = temp_file("five.blac", FIVE_ARRAYS);
+    let (c, stderr) = lgenc_ok(&[path.to_str().unwrap(), "--version-align"]);
     assert!(
         stderr.contains(
             "lgenc: --version-align: 5 vector-sized arrays exceed the limit of 3; \
@@ -380,13 +371,51 @@ fn version_align_past_the_array_limit_compiles_unversioned_with_a_note() {
         "note missing: {stderr}"
     );
     assert!(stderr.contains("lgenc: validated"), "{stderr}");
-    let c = String::from_utf8_lossy(&out.stdout);
     assert!(!c.contains("uintptr_t"), "no dispatch chain expected: {c}");
     // Within the limit, the same flag versions and prints no note.
     let small = blac_file("valign");
-    let out = lgenc(&[small.to_str().unwrap(), "--version-align"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let (c, stderr) = lgenc_ok(&[small.to_str().unwrap(), "--version-align"]);
     assert!(!stderr.contains("compiled unversioned"), "{stderr}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("uintptr_t"));
+    assert!(c.contains("uintptr_t"));
+}
+
+/// `lgenc` prints the library's kernel: the plain compile's, the BLAC
+/// tuner's and the program tuner's under the same settings. A parsed
+/// single-BLAC file is its BLAC's one-statement program, so the driver's
+/// program calls see what the BLAC calls would: the same cache key,
+/// operand table, test data and layout.
+#[test]
+fn lgenc_prints_the_library_kernel() {
+    let gemv = "A = matrix(9, 23)\nx = vector(23)\ny = vector(9)\ny = A * x + y\n";
+    for src in [GEMV, FIVE_ARRAYS, gemv] {
+        let program = parse_program(src).unwrap();
+        assert_eq!(Program::from(&program.view(0)), program, "{src}");
+    }
+    let cfg = CompileConfig::full(Microarch::Atom);
+    let c = |kernel: &lgen::cir::Kernel| unparse(kernel, Microarch::Atom.vector_isa());
+    let tuner =
+        || Autotuner::new(cfg.clone()).with_strategy(lgen::core::SearchStrategy::Exhaustive);
+    let stdout = |args: &[&str]| lgenc_ok(args).0;
+
+    let path = blac_file("parity");
+    let file = path.to_str().unwrap();
+    let program = parse_program(GEMV).unwrap();
+    let blac = program.view(0);
+    let compiled = try_compile_program(&program, "kernel", &cfg).unwrap();
+    assert_eq!(stdout(&[file]), c(&compiled.kernel));
+    let tuned = tuner().try_tune(&blac, "kernel").unwrap();
+    assert_eq!(stdout(&[file, "--tune"]), c(&tuned.kernel));
+    let searched = tuner().with_pipeline_search().try_tune(&blac, "kernel");
+    assert_eq!(
+        stdout(&[file, "--tune-passes"]),
+        c(&searched.unwrap().kernel)
+    );
+
+    let path = kalman_file("parity");
+    let tuned = tuner().try_tune_program(&parse_program(KALMAN).unwrap(), "kernel");
+    assert_eq!(
+        stdout(&[path.to_str().unwrap(), "--tune"]),
+        c(&tuned.unwrap().kernel)
+    );
+    let _ = std::fs::remove_file(path);
 }

@@ -22,8 +22,9 @@ fn outputs(blac: &Blac, kernel: &lgen::cir::Kernel, isa: VectorIsa) -> Vec<f32> 
         .enumerate()
         .map(|(i, op)| test_data(op.dims, 400 + i as u64))
         .collect();
-    lgen::core::run_blac_kernel(blac, kernel, isa, &values)
+    run_program_kernel(&Program::from(blac), kernel, isa, &values)
         .expect("kernel executes")
+        .swap_remove(blac.output.0)
         .data
 }
 

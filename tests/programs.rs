@@ -184,9 +184,10 @@ proptest! {
         for i in 0..program.statements.len() {
             let blac = program.view(i);
             let kernel = compile(&blac, "stage", &cfg);
-            let out = lgen::core::run_blac_kernel(&blac, &kernel, arch.vector_isa(), &state)
-                .unwrap_or_else(|e| panic!("{arch} stmt {i}: {e}"));
-            state[program.statements[i].target.0] = out;
+            let mut out =
+                run_program_kernel(&Program::from(&blac), &kernel, arch.vector_isa(), &state)
+                    .unwrap_or_else(|e| panic!("{arch} stmt {i}: {e}"));
+            state[blac.output.0] = out.swap_remove(blac.output.0);
         }
 
         let tol = 1e-3 + 1e-5 * program.flops() as f32;

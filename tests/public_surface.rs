@@ -143,46 +143,49 @@ fn library_crate(rel: &Path) -> Option<String> {
         .then(|| parts[1].to_string())
 }
 
-#[test]
-fn every_pub_fn_has_a_user_outside_its_crate() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+/// Every scanned `.rs` file: its path relative to the workspace root, its
+/// code (see [`code_only`]) and the identifiers that code names.
+fn scan(root: &Path) -> Vec<(PathBuf, String, HashSet<String>)> {
     let mut files = Vec::new();
     for dir in ["crates", "src", "tests", "examples", "benchmark"] {
         rust_files(&root.join(dir), &mut files);
     }
     files.sort();
-    // Per file: path, home crate, code, and the identifiers it names.
-    let parsed: Vec<(PathBuf, Option<String>, String, HashSet<String>)> = files
+    files
         .iter()
         .map(|path| {
-            let rel = path.strip_prefix(&root).unwrap().to_path_buf();
+            let rel = path.strip_prefix(root).unwrap().to_path_buf();
             let code = code_only(&fs::read_to_string(path).unwrap());
             let idents = code
                 .split(|c: char| !(c.is_alphanumeric() || c == '_'))
                 .filter(|w| !w.is_empty())
                 .map(String::from)
                 .collect();
-            let home = library_crate(&rel);
-            (rel, home, code, idents)
+            (rel, code, idents)
         })
-        .collect();
-    let mut outside: BTreeMap<&str, HashSet<&str>> = BTreeMap::new();
-    for krate in parsed.iter().filter_map(|p| p.1.as_deref()) {
-        if !outside.contains_key(krate) {
-            let names = parsed
+        .collect()
+}
+
+#[test]
+fn every_pub_fn_has_a_user_outside_its_crate() {
+    let parsed = scan(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let mut outside: BTreeMap<String, HashSet<&str>> = BTreeMap::new();
+    for krate in parsed.iter().filter_map(|p| library_crate(&p.0)) {
+        outside.entry(krate.clone()).or_insert_with(|| {
+            parsed
                 .iter()
-                .filter(|p| p.1.as_deref() != Some(krate))
-                .flat_map(|p| p.3.iter().map(String::as_str));
-            outside.insert(krate, names.collect());
-        }
+                .filter(|p| library_crate(&p.0).as_ref() != Some(&krate))
+                .flat_map(|p| p.2.iter().map(String::as_str))
+                .collect()
+        });
     }
     let mut offenders = Vec::new();
-    for (rel, home, code, _) in &parsed {
-        let Some(krate) = home.as_deref() else {
+    for (rel, code, _) in &parsed {
+        let Some(krate) = library_crate(rel) else {
             continue;
         };
         for (line, name) in pub_fns(code) {
-            if !outside[krate].contains(name.as_str()) {
+            if !outside[&krate].contains(name.as_str()) {
                 offenders.push(format!("{}:{line} {name}", rel.display()));
             }
         }
@@ -191,6 +194,48 @@ fn every_pub_fn_has_a_user_outside_its_crate() {
         offenders.is_empty(),
         "{} pub fn(s) have no user outside their crate; make them pub(crate) \
          (and delete what then turns out dead):\n{}",
+        offenders.len(),
+        offenders.join("\n")
+    );
+}
+
+/// Every `lgen-*` dependency of a workspace member is named in the code of
+/// that member's own sources (library, binaries, tests, benches,
+/// examples; for the facade, `src/`, `tests/` and `examples/`). An entry
+/// nothing names only costs build time and hides the real dependency
+/// graph.
+#[test]
+fn every_lgen_dependency_is_named_by_its_crate() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let parsed = scan(&root);
+    let mut members = vec![(PathBuf::new(), vec!["src", "tests", "examples"])];
+    for entry in fs::read_dir(root.join("crates")).unwrap().flatten() {
+        let dir = entry.path().strip_prefix(&root).unwrap().to_path_buf();
+        members.push((dir, vec![""]));
+    }
+    let mut offenders = Vec::new();
+    for (dir, sources) in &members {
+        let named: HashSet<&str> = parsed
+            .iter()
+            .filter(|p| sources.iter().any(|s| p.0.starts_with(dir.join(s))))
+            .flat_map(|p| p.2.iter().map(String::as_str))
+            .collect();
+        let manifest = fs::read_to_string(root.join(dir).join("Cargo.toml")).unwrap();
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            }
+            let dep = line.split(['.', '=']).next().unwrap_or_default().trim();
+            let dependency = matches!(section, "[dependencies]" | "[dev-dependencies]");
+            if dependency && dep.starts_with("lgen-") && !named.contains(&*dep.replace('-', "_")) {
+                offenders.push(format!("{}: {dep}", dir.join("Cargo.toml").display()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "{} lgen dependenc(ies) named by no source of their crate; drop them:\n{}",
         offenders.len(),
         offenders.join("\n")
     );

@@ -98,8 +98,9 @@ fn check(blac: &Blac, arch: Microarch, variant: Variant) {
         .map(|(i, op)| test_data(op.dims, 101 + i as u64))
         .collect();
     let expected = eval_reference(blac, &values);
-    let got = lgen::core::run_blac_kernel(blac, &kernel, arch.vector_isa(), &values)
-        .unwrap_or_else(|e| panic!("{arch} {variant:?}: {e}"));
+    let got = run_program_kernel(&Program::from(blac), &kernel, arch.vector_isa(), &values)
+        .unwrap_or_else(|e| panic!("{arch} {variant:?}: {e}"))
+        .swap_remove(blac.output.0);
     let tol = 1e-3 + 1e-5 * blac.flops() as f32;
     let diff = max_abs_diff(&got, &expected);
     assert!(
@@ -147,8 +148,9 @@ fn output_bits(
     arch: Microarch,
     values: &[lgen::ll::reference::MatrixValue],
 ) -> Vec<u32> {
-    lgen::core::run_blac_kernel(blac, kernel, arch.vector_isa(), values)
+    run_program_kernel(&Program::from(blac), kernel, arch.vector_isa(), values)
         .unwrap_or_else(|e| panic!("{arch}: {e}"))
+        .swap_remove(blac.output.0)
         .data
         .iter()
         .map(|v| v.to_bits())
